@@ -142,7 +142,7 @@ def execute(
             continue
 
         skips_in_row = 0
-        bd, ee = action_cost(current, action, ee, 1.0)
+        bd, ee = action_cost(current, action, ee, 1.0, clearance)
         travel += bd.approach + bd.pick + bd.transfer
         predicted = apply_action(current, action, clearance)
         pending = pending[1:]

@@ -42,10 +42,20 @@ class CostBreakdown:
 
 
 def action_cost(
+    scene: Scene, action: Action, ee: EEState, lam: float = 1.0, clearance: float = DEFAULT_CLEARANCE
+) -> tuple[CostBreakdown, EEState]:
+    """Cost of one feasible action and the end-effector state after it.
+
+    Raises InfeasibleActionError when ``action`` is infeasible in ``scene``.
+    """
+    validate_action(scene, action, clearance)
+    return travel_cost(scene, action, ee, lam)
+
+
+def travel_cost(
     scene: Scene, action: Action, ee: EEState, lam: float = 1.0
 ) -> tuple[CostBreakdown, EEState]:
-    """Cost of one feasible action and the end-effector state after it."""
-    validate_action(scene, action)
+    """``action_cost`` for an action already known to be feasible: no validation."""
     start = scene.current[action.object]
     approach = (start - ee.pose).norm()
     if isinstance(action, PickPlace):
@@ -76,7 +86,7 @@ def plan_cost(
     scene = start
     total = 0.0
     for action in actions:
-        bd, ee = action_cost(scene, action, ee, lam)
+        bd, ee = action_cost(scene, action, ee, lam, clearance)
         scene = apply_action(scene, action, clearance)
         total += bd.total
     return total

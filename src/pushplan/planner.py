@@ -18,16 +18,21 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .geometry import Vec2
-from .metrics import CostBreakdown, EEState, action_cost
-from .primitives import PushConfig, sample_buffer_pose, select_push
+
+# ``apply_action`` and ``action_cost`` are the validated path ``transition``
+# must agree with.  The search does not call them, but they stay bound here
+# because perfbench's tracer and its tests look them up in this module.
+from .metrics import CostBreakdown, EEState, action_cost, travel_cost  # noqa: F401
+from .primitives import PushConfig, PushProposal, sample_buffer_pose, select_push
 from .scene import (
     Action,
     InfeasibleActionError,
     PickPlace,
     Scene,
-    apply_action,
+    apply_action,  # noqa: F401
     blockers_of,
     goal_region_free,
+    moved_poses,
     satisfied_count,
     unsatisfied_ids,
 )
@@ -101,22 +106,28 @@ def sample_unsatisfied_object(scene: Scene, rng: random.Random) -> int:
     return ids[rng.randrange(len(ids))]
 
 
+# A recommended move: a placement, or an admissible push with its derivation.
+Recommendation = PickPlace | PushProposal
+
+
 def recommend_action(
     scene: Scene, obj: int, cfg: PlannerConfig, rng: random.Random
-) -> Optional[Action]:
-    """One sensible action for ``obj``: place it if its goal is free, push the
+) -> Optional[Recommendation]:
+    """One sensible move for ``obj``: place it if its goal is free, push the
     blockers aside if a push is admissible, otherwise relocate one sampled
     blocker (to its own goal when possible, else to a buffer pose).
 
-    Returns None when buffer sampling fails; every returned action is
-    feasible in ``scene``.
+    Returns None when buffer sampling fails.  A push comes back as its
+    ``PushProposal``, so ``transition`` need not derive it again.  Every
+    returned move is feasible in ``scene``: the placement, or the proposal's
+    ``as_action()``, passes ``validate_action`` with ``cfg.push_cfg.clearance``.
     """
     if goal_region_free(scene, obj):
         return PickPlace(obj, scene.goal[obj])
     if cfg.push_enabled:
         proposal = select_push(scene, obj, cfg.push_cfg)
         if proposal is not None:
-            return proposal.as_action()
+            return proposal
     blockers = sorted(blockers_of(scene, obj))
     b = blockers[rng.randrange(len(blockers))]
     if goal_region_free(scene, b):
@@ -125,6 +136,27 @@ def recommend_action(
     if buffer is None:
         return None
     return PickPlace(b, buffer)
+
+
+def transition(
+    scene: Scene, rec: Recommendation, ee: EEState
+) -> tuple[Action, Scene, CostBreakdown, EEState]:
+    """The action, successor scene, cost and end-effector state of one move.
+
+    ``rec`` must come fresh from ``recommend_action`` on ``scene``: a push
+    proposal is trusted, not re-derived, and only the moved objects of the
+    successor are checked (``Scene.with_moved``).  The result equals
+    ``apply_action`` plus ``action_cost`` on the same action, except that the
+    successor carries a footprint cache.  Raises InfeasibleActionError when a
+    moved object would leave the table or overlap another object.
+    """
+    if isinstance(rec, PushProposal):
+        action, blocker_moves = rec.as_action(), rec.blocker_moves
+    else:
+        action, blocker_moves = rec, ()
+    child = scene.with_moved(moved_poses(scene, action, blocker_moves))
+    bd, ee = travel_cost(scene, action, ee, 1.0)
+    return action, child, bd, ee
 
 
 def _uct(parent: SearchNode, child: SearchNode, c: float, n_objects: int) -> float:
@@ -164,17 +196,16 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
         path.append(node)
 
     obj = sample_unsatisfied_object(node.state, rng)
-    action = recommend_action(node.state, obj, cfg, rng)
-    if action is None:
+    rec = recommend_action(node.state, obj, cfg, rng)
+    if rec is None:
         _backprop(path, float(node.satisfied))
         return None
     try:
-        new_state = apply_action(node.state, action, cfg.push_cfg.clearance)
+        action, new_state, bd, ee = transition(node.state, rec, EEState(node.ee, root.ee))
     except InfeasibleActionError:
-        # The recommender only proposes feasible actions; keep searching anyway.
+        # The recommender only proposes feasible moves; keep searching anyway.
         _backprop(path, float(node.satisfied))
         return None
-    bd, ee = action_cost(node.state, action, EEState(node.ee, root.ee), 1.0)
     child = SearchNode(new_state, node, action, bd, ee.pose, node.depth + 1)
     node.children.append(child)
     path.append(child)
@@ -204,7 +235,8 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
     if satisfied_count(scene) == scene.n:
         return Plan((), (), 0.0)
     rng = random.Random(cfg.seed)
-    root = SearchNode(scene, None, None, None, scene.workspace.center, 0)
+    # Only the search tree's scenes cache footprints; none of them escapes.
+    root = SearchNode(scene.with_footprints(), None, None, None, scene.workspace.center, 0)
 
     if cfg.max_expansions is not None:
         remaining = cfg.max_expansions

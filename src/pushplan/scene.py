@@ -9,8 +9,10 @@ supposed to do.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from .geometry import (
     HalfDims,
@@ -74,7 +76,9 @@ class PushPlace:
     pre_push: Vec2
 
 
-Action = Union[PickPlace, PushPlace]
+# A ``|`` union, not ``typing.Union``: typing caches the latter, and the cache
+# would keep this module alive after pushplan is unloaded and imported again.
+Action = PickPlace | PushPlace
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +88,11 @@ class Scene:
     Construction validates the invariants every scene must satisfy: dense ids,
     matching lengths, all footprints inside the workspace, and no two current
     (or two goal) footprints overlapping.  Touching footprints are legal.
+
+    Scenes inside the planner's search tree also carry their current and goal
+    footprints (``with_footprints``, ``with_moved``).  The cache takes no part
+    in equality, hashing or repr, and scenes built by the constructor, by
+    ``apply_action`` or by loading have none.
     """
 
     workspace: Rect
@@ -91,6 +100,8 @@ class Scene:
     current: Arrangement
     goal: Arrangement
     tolerance: float = DEFAULT_TOLERANCE
+    _footprints: Optional[tuple[Rect, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _goal_footprints: Optional[tuple[Rect, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.objects)
@@ -119,10 +130,54 @@ class Scene:
         return len(self.objects)
 
     def footprint(self, i: int) -> Rect:
+        if self._footprints is not None:
+            return self._footprints[i]
         return rect_from_center(self.current[i], self.objects[i].half)
 
     def goal_footprint(self, i: int) -> Rect:
+        if self._goal_footprints is not None:
+            return self._goal_footprints[i]
         return rect_from_center(self.goal[i], self.objects[i].half)
+
+    def with_footprints(self) -> "Scene":
+        """An equal scene whose current and goal footprints are computed once."""
+        return self.with_moved(())
+
+    def with_moved(self, moves: Sequence[tuple[int, Vec2]]) -> "Scene":
+        """This scene with each ``(object, pose)`` of ``moves`` relocated.
+
+        The result caches its footprints and shares every unmoved object's
+        footprint, and all goal footprints, with this scene.  Only the moved
+        objects are checked: each must lie inside the workspace and overlap
+        no other current footprint.  Pairs of unmoved objects were checked
+        when this scene was built, so the result satisfies the same
+        invariant as construction.  Raises InfeasibleActionError otherwise.
+        """
+        poses = list(self.current)
+        rects = list(self._footprints or (self.footprint(i) for i in range(self.n)))
+        for i, pose in moves:
+            poses[i] = pose
+            rects[i] = rect_from_center(pose, self.objects[i].half)
+        for i, _ in moves:
+            if not contains(self.workspace, rects[i]):
+                raise InfeasibleActionError(f"moved object {i} leaves the workspace")
+            for j, r in enumerate(rects):
+                if j != i and overlaps(rects[i], r):
+                    raise InfeasibleActionError(f"moved object {i} overlaps object {j}")
+        goal_rects = self._goal_footprints or tuple(self.goal_footprint(i) for i in range(self.n))
+        # Bypass __post_init__: the checks above establish its invariant.
+        out = object.__new__(Scene)
+        for name, value in (
+            ("workspace", self.workspace),
+            ("objects", self.objects),
+            ("current", tuple(poses)),
+            ("goal", self.goal),
+            ("tolerance", self.tolerance),
+            ("_footprints", tuple(rects)),
+            ("_goal_footprints", goal_rects),
+        ):
+            object.__setattr__(out, name, value)
+        return out
 
 
 def is_at_goal(scene: Scene, i: int) -> bool:
@@ -194,23 +249,34 @@ def _action_object(action: Action) -> int:
     return action.object
 
 
-def apply_action(scene: Scene, action: Action, clearance: float = DEFAULT_CLEARANCE) -> Scene:
-    """Deterministic transition model: the planner's prediction of an action.
+def moved_poses(
+    scene: Scene, action: Action, blocker_moves: tuple[tuple[int, float], ...]
+) -> tuple[tuple[int, Vec2], ...]:
+    """``(object, new pose)`` for every object a feasible ``action`` moves.
 
     PickPlace teleports the object to its destination.  PushPlace puts the
     target exactly on its goal and advances every blocker along the push
-    direction by its planned displacement.  The result is always a valid
-    scene; infeasible actions raise instead.
+    direction by its displacement in ``blocker_moves``.
+    """
+    if isinstance(action, PickPlace):
+        return ((action.object, action.destination),)
+    u = action.side.unit
+    return ((action.object, scene.goal[action.object]),) + tuple(
+        (b, scene.current[b] + u * d) for b, d in blocker_moves
+    )
+
+
+def apply_action(scene: Scene, action: Action, clearance: float = DEFAULT_CLEARANCE) -> Scene:
+    """Deterministic transition model: the planner's prediction of an action.
+
+    The action is validated first, and the result is a fully validated
+    scene without a footprint cache (see ``moved_poses`` for the motion).
+    Infeasible actions raise instead.
     """
     moves = validate_action(scene, action, clearance)
     poses = list(scene.current)
-    if isinstance(action, PickPlace):
-        poses[action.object] = action.destination
-    else:
-        poses[action.object] = scene.goal[action.object]
-        u = action.side.unit
-        for b, d in moves:
-            poses[b] = poses[b] + u * d
+    for i, pose in moved_poses(scene, action, moves or ()):
+        poses[i] = pose
     return replace(scene, current=tuple(poses))
 
 
@@ -233,7 +299,26 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _finite(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise SceneFormatError(f"field '{name}' must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise SceneFormatError(f"field '{name}' must be finite, got {value!r}")
+    return x
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise SceneFormatError(f"field '{name}' must be a list, got {type(value).__name__}")
+    return value
+
+
 def scene_from_dict(doc: dict) -> Scene:
+    if not isinstance(doc, dict):
+        raise SceneFormatError(f"scene document must be an object, got {type(doc).__name__}")
+
     def need(key: str):
         if key not in doc:
             raise SceneFormatError(f"scene document is missing field '{key}'")
@@ -242,32 +327,38 @@ def scene_from_dict(doc: dict) -> Scene:
     ws = need("workspace")
     if not (isinstance(ws, (list, tuple)) and len(ws) == 4):
         raise SceneFormatError("field 'workspace' must be [x0, y0, x1, y1]")
+    x0, y0, x1, y1 = (_finite(v, f"workspace[{k}]") for k, v in enumerate(ws))
     try:
-        workspace = Rect(Vec2(float(ws[0]), float(ws[1])), Vec2(float(ws[2]), float(ws[3])))
-    except (TypeError, ValueError) as e:
+        workspace = Rect(Vec2(x0, y0), Vec2(x1, y1))
+    except ValueError as e:
         raise SceneFormatError(f"field 'workspace' is invalid: {e}") from e
 
-    raw_objects = need("objects")
     specs = []
-    for i, entry in enumerate(raw_objects):
+    for i, entry in enumerate(_list(need("objects"), "objects")):
+        if not isinstance(entry, dict):
+            raise SceneFormatError(f"field 'objects[{i}]' must be an object with keys 'a' and 'b'")
+        for key in ("a", "b"):
+            if key not in entry:
+                raise SceneFormatError(f"field 'objects[{i}]' is missing key '{key}'")
+        a, b = _finite(entry["a"], f"objects[{i}].a"), _finite(entry["b"], f"objects[{i}].b")
         try:
-            half = HalfDims(float(entry["a"]), float(entry["b"]))
-        except KeyError as e:
-            raise SceneFormatError(f"field 'objects[{i}]' is missing key {e}") from e
-        except (TypeError, ValueError) as e:
+            half = HalfDims(a, b)
+        except ValueError as e:
             raise SceneFormatError(f"field 'objects[{i}]' is invalid: {e}") from e
-        specs.append(ObjectSpec(i, half, entry.get("color")))
+        color = entry.get("color")
+        if color is not None and not isinstance(color, str):
+            raise SceneFormatError(f"field 'objects[{i}].color' must be a string")
+        specs.append(ObjectSpec(i, half, color))
 
     def poses(key: str) -> Arrangement:
-        raw = need(key)
         out = []
-        for i, p in enumerate(raw):
+        for i, p in enumerate(_list(need(key), key)):
             if not (isinstance(p, (list, tuple)) and len(p) == 2):
                 raise SceneFormatError(f"field '{key}[{i}]' must be [x, y]")
-            out.append(Vec2(float(p[0]), float(p[1])))
+            out.append(Vec2(_finite(p[0], f"{key}[{i}][0]"), _finite(p[1], f"{key}[{i}][1]")))
         return tuple(out)
 
-    tolerance = float(doc.get("epsilon", DEFAULT_TOLERANCE))
+    tolerance = _finite(doc.get("epsilon", DEFAULT_TOLERANCE), "epsilon")
     try:
         return Scene(workspace, tuple(specs), poses("start"), poses("goal"), tolerance)
     except InvalidSceneError as e:
@@ -298,6 +389,8 @@ def action_to_dict(action: Action) -> dict:
 
 
 def action_from_dict(doc: dict) -> Action:
+    if not isinstance(doc, dict):
+        raise SceneFormatError(f"action document must be an object, got {type(doc).__name__}")
     kind = doc.get("type")
     try:
         if kind == "pick_place":

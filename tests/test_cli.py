@@ -118,6 +118,28 @@ class TestDiagnostics:
         assert rc == 1
         assert "objects[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("objects", 5, "'objects' must be a list"),
+         ("start", [["x", 0.2], [0.8, 0.8]], "'start[0][0]' must be a number"),
+         ("epsilon", "inf", "'epsilon' must be finite")],
+    )
+    def test_malformed_fields_exit_1_without_traceback(self, tmp_path, capsys, field, value, message):
+        scene = {
+            "workspace": [0, 0, 1, 1],
+            "objects": [{"a": 0.1, "b": 0.1}, {"a": 0.1, "b": 0.1}],
+            "start": [[0.2, 0.2], [0.8, 0.8]],
+            "goal": [[0.8, 0.2], [0.2, 0.8]],
+        }
+        scene[field] = value
+        path = tmp_path / "badscene.json"
+        path.write_text(json.dumps(scene))
+        rc = main(["plan", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert message in err
+        assert "Traceback" not in err
+
     def test_unknown_planner_field(self, swap_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_expansion": 100}))

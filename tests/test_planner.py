@@ -169,3 +169,7 @@ class TestSerialization:
     def test_invalid_document_raises(self):
         with pytest.raises(SceneFormatError, match="invalid"):
             plan_from_dict({"costs": []})
+
+    def test_non_object_action_entry_raises(self):
+        with pytest.raises(SceneFormatError, match="action document must be an object"):
+            plan_from_dict({"actions": [5], "total": 0.0})

@@ -249,6 +249,52 @@ class TestJsonFormat:
         with pytest.raises(SceneFormatError, match=r"start\[0\]"):
             scene_from_dict(doc)
 
+    def test_objects_not_a_list(self):
+        doc = scene_to_dict(make_swap_scene())
+        doc["objects"] = 5
+        with pytest.raises(SceneFormatError, match="'objects' must be a list"):
+            scene_from_dict(doc)
+
+    def test_non_numeric_pose(self):
+        doc = scene_to_dict(make_swap_scene())
+        doc["start"][1] = ["x", 0.2]
+        with pytest.raises(SceneFormatError, match=r"'start\[1\]\[0\]' must be a number"):
+            scene_from_dict(doc)
+
+    @pytest.mark.parametrize("epsilon", ["inf", float("inf"), float("nan"), "-Infinity"])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        doc = scene_to_dict(make_swap_scene())
+        doc["epsilon"] = epsilon
+        with pytest.raises(SceneFormatError, match="'epsilon' must be finite"):
+            scene_from_dict(doc)
+
+    def test_non_numeric_epsilon_rejected(self):
+        doc = scene_to_dict(make_swap_scene())
+        doc["epsilon"] = None
+        with pytest.raises(SceneFormatError, match="'epsilon' must be a number"):
+            scene_from_dict(doc)
+
+    @pytest.mark.parametrize("k, value", [(2, float("inf")), (0, float("nan")), (3, "inf")])
+    def test_non_finite_workspace_rejected(self, k, value):
+        doc = scene_to_dict(make_swap_scene())
+        doc["workspace"][k] = value
+        with pytest.raises(SceneFormatError, match=rf"'workspace\[{k}\]' must be finite"):
+            scene_from_dict(doc)
+
+    def test_non_object_documents_rejected(self):
+        with pytest.raises(SceneFormatError, match="scene document must be an object"):
+            scene_from_dict([1, 2])
+        doc = scene_to_dict(make_swap_scene())
+        doc["objects"][0] = 0.05
+        with pytest.raises(SceneFormatError, match=r"objects\[0\]"):
+            scene_from_dict(doc)
+        doc = scene_to_dict(make_swap_scene())
+        doc["objects"][0]["color"] = 7
+        with pytest.raises(SceneFormatError, match=r"objects\[0\]\.color"):
+            scene_from_dict(doc)
+        with pytest.raises(SceneFormatError, match="action document must be an object"):
+            action_from_dict(5)
+
     def test_invalid_scene_surfaces_as_format_error(self):
         doc = scene_to_dict(make_swap_scene())
         doc["start"][0] = [0.64, 0.5]  # overlaps object 1
