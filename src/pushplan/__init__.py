@@ -11,6 +11,7 @@ benchmark harness with SVG reporting.
 from .bench import BenchConfig, BenchRecord, BenchVariant, aggregate, generate_scene, run_benchmark
 from .executor import ExecutionReport, StepRecord, TerminationReason, execute
 from .geometry import HalfDims, Rect, Side, Vec2, rect_from_center
+from .io import SceneFormatError, scene_from_json, scene_to_json
 from .metrics import CostBreakdown, EEState, action_cost, percent_reduction, plan_cost
 from .planner import Plan, PlannerConfig, plan
 from .primitives import PushConfig, PushProposal, PushStats, select_push
@@ -22,11 +23,8 @@ from .scene import (
     PickPlace,
     PushPlace,
     Scene,
-    SceneFormatError,
     apply_action,
     blockers_of,
-    scene_from_json,
-    scene_to_json,
     validate_action,
 )
 from .simulator import (

@@ -16,113 +16,43 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from . import io
 from .bench import BenchConfig, BenchError, run_benchmark, write_benchmark_outputs
-from .executor import TerminationReason, execute, report_to_dict
-from .geometry import Side
-from .planner import PlannerConfig, plan, plan_from_dict, plan_to_dict
-from .primitives import PushConfig
+from .executor import TerminationReason, execute
+from .geometry import Vec2
+from .io import SceneFormatError
+from .planner import PlannerConfig, plan
 from .render import RenderStyle, render_scene
-from .scene import (
-    InfeasibleActionError,
-    InvalidSceneError,
-    PickPlace,
-    Scene,
-    SceneFormatError,
-    apply_action,
-    scene_from_dict,
-)
+from .scene import Action, InfeasibleActionError, PickPlace, Scene, apply_action
 from .simulator import NO_NOISE, NoiseConfig, SimulationError
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
-
-
-def _load_json(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise _CliError(f"cannot read {path}: {e.strerror or e}") from e
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise _CliError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(data, dict):
-        raise _CliError(f"{path}: expected a JSON object at the top level")
-    return data
-
-
-def _load_scene(path: str) -> Scene:
-    try:
-        return scene_from_dict(_load_json(path))
-    except (SceneFormatError, InvalidSceneError) as e:
-        raise _CliError(f"{path}: {e}") from e
-
-
-def _resolve_seed(cli_seed: Optional[int], config_seed: Optional[int] = None) -> int:
+def _resolve_seed(cli_seed: Optional[int], config_seed: Optional[int]) -> int:
     if cli_seed is not None:
         return cli_seed
     if config_seed is not None:
         return config_seed
-    env = os.environ.get("PPLAN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _CliError(f"PPLAN_SEED must be an integer, got {env!r}") from None
-    return 0
+    env = os.environ.get("PPLAN_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise SceneFormatError(f"PPLAN_SEED must be an integer, got {env!r}") from None
 
 
-_PLANNER_FIELDS = {
-    "time_budget_s", "max_expansions", "exploration_c", "push_enabled",
-    "buffer_max_attempts", "seed", "push",
-}
-_PUSH_FIELDS = {"clearance", "edge_margin", "side_order"}
+def _budget_flags(args: argparse.Namespace) -> dict:
+    """The budget flags as config fields; a flag replaces both budgets of a config."""
+    if args.expansions is None and args.time_budget is None:
+        return {}
+    return {"max_expansions": args.expansions, "time_budget_s": args.time_budget}
 
 
 def _planner_config(args: argparse.Namespace) -> PlannerConfig:
-    raw: dict = {}
-    if getattr(args, "config", None):
-        raw = _load_json(args.config)
-        for key in raw:
-            if key not in _PLANNER_FIELDS:
-                raise _CliError(f"{args.config}: unknown planner config field {key!r}")
-    push_raw = raw.get("push", {})
-    if not isinstance(push_raw, dict):
-        raise _CliError(f"{args.config}: field 'push' must be an object")
-    for key in push_raw:
-        if key not in _PUSH_FIELDS:
-            raise _CliError(f"{args.config}: unknown push config field 'push.{key}'")
-    try:
-        push_kwargs = dict(push_raw)
-        if "side_order" in push_kwargs:
-            push_kwargs["side_order"] = tuple(Side(s) for s in push_kwargs["side_order"])
-        push_cfg = PushConfig(**push_kwargs)
-    except (TypeError, ValueError) as e:
-        raise _CliError(f"{args.config}: invalid push config: {e}") from e
-
-    kwargs: dict = {
-        "time_budget_s": raw.get("time_budget_s"),
-        "max_expansions": raw.get("max_expansions"),
-        "push_cfg": push_cfg,
-        "seed": _resolve_seed(args.seed, raw.get("seed")),
-    }
-    if "exploration_c" in raw:
-        kwargs["exploration_c"] = raw["exploration_c"]
-    if "buffer_max_attempts" in raw:
-        kwargs["buffer_max_attempts"] = raw["buffer_max_attempts"]
-    kwargs["push_enabled"] = raw.get("push_enabled", True)
-    if args.expansions is not None or args.time_budget is not None:
-        kwargs["time_budget_s"] = args.time_budget
-        kwargs["max_expansions"] = args.expansions
+    fields = io.load(args.config, io.planner_config_kwargs) if args.config else {}
+    fields["seed"] = _resolve_seed(args.seed, fields.get("seed"))
+    fields.update(_budget_flags(args))
     if args.no_push:
-        kwargs["push_enabled"] = False
-    try:
-        return PlannerConfig(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise _CliError(f"invalid planner configuration: {e}") from e
+        fields["push_enabled"] = False
+    return PlannerConfig(**fields)
 
 
 def _add_planner_flags(p: argparse.ArgumentParser) -> None:
@@ -146,98 +76,59 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    scene = _load_scene(args.scene)
+    scene = io.load(args.scene, io.scene_from_dict)
     cfg = _planner_config(args)
     result = plan(scene, cfg)
     if result is None:
         print("no plan found within the search budget", file=sys.stderr)
         return 2
-    _write_or_print(json.dumps(plan_to_dict(result), indent=2) + "\n", args.out)
+    _write_or_print(json.dumps(io.plan_to_dict(result), indent=2) + "\n", args.out)
     if args.out:
         print(f"plan: {len(result.actions)} actions, total cost {result.total:.4f} -> {args.out}")
     return 0
 
 
-def _action_setdown(scene: Scene, action) -> tuple:
-    if isinstance(action, PickPlace):
-        return action.destination, action.object
-    return scene.goal[action.object], action.object
+def _setdown(scene: Scene, action: Action) -> Vec2:
+    """Where ``action`` sets its object down in ``scene``."""
+    return action.destination if isinstance(action, PickPlace) else scene.goal[action.object]
+
+
+def _write_frames(out_dir: str, style: RenderStyle, frames: list) -> None:
+    """Write ``(scene, title, gripper)`` frames as frame_000.svg, frame_001.svg, ..."""
+    path = Path(out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    for i, (scene, title, gripper) in enumerate(frames):
+        (path / f"frame_{i:03d}.svg").write_text(render_scene(scene, style, title=title, gripper=gripper))
 
 
 def _cmd_execute(args: argparse.Namespace) -> int:
-    scene = _load_scene(args.scene)
+    scene = io.load(args.scene, io.scene_from_dict)
     cfg = _planner_config(args)
-    if args.step_budget < 1:
-        raise _CliError(f"--step-budget must be at least 1, got {args.step_budget}")
-    noise = NO_NOISE
-    if args.noise:
-        noise = NoiseConfig(lateral_sigma=args.lateral_sigma, depth_sigma=args.depth_sigma,
-                            enabled=True)
+    noise = NoiseConfig(args.lateral_sigma, args.depth_sigma, enabled=True) if args.noise else NO_NOISE
     report = execute(scene, cfg, noise, step_budget=args.step_budget,
                      rng=random.Random(cfg.seed))
-    _write_or_print(json.dumps(report_to_dict(report), indent=2) + "\n", args.out)
+    _write_or_print(json.dumps(io.report_to_dict(report), indent=2) + "\n", args.out)
     if args.frames:
-        frames_dir = Path(args.frames)
-        frames_dir.mkdir(parents=True, exist_ok=True)
-        style = RenderStyle(show_gripper=True)
-        (frames_dir / "frame_000.svg").write_text(render_scene(scene, style, title="step 0"))
-        idx = 0
-        for step in report.steps:
-            if step.post_scene is None:
-                continue
-            idx += 1
-            gripper = None
-            note = " (skipped)" if step.skipped else ""
-            if step.executed_action is not None and step.pre_scene is not None:
-                gripper, _ = _action_setdown(step.pre_scene, step.executed_action)
-            (frames_dir / f"frame_{idx:03d}.svg").write_text(
-                render_scene(step.post_scene, style, title=f"step {idx}{note}", gripper=gripper)
-            )
+        frames = [(scene, "step 0", None)]
+        for i, step in enumerate(report.steps, 1):
+            gripper = _setdown(step.pre_scene, step.executed_action) if step.executed_action else None
+            frames.append((step.post_scene, f"step {i}{' (skipped)' if step.skipped else ''}", gripper))
+        _write_frames(args.frames, RenderStyle(show_gripper=True), frames)
     status = report.terminated_by.value
     print(f"execution: {report.total_actions} actions, "
           f"{report.success_rate:.0%} at goal, terminated by {status}", file=sys.stderr)
     return 0 if report.terminated_by is TerminationReason.ALL_AT_GOAL else 2
 
 
-_BENCH_CONFIG_FIELDS = {
-    "master_seed", "object_counts", "scenes_per_count", "runs_per_scene",
-    "max_expansions", "time_budget_s", "size_range", "tolerance",
-}
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    raw: dict = {}
-    if args.config:
-        raw = _load_json(args.config)
-        for key in raw:
-            if key not in _BENCH_CONFIG_FIELDS:
-                raise _CliError(f"{args.config}: unknown config field {key!r}")
-    seed = _resolve_seed(args.seed, raw.get("master_seed"))
-    kwargs: dict = {"master_seed": seed}
-    for key in ("scenes_per_count", "runs_per_scene", "max_expansions", "time_budget_s",
-                "tolerance"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "object_counts" in raw:
-        kwargs["object_counts"] = tuple(raw["object_counts"])
-    if "size_range" in raw:
-        kwargs["size_range"] = tuple(raw["size_range"])
-    if args.scenes is not None:
-        kwargs["scenes_per_count"] = args.scenes
-    if args.runs is not None:
-        kwargs["runs_per_scene"] = args.runs
-    if args.counts is not None:
-        try:
-            kwargs["object_counts"] = tuple(int(c) for c in args.counts.split(","))
-        except ValueError:
-            raise _CliError(f"--counts expects comma-separated integers, got {args.counts!r}") from None
-    if args.expansions is not None or args.time_budget is not None:
-        kwargs["max_expansions"] = args.expansions
-        kwargs["time_budget_s"] = args.time_budget
-    try:
-        cfg = BenchConfig(**kwargs)
-    except TypeError as e:
-        raise _CliError(f"invalid benchmark configuration: {e}") from e
+    fields = io.load(args.config, io.bench_config_kwargs) if args.config else {}
+    fields["master_seed"] = _resolve_seed(args.seed, fields.get("master_seed"))
+    for flag, key in (("scenes", "scenes_per_count"), ("runs", "runs_per_scene"),
+                      ("counts", "object_counts")):
+        if getattr(args, flag) is not None:
+            fields[key] = getattr(args, flag)
+    fields.update(_budget_flags(args))
+    cfg = BenchConfig(**fields)
     records = run_benchmark(cfg, jobs=args.jobs)
     summary = write_benchmark_outputs(cfg, records, Path(args.out))
     for row in summary["reductions"]:
@@ -249,34 +140,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    scene = _load_scene(args.scene)
+    scene = io.load(args.scene, io.scene_from_dict)
     style = RenderStyle(show_goals=not args.no_goals, show_gripper=args.frames is not None,
                         scale=args.scale)
     if args.frames and not args.plan:
-        raise _CliError("--frames requires --plan (per-step frames follow a plan)")
+        raise SceneFormatError("--frames requires --plan (per-step frames follow a plan)")
     if not args.plan:
         _write_or_print(render_scene(scene, style, title=args.title), args.out)
         return 0
-    try:
-        result = plan_from_dict(_load_json(args.plan))
-    except SceneFormatError as e:
-        raise _CliError(f"{args.plan}: {e}") from e
+    result = io.load(args.plan, io.plan_from_dict)
     states = [scene]
     try:
         for action in result.actions:
             states.append(apply_action(states[-1], action))
     except InfeasibleActionError as e:
-        raise _CliError(f"{args.plan}: plan does not replay on this scene: {e}") from e
+        raise SceneFormatError(f"{args.plan}: plan does not replay on this scene: {e}") from e
     if args.frames:
-        frames_dir = Path(args.frames)
-        frames_dir.mkdir(parents=True, exist_ok=True)
-        for i, state in enumerate(states):
-            gripper = None
-            if i > 0:
-                gripper, _ = _action_setdown(states[i - 1], result.actions[i - 1])
-            (frames_dir / f"frame_{i:03d}.svg").write_text(
-                render_scene(state, style, title=f"step {i}", gripper=gripper)
-            )
+        _write_frames(args.frames, style, [
+            (state, f"step {i}", _setdown(states[i - 1], result.actions[i - 1]) if i else None)
+            for i, state in enumerate(states)
+        ])
         print(f"wrote {len(states)} frames -> {args.frames}")
         return 0
     _write_or_print(render_scene(states[-1], style, title=args.title), args.out)
@@ -336,14 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        io.check_flags(args)
         return args.func(args)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (SceneFormatError, InvalidSceneError, BenchError) as e:
+    except (SceneFormatError, BenchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SimulationError as e:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .metrics import EEState, action_cost
+from .metrics import EEState, travel_cost
 from .planner import Plan, PlannerConfig, plan
-from .scene import Action, InfeasibleActionError, Scene, action_to_dict, apply_action, satisfied_count
+from .scene import Action, InfeasibleActionError, Scene, apply_action, satisfied_count
 from .seeding import derive_seed
 from .simulator import NO_NOISE, NoiseConfig, SimEvent, SimEventKind, simulate
 
@@ -142,9 +142,11 @@ def execute(
             continue
 
         skips_in_row = 0
-        bd, ee = action_cost(current, action, ee, 1.0, clearance)
-        travel += bd.approach + bd.pick + bd.transfer
+        # apply_action validates the action as it predicts the outcome, so the
+        # travel is costed without validating it again.
         predicted = apply_action(current, action, clearance)
+        bd, ee = travel_cost(current, action, ee, 1.0)
+        travel += bd.approach + bd.pick + bd.transfer
         pending = pending[1:]
         total_actions += 1
         steps.append(
@@ -171,28 +173,3 @@ def execute(
         terminated_by=terminated,
         final_scene=current,
     )
-
-
-def report_to_dict(report: ExecutionReport) -> dict:
-    steps = []
-    for s in report.steps:
-        entry: dict = {
-            "planned_plan_length": s.planned_plan_length,
-            "executed_action": action_to_dict(s.executed_action) if s.executed_action else None,
-            "sim_events": [
-                {"kind": ev.kind.value, "object": ev.object, "detail": ev.detail}
-                for ev in s.sim_events
-            ],
-            "post_state_summary": s.post_state_summary,
-        }
-        if s.skipped:
-            entry["skipped"] = True
-            entry["note"] = s.note
-        steps.append(entry)
-    return {
-        "steps": steps,
-        "total_actions": report.total_actions,
-        "success_rate": report.success_rate,
-        "robot_time_proxy": report.robot_time_proxy,
-        "terminated_by": report.terminated_by.value,
-    }

@@ -257,37 +257,3 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
         if child is not None and child.satisfied == scene.n:
             return _extract_plan(child)
     return None
-
-
-def plan_to_dict(p: Plan) -> dict:
-    from .scene import action_to_dict
-
-    return {
-        "actions": [action_to_dict(a) for a in p.actions],
-        "costs": [
-            {
-                "approach": bd.approach,
-                "pick": bd.pick,
-                "transfer": bd.transfer,
-                "lambda": bd.lam,
-                "total": bd.total,
-            }
-            for bd in p.costs
-        ],
-        "total": p.total,
-    }
-
-
-def plan_from_dict(doc: dict) -> Plan:
-    from .scene import SceneFormatError, action_from_dict
-
-    try:
-        actions = tuple(action_from_dict(a) for a in doc["actions"])
-        costs = tuple(
-            CostBreakdown(c["approach"], c["pick"], c["transfer"], c.get("lambda", 1.0))
-            for c in doc.get("costs", [])
-        )
-        total = float(doc["total"]) if "total" in doc else sum(bd.total for bd in costs)
-    except (KeyError, TypeError, ValueError) as e:
-        raise SceneFormatError(f"plan document is invalid: {e}") from e
-    return Plan(actions, costs, total)

@@ -8,8 +8,6 @@ supposed to do.
 
 from __future__ import annotations
 
-import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -39,10 +37,6 @@ class InvalidSceneError(ValueError):
 
 class InfeasibleActionError(ValueError):
     """The action cannot be applied in the given scene."""
-
-
-class SceneFormatError(ValueError):
-    """A scene/plan document is malformed; the message names the field."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,8 +219,8 @@ def validate_action(
     Raises InfeasibleActionError naming the violated condition.  Push
     validation delegates to the primitive's admissibility checks.
     """
-    if not (0 <= _action_object(action) < scene.n):
-        raise InfeasibleActionError(f"action references unknown object {_action_object(action)}")
+    if not (0 <= action.object < scene.n):
+        raise InfeasibleActionError(f"action references unknown object {action.object}")
     if isinstance(action, PickPlace):
         r = rect_from_center(action.destination, scene.objects[action.object].half)
         if not contains(scene.workspace, r):
@@ -243,10 +237,6 @@ def validate_action(
 
     proposal = primitives.validate_push_action(scene, action, clearance)
     return proposal.blocker_moves
-
-
-def _action_object(action: Action) -> int:
-    return action.object
 
 
 def moved_poses(
@@ -278,127 +268,3 @@ def apply_action(scene: Scene, action: Action, clearance: float = DEFAULT_CLEARA
     for i, pose in moved_poses(scene, action, moves or ()):
         poses[i] = pose
     return replace(scene, current=tuple(poses))
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    objs = []
-    for spec in scene.objects:
-        entry: dict = {"a": spec.half.a, "b": spec.half.b}
-        if spec.color is not None:
-            entry["color"] = spec.color
-        objs.append(entry)
-    return {
-        "workspace": [scene.workspace.lo.x, scene.workspace.lo.y, scene.workspace.hi.x, scene.workspace.hi.y],
-        "objects": objs,
-        "start": [[p.x, p.y] for p in scene.current],
-        "goal": [[p.x, p.y] for p in scene.goal],
-        "epsilon": scene.tolerance,
-    }
-
-
-def _finite(value, name: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise SceneFormatError(f"field '{name}' must be a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise SceneFormatError(f"field '{name}' must be finite, got {value!r}")
-    return x
-
-
-def _list(value, name: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise SceneFormatError(f"field '{name}' must be a list, got {type(value).__name__}")
-    return value
-
-
-def scene_from_dict(doc: dict) -> Scene:
-    if not isinstance(doc, dict):
-        raise SceneFormatError(f"scene document must be an object, got {type(doc).__name__}")
-
-    def need(key: str):
-        if key not in doc:
-            raise SceneFormatError(f"scene document is missing field '{key}'")
-        return doc[key]
-
-    ws = need("workspace")
-    if not (isinstance(ws, (list, tuple)) and len(ws) == 4):
-        raise SceneFormatError("field 'workspace' must be [x0, y0, x1, y1]")
-    x0, y0, x1, y1 = (_finite(v, f"workspace[{k}]") for k, v in enumerate(ws))
-    try:
-        workspace = Rect(Vec2(x0, y0), Vec2(x1, y1))
-    except ValueError as e:
-        raise SceneFormatError(f"field 'workspace' is invalid: {e}") from e
-
-    specs = []
-    for i, entry in enumerate(_list(need("objects"), "objects")):
-        if not isinstance(entry, dict):
-            raise SceneFormatError(f"field 'objects[{i}]' must be an object with keys 'a' and 'b'")
-        for key in ("a", "b"):
-            if key not in entry:
-                raise SceneFormatError(f"field 'objects[{i}]' is missing key '{key}'")
-        a, b = _finite(entry["a"], f"objects[{i}].a"), _finite(entry["b"], f"objects[{i}].b")
-        try:
-            half = HalfDims(a, b)
-        except ValueError as e:
-            raise SceneFormatError(f"field 'objects[{i}]' is invalid: {e}") from e
-        color = entry.get("color")
-        if color is not None and not isinstance(color, str):
-            raise SceneFormatError(f"field 'objects[{i}].color' must be a string")
-        specs.append(ObjectSpec(i, half, color))
-
-    def poses(key: str) -> Arrangement:
-        out = []
-        for i, p in enumerate(_list(need(key), key)):
-            if not (isinstance(p, (list, tuple)) and len(p) == 2):
-                raise SceneFormatError(f"field '{key}[{i}]' must be [x, y]")
-            out.append(Vec2(_finite(p[0], f"{key}[{i}][0]"), _finite(p[1], f"{key}[{i}][1]")))
-        return tuple(out)
-
-    tolerance = _finite(doc.get("epsilon", DEFAULT_TOLERANCE), "epsilon")
-    try:
-        return Scene(workspace, tuple(specs), poses("start"), poses("goal"), tolerance)
-    except InvalidSceneError as e:
-        raise SceneFormatError(str(e)) from e
-
-
-def scene_to_json(scene: Scene) -> str:
-    return json.dumps(scene_to_dict(scene), indent=2)
-
-
-def scene_from_json(text: str) -> Scene:
-    return scene_from_dict(json.loads(text))
-
-
-def action_to_dict(action: Action) -> dict:
-    if isinstance(action, PickPlace):
-        return {
-            "type": "pick_place",
-            "object": action.object,
-            "destination": [action.destination.x, action.destination.y],
-        }
-    return {
-        "type": "push_place",
-        "object": action.object,
-        "side": action.side.value,
-        "pre_push": [action.pre_push.x, action.pre_push.y],
-    }
-
-
-def action_from_dict(doc: dict) -> Action:
-    if not isinstance(doc, dict):
-        raise SceneFormatError(f"action document must be an object, got {type(doc).__name__}")
-    kind = doc.get("type")
-    try:
-        if kind == "pick_place":
-            d = doc["destination"]
-            return PickPlace(int(doc["object"]), Vec2(float(d[0]), float(d[1])))
-        if kind == "push_place":
-            p = doc["pre_push"]
-            return PushPlace(int(doc["object"]), Side(doc["side"]), Vec2(float(p[0]), float(p[1])))
-    except (KeyError, TypeError, ValueError) as e:
-        raise SceneFormatError(f"action document of type '{kind}' is invalid: {e}") from e
-    raise SceneFormatError(f"action document has unknown type '{kind}'")

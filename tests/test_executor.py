@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from pushplan import (
+    EEState,
     HalfDims,
     NoiseConfig,
     ObjectSpec,
@@ -15,14 +16,15 @@ from pushplan import (
     Scene,
     TerminationReason,
     Vec2,
+    action_cost,
     apply_action,
     execute,
 )
 from pushplan.executor import (
     ACTION_OVERHEAD_S,
     MAX_CONSECUTIVE_SKIPS,
-    report_to_dict,
 )
+from pushplan.io import report_to_dict
 from pushplan.scene import InfeasibleActionError, satisfied_count
 from pushplan.bench import generate_scene
 from pushplan.seeding import derive_seed
@@ -97,6 +99,22 @@ class TestZeroNoise:
         # swap push plan: 0.65 + 0.71 of travel, two actions of overhead
         assert report.total_actions == 2
         assert travel == pytest.approx(1.36, abs=1e-9)
+
+        # A noisy N = 8 trial: the proxy is the travel of every executed
+        # action, costed on the scene it was executed from, plus overhead.
+        scene = next(_unsolved_scenes("proxy", 1, (8, 8)))
+        noise = NoiseConfig(lateral_sigma=0.003, depth_sigma=0.002, enabled=True)
+        noisy = execute(scene, CFG, noise=noise, rng=random.Random(5))
+        ee = EEState(scene.workspace.center, scene.workspace.center)
+        travel = 0.0
+        for step in noisy.steps:
+            if not step.skipped:
+                bd, ee = action_cost(step.pre_scene, step.executed_action, ee)
+                travel += bd.approach + bd.pick + bd.transfer
+        assert noisy.total_actions >= 8
+        assert noisy.robot_time_proxy == pytest.approx(
+            travel + ACTION_OVERHEAD_S * noisy.total_actions, abs=1e-9
+        )
 
     def test_step_budget_is_respected(self, swap_scene):
         for budget in (1, 2):

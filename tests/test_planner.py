@@ -20,8 +20,8 @@ from pushplan import (
     plan,
     plan_cost,
 )
-from pushplan.planner import plan_from_dict, plan_to_dict
-from pushplan.scene import SceneFormatError, satisfied_count
+from pushplan.io import SceneFormatError, plan_from_dict, plan_to_dict
+from pushplan.scene import satisfied_count
 from pushplan.bench import generate_scene
 from pushplan.seeding import derive_seed
 

@@ -17,21 +17,23 @@ from pushplan.scene import (
     PickPlace,
     PushPlace,
     Scene,
-    SceneFormatError,
-    action_from_dict,
-    action_to_dict,
     apply_action,
     blockers_of,
     goal_region_free,
     is_at_goal,
     placement_free,
     satisfied_count,
+    unsatisfied_ids,
+    validate_action,
+)
+from pushplan.io import (
+    SceneFormatError,
+    action_from_dict,
+    action_to_dict,
     scene_from_dict,
     scene_from_json,
     scene_to_dict,
     scene_to_json,
-    unsatisfied_ids,
-    validate_action,
 )
 
 WS = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))

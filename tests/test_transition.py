@@ -16,6 +16,7 @@ from conftest import make_swap_scene, take_proposals
 from pushplan.bench import generate_scene
 from pushplan.executor import execute
 from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
+from pushplan.io import scene_from_dict, scene_to_dict
 from pushplan.metrics import EEState, action_cost, plan_cost
 from pushplan.planner import PlannerConfig, plan, recommend_action, transition
 from pushplan.primitives import PushConfig, PushProposal, select_push
@@ -26,13 +27,13 @@ from pushplan.scene import (
     PushPlace,
     Scene,
     apply_action,
-    scene_from_dict,
-    scene_to_dict,
     unsatisfied_ids,
     validate_action,
 )
 from pushplan.seeding import derive_seed
 from pushplan.simulator import NoiseConfig, simulate
+
+import pushplan.planner as planner_mod
 
 TOL = 1e-12
 DENSE_SIZES = (0.05, 0.079)
@@ -207,3 +208,35 @@ class TestClearance:
         assert plan_cost(p, scene, clearance=0.01) == pytest.approx(p.total, abs=1e-12)
         report = execute(scene, cfg)
         assert report.total_actions == 2 and report.success_rate == 1.0
+
+
+
+class TestSearchNeverRaises:
+    # (object count, size range, scenes): dense N = 14 as in sweep-dense, the
+    # default N = 8 grid cell, and crowded N = 10 scenes.
+    CORPUS = ((14, DENSE_SIZES, 40), (8, (0.03, 0.07), 60), (10, (0.05, 0.099), 30))
+
+    def test_no_recommended_move_is_infeasible(self, monkeypatch):
+        """``tree_search_step`` counts an InfeasibleActionError from ``transition``
+        as a wasted expansion; over this corpus that handler never runs."""
+        calls, raised = 0, []
+
+        def counted(scene, rec, ee):
+            nonlocal calls
+            calls += 1
+            try:
+                return transition(scene, rec, ee)
+            except InfeasibleActionError as e:
+                raised.append((case, str(e)))
+                raise
+
+        monkeypatch.setattr(planner_mod, "transition", counted)
+        for n, size_range, count in self.CORPUS:
+            for k in range(count):
+                seed = derive_seed("search-never-raises", n, k)
+                scene = generate_scene(n, seed, size_range=size_range)
+                for push in (False, True):
+                    case = f"N={n} scene seed {seed} push={push}"
+                    plan(scene, PlannerConfig(max_expansions=1500, push_enabled=push, seed=seed))
+        assert calls > 10_000
+        assert raised == []
