@@ -14,7 +14,7 @@ from .geometry import HalfDims, Rect, Side, Vec2, rect_from_center
 from .io import SceneFormatError, scene_from_json, scene_to_json
 from .metrics import CostBreakdown, EEState, action_cost, percent_reduction, plan_cost
 from .planner import Plan, PlannerConfig, plan
-from .primitives import PushConfig, PushProposal, PushStats, select_push
+from .primitives import PushProposal, PushStats, select_push
 from .scene import (
     Action,
     InfeasibleActionError,
@@ -58,7 +58,6 @@ __all__ = [
     "PickPlace",
     "Plan",
     "PlannerConfig",
-    "PushConfig",
     "PushPlace",
     "PushProposal",
     "PushStats",

@@ -250,6 +250,8 @@ def aggregate(records: Sequence[BenchRecord], variants: Sequence[str] = ("baseli
                 raise BenchError(f"no scene solved by both variants at N={n}")
             b = statistics.fmean(base[s] for s in paired)
             p = statistics.fmean(push[s] for s in paired)
+            if not b > 0.0:
+                raise BenchError(f"nothing to reduce at N={n}: every paired scene starts solved")
             reductions.append(
                 {
                     "n": n,
@@ -309,9 +311,9 @@ def write_benchmark_outputs(cfg: BenchConfig, records: Sequence[BenchRecord], ou
     """Write records.csv, summary.json, summary.csv, and charts.svg."""
     from .render import render_benchmark_charts
 
+    summary = aggregate(records, [v.name for v in cfg.variants])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = aggregate(records, [v.name for v in cfg.variants])
     records_to_csv(records, out_dir / "records.csv")
     payload = {
         "config": {

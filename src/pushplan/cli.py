@@ -166,8 +166,15 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as bad input (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise SceneFormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pushplan",
         description="Plan, execute, and benchmark tabletop rearrangement with push-assisted placement.",
     )
@@ -219,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         io.check_flags(args)
         return args.func(args)
     except (SceneFormatError, BenchError) as e:

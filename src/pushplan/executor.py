@@ -84,7 +84,6 @@ def execute(
     if rng is None:
         rng = random.Random(0)
     trial_seed = rng.getrandbits(63)
-    clearance = planner_cfg.push_cfg.clearance
 
     current = scene
     steps: list[StepRecord] = []
@@ -118,7 +117,7 @@ def execute(
         action = pending[0]
         sim_rng = random.Random(derive_seed(trial_seed, "sim", len(steps)))
         try:
-            nxt, events = simulate(current, action, noise, sim_rng, clearance)
+            nxt, events = simulate(current, action, noise, sim_rng)
         except InfeasibleActionError as e:
             # Noise invalidated a held-over action between cycles; replan.
             steps.append(
@@ -144,7 +143,7 @@ def execute(
         skips_in_row = 0
         # apply_action validates the action as it predicts the outcome, so the
         # travel is costed without validating it again.
-        predicted = apply_action(current, action, clearance)
+        predicted = apply_action(current, action)
         bd, ee = travel_cost(current, action, ee, 1.0)
         travel += bd.approach + bd.pick + bd.transfer
         pending = pending[1:]

@@ -19,7 +19,6 @@ from .executor import ExecutionReport
 from .geometry import HalfDims, Rect, Side, Vec2
 from .metrics import CostBreakdown
 from .planner import Plan
-from .primitives import PushConfig
 from .scene import DEFAULT_TOLERANCE, Action, InvalidSceneError, ObjectSpec, PickPlace, PushPlace, Scene
 
 
@@ -129,12 +128,6 @@ def _one_budget(fields: dict, what: str) -> dict:
 
 # --- config documents -----------------------------------------------------------
 
-_PUSH_FIELDS = {
-    "clearance": _nonneg,
-    "edge_margin": _nonneg,
-    "side_order": lambda v, name: tuple(_list(v, name, _side, nonempty=True)),
-}
-
 _PLANNER_FIELDS = {
     "time_budget_s": _optional(_positive),
     "max_expansions": _optional(_count),
@@ -142,7 +135,6 @@ _PLANNER_FIELDS = {
     "push_enabled": _bool,
     "buffer_max_attempts": partial(_int, lo=0),
     "seed": _int,
-    "push": lambda v, name: PushConfig(**_fields(v, _PUSH_FIELDS, "push config", "push.")),
 }
 
 
@@ -167,10 +159,7 @@ _BENCH_FIELDS = {
 
 def planner_config_kwargs(doc: Any) -> dict:
     """``PlannerConfig`` keyword arguments for the fields a planner config document sets."""
-    fields = _one_budget(_fields(doc, _PLANNER_FIELDS, "planner config"), "planner config")
-    if "push" in fields:
-        fields["push_cfg"] = fields.pop("push")
-    return fields
+    return _one_budget(_fields(doc, _PLANNER_FIELDS, "planner config"), "planner config")
 
 
 def bench_config_kwargs(doc: Any) -> dict:
@@ -200,6 +189,7 @@ _FLAGS = {
     "scale": _positive,
     "scenes": _count,
     "runs": _count,
+    "jobs": _count,
     "counts": _int_list,
 }
 

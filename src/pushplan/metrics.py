@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .geometry import Vec2
-from .scene import DEFAULT_CLEARANCE, Action, PickPlace, Scene, apply_action, validate_action
+from .scene import Action, PickPlace, Scene, apply_action, validate_action
 
 # Fixed travel charged for acquiring the grasp and lifting, meters.
 PICK_TRAVEL = 0.2
@@ -41,14 +41,12 @@ class CostBreakdown:
         return self.lam * (self.approach + self.pick + self.transfer)
 
 
-def action_cost(
-    scene: Scene, action: Action, ee: EEState, lam: float = 1.0, clearance: float = DEFAULT_CLEARANCE
-) -> tuple[CostBreakdown, EEState]:
+def action_cost(scene: Scene, action: Action, ee: EEState, lam: float = 1.0) -> tuple[CostBreakdown, EEState]:
     """Cost of one feasible action and the end-effector state after it.
 
     Raises InfeasibleActionError when ``action`` is infeasible in ``scene``.
     """
-    validate_action(scene, action, clearance)
+    validate_action(scene, action)
     return travel_cost(scene, action, ee, lam)
 
 
@@ -69,11 +67,7 @@ def travel_cost(
 
 
 def plan_cost(
-    plan: Union[Iterable[Action], "object"],
-    start: Scene,
-    lam: float = 1.0,
-    home: Optional[Vec2] = None,
-    clearance: float = DEFAULT_CLEARANCE,
+    plan: Union[Iterable[Action], "object"], start: Scene, lam: float = 1.0, home: Optional[Vec2] = None
 ) -> float:
     """Total cost of a plan, recomputed by replaying it from ``start``.
 
@@ -86,8 +80,10 @@ def plan_cost(
     scene = start
     total = 0.0
     for action in actions:
-        bd, ee = action_cost(scene, action, ee, lam, clearance)
-        scene = apply_action(scene, action, clearance)
+        # apply_action validates the action, so its travel is costed unvalidated.
+        nxt = apply_action(scene, action)
+        bd, ee = travel_cost(scene, action, ee, lam)
+        scene = nxt
         total += bd.total
     return total
 

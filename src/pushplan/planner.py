@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import Vec2
@@ -23,7 +23,7 @@ from .geometry import Vec2
 # must agree with.  The search does not call them, but they stay bound here
 # because perfbench's tracer and its tests look them up in this module.
 from .metrics import CostBreakdown, EEState, action_cost, travel_cost  # noqa: F401
-from .primitives import PushConfig, PushProposal, sample_buffer_pose, select_push
+from .primitives import PushProposal, sample_buffer_pose, select_push
 from .scene import (
     Action,
     InfeasibleActionError,
@@ -54,7 +54,6 @@ class PlannerConfig:
     max_expansions: Optional[int] = None
     exploration_c: float = DEFAULT_EXPLORATION
     push_enabled: bool = True
-    push_cfg: PushConfig = field(default_factory=PushConfig)
     buffer_max_attempts: int = 100
     seed: int = 0
 
@@ -120,12 +119,12 @@ def recommend_action(
     Returns None when buffer sampling fails.  A push comes back as its
     ``PushProposal``, so ``transition`` need not derive it again.  Every
     returned move is feasible in ``scene``: the placement, or the proposal's
-    ``as_action()``, passes ``validate_action`` with ``cfg.push_cfg.clearance``.
+    ``as_action()``, passes ``validate_action``.
     """
     if goal_region_free(scene, obj):
         return PickPlace(obj, scene.goal[obj])
     if cfg.push_enabled:
-        proposal = select_push(scene, obj, cfg.push_cfg)
+        proposal = select_push(scene, obj)
         if proposal is not None:
             return proposal
     blockers = sorted(blockers_of(scene, obj))

@@ -42,17 +42,12 @@ from .scene import (
     unsatisfied_ids,
 )
 
+# The push geometry is fixed, not configured, so a plan replays as it was planned.
+# Planning keeps every pushed blocker this far from the table edges (meters);
+# validation waives the margin, since feasibility only needs the table.
 DEFAULT_EDGE_MARGIN = 0.01
+# Sides are tried in this order; the first admissible one wins.
 DEFAULT_SIDE_ORDER = (Side.LEFT, Side.RIGHT, Side.UP, Side.DOWN)
-
-
-@dataclass(frozen=True, slots=True)
-class PushConfig:
-    """Tunables of the push maneuver.  Lengths are meters."""
-
-    clearance: float = DEFAULT_CLEARANCE
-    edge_margin: float = DEFAULT_EDGE_MARGIN
-    side_order: tuple[Side, ...] = DEFAULT_SIDE_ORDER
 
 
 @dataclass(slots=True)
@@ -72,18 +67,15 @@ class PushProposal:
     side: Side
     pre_push: Vec2
     blocker_moves: tuple[tuple[int, float], ...]
-    goal_pose: Vec2
 
     def as_action(self) -> PushPlace:
         return PushPlace(self.target, self.side, self.pre_push)
 
 
-def blocker_displacement(
-    scene: Scene, blocker: int, target: int, side: Side, clearance: float = DEFAULT_CLEARANCE
-) -> float:
+def blocker_displacement(scene: Scene, blocker: int, target: int, side: Side) -> float:
     """Travel needed for ``blocker`` to clear ``target``'s goal region plus clearance.
 
-    The blocker ends with its trailing face ``clearance`` past the goal
+    The blocker ends with its trailing face ``DEFAULT_CLEARANCE`` past the goal
     region's far edge along the travel direction.  Strictly positive.
     """
     goal_rect = scene.goal_footprint(target)
@@ -92,7 +84,7 @@ def blocker_displacement(
         raise ValueError(f"object {blocker} does not block the goal region of object {target}")
     goal_far = axis_extent(goal_rect, side)[1]
     near = axis_extent(foot, side)[0]
-    return goal_far - near + clearance
+    return goal_far - near + DEFAULT_CLEARANCE
 
 
 def corridor_clear(
@@ -136,13 +128,10 @@ def _half_along(scene: Scene, obj: int, side: Side) -> float:
 
 
 def _evaluate_side(
-    scene: Scene,
-    target: int,
-    side: Side,
-    cfg: PushConfig,
-    stats: Optional[PushStats],
+    scene: Scene, target: int, side: Side, edge_margin: float, stats: Optional[PushStats]
 ) -> tuple[Optional[PushProposal], str]:
-    """Try one side; return (proposal, "") or (None, reason)."""
+    """Try one side with blockers kept ``edge_margin`` from the table edges;
+    return (proposal, "") or (None, reason)."""
     blockers = sorted(blockers_of(scene, target))
     if stats is not None:
         stats.sides_evaluated += 1
@@ -153,11 +142,11 @@ def _evaluate_side(
     moves: list[tuple[int, float]] = []
     for b in blockers:
         near = axis_extent(scene.footprint(b), side)[0]
-        d = goal_far - near + cfg.clearance
+        d = goal_far - near + DEFAULT_CLEARANCE
         if stats is not None:
             stats.pair_checks += 1
-        if not edge_safe(scene, b, side, d, cfg.edge_margin):
-            return None, f"blocker {b} would end within {cfg.edge_margin} m of a table edge"
+        if not edge_safe(scene, b, side, d, edge_margin):
+            return None, f"blocker {b} would end within {edge_margin} m of a table edge"
         if not corridor_clear(scene, b, side, d, exclude=grasped):
             return None, f"push corridor of blocker {b} is not empty"
         moves.append((b, d))
@@ -175,7 +164,7 @@ def _evaluate_side(
     # target behind every blocker so a single sweep collects them all.
     min_near = min(axis_extent(scene.footprint(b), side)[0] for b, _ in moves)
     h = _half_along(scene, target, side)
-    p0_axis = (min_near - cfg.clearance) - h
+    p0_axis = (min_near - DEFAULT_CLEARANCE) - h
     goal_axis = axis_coord(goal_pose, side)
     p0 = goal_pose + u * (p0_axis - goal_axis)
 
@@ -190,7 +179,7 @@ def _evaluate_side(
 
     # The target's own sweep (through the goal plus the clearance overshoot)
     # may touch blockers only.
-    travel = (goal_axis - p0_axis) + cfg.clearance
+    travel = (goal_axis - p0_axis) + DEFAULT_CLEARANCE
     approach = sweep(p0_rect, side, travel)
     blocker_set = frozenset(b for b, _ in moves)
     for j in range(scene.n):
@@ -199,27 +188,25 @@ def _evaluate_side(
         if overlaps(approach, scene.footprint(j)):
             return None, f"approach corridor is blocked by non-blocker object {j}"
 
-    return PushProposal(target, side, p0, tuple(moves), goal_pose), ""
+    return PushProposal(target, side, p0, tuple(moves)), ""
 
 
-def select_push(
-    scene: Scene, target: int, cfg: PushConfig = PushConfig(), stats: Optional[PushStats] = None
-) -> Optional[PushProposal]:
-    """First admissible push for ``target``, trying sides in ``cfg.side_order``.
+def select_push(scene: Scene, target: int, stats: Optional[PushStats] = None) -> Optional[PushProposal]:
+    """First admissible push for ``target``, trying sides in ``DEFAULT_SIDE_ORDER``.
 
     Returns None when no side is admissible.  Raises ValueError when the
     target's goal region has no blockers (there is nothing to push).
     """
     if not blockers_of(scene, target):
         raise ValueError(f"object {target} has no blockers; a plain placement suffices")
-    for side in cfg.side_order:
-        proposal, _ = _evaluate_side(scene, target, side, cfg, stats)
+    for side in DEFAULT_SIDE_ORDER:
+        proposal, _ = _evaluate_side(scene, target, side, DEFAULT_EDGE_MARGIN, stats)
         if proposal is not None:
             return proposal
     return None
 
 
-def validate_push_action(scene: Scene, action: PushPlace, clearance: float = DEFAULT_CLEARANCE) -> PushProposal:
+def validate_push_action(scene: Scene, action: PushPlace) -> PushProposal:
     """Re-derive the proposal for an action and check the action matches it.
 
     Validation uses a zero edge margin: the margin is a planning-time safety
@@ -230,8 +217,7 @@ def validate_push_action(scene: Scene, action: PushPlace, clearance: float = DEF
         raise InfeasibleActionError(
             f"push of object {action.object} with no blockers in its goal region"
         )
-    cfg = PushConfig(clearance=clearance, edge_margin=0.0)
-    proposal, reason = _evaluate_side(scene, action.object, action.side, cfg, None)
+    proposal, reason = _evaluate_side(scene, action.object, action.side, 0.0, None)
     if proposal is None:
         raise InfeasibleActionError(
             f"push of object {action.object} along side '{action.side.value}' is inadmissible: {reason}"

@@ -211,9 +211,7 @@ def placement_free(scene: Scene, obj: int, dest: Vec2) -> bool:
     return not any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj)
 
 
-def validate_action(
-    scene: Scene, action: Action, clearance: float = DEFAULT_CLEARANCE
-) -> Optional[tuple[tuple[int, float], ...]]:
+def validate_action(scene: Scene, action: Action) -> Optional[tuple[tuple[int, float], ...]]:
     """Check feasibility; return blocker displacements for a push, else None.
 
     Raises InfeasibleActionError naming the violated condition.  Push
@@ -235,8 +233,7 @@ def validate_action(
         return None
     from . import primitives  # deferred: primitives builds on this module
 
-    proposal = primitives.validate_push_action(scene, action, clearance)
-    return proposal.blocker_moves
+    return primitives.validate_push_action(scene, action).blocker_moves
 
 
 def moved_poses(
@@ -256,14 +253,14 @@ def moved_poses(
     )
 
 
-def apply_action(scene: Scene, action: Action, clearance: float = DEFAULT_CLEARANCE) -> Scene:
+def apply_action(scene: Scene, action: Action) -> Scene:
     """Deterministic transition model: the planner's prediction of an action.
 
     The action is validated first, and the result is a fully validated
     scene without a footprint cache (see ``moved_poses`` for the motion).
     Infeasible actions raise instead.
     """
-    moves = validate_action(scene, action, clearance)
+    moves = validate_action(scene, action)
     poses = list(scene.current)
     for i, pose in moved_poses(scene, action, moves or ()):
         poses[i] = pose

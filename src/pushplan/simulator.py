@@ -23,7 +23,6 @@ from .scene import (
     Arrangement,
     InfeasibleActionError,
     PickPlace,
-    PushPlace,
     Scene,
     blockers_of,
     validate_action,
@@ -277,7 +276,6 @@ def simulate(
     action: Action,
     noise: NoiseConfig = NO_NOISE,
     rng: Optional[random.Random] = None,
-    clearance: float = DEFAULT_CLEARANCE,
 ) -> tuple[Scene, list[SimEvent]]:
     """Physics-level outcome of one action, plus what happened along the way.
 
@@ -297,7 +295,7 @@ def simulate(
     box = _clamp_box(scene)
 
     if isinstance(action, PickPlace):
-        validate_action(scene, action, clearance)
+        validate_action(scene, action)
         poses = list(scene.current)
         poses[action.object] = action.destination
         if noise.enabled:
@@ -331,7 +329,7 @@ def simulate(
     # Sweep one clearance past the goal so every carried object ends clear of
     # the goal region with a visible gap, then set the grasped target down on
     # the goal itself.
-    sweep_end = goal + side.unit * clearance
+    sweep_end = goal + side.unit * DEFAULT_CLEARANCE
     raw_poses, raw_events = push_forward(scene, target, side, p0, sweep_end)
     poses = list(raw_poses)
     poses[target] = goal

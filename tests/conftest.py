@@ -10,7 +10,7 @@ settings.load_profile("suite")
 
 from pushplan.bench import generate_scene
 from pushplan.geometry import HalfDims, Rect, Vec2
-from pushplan.primitives import PushConfig, select_push
+from pushplan.primitives import select_push
 from pushplan.scene import ObjectSpec, Scene, blockers_of, unsatisfied_ids
 from pushplan.seeding import derive_seed
 
@@ -93,7 +93,7 @@ def edge_push_scene() -> Scene:
     return make_edge_push_scene()
 
 
-def iter_admissible_proposals(tag: str, cfg: PushConfig = PushConfig()):
+def iter_admissible_proposals(tag: str):
     """Yield (scene, proposal) pairs mined from random scenes, indefinitely."""
     for k in itertools.count():
         n = 3 + (k % 6)
@@ -101,10 +101,10 @@ def iter_admissible_proposals(tag: str, cfg: PushConfig = PushConfig()):
         for target in unsatisfied_ids(scene):
             if not blockers_of(scene, target):
                 continue
-            proposal = select_push(scene, target, cfg)
+            proposal = select_push(scene, target)
             if proposal is not None:
                 yield scene, proposal
 
 
-def take_proposals(tag: str, count: int, cfg: PushConfig = PushConfig()):
-    return list(itertools.islice(iter_admissible_proposals(tag, cfg), count))
+def take_proposals(tag: str, count: int):
+    return list(itertools.islice(iter_admissible_proposals(tag), count))

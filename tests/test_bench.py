@@ -209,6 +209,11 @@ class TestAggregate:
         with pytest.raises(BenchError, match="both variants"):
             aggregate(records)
 
+    def test_nothing_to_reduce_is_an_error(self):
+        records = [_rec(v, 3, s, 0, True, 0, 0.0) for v in ("baseline", "push") for s in range(2)]
+        with pytest.raises(BenchError, match="N=3"):
+            aggregate(records)
+
 
 class TestOutputs:
     def test_records_csv_format(self, tmp_path):

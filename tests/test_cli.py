@@ -152,14 +152,14 @@ class TestDiagnostics:
         cfg.write_text(json.dumps({"push": {"clearence": 0.005}}))
         rc = main(["plan", swap_file, "--config", str(cfg)])
         assert rc == 1
-        assert "push.clearence" in capsys.readouterr().err
+        assert "unknown field 'push'" in capsys.readouterr().err
 
     def test_bad_side_order_value(self, swap_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"push": {"side_order": ["left", "sideways"]}}))
         rc = main(["plan", swap_file, "--config", str(cfg)])
         assert rc == 1
-        assert "push config" in capsys.readouterr().err
+        assert "unknown field 'push'" in capsys.readouterr().err
 
     def test_config_file_drives_the_search(self, swap_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

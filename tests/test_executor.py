@@ -193,11 +193,11 @@ class TestSkips:
         real = executor_mod.simulate
         state = {"failed": False}
 
-        def flaky(scene, action, noise, rng, clearance):
+        def flaky(scene, action, noise, rng):
             if not state["failed"]:
                 state["failed"] = True
                 raise InfeasibleActionError("injected transient failure")
-            return real(scene, action, noise, rng, clearance)
+            return real(scene, action, noise, rng)
 
         monkeypatch.setattr(executor_mod, "simulate", flaky)
         report = execute(swap_scene, CFG)
@@ -209,7 +209,7 @@ class TestSkips:
         assert report.total_actions == sum(1 for s in report.steps if not s.skipped)
 
     def test_persistent_skips_abort_the_trial(self, swap_scene, monkeypatch):
-        def always_fails(scene, action, noise, rng, clearance):
+        def always_fails(scene, action, noise, rng):
             raise InfeasibleActionError("injected permanent failure")
 
         monkeypatch.setattr(executor_mod, "simulate", always_fails)
@@ -240,7 +240,7 @@ class TestReportDict:
             assert set(ev) == {"kind", "object", "detail"}
 
     def test_skipped_steps_carry_their_note(self, swap_scene, monkeypatch):
-        def always_fails(scene, action, noise, rng, clearance):
+        def always_fails(scene, action, noise, rng):
             raise InfeasibleActionError("injected permanent failure")
 
         monkeypatch.setattr(executor_mod, "simulate", always_fails)

@@ -16,7 +16,6 @@ from pushplan.bench import BenchConfig
 from pushplan.cli import main
 from pushplan.io import SceneFormatError
 from pushplan.planner import Plan, PlannerConfig, plan
-from pushplan.primitives import PushConfig
 from pushplan.scene import Scene
 
 SCENE_DOC = io.scene_to_dict(make_swap_scene())
@@ -24,7 +23,6 @@ PLAN_DOC = io.plan_to_dict(plan(make_swap_scene(), PlannerConfig(max_expansions=
 PLANNER_DOC = {
     "max_expansions": 5000, "time_budget_s": None, "exploration_c": 1.4, "push_enabled": True,
     "buffer_max_attempts": 100, "seed": 7,
-    "push": {"clearance": 0.005, "edge_margin": 0.01, "side_order": ["left", "right", "up", "down"]},
 }
 BENCH_DOC = {
     "master_seed": 0, "object_counts": [4, 6], "scenes_per_count": 2, "runs_per_scene": 1,
@@ -51,7 +49,6 @@ def _load_planner_config(doc):
     assert cfg.max_expansions is None or cfg.max_expansions >= 1
     assert cfg.time_budget_s is None or cfg.time_budget_s > 0
     assert isinstance(cfg.push_enabled, bool) and type(cfg.seed) is int
-    assert cfg.push_cfg.side_order and cfg.push_cfg.clearance >= 0
 
 
 def _load_bench_config(doc):
@@ -141,19 +138,21 @@ class TestFuzz:
 
 class TestTables:
     def test_config_tables_cover_the_dataclasses(self):
-        names = {f.name for f in dataclasses.fields(PlannerConfig)} - {"push_cfg"} | {"push"}
-        assert set(io._PLANNER_FIELDS) == names
-        assert set(io._PUSH_FIELDS) == {f.name for f in dataclasses.fields(PushConfig)}
+        assert set(io._PLANNER_FIELDS) == {f.name for f in dataclasses.fields(PlannerConfig)}
         assert set(io._BENCH_FIELDS) == {f.name for f in dataclasses.fields(BenchConfig)} - {"variants", "workspace"}
 
     def test_valid_documents_keep_their_values(self):
         kwargs = io.planner_config_kwargs(PLANNER_DOC)
         assert PlannerConfig(**kwargs) == PlannerConfig(
-            max_expansions=5000, exploration_c=1.4, buffer_max_attempts=100, seed=7, push_cfg=PushConfig(0.005, 0.01)
+            max_expansions=5000, exploration_c=1.4, buffer_max_attempts=100, seed=7
         )
         assert io.planner_config_kwargs({"max_expansions": 30.0})["max_expansions"] == 30
         cfg = BenchConfig(**io.bench_config_kwargs({"time_budget_s": 0.5}))
         assert (cfg.max_expansions, cfg.time_budget_s) == (None, 0.5)
+
+    def test_inverted_workspace_names_the_field(self):
+        with pytest.raises(SceneFormatError, match=r"'workspace' must be \[x0, y0, x1, y1\] with x0 <= x1"):
+            io.scene_from_dict(dict(SCENE_DOC, workspace=[1.0, 0.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("reader, value", [
         (io._int, True), (io._int, 1.5), (io._int, "3"), (io._finite, False), (io._finite, 10**400),
@@ -176,9 +175,10 @@ CASES = [
     ("planner", {"push_enabled": "no"}, "'push_enabled'"),
     *[("planner", {"seed": v}, "'seed'") for v in ("abc", 1.5)],
     ("planner", {"buffer_max_attempts": "x"}, "'buffer_max_attempts'"),
-    *[("planner", {"push": {"clearance": v}}, "'push.clearance'") for v in ("x", -1)],
-    ("planner", {"push": {"edge_margin": "x"}}, "'push.edge_margin'"),
-    ("planner", {"push": {"side_order": []}}, "'push.side_order'"),
+    # the push geometry is fixed: a "push" sub-document is an unknown field
+    *[("planner", {"push": {"clearance": v}}, "'push'") for v in ("x", -1)],
+    ("planner", {"push": {"edge_margin": "x"}}, "'push'"),
+    ("planner", {"push": {"side_order": []}}, "'push'"),
     # bench config
     *[("bench", {"object_counts": v}, "'object_counts") for v in (5, [-4])],
     *[("bench", {"scenes_per_count": v}, "'scenes_per_count'") for v in ("x", 0)],
@@ -199,6 +199,10 @@ CASES = [
     *[("flags", ["execute", "{scene}", "--noise", flag, v], flag)
       for flag in ("--lateral-sigma", "--depth-sigma") for v in ("nan", "inf")],
     ("flags", ["plan", "{scene}", "--expansions", "-3"], "--expansions"),
+    ("flags", ["plan", "{scene}", "--expansions", "abc"], "--expansions"),
+    *[("flags", ["bench", "--out", "{tmp}", "--jobs", v], "--jobs") for v in ("0", "-1")],
+    # every field in range, but every scene starts solved: no cost to reduce
+    ("bench", {"tolerance": 5, "object_counts": [3], "scenes_per_count": 2, "runs_per_scene": 1}, "N=3"),
 ]
 
 
@@ -225,10 +229,14 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, monkeypatch,
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_committed_fixtures(capsys):
-    """The documents the CI runs the installed ``pushplan`` script on."""
+def test_committed_fixtures(tmp_path, capsys):
+    """The documents and commands the CI runs the installed ``pushplan`` script on."""
     swap = str(FIXTURES / "swap.json")
     assert io.load(swap, io.scene_from_dict) == make_swap_scene()
     assert main(["plan", swap, "--expansions", "3000", "--seed", "0"]) == 0
     assert main(["plan", swap, "--config", str(FIXTURES / "malformed_planner_config.json")]) == 1
     assert "'max_expansions'" in capsys.readouterr().err
+    out = str(tmp_path / "p.json")
+    assert main(["plan", swap, "--expansions", "3000", "--seed", "0", "--out", out]) == 0
+    assert main(["render", swap, "--plan", out, "--out", str(tmp_path / "p.svg")]) == 0
+    assert main(["plan", swap, "--expansions", "abc"]) == 1

@@ -9,7 +9,6 @@ from oracles import check_push, oracle_p0, side_fails
 from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, overlaps, perp_coord, translate
 from pushplan.primitives import (
     DEFAULT_EDGE_MARGIN,
-    PushConfig,
     PushStats,
     blocker_displacement,
     corridor_clear,
@@ -122,11 +121,6 @@ class TestSelectPush:
         assert prop is not None
         assert prop.side is Side.LEFT  # RIGHT is admissible too, LEFT comes first
 
-    def test_side_order_is_respected(self, swap_scene):
-        cfg = PushConfig(side_order=(Side.RIGHT, Side.LEFT, Side.UP, Side.DOWN))
-        prop = select_push(swap_scene, 0, cfg)
-        assert prop.side is Side.RIGHT
-
     def test_raises_on_free_goal(self, swap_scene):
         cleared = apply_action(swap_scene, PickPlace(1, Vec2(0.8, 0.8)))
         with pytest.raises(ValueError, match="no blockers"):
@@ -223,11 +217,18 @@ class TestValidatePushAction:
                   (Vec2(0.2, 0.5), Vec2(0.88, 0.5)),
                   (Vec2(0.835, 0.5), Vec2(0.2, 0.8)))
         assert select_push(s, 0) is None or select_push(s, 0).side not in (Side.RIGHT,)
-        cfg = PushConfig(edge_margin=0.0, side_order=(Side.RIGHT,))
-        prop = select_push(s, 0, cfg)
-        assert prop is not None
-        nxt = apply_action(s, prop.as_action())
+        action = PushPlace(0, Side.RIGHT, oracle_p0(s, 0, Side.RIGHT))
+        prop = validate_push_action(s, action)
+        assert prop.side is Side.RIGHT
+        nxt = apply_action(s, action)
         assert is_at_goal(nxt, 0)
+
+    def test_rejects_blocked_corridor(self, chained_push_scene):
+        # every side of the chained scene shoves a second object along
+        s = chained_push_scene
+        action = PushPlace(0, Side.RIGHT, oracle_p0(s, 0, Side.RIGHT))
+        with pytest.raises(InfeasibleActionError, match="inadmissible: push corridor of blocker 1"):
+            validate_push_action(s, action)
 
 
 class TestBufferSampling:

@@ -17,14 +17,13 @@ from pushplan.bench import generate_scene
 from pushplan.executor import execute
 from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
 from pushplan.io import scene_from_dict, scene_to_dict
-from pushplan.metrics import EEState, action_cost, plan_cost
+from pushplan.metrics import EEState, action_cost
 from pushplan.planner import PlannerConfig, plan, recommend_action, transition
-from pushplan.primitives import PushConfig, PushProposal, select_push
+from pushplan.primitives import PushProposal, select_push
 from pushplan.scene import (
     InfeasibleActionError,
     ObjectSpec,
     PickPlace,
-    PushPlace,
     Scene,
     apply_action,
     unsatisfied_ids,
@@ -54,15 +53,15 @@ def home(scene: Scene) -> EEState:
     return EEState(scene.workspace.center, scene.workspace.center)
 
 
-def check_step(scene: Scene, rec, ee: EEState, clearance: float):
+def check_step(scene: Scene, rec, ee: EEState):
     """Run one transition and compare it with the validated path; return its result."""
     action, child, bd, ee_after = transition(scene, rec, ee)
     assert action == (rec.as_action() if isinstance(rec, PushProposal) else rec)
     # Every recommended action passes validation: the InfeasibleActionError
     # that tree_search_step swallows never fires on a fresh recommendation.
-    validate_action(scene, action, clearance)
-    ref = apply_action(scene, action, clearance)
-    ref_bd, ref_ee = action_cost(scene, action, ee, 1.0, clearance)
+    validate_action(scene, action)
+    ref = apply_action(scene, action)
+    ref_bd, ref_ee = action_cost(scene, action, ee, 1.0)
 
     assert (child.workspace, child.objects, child.goal, child.tolerance) == (
         ref.workspace, ref.objects, ref.goal, ref.tolerance
@@ -81,18 +80,17 @@ class TestEquivalence:
     def test_every_mined_proposal(self):
         cases = 0
         for scene, prop in take_proposals("transition", 400):
-            check_step(scene.with_footprints(), prop, home(scene), PushConfig().clearance)
+            check_step(scene.with_footprints(), prop, home(scene))
             cases += 1
         assert cases == 400
 
     @pytest.mark.parametrize(
-        "n, sizes, clearance",
-        [(8, (0.03, 0.07), 0.005), (8, DENSE_SIZES, 0.01), (14, DENSE_SIZES, 0.005)],
+        "n, sizes", [(8, (0.03, 0.07)), (8, DENSE_SIZES), (14, DENSE_SIZES)],
     )
-    def test_recommendations_along_random_walks(self, n, sizes, clearance):
+    def test_recommendations_along_random_walks(self, n, sizes):
         # Walk several generations deep so children of cached children are
         # covered, and try every unsatisfied object at every step.
-        cfg = PlannerConfig(max_expansions=1, push_cfg=PushConfig(clearance=clearance))
+        cfg = PlannerConfig(max_expansions=1)
         kinds = {"goal": 0, "buffer": 0, "push": 0}
         for k in range(12):
             scene = generate_scene(n, derive_seed("transition-walk", n, k), size_range=sizes)
@@ -109,7 +107,7 @@ class TestEquivalence:
                         kinds["push"] += 1
                     else:
                         kinds["goal" if rec.destination == state.goal[rec.object] else "buffer"] += 1
-                    steps.append(check_step(state, rec, ee, clearance))
+                    steps.append(check_step(state, rec, ee))
                 if not steps:
                     break
                 _, state, ee = steps[rng.randrange(len(steps))]
@@ -196,19 +194,6 @@ class TestCacheScope:
             assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
             for i in range(back.n):
                 assert back.footprint(i) == rect_from_center(back.current[i], back.objects[i].half)
-
-
-class TestClearance:
-    def test_non_default_clearance_plans_replays_and_executes(self):
-        scene = make_swap_scene()
-        cfg = PlannerConfig(max_expansions=200, push_cfg=PushConfig(clearance=0.01))
-        p = plan(scene, cfg)
-        assert p is not None and len(p.actions) == 2
-        assert isinstance(p.actions[0], PushPlace)
-        assert plan_cost(p, scene, clearance=0.01) == pytest.approx(p.total, abs=1e-12)
-        report = execute(scene, cfg)
-        assert report.total_actions == 2 and report.success_rate == 1.0
-
 
 
 class TestSearchNeverRaises:
