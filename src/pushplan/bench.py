@@ -179,8 +179,11 @@ def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
                         (scene, variant, n, scene_idx, run_idx, run_seed,
                          cfg.max_expansions, cfg.time_budget_s)
                     )
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    # More workers than tasks would only idle; the cap also keeps a large
+    # ``jobs`` from asking the OS for that many processes.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             records = pool.map(_run_task, tasks, chunksize=4)
     else:
         records = [_run_task(t) for t in tasks]

@@ -121,13 +121,13 @@ def recommend_action(
     returned move is feasible in ``scene``: the placement, or the proposal's
     ``as_action()``, passes ``validate_action``.
     """
-    if goal_region_free(scene, obj):
+    blockers = sorted(blockers_of(scene, obj))
+    if not blockers:
         return PickPlace(obj, scene.goal[obj])
     if cfg.push_enabled:
         proposal = select_push(scene, obj)
         if proposal is not None:
             return proposal
-    blockers = sorted(blockers_of(scene, obj))
     b = blockers[rng.randrange(len(blockers))]
     if goal_region_free(scene, b):
         return PickPlace(b, scene.goal[b])
@@ -158,13 +158,13 @@ def transition(
     return action, child, bd, ee
 
 
-def _uct(parent: SearchNode, child: SearchNode, c: float, n_objects: int) -> float:
+def _uct(child: SearchNode, log_parent_visits: float, c: float, n_objects: int) -> float:
     # Both terms live on the per-object scale: satisfying one more object moves
     # the mean reward by 1/N, so a bonus on the raw [0, 1] scale would drown
     # the heuristic and flatten the search into breadth-first, which cannot
     # reach solution depth for N >= 6 under any sane budget.
     exploit = (child.reward_sum / child.visits) / n_objects
-    explore = c * math.sqrt(math.log(parent.visits) / child.visits) / n_objects
+    explore = c * math.sqrt(log_parent_visits / child.visits) / n_objects
     return exploit + explore
 
 
@@ -191,7 +191,8 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
         if not node.children:
             _backprop(path, float(node.satisfied))
             return None
-        node = max(node.children, key=lambda ch: _uct(node, ch, cfg.exploration_c, n))
+        log_visits = math.log(node.visits)
+        node = max(node.children, key=lambda ch: _uct(ch, log_visits, cfg.exploration_c, n))
         path.append(node)
 
     obj = sample_unsatisfied_object(node.state, rng)

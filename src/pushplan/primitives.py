@@ -19,6 +19,7 @@ number of blockers.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,11 +129,15 @@ def _half_along(scene: Scene, obj: int, side: Side) -> float:
 
 
 def _evaluate_side(
-    scene: Scene, target: int, side: Side, edge_margin: float, stats: Optional[PushStats]
+    scene: Scene,
+    target: int,
+    blockers: Sequence[int],
+    side: Side,
+    edge_margin: float,
+    stats: Optional[PushStats],
 ) -> tuple[Optional[PushProposal], str]:
-    """Try one side with blockers kept ``edge_margin`` from the table edges;
-    return (proposal, "") or (None, reason)."""
-    blockers = sorted(blockers_of(scene, target))
+    """Try one side with ``blockers`` (``target``'s, ascending) kept
+    ``edge_margin`` from the table edges; return (proposal, "") or (None, reason)."""
     if stats is not None:
         stats.sides_evaluated += 1
     goal_pose = scene.goal[target]
@@ -197,10 +202,11 @@ def select_push(scene: Scene, target: int, stats: Optional[PushStats] = None) ->
     Returns None when no side is admissible.  Raises ValueError when the
     target's goal region has no blockers (there is nothing to push).
     """
-    if not blockers_of(scene, target):
+    blockers = sorted(blockers_of(scene, target))
+    if not blockers:
         raise ValueError(f"object {target} has no blockers; a plain placement suffices")
     for side in DEFAULT_SIDE_ORDER:
-        proposal, _ = _evaluate_side(scene, target, side, DEFAULT_EDGE_MARGIN, stats)
+        proposal, _ = _evaluate_side(scene, target, blockers, side, DEFAULT_EDGE_MARGIN, stats)
         if proposal is not None:
             return proposal
     return None
@@ -213,11 +219,12 @@ def validate_push_action(scene: Scene, action: PushPlace) -> PushProposal:
     buffer, while feasibility only requires everything to stay on the table.
     Raises InfeasibleActionError naming the violated condition.
     """
-    if not blockers_of(scene, action.object):
+    blockers = sorted(blockers_of(scene, action.object))
+    if not blockers:
         raise InfeasibleActionError(
             f"push of object {action.object} with no blockers in its goal region"
         )
-    proposal, reason = _evaluate_side(scene, action.object, action.side, 0.0, None)
+    proposal, reason = _evaluate_side(scene, action.object, blockers, action.side, 0.0, None)
     if proposal is None:
         raise InfeasibleActionError(
             f"push of object {action.object} along side '{action.side.value}' is inadmissible: {reason}"
@@ -241,18 +248,25 @@ def sample_buffer_pose(
     blockers).  Returns None after ``max_attempts`` rejections.
     """
     half = scene.objects[obj].half
+    a, b = half.a, half.b
     w = scene.workspace
-    xlo, xhi = w.lo.x + half.a, w.hi.x - half.a
-    ylo, yhi = w.lo.y + half.b, w.hi.y - half.b
+    xlo, xhi = w.lo.x + a, w.hi.x - a
+    ylo, yhi = w.lo.y + b, w.hi.y - b
     if xlo > xhi or ylo > yhi:
         return None
-    pending = unsatisfied_ids(scene)
+    # Obstacles as (lo.x, hi.x, lo.y, hi.y); a pose is rejected when its
+    # footprint's interior meets one, exactly as ``overlaps`` decides.
+    rects = [scene.footprint(j) for j in range(scene.n) if j != obj]
+    rects += [scene.goal_footprint(j) for j in unsatisfied_ids(scene)]
+    obstacles = [(r.lo.x, r.hi.x, r.lo.y, r.hi.y) for r in rects]
+    uniform = rng.uniform
     for _ in range(max_attempts):
-        pose = Vec2(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
-        r = rect_from_center(pose, half)
-        if any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj):
-            continue
-        if any(overlaps(r, scene.goal_footprint(j)) for j in pending):
-            continue
-        return pose
+        x = uniform(xlo, xhi)
+        y = uniform(ylo, yhi)
+        lx, hx, ly, hy = x - a, x + a, y - b, y + b
+        for olx, ohx, oly, ohy in obstacles:
+            if lx < ohx and olx < hx and ly < ohy and oly < hy:
+                break
+        else:
+            return Vec2(x, y)
     return None

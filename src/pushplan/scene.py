@@ -8,6 +8,7 @@ supposed to do.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -84,8 +85,9 @@ class Scene:
     (or two goal) footprints overlapping.  Touching footprints are legal.
 
     Scenes inside the planner's search tree also carry their current and goal
-    footprints (``with_footprints``, ``with_moved``).  The cache takes no part
-    in equality, hashing or repr, and scenes built by the constructor, by
+    footprints and the ascending ids of the objects not at their goals
+    (``with_footprints``, ``with_moved``).  The cache takes no part in
+    equality, hashing or repr, and scenes built by the constructor, by
     ``apply_action`` or by loading have none.
     """
 
@@ -96,6 +98,7 @@ class Scene:
     tolerance: float = DEFAULT_TOLERANCE
     _footprints: Optional[tuple[Rect, ...]] = field(default=None, init=False, repr=False, compare=False)
     _goal_footprints: Optional[tuple[Rect, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _unsatisfied: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.objects)
@@ -134,7 +137,7 @@ class Scene:
         return rect_from_center(self.goal[i], self.objects[i].half)
 
     def with_footprints(self) -> "Scene":
-        """An equal scene whose current and goal footprints are computed once."""
+        """An equal scene whose footprints and unsatisfied ids are computed once."""
         return self.with_moved(())
 
     def with_moved(self, moves: Sequence[tuple[int, Vec2]]) -> "Scene":
@@ -146,6 +149,9 @@ class Scene:
         no other current footprint.  Pairs of unmoved objects were checked
         when this scene was built, so the result satisfies the same
         invariant as construction.  Raises InfeasibleActionError otherwise.
+
+        The result also caches its unsatisfied ids.  When this scene has
+        them, only the moved objects are tested against their goals.
         """
         poses = list(self.current)
         rects = list(self._footprints or (self.footprint(i) for i in range(self.n)))
@@ -171,28 +177,42 @@ class Scene:
             ("_goal_footprints", goal_rects),
         ):
             object.__setattr__(out, name, value)
+        if self._unsatisfied is None:
+            pending = [i for i in range(self.n) if not is_at_goal(out, i)]
+        else:
+            moved = {i for i, _ in moves}
+            pending = sorted(
+                [i for i in self._unsatisfied if i not in moved]
+                + [i for i in moved if not is_at_goal(out, i)]
+            )
+        object.__setattr__(out, "_unsatisfied", tuple(pending))
         return out
 
 
 def is_at_goal(scene: Scene, i: int) -> bool:
     """True iff object ``i``'s center is within tolerance of its goal center."""
-    return (scene.current[i] - scene.goal[i]).norm() <= scene.tolerance
+    p, g = scene.current[i], scene.goal[i]
+    return math.hypot(p.x - g.x, p.y - g.y) <= scene.tolerance
 
 
 def satisfied_count(scene: Scene) -> int:
+    if scene._unsatisfied is not None:
+        return scene.n - len(scene._unsatisfied)
     return sum(1 for i in range(scene.n) if is_at_goal(scene, i))
 
 
 def unsatisfied_ids(scene: Scene) -> list[int]:
+    """Ascending ids of the objects not at their goals."""
+    if scene._unsatisfied is not None:
+        return list(scene._unsatisfied)
     return [i for i in range(scene.n) if not is_at_goal(scene, i)]
 
 
 def blockers_of(scene: Scene, target: int) -> frozenset[int]:
     """Ids of objects whose current footprint overlaps ``target``'s goal footprint."""
     goal_rect = scene.goal_footprint(target)
-    return frozenset(
-        j for j in range(scene.n) if j != target and overlaps(scene.footprint(j), goal_rect)
-    )
+    rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
+    return frozenset(j for j, r in enumerate(rects) if j != target and overlaps(r, goal_rect))
 
 
 def goal_region_free(scene: Scene, target: int) -> bool:

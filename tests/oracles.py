@@ -1,4 +1,5 @@
-"""Independent push-admissibility oracle for the test suite.
+"""Independent push-admissibility oracle for the test suite, and the loop
+reference for buffer sampling.
 
 Re-derives the push maneuver from scratch with its own arithmetic: the target
 footprint marches from the pre-push pose through the goal region in small
@@ -8,12 +9,16 @@ pushplan.primitives or pushplan.simulator is reused; only raw scene data.
 
 Rects are (lox, loy, hix, hiy) tuples.  The push axis is handled in signed
 coordinates: sc = sign * coord, so "forward" is always increasing sc.
+
+``oracle_buffer_pose`` is the original, loop-based buffer sampler, kept as
+written: one ``Rect`` and one ``overlaps`` call per obstacle and draw.
 """
 
+import random
 from typing import Optional
 
-from pushplan.geometry import Side, Vec2
-from pushplan.scene import Scene
+from pushplan.geometry import Side, Vec2, overlaps, rect_from_center
+from pushplan.scene import Scene, unsatisfied_ids
 
 STEP = 0.001
 MARGIN = 0.01
@@ -171,3 +176,24 @@ def check_push(
 
 def side_fails(scene: Scene, target: int, side: Side, **kw) -> bool:
     return bool(check_push(scene, target, side, **kw))
+
+
+def oracle_buffer_pose(
+    scene: Scene, obj: int, rng: random.Random, max_attempts: int = 100
+) -> Optional[Vec2]:
+    half = scene.objects[obj].half
+    w = scene.workspace
+    xlo, xhi = w.lo.x + half.a, w.hi.x - half.a
+    ylo, yhi = w.lo.y + half.b, w.hi.y - half.b
+    if xlo > xhi or ylo > yhi:
+        return None
+    pending = unsatisfied_ids(scene)
+    for _ in range(max_attempts):
+        pose = Vec2(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
+        r = rect_from_center(pose, half)
+        if any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj):
+            continue
+        if any(overlaps(r, scene.goal_footprint(j)) for j in pending):
+            continue
+        return pose
+    return None

@@ -1,5 +1,6 @@
 """Benchmark harness tests: scene generation, grid cardinality, determinism
-(serial and parallel), aggregation arithmetic, and file outputs."""
+(serial and parallel), the worker-pool bound, aggregation arithmetic, file
+outputs, and golden records."""
 
 import math
 from pathlib import Path
@@ -17,6 +18,7 @@ from pushplan import (
     generate_scene,
     run_benchmark,
 )
+import pushplan.bench as bench
 from pushplan.bench import (
     DEFAULT_VARIANTS,
     MAX_AREA_FRACTION,
@@ -26,10 +28,13 @@ from pushplan.bench import (
     summary_to_csv,
     write_benchmark_outputs,
 )
+from pushplan.cli import main
 from pushplan.geometry import contains, overlaps
 from pushplan.scene import satisfied_count
 
 from conftest import make_swap_scene
+
+HERE = Path(__file__).parent
 
 SMALL = BenchConfig(
     master_seed=7,
@@ -120,6 +125,32 @@ class TestRunBenchmark:
         serial = run_benchmark(SMALL)
         parallel = run_benchmark(SMALL, jobs=2)
         assert parallel == serial
+
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and maps in-process: no worker is started."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return [fn(task) for task in iterable]
+
+        monkeypatch.setattr(bench.multiprocessing, "Pool", RecordingPool)
+        cfg = BenchConfig(master_seed=3, object_counts=(3,), scenes_per_count=1,
+                          runs_per_scene=2, max_expansions=300)
+        records = run_benchmark(cfg, jobs=10_000)
+        assert len(records) == 4
+        assert sizes == [4]
+        assert records == run_benchmark(cfg)
 
     def test_duplicate_variant_names_rejected(self):
         cfg = BenchConfig(variants=(BenchVariant("x", True), BenchVariant("x", False)))
@@ -292,3 +323,15 @@ class TestOutputs:
         assert len([l for l in lines[1:] if l and not l.startswith("#")]) >= len(
             summary["cells"]
         )
+
+
+class TestGoldenOutputs:
+    def test_bench_reproduces_committed_records(self, tmp_path):
+        """N = 12 with large objects exercises buffer sampling and pushes;
+        both files must match, byte for byte, what this config produced
+        before the search state was made incremental."""
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(HERE / "fixtures" / "golden_bench.json"),
+                     "--out", str(out)]) == 0
+        for name, golden in (("records.csv", "bench_records.csv"), ("summary.csv", "bench_summary.csv")):
+            assert (out / name).read_bytes() == (HERE / "golden" / golden).read_bytes(), name

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from conftest import make_chained_push_scene, make_edge_push_scene, make_swap_scene, take_proposals
-from oracles import check_push, oracle_p0, side_fails
+from oracles import check_push, oracle_blockers, oracle_buffer_pose, oracle_p0, side_fails
+from pushplan.bench import generate_scene
 from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, overlaps, perp_coord, translate
+from pushplan.metrics import EEState
+from pushplan.planner import PlannerConfig, recommend_action, sample_unsatisfied_object, transition
 from pushplan.primitives import (
     DEFAULT_EDGE_MARGIN,
     PushStats,
@@ -28,9 +31,12 @@ from pushplan.scene import (
     is_at_goal,
     placement_free,
     satisfied_count,
+    unsatisfied_ids,
 )
+from pushplan.seeding import derive_seed
 
 WS = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
+DENSE_SIZES = (0.05, 0.079)
 
 
 def square(i: int, half: float = 0.05) -> ObjectSpec:
@@ -258,3 +264,109 @@ class TestBufferSampling:
         poses = (Vec2(0.125, 0.125), Vec2(0.375, 0.125), Vec2(0.125, 0.375), Vec2(0.375, 0.375))
         s = Scene(ws, objs, poses, poses)
         assert sample_buffer_pose(s, 0, random.Random(1), max_attempts=200) is None
+
+
+def plain_and_cached_scenes(n: int, sizes: tuple[float, float], count: int):
+    """Random scenes, each followed by its cached copy and a few cached
+    descendants, whose unsatisfied ids were updated move by move."""
+    cfg = PlannerConfig(max_expansions=1)
+    for k in range(count):
+        plain = generate_scene(n, derive_seed("loop-oracles", n, k), size_range=sizes)
+        yield plain
+        state = plain.with_footprints()
+        yield state
+        rng = random.Random(k)
+        ee = EEState(plain.workspace.center, plain.workspace.center)
+        for _ in range(3):
+            if not unsatisfied_ids(state):
+                break
+            rec = recommend_action(state, sample_unsatisfied_object(state, rng), cfg, rng)
+            if rec is None:
+                break
+            _, state, _, ee = transition(state, rec, ee)
+            yield state
+
+
+def column_scene(goal_y: float, transpose: bool = False) -> Scene:
+    """A one-object-wide table where object 0 fits only at y = 0.375.
+
+    Object 1 sits just below that pose and object 2 just above, both face to
+    face with it.  Object 0's own goal is pending at ``goal_y``: at 0.625 its
+    footprint starts exactly at the pose's top face.  All coordinates are
+    binary-exact, so touching means touching.  ``transpose`` swaps x and y,
+    making the same scene a row.
+    """
+
+    def v(x: float, y: float) -> Vec2:
+        return Vec2(y, x) if transpose else Vec2(x, y)
+
+    def h(a: float, b: float) -> HalfDims:
+        return HalfDims(b, a) if transpose else HalfDims(a, b)
+
+    ws = Rect(v(0.0, 0.0), v(0.25, 0.75))
+    objs = (ObjectSpec(0, h(0.125, 0.125)), ObjectSpec(1, h(0.125, 0.0625)), ObjectSpec(2, h(0.125, 0.0625)))
+    current = (v(0.125, 0.375), v(0.125, 0.1875), v(0.125, 0.5625))
+    goal = (v(0.125, goal_y), v(0.125, 0.1875), v(0.125, 0.0625))
+    return Scene(ws, objs, current, goal)
+
+
+class ScriptedRandom(random.Random):
+    """Returns the given ``random()`` values in order."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+class TestBufferSamplingMatchesLoopOracle:
+    @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
+    def test_same_pose_and_rng_state(self, n, sizes):
+        outcomes = {"accepted": 0, "exhausted": 0}
+        for scene in plain_and_cached_scenes(n, sizes, 6):
+            for obj in unsatisfied_ids(scene):
+                for seed, attempts in ((0, 100), (1, 100), (2, 4), (3, 1)):
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    pose = sample_buffer_pose(scene, obj, rng, attempts)
+                    assert pose == oracle_buffer_pose(scene, obj, ref_rng, attempts)
+                    assert rng.getstate() == ref_rng.getstate()
+                    outcomes["accepted" if pose is not None else "exhausted"] += 1
+        assert all(outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_pose_touching_obstacles_is_accepted(self, transpose):
+        scene = column_scene(0.625, transpose)
+        # Across the column the pose is pinned at 0.125; along it, 0.175
+        # overlaps object 1 and 0.375 touches.
+        script = (0.1, 0.9, 0.5, 0.3) if transpose else (0.9, 0.1, 0.3, 0.5)
+        want = Vec2(0.375, 0.125) if transpose else Vec2(0.125, 0.375)
+        for s in (scene, scene.with_footprints()):
+            assert sample_buffer_pose(s, 0, ScriptedRandom(script)) == want
+            assert oracle_buffer_pose(s, 0, ScriptedRandom(script)) == want
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_pose_overlapping_by_1e_9_is_rejected(self, transpose):
+        scene = column_scene(0.625 - 1e-9, transpose)
+        for s in (scene, scene.with_footprints()):
+            assert sample_buffer_pose(s, 0, ScriptedRandom((0.5, 0.5)), max_attempts=1) is None
+            assert oracle_buffer_pose(s, 0, ScriptedRandom((0.5, 0.5)), max_attempts=1) is None
+            assert sample_buffer_pose(s, 0, random.Random(5)) is None
+
+
+class TestBlockersMatchOracle:
+    @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
+    def test_random_scenes(self, n, sizes):
+        for scene in plain_and_cached_scenes(n, sizes, 6):
+            for i in range(scene.n):
+                assert sorted(blockers_of(scene, i)) == oracle_blockers(scene, i)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_touching_edges_do_not_block(self, transpose):
+        scene = column_scene(0.625, transpose)
+        child = scene.with_footprints().with_moved(((1, scene.current[1]),))
+        for s in (scene, scene.with_footprints(), child):
+            # object 2's goal [0, 0.125] touches object 1's footprint [0.125, 0.25]
+            assert blockers_of(s, 2) == frozenset() and oracle_blockers(s, 2) == []
+            assert blockers_of(s, 0) == frozenset({2}) and oracle_blockers(s, 0) == [2]

@@ -2,9 +2,9 @@
 
 ``planner.transition`` trusts a fresh recommendation and checks only the
 objects it moves; ``apply_action`` plus ``action_cost`` validate everything.
-These tests hold the two to the same scenes and costs, confine the footprint
-cache to search-tree scenes, and keep the cache invisible to equality,
-hashing, repr and pickling.
+These tests hold the two to the same scenes and costs, hold the cached
+unsatisfied ids to a plain recount, confine the cache to search-tree scenes,
+and keep it invisible to equality, hashing, repr and pickling.
 """
 
 import pickle
@@ -26,6 +26,7 @@ from pushplan.scene import (
     PickPlace,
     Scene,
     apply_action,
+    satisfied_count,
     unsatisfied_ids,
     validate_action,
 )
@@ -39,7 +40,15 @@ DENSE_SIZES = (0.05, 0.079)
 
 
 def has_cache(scene: Scene) -> bool:
-    return scene._footprints is not None or scene._goal_footprints is not None
+    return (
+        scene._footprints is not None
+        or scene._goal_footprints is not None
+        or scene._unsatisfied is not None
+    )
+
+
+def plain_twin(scene: Scene) -> Scene:
+    return Scene(scene.workspace, scene.objects, scene.current, scene.goal, scene.tolerance)
 
 
 def assert_cache_exact(scene: Scene) -> None:
@@ -47,6 +56,9 @@ def assert_cache_exact(scene: Scene) -> None:
     for i in range(scene.n):
         assert scene.footprint(i) == rect_from_center(scene.current[i], scene.objects[i].half)
         assert scene.goal_footprint(i) == rect_from_center(scene.goal[i], scene.objects[i].half)
+    twin = plain_twin(scene)
+    assert scene._unsatisfied == tuple(unsatisfied_ids(twin))
+    assert satisfied_count(scene) == satisfied_count(twin)
 
 
 def home(scene: Scene) -> EEState:
@@ -121,6 +133,28 @@ class TestEquivalence:
         assert_cache_exact(child)
 
 
+class TestUnsatisfiedCache:
+    def test_moves_update_only_the_moved_objects(self):
+        # Three objects, each blocking nothing; moves in and out of goals keep
+        # the ids ascending whichever object changes.
+        objs = tuple(ObjectSpec(i, HalfDims(0.05, 0.05)) for i in range(3))
+        current = (Vec2(0.2, 0.2), Vec2(0.5, 0.2), Vec2(0.8, 0.2))
+        goal = (Vec2(0.2, 0.8), Vec2(0.5, 0.8), Vec2(0.8, 0.8))
+        root = Scene(Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)), objs, current, goal).with_footprints()
+        assert root._unsatisfied == (0, 1, 2)
+        one = root.with_moved(((1, goal[1]),))
+        assert one._unsatisfied == (0, 2)
+        two = one.with_moved(((0, goal[0]), (2, goal[2])))
+        assert two._unsatisfied == ()
+        back = two.with_moved(((1, Vec2(0.5, 0.5)),))
+        assert back._unsatisfied == (1,)
+        assert unsatisfied_ids(back) == [1] and satisfied_count(back) == 2
+        within = back.with_moved(((0, goal[0] + Vec2(0.004, 0.0)),))
+        assert within._unsatisfied == (1,)
+        for s in (root, one, two, back, within):
+            assert_cache_exact(s)
+
+
 class TestIncrementalCheck:
     def test_move_off_the_table_raises(self):
         scene = make_swap_scene().with_footprints()
@@ -161,6 +195,7 @@ class TestCacheScope:
         assert not has_cache(simulate(cached, push)[0])
         assert not has_cache(simulate(cached, push, NoiseConfig(enabled=True), random.Random(3))[0])
         assert not has_cache(scene_from_dict(scene_to_dict(cached)))
+        assert cached._unsatisfied == (0, 1)
 
     def test_execution_reports_hold_plain_scenes(self):
         scene = generate_scene(6, derive_seed("cache-scope", "exec"))
@@ -175,10 +210,20 @@ class TestCacheScope:
         for k in range(20):
             plain = generate_scene(3 + k % 10, derive_seed("cache-scope", k))
             cached = plain.with_footprints()
+            assert cached._unsatisfied is not None
             assert cached == plain and plain == cached
             assert hash(cached) == hash(plain)
             assert repr(cached) == repr(plain)
             assert len({plain, cached}) == 1
+
+    def test_unsatisfied_field_takes_no_part_in_identity(self):
+        plain = generate_scene(6, derive_seed("cache-scope", "identity"))
+        cached = plain.with_footprints()
+        other = plain.with_footprints()
+        object.__setattr__(other, "_unsatisfied", ())
+        for s in (cached, other):
+            assert s == plain and hash(s) == hash(plain) and repr(s) == repr(plain)
+            assert "_unsatisfied" not in repr(s)
 
     def test_cached_child_equals_validated_child(self):
         for scene, prop in take_proposals("cache-child", 50):
@@ -192,6 +237,7 @@ class TestCacheScope:
         for s in (scene.with_footprints(), child):
             back = pickle.loads(pickle.dumps(s))
             assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
+            assert back._unsatisfied == s._unsatisfied == tuple(unsatisfied_ids(plain_twin(s)))
             for i in range(back.n):
                 assert back.footprint(i) == rect_from_center(back.current[i], back.objects[i].half)
 
