@@ -45,11 +45,10 @@ class StepRecord:
     planned_plan_length: int
     executed_action: Optional[Action]
     sim_events: tuple[SimEvent, ...]
-    post_state_summary: dict
+    pre_scene: Scene
+    post_scene: Scene
     skipped: bool = False
     note: str = ""
-    pre_scene: Optional[Scene] = None
-    post_scene: Optional[Scene] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +124,6 @@ def execute(
                     planned_plan_length=len(pending),
                     executed_action=None,
                     sim_events=(),
-                    post_state_summary={"satisfied": satisfied_count(current), "total": current.n},
                     skipped=True,
                     note=str(e),
                     pre_scene=current,
@@ -153,7 +151,6 @@ def execute(
                 planned_plan_length=len(pending) + 1,
                 executed_action=action,
                 sim_events=tuple(events),
-                post_state_summary={"satisfied": satisfied_count(nxt), "total": nxt.n},
                 pre_scene=current,
                 post_scene=nxt,
             )

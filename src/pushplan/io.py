@@ -19,7 +19,9 @@ from .executor import ExecutionReport
 from .geometry import HalfDims, Rect, Side, Vec2
 from .metrics import CostBreakdown
 from .planner import Plan
-from .scene import DEFAULT_TOLERANCE, Action, InvalidSceneError, ObjectSpec, PickPlace, PushPlace, Scene
+from .scene import (
+    DEFAULT_TOLERANCE, Action, InvalidSceneError, ObjectSpec, PickPlace, PushPlace, Scene, satisfied_count,
+)
 
 
 class SceneFormatError(ValueError):
@@ -131,9 +133,7 @@ def _one_budget(fields: dict, what: str) -> dict:
 _PLANNER_FIELDS = {
     "time_budget_s": _optional(_positive),
     "max_expansions": _optional(_count),
-    "exploration_c": _nonneg,
     "push_enabled": _bool,
-    "buffer_max_attempts": partial(_int, lo=0),
     "seed": _int,
 }
 
@@ -318,7 +318,7 @@ def report_to_dict(report: ExecutionReport) -> dict:
             "planned_plan_length": s.planned_plan_length,
             "executed_action": action_to_dict(s.executed_action) if s.executed_action else None,
             "sim_events": [{"kind": ev.kind.value, "object": ev.object, "detail": ev.detail} for ev in s.sim_events],
-            "post_state_summary": s.post_state_summary,
+            "post_state_summary": {"satisfied": satisfied_count(s.post_scene), "total": s.post_scene.n},
         })
         if s.skipped:
             steps[-1].update(skipped=True, note=s.note)

@@ -38,12 +38,13 @@ from .scene import (
 )
 
 DEFAULT_TIME_BUDGET_S = 2.0
-DEFAULT_EXPLORATION = math.sqrt(2.0)
+# UCB1's exploration constant, as in UCT (Kocsis & Szepesvari, ECML 2006).
+EXPLORATION_C = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, slots=True)
 class PlannerConfig:
-    """Search budget and sampling knobs.
+    """Search budget, push switch and seed.
 
     Exactly one budget applies: a wall-clock duration (the default, not
     reproducible) or a maximum number of expansions (fully deterministic
@@ -52,9 +53,7 @@ class PlannerConfig:
 
     time_budget_s: Optional[float] = None
     max_expansions: Optional[int] = None
-    exploration_c: float = DEFAULT_EXPLORATION
     push_enabled: bool = True
-    buffer_max_attempts: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -131,7 +130,7 @@ def recommend_action(
     b = blockers[rng.randrange(len(blockers))]
     if goal_region_free(scene, b):
         return PickPlace(b, scene.goal[b])
-    buffer = sample_buffer_pose(scene, b, rng, cfg.buffer_max_attempts)
+    buffer = sample_buffer_pose(scene, b, rng)
     if buffer is None:
         return None
     return PickPlace(b, buffer)
@@ -158,13 +157,13 @@ def transition(
     return action, child, bd, ee
 
 
-def _uct(child: SearchNode, log_parent_visits: float, c: float, n_objects: int) -> float:
+def _uct(child: SearchNode, log_parent_visits: float, n_objects: int) -> float:
     # Both terms live on the per-object scale: satisfying one more object moves
     # the mean reward by 1/N, so a bonus on the raw [0, 1] scale would drown
     # the heuristic and flatten the search into breadth-first, which cannot
     # reach solution depth for N >= 6 under any sane budget.
     exploit = (child.reward_sum / child.visits) / n_objects
-    explore = c * math.sqrt(log_parent_visits / child.visits) / n_objects
+    explore = EXPLORATION_C * math.sqrt(log_parent_visits / child.visits) / n_objects
     return exploit + explore
 
 
@@ -192,7 +191,7 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
             _backprop(path, float(node.satisfied))
             return None
         log_visits = math.log(node.visits)
-        node = max(node.children, key=lambda ch: _uct(ch, log_visits, cfg.exploration_c, n))
+        node = max(node.children, key=lambda ch: _uct(ch, log_visits, n))
         path.append(node)
 
     obj = sample_unsatisfied_object(node.state, rng)

@@ -28,7 +28,6 @@ from .geometry import (
     Vec2,
     axis_coord,
     axis_extent,
-    contains,
     overlaps,
     rect_from_center,
     sweep,
@@ -40,6 +39,7 @@ from .scene import (
     PushPlace,
     Scene,
     blockers_of,
+    placement_conflict,
     unsatisfied_ids,
 )
 
@@ -49,6 +49,8 @@ from .scene import (
 DEFAULT_EDGE_MARGIN = 0.01
 # Sides are tried in this order; the first admissible one wins.
 DEFAULT_SIDE_ORDER = (Side.LEFT, Side.RIGHT, Side.UP, Side.DOWN)
+# Buffer sampling gives up after this many rejected draws.
+BUFFER_MAX_ATTEMPTS = 100
 
 
 @dataclass(slots=True)
@@ -71,21 +73,6 @@ class PushProposal:
 
     def as_action(self) -> PushPlace:
         return PushPlace(self.target, self.side, self.pre_push)
-
-
-def blocker_displacement(scene: Scene, blocker: int, target: int, side: Side) -> float:
-    """Travel needed for ``blocker`` to clear ``target``'s goal region plus clearance.
-
-    The blocker ends with its trailing face ``DEFAULT_CLEARANCE`` past the goal
-    region's far edge along the travel direction.  Strictly positive.
-    """
-    goal_rect = scene.goal_footprint(target)
-    foot = scene.footprint(blocker)
-    if not overlaps(foot, goal_rect):
-        raise ValueError(f"object {blocker} does not block the goal region of object {target}")
-    goal_far = axis_extent(goal_rect, side)[1]
-    near = axis_extent(foot, side)[0]
-    return goal_far - near + DEFAULT_CLEARANCE
 
 
 def corridor_clear(
@@ -146,6 +133,8 @@ def _evaluate_side(
 
     moves: list[tuple[int, float]] = []
     for b in blockers:
+        # Travel that puts the blocker's trailing face one clearance past the
+        # goal region's far edge: strictly positive, since ``b`` overlaps it.
         near = axis_extent(scene.footprint(b), side)[0]
         d = goal_far - near + DEFAULT_CLEARANCE
         if stats is not None:
@@ -176,11 +165,9 @@ def _evaluate_side(
     if stats is not None:
         stats.p0_checks += 1
     p0_rect = rect_from_center(p0, scene.objects[target].half)
-    if not contains(scene.workspace, p0_rect):
-        return None, "pre-push footprint leaves the workspace"
-    for j in range(scene.n):
-        if j != target and overlaps(p0_rect, scene.footprint(j)):
-            return None, f"pre-push footprint overlaps object {j}"
+    why = placement_conflict(scene, target, p0_rect)
+    if why:
+        return None, f"pre-push footprint {why}"
 
     # The target's own sweep (through the goal plus the clearance overshoot)
     # may touch blockers only.
@@ -237,15 +224,13 @@ def validate_push_action(scene: Scene, action: PushPlace) -> PushProposal:
     return proposal
 
 
-def sample_buffer_pose(
-    scene: Scene, obj: int, rng: random.Random, max_attempts: int = 100
-) -> Optional[Vec2]:
+def sample_buffer_pose(scene: Scene, obj: int, rng: random.Random) -> Optional[Vec2]:
     """Uniformly sample a parking pose for ``obj`` by rejection.
 
     The pose must keep the footprint on the table, overlap no other object's
     current footprint, and overlap no goal footprint of an object that still
     has somewhere to be (parking on top of pending goals just creates new
-    blockers).  Returns None after ``max_attempts`` rejections.
+    blockers).  Returns None after ``BUFFER_MAX_ATTEMPTS`` rejections.
     """
     half = scene.objects[obj].half
     a, b = half.a, half.b
@@ -260,7 +245,7 @@ def sample_buffer_pose(
     rects += [scene.goal_footprint(j) for j in unsatisfied_ids(scene)]
     obstacles = [(r.lo.x, r.hi.x, r.lo.y, r.hi.y) for r in rects]
     uniform = rng.uniform
-    for _ in range(max_attempts):
+    for _ in range(BUFFER_MAX_ATTEMPTS):
         x = uniform(xlo, xhi)
         y = uniform(ylo, yhi)
         lx, hx, ly, hy = x - a, x + a, y - b, y + b

@@ -20,6 +20,8 @@ PALETTE = (
 )
 
 _MARGIN = 20.0
+# Benchmark chart size in pixels: room for two 320 x 240 panels side by side.
+_CHART_WIDTH, _CHART_HEIGHT = 840.0, 340.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +109,7 @@ def render_scene(
     return "\n".join(parts) + "\n"
 
 
-def render_benchmark_charts(summary: dict, width: float = 840.0, height: float = 340.0) -> str:
+def render_benchmark_charts(summary: dict) -> str:
     """Two grouped bar panels: mean plan cost and mean action count per N."""
     cells = summary["cells"]
     counts = sorted({c["n"] for c in cells})
@@ -118,9 +120,9 @@ def render_benchmark_charts(summary: dict, width: float = 840.0, height: float =
     by_cell = {(c["variant"], c["n"]): c for c in cells}
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_CHART_WIDTH)}" height="{_fmt(_CHART_HEIGHT)}" '
+        f'viewBox="0 0 {_fmt(_CHART_WIDTH)} {_fmt(_CHART_HEIGHT)}">',
+        f'<rect x="0" y="0" width="{_fmt(_CHART_WIDTH)}" height="{_fmt(_CHART_HEIGHT)}" fill="#ffffff"/>',
     ]
 
     def bar_panel(x0: float, title: str, key: str) -> None:

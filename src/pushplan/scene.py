@@ -145,10 +145,10 @@ class Scene:
 
         The result caches its footprints and shares every unmoved object's
         footprint, and all goal footprints, with this scene.  Only the moved
-        objects are checked: each must lie inside the workspace and overlap
-        no other current footprint.  Pairs of unmoved objects were checked
-        when this scene was built, so the result satisfies the same
-        invariant as construction.  Raises InfeasibleActionError otherwise.
+        objects are checked, each by ``placement_conflict`` in the result.
+        Pairs of unmoved objects were checked when this scene was built, so
+        the result satisfies the same invariant as construction.  Raises
+        InfeasibleActionError otherwise.
 
         The result also caches its unsatisfied ids.  When this scene has
         them, only the moved objects are tested against their goals.
@@ -158,14 +158,8 @@ class Scene:
         for i, pose in moves:
             poses[i] = pose
             rects[i] = rect_from_center(pose, self.objects[i].half)
-        for i, _ in moves:
-            if not contains(self.workspace, rects[i]):
-                raise InfeasibleActionError(f"moved object {i} leaves the workspace")
-            for j, r in enumerate(rects):
-                if j != i and overlaps(rects[i], r):
-                    raise InfeasibleActionError(f"moved object {i} overlaps object {j}")
         goal_rects = self._goal_footprints or tuple(self.goal_footprint(i) for i in range(self.n))
-        # Bypass __post_init__: the checks above establish its invariant.
+        # Bypass __post_init__: the checks below establish its invariant.
         out = object.__new__(Scene)
         for name, value in (
             ("workspace", self.workspace),
@@ -177,6 +171,10 @@ class Scene:
             ("_goal_footprints", goal_rects),
         ):
             object.__setattr__(out, name, value)
+        for i, _ in moves:
+            why = placement_conflict(out, i, rects[i])
+            if why:
+                raise InfeasibleActionError(f"moved object {i} {why}")
         if self._unsatisfied is None:
             pending = [i for i in range(self.n) if not is_at_goal(out, i)]
         else:
@@ -219,16 +217,19 @@ def goal_region_free(scene: Scene, target: int) -> bool:
     return not blockers_of(scene, target)
 
 
-def placement_free(scene: Scene, obj: int, dest: Vec2) -> bool:
-    """True iff ``obj`` set down at ``dest`` stays on the table and hits nothing.
+def placement_conflict(scene: Scene, obj: int, r: Rect) -> Optional[str]:
+    """Why ``obj`` cannot rest with footprint ``r`` in ``scene``, or None if it can.
 
-    The object's own current footprint is ignored: it is in the gripper while
-    the placement happens.
+    The footprint must lie inside the workspace, touching its edge allowed,
+    and overlap no other object's current footprint; ``obj``'s own is
+    skipped.  The reason names the lowest-numbered object hit.
     """
-    r = rect_from_center(dest, scene.objects[obj].half)
     if not contains(scene.workspace, r):
-        return False
-    return not any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj)
+        return "leaves the workspace"
+    for j in range(scene.n):
+        if j != obj and overlaps(r, scene.footprint(j)):
+            return f"overlaps object {j}"
+    return None
 
 
 def validate_action(scene: Scene, action: Action) -> Optional[tuple[tuple[int, float], ...]]:
@@ -241,15 +242,9 @@ def validate_action(scene: Scene, action: Action) -> Optional[tuple[tuple[int, f
         raise InfeasibleActionError(f"action references unknown object {action.object}")
     if isinstance(action, PickPlace):
         r = rect_from_center(action.destination, scene.objects[action.object].half)
-        if not contains(scene.workspace, r):
-            raise InfeasibleActionError(
-                f"destination footprint of object {action.object} leaves the workspace"
-            )
-        for j in range(scene.n):
-            if j != action.object and overlaps(r, scene.footprint(j)):
-                raise InfeasibleActionError(
-                    f"destination of object {action.object} overlaps object {j}"
-                )
+        why = placement_conflict(scene, action.object, r)
+        if why:
+            raise InfeasibleActionError(f"destination footprint of object {action.object} {why}")
         return None
     from . import primitives  # deferred: primitives builds on this module
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .geometry import Rect, Side, Vec2, axis_coord, axis_extent, contains, overlaps, perp_coord, rect_from_center
+from .geometry import Rect, Side, Vec2, axis_coord, axis_extent, overlaps, perp_coord, rect_from_center
 from .scene import (
     DEFAULT_CLEARANCE,
     Action,
@@ -25,6 +25,7 @@ from .scene import (
     PickPlace,
     Scene,
     blockers_of,
+    placement_conflict,
     validate_action,
 )
 
@@ -250,8 +251,9 @@ def _settle_with_noise(
 ) -> bool:
     """Move ``obj`` by as much of ``drift`` as fits without creating overlap.
 
-    Halves the drift until the clamped pose is free; zero drift (the already
-    settled pose) always succeeds.  Returns True if the edge clamp engaged.
+    Halves the drift until the clamped pose is free.  Once the fraction of
+    the drift falls below 1e-6 with no free pose found, ``obj`` keeps its
+    settled pose.  Returns True if the pose it moved to was clamped at an edge.
     """
     base = poses[obj]
     t = 1.0
@@ -265,7 +267,7 @@ def _settle_with_noise(
         )
         if free:
             poses[obj] = cand
-            return clipped and t > 0.0
+            return clipped
         if t < 1e-6:
             return False
         t /= 2.0
@@ -319,12 +321,9 @@ def simulate(
         raise InfeasibleActionError(
             f"pre-push pose of object {target} lies beyond its goal along side '{side.value}'"
         )
-    p0_rect = rect_from_center(p0, scene.objects[target].half)
-    if not contains(scene.workspace, p0_rect):
-        raise InfeasibleActionError(f"pre-push footprint of object {target} leaves the workspace")
-    for j in range(scene.n):
-        if j != target and overlaps(p0_rect, scene.footprint(j)):
-            raise InfeasibleActionError(f"pre-push footprint of object {target} overlaps object {j}")
+    why = placement_conflict(scene, target, rect_from_center(p0, scene.objects[target].half))
+    if why:
+        raise InfeasibleActionError(f"pre-push footprint of object {target} {why}")
 
     # Sweep one clearance past the goal so every carried object ends clear of
     # the goal region with a visible gap, then set the grasped target down on

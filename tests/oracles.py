@@ -12,12 +12,14 @@ coordinates: sc = sign * coord, so "forward" is always increasing sc.
 
 ``oracle_buffer_pose`` is the original, loop-based buffer sampler, kept as
 written: one ``Rect`` and one ``overlaps`` call per obstacle and draw.
+``placement_free`` is the original placement rule, the reference every
+caller of ``scene.placement_conflict`` is held to.
 """
 
 import random
 from typing import Optional
 
-from pushplan.geometry import Side, Vec2, overlaps, rect_from_center
+from pushplan.geometry import Side, Vec2, contains, overlaps, rect_from_center
 from pushplan.scene import Scene, unsatisfied_ids
 
 STEP = 0.001
@@ -197,3 +199,15 @@ def oracle_buffer_pose(
             continue
         return pose
     return None
+
+
+def placement_free(scene: Scene, obj: int, dest: Vec2) -> bool:
+    """True iff ``obj`` set down at ``dest`` stays on the table and hits nothing.
+
+    The object's own current footprint is ignored: it is in the gripper while
+    the placement happens.
+    """
+    r = rect_from_center(dest, scene.objects[obj].half)
+    if not contains(scene.workspace, r):
+        return False
+    return not any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj)

@@ -147,6 +147,14 @@ class TestDiagnostics:
         assert rc == 1
         assert "max_expansion" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("exploration_c", 1.4), ("buffer_max_attempts", 5)])
+    def test_fixed_search_constants_are_unknown_fields(self, swap_file, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        rc = main(["plan", swap_file, "--config", str(cfg)])
+        assert rc == 1
+        assert f"unknown field '{field}'" in capsys.readouterr().err
+
     def test_unknown_push_field(self, swap_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"push": {"clearence": 0.005}}))

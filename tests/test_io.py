@@ -20,10 +20,7 @@ from pushplan.scene import Scene
 
 SCENE_DOC = io.scene_to_dict(make_swap_scene())
 PLAN_DOC = io.plan_to_dict(plan(make_swap_scene(), PlannerConfig(max_expansions=3000, seed=0)))
-PLANNER_DOC = {
-    "max_expansions": 5000, "time_budget_s": None, "exploration_c": 1.4, "push_enabled": True,
-    "buffer_max_attempts": 100, "seed": 7,
-}
+PLANNER_DOC = {"max_expansions": 5000, "time_budget_s": None, "push_enabled": True, "seed": 7}
 BENCH_DOC = {
     "master_seed": 0, "object_counts": [4, 6], "scenes_per_count": 2, "runs_per_scene": 1,
     "max_expansions": 100, "time_budget_s": None, "size_range": [0.03, 0.07], "tolerance": 0.005,
@@ -143,9 +140,7 @@ class TestTables:
 
     def test_valid_documents_keep_their_values(self):
         kwargs = io.planner_config_kwargs(PLANNER_DOC)
-        assert PlannerConfig(**kwargs) == PlannerConfig(
-            max_expansions=5000, exploration_c=1.4, buffer_max_attempts=100, seed=7
-        )
+        assert PlannerConfig(**kwargs) == PlannerConfig(max_expansions=5000, seed=7)
         assert io.planner_config_kwargs({"max_expansions": 30.0})["max_expansions"] == 30
         cfg = BenchConfig(**io.bench_config_kwargs({"time_budget_s": 0.5}))
         assert (cfg.max_expansions, cfg.time_budget_s) == (None, 0.5)
@@ -171,10 +166,11 @@ CASES = [
     # planner config
     *[("planner", {"max_expansions": v}, "'max_expansions'") for v in ("many", True, 1.5, -5)],
     *[("planner", {"time_budget_s": v}, "'time_budget_s'") for v in ("inf", -1)],
-    *[("planner", {"exploration_c": v}, "'exploration_c'") for v in ("x", float("nan"))],
+    # the UCT constant and the buffer attempt limit are fixed: unknown fields
+    *[("planner", {"exploration_c": v}, "'exploration_c'") for v in (1.4, math.sqrt(2.0))],
     ("planner", {"push_enabled": "no"}, "'push_enabled'"),
     *[("planner", {"seed": v}, "'seed'") for v in ("abc", 1.5)],
-    ("planner", {"buffer_max_attempts": "x"}, "'buffer_max_attempts'"),
+    ("planner", {"buffer_max_attempts": 5}, "'buffer_max_attempts'"),
     # the push geometry is fixed: a "push" sub-document is an unknown field
     *[("planner", {"push": {"clearance": v}}, "'push'") for v in ("x", -1)],
     ("planner", {"push": {"edge_margin": "x"}}, "'push'"),
@@ -240,3 +236,13 @@ def test_committed_fixtures(tmp_path, capsys):
     assert main(["plan", swap, "--expansions", "3000", "--seed", "0", "--out", out]) == 0
     assert main(["render", swap, "--plan", out, "--out", str(tmp_path / "p.svg")]) == 0
     assert main(["plan", swap, "--expansions", "abc"]) == 1
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("plan_swap.json", ["plan", "--expansions", "3000", "--seed", "0"]),
+    ("execute_swap_noise.json", ["execute", "--expansions", "2000", "--noise", "--seed", "9"]),
+])
+def test_golden_cli_outputs(capsys, golden, argv):
+    """``plan`` and ``execute`` on the swap fixture print their committed outputs byte for byte."""
+    assert main(argv[:1] + [str(FIXTURES / "swap.json")] + argv[1:]) == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()

@@ -1,11 +1,14 @@
-"""Push-assisted placement: displacement math, admissibility, side selection."""
+"""Push-assisted placement: displacement math, admissibility, side selection,
+buffer sampling, and the placement rule every caller shares."""
 
 import random
+from typing import Optional
 
 import pytest
 
 from conftest import make_chained_push_scene, make_edge_push_scene, make_swap_scene, take_proposals
-from oracles import check_push, oracle_blockers, oracle_buffer_pose, oracle_p0, side_fails
+from oracles import check_push, oracle_blockers, oracle_buffer_pose, oracle_p0, placement_free, side_fails
+from pushplan import primitives
 from pushplan.bench import generate_scene
 from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, overlaps, perp_coord, translate
 from pushplan.metrics import EEState
@@ -13,7 +16,6 @@ from pushplan.planner import PlannerConfig, recommend_action, sample_unsatisfied
 from pushplan.primitives import (
     DEFAULT_EDGE_MARGIN,
     PushStats,
-    blocker_displacement,
     corridor_clear,
     edge_safe,
     sample_buffer_pose,
@@ -29,11 +31,12 @@ from pushplan.scene import (
     apply_action,
     blockers_of,
     is_at_goal,
-    placement_free,
     satisfied_count,
     unsatisfied_ids,
+    validate_action,
 )
 from pushplan.seeding import derive_seed
+from pushplan.simulator import SimulationError, simulate
 
 WS = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
 DENSE_SIZES = (0.05, 0.079)
@@ -59,11 +62,18 @@ def bisect_displacement(scene: Scene, blocker: int, target: int, side: Side) -> 
     return hi
 
 
+def displacements(scene: Scene, target: int, side: Side) -> tuple[tuple[int, float], ...]:
+    """Blocker moves of the validated push of ``target`` from the oracle's pre-push pose."""
+    action = PushPlace(target, side, oracle_p0(scene, target, side))
+    return validate_push_action(scene, action).blocker_moves
+
+
 class TestBlockerDisplacement:
     def test_swap_fixture_value(self):
         s = make_swap_scene()
-        assert blocker_displacement(s, 1, 0, Side.LEFT) == pytest.approx(0.105, abs=1e-12)
-        assert blocker_displacement(s, 1, 0, Side.RIGHT) == pytest.approx(0.105, abs=1e-12)
+        for side in (Side.LEFT, Side.RIGHT):
+            (b, d), = displacements(s, 0, side)
+            assert b == 1 and d == pytest.approx(0.105, abs=1e-12)
 
     def test_partial_overlap_value(self):
         # blocker straddles the goal's right edge by 0.04, so a RIGHT push
@@ -71,9 +81,9 @@ class TestBlockerDisplacement:
         s = Scene(WS, (square(0), square(1)),
                   (Vec2(0.2, 0.2), Vec2(0.56, 0.5)),
                   (Vec2(0.5, 0.5), Vec2(0.8, 0.8)))
-        d = blocker_displacement(s, 1, 0, Side.RIGHT)
-        assert d == pytest.approx(0.04 + 0.005 + 0.005 * 0, abs=1e-12)  # 0.045
-        d_left = blocker_displacement(s, 1, 0, Side.LEFT)
+        (_, d), = displacements(s, 0, Side.RIGHT)
+        assert d == pytest.approx(0.04 + 0.005, abs=1e-12)  # 0.045
+        (_, d_left), = displacements(s, 0, Side.LEFT)
         assert d_left == pytest.approx(0.16 + 0.005, abs=1e-12)
 
     def test_matches_bisection_oracle_plus_clearance(self):
@@ -81,12 +91,6 @@ class TestBlockerDisplacement:
             for b, d in prop.blocker_moves:
                 want = bisect_displacement(scene, b, prop.target, prop.side) + 0.005
                 assert d == pytest.approx(want, abs=1e-9)
-
-    def test_rejects_non_blocker(self):
-        s = make_swap_scene()
-        cleared = apply_action(s, PickPlace(1, Vec2(0.8, 0.8)))
-        with pytest.raises(ValueError, match="does not block"):
-            blocker_displacement(cleared, 1, 0, Side.LEFT)
 
     def test_always_positive(self):
         for scene, prop in take_proposals("disp-positive", 150):
@@ -97,13 +101,13 @@ class TestBlockerDisplacement:
 class TestCorridorAndEdge:
     def test_corridor_blocked_by_third_object(self):
         s = make_chained_push_scene()
-        d = blocker_displacement(s, 1, 0, Side.LEFT)
+        d = bisect_displacement(s, 1, 0, Side.LEFT) + 0.005
         assert not corridor_clear(s, 1, Side.LEFT, d, exclude=frozenset({0}))
 
     def test_corridor_open_when_neighbor_removed(self):
         s = make_chained_push_scene()
         opened = apply_action(s, PickPlace(2, Vec2(0.2, 0.8)))
-        d = blocker_displacement(opened, 1, 0, Side.LEFT)
+        d = bisect_displacement(opened, 1, 0, Side.LEFT) + 0.005
         assert corridor_clear(opened, 1, Side.LEFT, d, exclude=frozenset({0}))
 
     def test_edge_safe_boundary(self):
@@ -256,14 +260,15 @@ class TestBufferSampling:
         b = sample_buffer_pose(swap_scene, 0, random.Random(7))
         assert a == b
 
-    def test_returns_none_when_crowded(self):
+    def test_returns_none_when_crowded(self, monkeypatch):
         # four big objects tile a small table; nothing else fits anywhere
         # (all coordinates picked binary-exact so the tiles touch, not overlap)
         ws = Rect(Vec2(0.0, 0.0), Vec2(0.5, 0.5))
         objs = tuple(ObjectSpec(i, HalfDims(0.125, 0.125)) for i in range(4))
         poses = (Vec2(0.125, 0.125), Vec2(0.375, 0.125), Vec2(0.125, 0.375), Vec2(0.375, 0.375))
         s = Scene(ws, objs, poses, poses)
-        assert sample_buffer_pose(s, 0, random.Random(1), max_attempts=200) is None
+        monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 200)
+        assert sample_buffer_pose(s, 0, random.Random(1)) is None
 
 
 def plain_and_cached_scenes(n: int, sizes: tuple[float, float], count: int):
@@ -323,13 +328,14 @@ class ScriptedRandom(random.Random):
 
 class TestBufferSamplingMatchesLoopOracle:
     @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
-    def test_same_pose_and_rng_state(self, n, sizes):
+    def test_same_pose_and_rng_state(self, n, sizes, monkeypatch):
         outcomes = {"accepted": 0, "exhausted": 0}
         for scene in plain_and_cached_scenes(n, sizes, 6):
             for obj in unsatisfied_ids(scene):
                 for seed, attempts in ((0, 100), (1, 100), (2, 4), (3, 1)):
                     rng, ref_rng = random.Random(seed), random.Random(seed)
-                    pose = sample_buffer_pose(scene, obj, rng, attempts)
+                    monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", attempts)
+                    pose = sample_buffer_pose(scene, obj, rng)
                     assert pose == oracle_buffer_pose(scene, obj, ref_rng, attempts)
                     assert rng.getstate() == ref_rng.getstate()
                     outcomes["accepted" if pose is not None else "exhausted"] += 1
@@ -347,11 +353,13 @@ class TestBufferSamplingMatchesLoopOracle:
             assert oracle_buffer_pose(s, 0, ScriptedRandom(script)) == want
 
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_pose_overlapping_by_1e_9_is_rejected(self, transpose):
+    def test_pose_overlapping_by_1e_9_is_rejected(self, transpose, monkeypatch):
         scene = column_scene(0.625 - 1e-9, transpose)
         for s in (scene, scene.with_footprints()):
-            assert sample_buffer_pose(s, 0, ScriptedRandom((0.5, 0.5)), max_attempts=1) is None
+            monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 1)
+            assert sample_buffer_pose(s, 0, ScriptedRandom((0.5, 0.5))) is None
             assert oracle_buffer_pose(s, 0, ScriptedRandom((0.5, 0.5)), max_attempts=1) is None
+            monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 100)
             assert sample_buffer_pose(s, 0, random.Random(5)) is None
 
 
@@ -370,3 +378,113 @@ class TestBlockersMatchOracle:
             # object 2's goal [0, 0.125] touches object 1's footprint [0.125, 0.25]
             assert blockers_of(s, 2) == frozenset() and oracle_blockers(s, 2) == []
             assert blockers_of(s, 0) == frozenset({2}) and oracle_blockers(s, 0) == [2]
+
+
+def accepted(prefix: str, call, *args) -> bool:
+    """Whether ``call(*args)`` passes its placement check, whose rejection
+    message starts with ``prefix``."""
+    try:
+        call(*args)
+    except InfeasibleActionError as e:
+        assert str(e).startswith(prefix), e
+        return False
+    except SimulationError:
+        pass  # simulate's sweep failed after its pre-push check passed
+    return True
+
+
+def push_validation_accepts(scene: Scene, obj: int, side: Side) -> Optional[bool]:
+    """Whether push validation passes its pre-push check at the oracle's pose;
+    None when the push is rejected before that check."""
+    try:
+        validate_push_action(scene, PushPlace(obj, side, oracle_p0(scene, obj, side)))
+    except InfeasibleActionError as e:
+        if "pre-push footprint" in str(e):
+            return False
+        return True if "approach corridor" in str(e) else None
+    return True
+
+
+def placement_cases(scene: Scene, obj: int, rng: random.Random) -> list[Vec2]:
+    """Random poses, some off the table, and poses whose footprint touches a
+    table edge or another object's face, exactly and 1e-9 past it."""
+    half, w = scene.objects[obj].half, scene.workspace
+    poses = [
+        Vec2(rng.uniform(w.lo.x - half.a, w.hi.x + half.a), rng.uniform(w.lo.y - half.b, w.hi.y + half.b))
+        for _ in range(4)
+    ]
+    f = scene.footprint(rng.randrange(scene.n))
+    y = rng.uniform(w.lo.y + half.b, w.hi.y - half.b)
+    for eps in (0.0, 1e-9):
+        poses += [
+            Vec2(w.lo.x + half.a - eps, y),
+            Vec2(f.hi.x + half.a - eps, f.center.y),
+            Vec2(f.center.x, f.lo.y - half.b + eps),
+        ]
+    return poses
+
+
+def column_cases(transpose: bool):
+    """Column scenes, cached and a cached descendant, with poses of object 0
+    touching both walls and both neighbours, and 1e-9 past each."""
+
+    def v(x: float, y: float) -> Vec2:
+        return Vec2(y, x) if transpose else Vec2(x, y)
+
+    side = Side.RIGHT if transpose else Side.UP
+    poses = [v(0.125, 0.375), v(0.125, 0.375 + 1e-9), v(0.125, 0.375 - 1e-9), v(0.125 + 1e-9, 0.375)]
+    for goal_y in (0.625, 0.625 - 1e-9):
+        scene = column_scene(goal_y, transpose)
+        cached = scene.with_footprints()
+        for s in (scene, cached, cached.with_moved(((1, scene.current[1]),))):
+            yield s, side, poses
+
+
+class TestPlacementMatchesOracle:
+    """Every caller of ``placement_conflict`` accepts exactly the poses the
+    reference rule accepts."""
+
+    def check(self, scene: Scene, obj: int, poses: list[Vec2], side: Side, back: list[float], seen: dict):
+        for pose in poses:
+            want = placement_free(scene, obj, pose)
+            assert accepted(f"destination footprint of object {obj} ", validate_action,
+                            scene, PickPlace(obj, pose)) == want, (obj, pose)
+            assert accepted(f"moved object {obj} ", scene.with_moved, ((obj, pose),)) == want, (obj, pose)
+            seen["free"][want] += 1
+        for d in back:
+            # ``d`` behind the goal along ``side``: aligned, so only the placement rule can reject it
+            pose = scene.goal[obj] - side.unit * d
+            want = placement_free(scene, obj, pose)
+            assert accepted(f"pre-push footprint of object {obj} ", simulate,
+                            scene, PushPlace(obj, side, pose)) == want, (obj, side, pose)
+            seen["pre-push"][want] += 1
+
+    @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
+    def test_random_scenes(self, n, sizes):
+        seen = {"free": [0, 0], "pre-push": [0, 0], "push": [0, 0]}
+        rng = random.Random(n)
+        for scene in plain_and_cached_scenes(n, sizes, 4):
+            for obj in range(scene.n):
+                side = rng.choice(list(Side))
+                self.check(scene, obj, placement_cases(scene, obj, rng), side,
+                           [rng.uniform(0.0, 0.4) for _ in range(3)], seen)
+            for obj in unsatisfied_ids(scene):
+                if not blockers_of(scene, obj):
+                    continue
+                for side in Side:
+                    got = push_validation_accepts(scene, obj, side)
+                    if got is not None:
+                        assert got == placement_free(scene, obj, oracle_p0(scene, obj, side)), (obj, side)
+                        seen["push"][got] += 1
+        assert all(all(counts) for counts in seen.values()), seen
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_touching_and_1e_9_overlaps(self, transpose):
+        seen = {"free": [0, 0], "pre-push": [0, 0]}
+        for scene, side, poses in column_cases(transpose):
+            # About 0.25 back from object 0's goal, the pre-push pose is its
+            # touching pose or overlaps a neighbour by about 1e-9.
+            self.check(scene, 0, poses, side, [0.25 - 1e-9, 0.25, 0.25 + 1e-9], seen)
+            for obj in (1, 2):
+                self.check(scene, obj, [scene.current[obj]], side, [], seen)
+        assert all(all(counts) for counts in seen.values()), seen

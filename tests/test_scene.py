@@ -21,7 +21,6 @@ from pushplan.scene import (
     blockers_of,
     goal_region_free,
     is_at_goal,
-    placement_free,
     satisfied_count,
     unsatisfied_ids,
     validate_action,
@@ -119,13 +118,13 @@ class TestPredicates:
 
     def test_placement_free_oracle(self):
         s = make_swap_scene()
-        assert placement_free(s, 0, Vec2(0.5, 0.2))
-        # overlaps object 1's current footprint
-        assert not placement_free(s, 0, Vec2(0.6, 0.45))
-        # leaves the workspace
-        assert not placement_free(s, 0, Vec2(0.03, 0.5))
+        assert validate_action(s, PickPlace(0, Vec2(0.5, 0.2))) is None
+        with pytest.raises(InfeasibleActionError, match="object 0 overlaps object 1$"):
+            validate_action(s, PickPlace(0, Vec2(0.6, 0.45)))
+        with pytest.raises(InfeasibleActionError, match="object 0 leaves the workspace$"):
+            validate_action(s, PickPlace(0, Vec2(0.03, 0.5)))
         # its own current pose never blocks it
-        assert placement_free(s, 0, Vec2(0.36, 0.5))
+        assert validate_action(s, PickPlace(0, Vec2(0.36, 0.5))) is None
 
 
 class TestPickPlace:
