@@ -3,7 +3,7 @@
 Subcommands: ``plan`` (one-shot planning), ``execute`` (closed-loop run with
 optional noise), ``bench`` (variant comparison over random scenes), and
 ``render`` (scene or plan to SVG).  Exit codes: 0 on success, 1 for bad
-input, 2 when planning or execution fails.
+input or an output that cannot be written, 2 when planning or execution fails.
 """
 
 from __future__ import annotations
@@ -232,6 +232,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (SceneFormatError, BenchError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        # io.load reports unreadable inputs, so a path here is an unwritable output.
+        if e.filename is None:
+            raise
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
     except SimulationError as e:
         print(f"error: {e}", file=sys.stderr)

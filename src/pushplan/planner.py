@@ -17,11 +17,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Vec2
-
-# ``apply_action`` and ``action_cost`` are the validated path ``transition``
-# must agree with.  The search does not call them, but they stay bound here
-# because perfbench's tracer and its tests look them up in this module.
+# ``apply_action`` and ``action_cost`` are the validated path that ``transition``
+# and the plan's costs must agree with.  The search does not call them, but they
+# stay bound here because perfbench's tracer and its tests look them up in this module.
 from .metrics import CostBreakdown, EEState, action_cost, travel_cost  # noqa: F401
 from .primitives import PushProposal, sample_buffer_pose, select_push
 from .scene import (
@@ -73,27 +71,15 @@ class Plan:
 class SearchNode:
     """One arrangement in the tree, with UCT statistics."""
 
-    __slots__ = ("state", "parent", "action", "cost", "ee", "depth", "children", "visits", "reward_sum", "satisfied")
+    __slots__ = ("state", "parent", "action", "children", "visits", "reward_sum")
 
-    def __init__(
-        self,
-        state: Scene,
-        parent: Optional["SearchNode"],
-        action: Optional[Action],
-        cost: Optional[CostBreakdown],
-        ee: Vec2,
-        depth: int,
-    ) -> None:
+    def __init__(self, state: Scene, parent: Optional["SearchNode"], action: Optional[Action]) -> None:
         self.state = state
         self.parent = parent
         self.action = action
-        self.cost = cost
-        self.ee = ee
-        self.depth = depth
         self.children: list[SearchNode] = []
         self.visits = 0
         self.reward_sum = 0.0
-        self.satisfied = satisfied_count(state)
 
 
 def sample_unsatisfied_object(scene: Scene, rng: random.Random) -> int:
@@ -136,25 +122,21 @@ def recommend_action(
     return PickPlace(b, buffer)
 
 
-def transition(
-    scene: Scene, rec: Recommendation, ee: EEState
-) -> tuple[Action, Scene, CostBreakdown, EEState]:
-    """The action, successor scene, cost and end-effector state of one move.
+def transition(scene: Scene, rec: Recommendation) -> tuple[Action, Scene]:
+    """The action and successor scene of one move.
 
     ``rec`` must come fresh from ``recommend_action`` on ``scene``: a push
     proposal is trusted, not re-derived, and only the moved objects of the
-    successor are checked (``Scene.with_moved``).  The result equals
-    ``apply_action`` plus ``action_cost`` on the same action, except that the
-    successor carries a footprint cache.  Raises InfeasibleActionError when a
-    moved object would leave the table or overlap another object.
+    successor are checked (``Scene.with_moved``).  The successor equals
+    ``apply_action`` on the same action, except that it carries a footprint
+    cache.  Raises InfeasibleActionError when a moved object would leave the
+    table or overlap another object.
     """
     if isinstance(rec, PushProposal):
         action, blocker_moves = rec.as_action(), rec.blocker_moves
     else:
         action, blocker_moves = rec, ()
-    child = scene.with_moved(moved_poses(scene, action, blocker_moves))
-    bd, ee = travel_cost(scene, action, ee, 1.0)
-    return action, child, bd, ee
+    return action, scene.with_moved(moved_poses(scene, action, blocker_moves))
 
 
 def _uct(child: SearchNode, log_parent_visits: float, n_objects: int) -> float:
@@ -184,11 +166,12 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
     node = root
     path = [root]
     while True:
-        can_widen = node.depth < depth_cap and len(node.children) < max(1, math.isqrt(node.visits))
+        # ``path`` runs from the root to ``node``, so ``node`` sits at depth len(path) - 1.
+        can_widen = len(path) <= depth_cap and len(node.children) < max(1, math.isqrt(node.visits))
         if can_widen:
             break
         if not node.children:
-            _backprop(path, float(node.satisfied))
+            _backprop(path, float(satisfied_count(node.state)))
             return None
         log_visits = math.log(node.visits)
         node = max(node.children, key=lambda ch: _uct(ch, log_visits, n))
@@ -197,32 +180,36 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
     obj = sample_unsatisfied_object(node.state, rng)
     rec = recommend_action(node.state, obj, cfg, rng)
     if rec is None:
-        _backprop(path, float(node.satisfied))
+        _backprop(path, float(satisfied_count(node.state)))
         return None
     try:
-        action, new_state, bd, ee = transition(node.state, rec, EEState(node.ee, root.ee))
+        action, new_state = transition(node.state, rec)
     except InfeasibleActionError:
         # The recommender only proposes feasible moves; keep searching anyway.
-        _backprop(path, float(node.satisfied))
+        _backprop(path, float(satisfied_count(node.state)))
         return None
-    child = SearchNode(new_state, node, action, bd, ee.pose, node.depth + 1)
+    child = SearchNode(new_state, node, action)
     node.children.append(child)
     path.append(child)
-    _backprop(path, float(child.satisfied))
+    _backprop(path, float(satisfied_count(new_state)))
     return child
 
 
 def _extract_plan(terminal: SearchNode) -> Plan:
-    actions: list[Action] = []
-    costs: list[CostBreakdown] = []
+    """The actions from the root to ``terminal``, costed once along that path."""
+    steps: list[tuple[Scene, Action]] = []
     node = terminal
     while node.parent is not None:
-        actions.append(node.action)
-        costs.append(node.cost)
+        steps.append((node.parent.state, node.action))
         node = node.parent
-    actions.reverse()
-    costs.reverse()
-    return Plan(tuple(actions), tuple(costs), sum(bd.total for bd in costs))
+    steps.reverse()
+    center = node.state.workspace.center
+    ee = EEState(center, center)
+    costs: list[CostBreakdown] = []
+    for state, action in steps:
+        bd, ee = travel_cost(state, action, ee)
+        costs.append(bd)
+    return Plan(tuple(action for _, action in steps), tuple(costs), sum(bd.total for bd in costs))
 
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
@@ -235,7 +222,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
         return Plan((), (), 0.0)
     rng = random.Random(cfg.seed)
     # Only the search tree's scenes cache footprints; none of them escapes.
-    root = SearchNode(scene.with_footprints(), None, None, None, scene.workspace.center, 0)
+    root = SearchNode(scene.with_footprints(), None, None)
 
     if cfg.max_expansions is not None:
         remaining = cfg.max_expansions
@@ -253,6 +240,6 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
 
     while budget_left():
         child = tree_search_step(root, cfg, rng)
-        if child is not None and child.satisfied == scene.n:
+        if child is not None and satisfied_count(child.state) == scene.n:
             return _extract_plan(child)
     return None

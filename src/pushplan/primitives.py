@@ -145,13 +145,9 @@ def _evaluate_side(
             return None, f"push corridor of blocker {b} is not empty"
         moves.append((b, d))
 
-    # Conservative: independent per-blocker displacements must not collide.
-    u = side.unit
-    post = [translate(scene.footprint(b), u * d) for b, d in moves]
-    for i in range(len(post)):
-        for j in range(i + 1, len(post)):
-            if overlaps(post[i], post[j]):
-                return None, f"post-push footprints of blockers {moves[i][0]} and {moves[j][0]} overlap"
+    # Post-push footprints need no pairwise check: every trailing face ends at
+    # ``goal_far`` plus the clearance, so two blockers could only collide if
+    # they overlap laterally, and then the rear one's corridor met the front one.
 
     # Pre-push pose: leading face one clearance behind the outermost blocker,
     # i.e. the one protruding farthest toward the approach.  That puts the
@@ -160,7 +156,7 @@ def _evaluate_side(
     h = _half_along(scene, target, side)
     p0_axis = (min_near - DEFAULT_CLEARANCE) - h
     goal_axis = axis_coord(goal_pose, side)
-    p0 = goal_pose + u * (p0_axis - goal_axis)
+    p0 = goal_pose + side.unit * (p0_axis - goal_axis)
 
     if stats is not None:
         stats.p0_checks += 1

