@@ -9,6 +9,7 @@ input or an output that cannot be written, 2 when planning or execution fails.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import random
@@ -129,8 +130,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             fields[key] = getattr(args, flag)
     fields.update(_budget_flags(args))
     cfg = BenchConfig(**fields)
+    out = Path(args.out)
+    # Fail before the sweep, not after it; the directory is still made only
+    # once the records are aggregated.
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
     records = run_benchmark(cfg, jobs=args.jobs)
-    summary = write_benchmark_outputs(cfg, records, Path(args.out))
+    summary = write_benchmark_outputs(cfg, records, out)
     for row in summary["reductions"]:
         print(f"N={row['n']}: baseline {row['baseline_mean_cost']:.4f} "
               f"-> push {row['push_mean_cost']:.4f} "

@@ -5,6 +5,14 @@ predicted for the previous action.  While they agree (which under zero noise
 is always), the remainder of the current plan is still exact and is followed;
 any deviation triggers a fresh plan from the observed state.  Only the first
 action of whatever plan is current ever gets executed.
+
+The loop works on a cached scene (``Scene.with_footprints``): planning,
+simulation, prediction and the goal count all read its footprints and
+unsatisfied ids, and each successor updates them for the moved objects
+only.  The report holds plain copies instead (``Scene.without_cache``),
+which share every field with the working scenes but keep no footprints
+alive.  One copy is made per observed state: a step's ``post_scene`` is
+the next step's ``pre_scene``.
 """
 
 from __future__ import annotations
@@ -84,7 +92,9 @@ def execute(
         rng = random.Random(0)
     trial_seed = rng.getrandbits(63)
 
-    current = scene
+    current = scene.with_footprints()
+    # The report's copy of ``current``.
+    observed = scene.without_cache()
     steps: list[StepRecord] = []
     pending: list[Action] = []
     predicted: Optional[Scene] = None
@@ -126,8 +136,8 @@ def execute(
                     sim_events=(),
                     skipped=True,
                     note=str(e),
-                    pre_scene=current,
-                    post_scene=current,
+                    pre_scene=observed,
+                    post_scene=observed,
                 )
             )
             pending = []
@@ -146,13 +156,14 @@ def execute(
         travel += bd.approach + bd.pick + bd.transfer
         pending = pending[1:]
         total_actions += 1
+        pre, observed = observed, nxt.without_cache()
         steps.append(
             StepRecord(
                 planned_plan_length=len(pending) + 1,
                 executed_action=action,
                 sim_events=tuple(events),
-                pre_scene=current,
-                post_scene=nxt,
+                pre_scene=pre,
+                post_scene=observed,
             )
         )
         current = nxt
@@ -167,5 +178,5 @@ def execute(
         success_rate=satisfied_count(current) / current.n if current.n else 1.0,
         robot_time_proxy=travel + ACTION_OVERHEAD_S * total_actions,
         terminated_by=terminated,
-        final_scene=current,
+        final_scene=observed,
     )

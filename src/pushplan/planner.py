@@ -128,9 +128,9 @@ def transition(scene: Scene, rec: Recommendation) -> tuple[Action, Scene]:
     ``rec`` must come fresh from ``recommend_action`` on ``scene``: a push
     proposal is trusted, not re-derived, and only the moved objects of the
     successor are checked (``Scene.with_moved``).  The successor equals
-    ``apply_action`` on the same action, except that it carries a footprint
-    cache.  Raises InfeasibleActionError when a moved object would leave the
-    table or overlap another object.
+    ``apply_action`` on the same action, which validates the action first.
+    Raises InfeasibleActionError when a moved object would leave the table
+    or overlap another object.
     """
     if isinstance(rec, PushProposal):
         action, blocker_moves = rec.as_action(), rec.blocker_moves
@@ -221,7 +221,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
     if satisfied_count(scene) == scene.n:
         return Plan((), (), 0.0)
     rng = random.Random(cfg.seed)
-    # Only the search tree's scenes cache footprints; none of them escapes.
+    # None of the search tree's scenes escapes.
     root = SearchNode(scene.with_footprints(), None, None)
 
     if cfg.max_expansions is not None:

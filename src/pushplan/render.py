@@ -2,7 +2,7 @@
 
 Output is plain text built from sorted inputs with every coordinate printed
 at six decimal places, so the same scene always yields byte-identical SVG.
-A scene's title and object colors are XML-escaped.
+A scene's title, its object colors and chart variant names are XML-escaped.
 World coordinates have y up; SVG has y down, so the vertical axis is flipped
 around the workspace top edge.
 """
@@ -42,6 +42,13 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as entities, as ``xml.sax.saxutils.escape``
+    gives it.  That module is not used because it imports ``urllib.request``:
+    about 40 ms and 7 MB for every command or benchmark pass that renders."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def object_color(scene: Scene, i: int) -> str:
     c = scene.objects[i].color
     return c if c is not None else PALETTE[i % len(PALETTE)]
@@ -54,10 +61,6 @@ def render_scene(
     gripper: Optional[Vec2] = None,
 ) -> str:
     """Render current footprints (filled) and goal footprints (dashed)."""
-    # Imported here: xml.sax.saxutils imports urllib.request, which would cost
-    # every command importing this module about 40 ms and 7 MB of memory.
-    from xml.sax.saxutils import escape
-
     if style is None:
         style = RenderStyle()
     ws = scene.workspace
@@ -80,7 +83,7 @@ def render_scene(
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         f'<rect {rect_attrs(ws)} fill="#ffffff" stroke="#000000" stroke-width="1.5"/>',
     ]
-    colors = [escape(object_color(scene, i), {'"': "&quot;"}) for i in range(scene.n)]
+    colors = [_escape(object_color(scene, i)).replace('"', "&quot;") for i in range(scene.n)]
     if style.show_goals:
         for i in range(scene.n):
             goal = rect_from_center(scene.goal[i], scene.objects[i].half)
@@ -108,7 +111,7 @@ def render_scene(
     if title:
         parts.append(
             f'<text x="{_fmt(_MARGIN)}" y="{_fmt(14.0)}" font-family="monospace" '
-            f'font-size="12" fill="#000000">{escape(title)}</text>'
+            f'font-size="12" fill="#000000">{_escape(title)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -179,7 +182,7 @@ def render_benchmark_charts(summary: dict) -> str:
             )
             parts.append(
                 f'<text x="{_fmt(x0 + 26)}" y="{_fmt(ly)}" font-family="monospace" font-size="11" '
-                f'fill="#000000" dominant-baseline="central">{v}</text>'
+                f'fill="#000000" dominant-baseline="central">{_escape(v)}</text>'
             )
 
     bar_panel(70.0, "mean plan cost", "mean_cost")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .geometry import (
@@ -26,6 +26,9 @@ from .geometry import (
 # Gap left between a pushed blocker and the goal region it was cleared from,
 # and between the pre-push pose and the first blocker.  Meters.
 DEFAULT_CLEARANCE = 0.005
+
+# Sets a field of a frozen dataclass.
+_set = object.__setattr__
 
 # Default goal tolerance (meters): an object is at its goal when its center
 # lies within this distance of the goal center.
@@ -84,11 +87,12 @@ class Scene:
     matching lengths, all footprints inside the workspace, and no two current
     (or two goal) footprints overlapping.  Touching footprints are legal.
 
-    Scenes inside the planner's search tree also carry their current and goal
-    footprints and the ascending ids of the objects not at their goals
-    (``with_footprints``, ``with_moved``).  The cache takes no part in
-    equality, hashing or repr, and scenes built by the constructor, by
-    ``apply_action`` or by loading have none.
+    Derived scenes also carry their current and goal footprints and the
+    ascending ids of the objects not at their goals (``with_footprints``,
+    ``with_moved``, and so ``apply_action``, ``simulate`` and the planner's
+    search tree).  The cache takes no part in equality, hashing or repr.
+    Scenes built by the constructor or by loading have none, and neither do
+    the scenes an execution report holds (``without_cache``).
     """
 
     workspace: Rect
@@ -137,8 +141,22 @@ class Scene:
         return rect_from_center(self.goal[i], self.objects[i].half)
 
     def with_footprints(self) -> "Scene":
-        """An equal scene whose footprints and unsatisfied ids are computed once."""
+        """An equal scene whose footprints and unsatisfied ids are computed once.
+
+        A scene that already carries them is returned as it is.
+        """
+        if self._unsatisfied is not None:
+            return self
         return self.with_moved(())
+
+    def without_cache(self) -> "Scene":
+        """An equal scene without a cache that shares every field with this one.
+
+        A scene without a cache is returned as it is.
+        """
+        if self._unsatisfied is None:
+            return self
+        return _unchecked(self.workspace, self.objects, self.current, self.goal, self.tolerance)
 
     def with_moved(self, moves: Sequence[tuple[int, Vec2]]) -> "Scene":
         """This scene with each ``(object, pose)`` of ``moves`` relocated.
@@ -160,17 +178,9 @@ class Scene:
             rects[i] = rect_from_center(pose, self.objects[i].half)
         goal_rects = self._goal_footprints or tuple(self.goal_footprint(i) for i in range(self.n))
         # Bypass __post_init__: the checks below establish its invariant.
-        out = object.__new__(Scene)
-        for name, value in (
-            ("workspace", self.workspace),
-            ("objects", self.objects),
-            ("current", tuple(poses)),
-            ("goal", self.goal),
-            ("tolerance", self.tolerance),
-            ("_footprints", tuple(rects)),
-            ("_goal_footprints", goal_rects),
-        ):
-            object.__setattr__(out, name, value)
+        out = _unchecked(
+            self.workspace, self.objects, tuple(poses), self.goal, self.tolerance, tuple(rects), goal_rects
+        )
         for i, _ in moves:
             why = placement_conflict(out, i, rects[i])
             if why:
@@ -183,8 +193,34 @@ class Scene:
                 [i for i in self._unsatisfied if i not in moved]
                 + [i for i in moved if not is_at_goal(out, i)]
             )
-        object.__setattr__(out, "_unsatisfied", tuple(pending))
+        _set(out, "_unsatisfied", tuple(pending))
         return out
+
+
+def _unchecked(
+    workspace: Rect,
+    objects: tuple[ObjectSpec, ...],
+    current: Arrangement,
+    goal: Arrangement,
+    tolerance: float,
+    footprints: Optional[tuple[Rect, ...]] = None,
+    goal_footprints: Optional[tuple[Rect, ...]] = None,
+) -> Scene:
+    """A Scene of these fields, built without ``__post_init__``'s checks.
+
+    Its unsatisfied ids are None until the caller sets them.  The fields are
+    set one by one, not in a loop: this runs once per search expansion.
+    """
+    out = object.__new__(Scene)
+    _set(out, "workspace", workspace)
+    _set(out, "objects", objects)
+    _set(out, "current", current)
+    _set(out, "goal", goal)
+    _set(out, "tolerance", tolerance)
+    _set(out, "_footprints", footprints)
+    _set(out, "_goal_footprints", goal_footprints)
+    _set(out, "_unsatisfied", None)
+    return out
 
 
 def is_at_goal(scene: Scene, i: int) -> bool:
@@ -271,12 +307,14 @@ def moved_poses(
 def apply_action(scene: Scene, action: Action) -> Scene:
     """Deterministic transition model: the planner's prediction of an action.
 
-    The action is validated first, and the result is a fully validated
-    scene without a footprint cache (see ``moved_poses`` for the motion).
-    Infeasible actions raise instead.
+    The action is validated first; infeasible actions raise
+    InfeasibleActionError.  The result is built by ``Scene.with_moved`` (see
+    ``moved_poses`` for the motion), so it carries a cache and only the moved
+    objects are checked again.  A result that fails that check raises
+    InvalidSceneError, as construction would.
     """
     moves = validate_action(scene, action)
-    poses = list(scene.current)
-    for i, pose in moved_poses(scene, action, moves or ()):
-        poses[i] = pose
-    return replace(scene, current=tuple(poses))
+    try:
+        return scene.with_moved(moved_poses(scene, action, moves or ()))
+    except InfeasibleActionError as e:
+        raise InvalidSceneError(f"the outcome of a validated action is invalid: {e}") from None

@@ -12,7 +12,7 @@ slight wobble of pushed objects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -22,6 +22,7 @@ from .scene import (
     Action,
     Arrangement,
     InfeasibleActionError,
+    InvalidSceneError,
     PickPlace,
     Scene,
     blockers_of,
@@ -64,6 +65,13 @@ NO_NOISE = NoiseConfig(enabled=False)
 
 def _lat_interval(r: Rect, side: Side) -> tuple[float, float]:
     return (r.lo.y, r.hi.y) if side.horizontal else (r.lo.x, r.hi.x)
+
+
+def _rect_at(scene: Scene, poses: list[Vec2], k: int) -> Rect:
+    """Footprint of object ``k`` at ``poses[k]``: the scene's own while it is unmoved."""
+    if poses[k] is scene.current[k]:
+        return scene.footprint(k)
+    return rect_from_center(poses[k], scene.objects[k].half)
 
 
 @dataclass(slots=True)
@@ -165,21 +173,17 @@ def _relax_off_table(
     the chain so no overlap is introduced.  Emits LeftTable per clamped object."""
     wall = axis_extent(scene.workspace, side)[1] - EDGE_REST_INSET
     clamped: set[int] = set()
-
-    def rect_of(j: int) -> Rect:
-        return rect_from_center(poses[j], scene.objects[j].half)
-
     for _ in range(4 * max(1, len(moved))):
         changed = False
-        for j in sorted(moved, key=lambda j: -axis_extent(rect_of(j), side)[0]):
-            r = rect_of(j)
+        for j in sorted(moved, key=lambda j: -axis_extent(_rect_at(scene, poses, j), side)[0]):
+            r = _rect_at(scene, poses, j)
             near, far = axis_extent(r, side)
             jlo, jhi = _lat_interval(r, side)
             limit = wall
             for k in range(scene.n):
                 if k == j or k == target:
                     continue
-                rk = rect_of(k)
+                rk = _rect_at(scene, poses, k)
                 knear = axis_extent(rk, side)[0]
                 klo, khi = _lat_interval(rk, side)
                 if klo < jhi and jlo < khi and knear >= near:
@@ -202,9 +206,9 @@ def _resolve_residual_overlaps(scene: Scene, poses: list[Vec2], moved: list[int]
     for _ in range(len(moved) + 1):
         conflict = None
         for j in moved:
-            rj = rect_from_center(poses[j], scene.objects[j].half)
+            rj = _rect_at(scene, poses, j)
             for k in range(scene.n):
-                if k != j and overlaps(rj, rect_from_center(poses[k], scene.objects[k].half)):
+                if k != j and overlaps(rj, _rect_at(scene, poses, k)):
                     conflict = j
                     break
             if conflict is not None:
@@ -219,8 +223,7 @@ def _resolve_residual_overlaps(scene: Scene, poses: list[Vec2], moved: list[int]
         for k in range(scene.n):
             if k == j:
                 continue
-            rk = rect_from_center(poses[k], scene.objects[k].half)
-            klo, khi = _lat_interval(rk, side)
+            klo, khi = _lat_interval(_rect_at(scene, poses, k), side)
             candidates.extend((khi + hw, klo - hw))
         box = _clamp_box(scene)
         blo, bhi = _lat_interval(box, side)
@@ -230,11 +233,7 @@ def _resolve_residual_overlaps(scene: Scene, poses: list[Vec2], moved: list[int]
                 continue
             pose = Vec2(poses[j].x, c) if side.horizontal else Vec2(c, poses[j].y)
             r = rect_from_center(pose, half)
-            if not any(
-                overlaps(r, rect_from_center(poses[k], scene.objects[k].half))
-                for k in range(scene.n)
-                if k != j
-            ):
+            if not any(overlaps(r, _rect_at(scene, poses, k)) for k in range(scene.n) if k != j):
                 ok.append(pose)
                 break
         if not ok:
@@ -260,17 +259,26 @@ def _settle_with_noise(
     while True:
         cand, clipped = _clamp_pose(scene, obj, base + drift * t, box)
         r = rect_from_center(cand, scene.objects[obj].half)
-        free = not any(
-            overlaps(r, rect_from_center(poses[k], scene.objects[k].half))
-            for k in range(scene.n)
-            if k != obj
-        )
+        free = not any(overlaps(r, _rect_at(scene, poses, k)) for k in range(scene.n) if k != obj)
         if free:
             poses[obj] = cand
             return clipped
         if t < 1e-6:
             return False
         t /= 2.0
+
+
+def _outcome(scene: Scene, poses: list[Vec2]) -> Scene:
+    """``scene`` with ``poses``, built by ``Scene.with_moved`` from the poses that changed.
+
+    Raises InvalidSceneError when a moved object leaves the table or overlaps
+    another, as construction would: the physics must never produce that.
+    """
+    moves = [(k, pose) for k, pose in enumerate(poses) if pose is not scene.current[k]]
+    try:
+        return scene.with_moved(moves)
+    except InfeasibleActionError as e:
+        raise InvalidSceneError(f"simulated outcome is invalid: {e}") from None
 
 
 def simulate(
@@ -285,7 +293,9 @@ def simulate(
     float noise) for any admissible push.  Unsafe pushes are simulated, not
     rejected: extra contacts surface as SecondaryContact events and anything
     driven off the table is clamped just inside the edge with a LeftTable
-    event.  The returned scene is always valid.
+    event.  The returned scene is always valid: only the objects whose pose
+    changed are checked, and one that fails raises InvalidSceneError.  It
+    carries a cache (``Scene.with_moved``).
 
     Raises InfeasibleActionError for a pre-push pose whose footprint collides
     or hangs off the table, and for an occupied PickPlace destination.
@@ -307,7 +317,7 @@ def simulate(
             )
             # Placement error stays on the table but may rest flush at the edge.
             _settle_with_noise(scene, poses, action.object, drift, scene.workspace)
-        return replace(scene, current=tuple(poses)), []
+        return _outcome(scene, poses), []
 
     target = action.object
     side = action.side
@@ -357,4 +367,4 @@ def simulate(
                     SimEvent(SimEventKind.LEFT_TABLE, j, "noise drift reached the table edge; clamped")
                 )
 
-    return replace(scene, current=tuple(poses)), events
+    return _outcome(scene, poses), events

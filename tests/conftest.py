@@ -1,4 +1,4 @@
-"""Shared fixtures: canonical layouts and random-proposal streams."""
+"""Shared fixtures: canonical layouts, random-proposal streams and cache checks."""
 
 import itertools
 
@@ -9,9 +9,9 @@ settings.register_profile("suite", derandomize=True, deadline=None, max_examples
 settings.load_profile("suite")
 
 from pushplan.bench import generate_scene
-from pushplan.geometry import HalfDims, Rect, Vec2
+from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
 from pushplan.primitives import select_push
-from pushplan.scene import ObjectSpec, Scene, blockers_of, unsatisfied_ids
+from pushplan.scene import ObjectSpec, Scene, blockers_of, satisfied_count, unsatisfied_ids
 from pushplan.seeding import derive_seed
 
 
@@ -108,3 +108,25 @@ def iter_admissible_proposals(tag: str):
 
 def take_proposals(tag: str, count: int):
     return list(itertools.islice(iter_admissible_proposals(tag), count))
+
+
+def has_cache(scene: Scene) -> bool:
+    return (
+        scene._footprints is not None
+        or scene._goal_footprints is not None
+        or scene._unsatisfied is not None
+    )
+
+
+def plain_twin(scene: Scene) -> Scene:
+    return Scene(scene.workspace, scene.objects, scene.current, scene.goal, scene.tolerance)
+
+
+def assert_cache_exact(scene: Scene) -> None:
+    assert scene._footprints is not None and scene._goal_footprints is not None
+    for i in range(scene.n):
+        assert scene.footprint(i) == rect_from_center(scene.current[i], scene.objects[i].half)
+        assert scene.goal_footprint(i) == rect_from_center(scene.goal[i], scene.objects[i].half)
+    twin = plain_twin(scene)
+    assert scene._unsatisfied == tuple(unsatisfied_ids(twin))
+    assert satisfied_count(scene) == satisfied_count(twin)

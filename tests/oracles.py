@@ -14,13 +14,17 @@ coordinates: sc = sign * coord, so "forward" is always increasing sc.
 written: one ``Rect`` and one ``overlaps`` call per obstacle and draw.
 ``placement_free`` is the original placement rule, the reference every
 caller of ``scene.placement_conflict`` is held to.
+``replace_successor`` is the original transition model, which rebuilds the
+successor through ``Scene.__post_init__``'s full check of every pair; the
+incremental successors of ``apply_action`` and ``simulate`` are held to it.
 """
 
 import random
+from dataclasses import replace
 from typing import Optional
 
 from pushplan.geometry import Side, Vec2, contains, overlaps, rect_from_center
-from pushplan.scene import Scene, unsatisfied_ids
+from pushplan.scene import Action, Scene, moved_poses, unsatisfied_ids, validate_action
 
 STEP = 0.001
 MARGIN = 0.01
@@ -211,3 +215,12 @@ def placement_free(scene: Scene, obj: int, dest: Vec2) -> bool:
     if not contains(scene.workspace, r):
         return False
     return not any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj)
+
+
+def replace_successor(scene: Scene, action: Action) -> Scene:
+    """``apply_action`` as first written: validate, move, rebuild with ``replace``."""
+    moves = validate_action(scene, action)
+    poses = list(scene.current)
+    for i, pose in moved_poses(scene, action, moves or ()):
+        poses[i] = pose
+    return replace(scene, current=tuple(poses))

@@ -2,13 +2,18 @@
 byte-stable rendering.  Commands run in-process through main()."""
 
 import json
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pushplan import Rect, Scene, Vec2, scene_to_json
+from pushplan import cli, render
+from pushplan.bench import BenchConfig, BenchVariant, run_benchmark, write_benchmark_outputs
 from pushplan.cli import main
 
 from conftest import make_swap_scene
@@ -270,6 +275,12 @@ class TestRenderCommand:
         assert [el.get("fill") for el in filled] == [injected, injected]
         assert [el.text for el in elements if el.text and "<" in el.text] == ["a < b & c"]
 
+    @given(st.text())
+    def test_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape
+
+        assert render._escape(text) == escape(text)
+
     def test_frames_require_plan(self, swap_file, tmp_path, capsys):
         rc = main(["render", swap_file, "--frames", str(tmp_path / "f")])
         assert rc == 1
@@ -325,6 +336,28 @@ class TestBenchCommand:
         capsys.readouterr()
         for name in ("records.csv", "summary.json", "summary.csv", "charts.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_existing_file_as_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_sweep)
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        rc = main(self.ARGS + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{out}: File exists" in err and "Traceback" not in err
+        assert out.read_text() == "keep"
+
+    def test_variant_names_are_escaped_in_charts(self, tmp_path):
+        cfg = BenchConfig(object_counts=(3,), scenes_per_count=2, runs_per_scene=1,
+                          variants=(BenchVariant("a<b", True),), max_expansions=300,
+                          time_budget_s=None)
+        write_benchmark_outputs(cfg, run_benchmark(cfg), tmp_path)
+        doc = xml.dom.minidom.parse(str(tmp_path / "charts.svg"))
+        texts = [t.firstChild.data for t in doc.getElementsByTagName("text") if t.firstChild]
+        assert "a<b" in texts
 
     def test_unknown_bench_field(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"

@@ -1,0 +1,181 @@
+"""Incremental successors against the replace-based oracle.
+
+``apply_action`` and ``simulate`` build their result with ``Scene.with_moved``:
+only the objects whose pose changed are checked, and every other footprint
+is shared with the input.  ``oracles.replace_successor`` rebuilds the
+successor through the constructor's check of every pair.  These tests hold
+the two to equal, hash-equal and repr-equal scenes with exact caches, on
+plain and cached inputs, with and without noise, along noisy executions and
+dense random walks.  They also check that a physics outcome that fails the
+check still raises InvalidSceneError, and that execution reports keep one
+plain scene per observed state.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from conftest import assert_cache_exact, has_cache, plain_twin
+from oracles import replace_successor
+from pushplan.bench import generate_scene
+from pushplan.executor import execute
+from pushplan.geometry import HalfDims, Rect, Side, Vec2
+from pushplan.planner import Plan, PlannerConfig, recommend_action
+from pushplan.primitives import PushProposal
+from pushplan.scene import InvalidSceneError, ObjectSpec, PushPlace, Scene, apply_action, unsatisfied_ids
+from pushplan.seeding import derive_seed
+from pushplan.simulator import NO_NOISE, NoiseConfig, SimEventKind, simulate
+
+import pushplan.executor as executor_mod
+import pushplan.simulator as simulator_mod
+
+NOISE = NoiseConfig(enabled=True)
+TOL = 1e-12
+DENSE_SIZES = (0.05, 0.079)
+
+
+def assert_same(got: Scene, ref: Scene) -> None:
+    assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
+    assert_cache_exact(got)
+
+
+def check_apply(scene: Scene, action) -> None:
+    """``apply_action`` on the plain and the cached form of ``scene`` against the oracle."""
+    plain = plain_twin(scene)
+    ref = replace_successor(plain, action)
+    for s in (plain, scene.with_footprints()):
+        assert_same(apply_action(s, action), ref)
+
+
+def check_simulate(scene: Scene, action, noise: NoiseConfig, rng_state) -> Scene:
+    """``simulate`` on both forms of ``scene`` with the same draws.
+
+    Both give the same events and the scene the constructor builds from the
+    outcome's poses.  Those poses are the oracle's to float noise, each moved
+    at most one noise half-width along either axis.  Returns the outcome of
+    the cached form.
+    """
+    plain = plain_twin(scene)
+    results = []
+    for s in (plain, scene.with_footprints()):
+        rng = random.Random()
+        rng.setstate(rng_state)
+        results.append(simulate(s, action, noise, rng))
+    ref = replace(plain, current=results[0][0].current)
+    reach = max(noise.depth_sigma, noise.lateral_sigma) if noise.enabled else 0.0
+    for p, q in zip(ref.current, replace_successor(plain, action).current, strict=True):
+        assert abs(p.x - q.x) <= reach + TOL and abs(p.y - q.y) <= reach + TOL
+    for out, events in results:
+        assert_same(out, ref)
+        assert events == results[0][1]
+    return results[1][0]
+
+
+class TestSuccessorsMatchTheOracle:
+    def test_every_step_of_noisy_executions(self, monkeypatch):
+        seen = {"simulate": set(), "apply_action": set()}
+
+        def checked_simulate(scene, action, noise, rng):
+            # The executor hands its cached working scene to the physics.
+            assert scene._unsatisfied is not None
+            state = rng.getstate()
+            out, events = simulate(scene, action, noise, rng)
+            assert check_simulate(scene, action, noise, state) == out
+            seen["simulate"].add(type(action).__name__)
+            return out, events
+
+        def checked_apply(scene, action):
+            assert scene._unsatisfied is not None
+            check_apply(scene, action)
+            seen["apply_action"].add(type(action).__name__)
+            return apply_action(scene, action)
+
+        monkeypatch.setattr(executor_mod, "simulate", checked_simulate)
+        monkeypatch.setattr(executor_mod, "apply_action", checked_apply)
+        steps = 0
+        for k in range(8):
+            scene = generate_scene(8, derive_seed("successor-exec", k))
+            report = execute(scene, PlannerConfig(max_expansions=1500, seed=k), NOISE, rng=random.Random(k))
+            steps += report.total_actions
+        assert steps >= 40
+        assert seen["simulate"] == seen["apply_action"] == {"PickPlace", "PushPlace"}
+
+    @pytest.mark.parametrize("noise", [NO_NOISE, NOISE], ids=["exact", "noisy"])
+    def test_every_step_of_dense_random_walks(self, noise):
+        # Each walk follows the cached outcomes of the physics, so successors
+        # of successors are covered; every step also starts once from a plain scene.
+        cfg = PlannerConfig(max_expansions=1)
+        kinds = {"PickPlace": 0, "PushPlace": 0}
+        for k in range(14):
+            scene = generate_scene(14, derive_seed("successor-walk", k), size_range=DENSE_SIZES)
+            rng = random.Random(k)
+            state = scene
+            for _ in range(8):
+                ids = unsatisfied_ids(state)
+                if not ids:
+                    break
+                rec = recommend_action(state, ids[rng.randrange(len(ids))], cfg, rng)
+                if rec is None:
+                    continue
+                action = rec.as_action() if isinstance(rec, PushProposal) else rec
+                kinds[type(action).__name__] += 1
+                check_apply(state, action)
+                draws = random.Random(rng.getrandbits(32)).getstate()
+                state = check_simulate(state, action, noise, draws)
+        assert all(count >= 5 for count in kinds.values()), kinds
+
+
+def _edge_push() -> tuple[Scene, PushPlace]:
+    """A push that drives the blocker past the right wall; clamped back, it
+    lands on the target, and only the lateral slide of
+    ``_resolve_residual_overlaps`` frees it."""
+    half = HalfDims(0.05, 0.05)
+    scene = Scene(
+        workspace=Rect(Vec2(0, 0), Vec2(1, 1)),
+        objects=(ObjectSpec(0, half), ObjectSpec(1, half)),
+        current=(Vec2(0.2, 0.5), Vec2(0.93, 0.5)),
+        goal=(Vec2(0.89, 0.5), Vec2(0.25, 0.85)),
+    )
+    return scene, PushPlace(0, Side.RIGHT, Vec2(0.825, 0.5))
+
+
+class TestInvalidOutcome:
+    def test_unresolved_overlap_raises_invalid_scene(self, monkeypatch):
+        scene, action = _edge_push()
+        out, events = simulate(scene, action)
+        assert out.current[1].y != scene.current[1].y
+        assert SimEventKind.LEFT_TABLE in {ev.kind for ev in events}
+        monkeypatch.setattr(simulator_mod, "_resolve_residual_overlaps", lambda *args: None)
+        for s in (scene, scene.with_footprints()):
+            with pytest.raises(InvalidSceneError, match="object 0 overlaps object 1"):
+                simulate(s, action)
+
+    def test_execute_lets_it_propagate(self, monkeypatch):
+        # An InfeasibleActionError would be swallowed as a skipped step.
+        scene, action = _edge_push()
+        monkeypatch.setattr(simulator_mod, "_resolve_residual_overlaps", lambda *args: None)
+        monkeypatch.setattr(executor_mod, "plan", lambda s, cfg: Plan((action,), (), 0.0))
+        with pytest.raises(InvalidSceneError):
+            execute(scene, PlannerConfig(max_expansions=10))
+
+
+class TestReportScenes:
+    def test_one_plain_scene_per_observed_state(self):
+        for k in range(6):
+            scene = generate_scene(8, derive_seed("report-scenes", k))
+            report = execute(scene, PlannerConfig(max_expansions=1500), NOISE, rng=random.Random(k))
+            assert report.steps
+            assert report.steps[0].pre_scene is scene
+            for a, b in zip(report.steps, report.steps[1:]):
+                assert a.post_scene is b.pre_scene
+            assert report.final_scene is report.steps[-1].post_scene
+            assert not any(has_cache(s.post_scene) for s in report.steps)
+
+    def test_cached_input_is_reported_plain(self):
+        scene = generate_scene(6, derive_seed("report-scenes", "cached"))
+        cached = scene.with_footprints()
+        report = execute(cached, PlannerConfig(max_expansions=1500), NOISE, rng=random.Random(1))
+        first = report.steps[0].pre_scene
+        assert first == cached and not has_cache(first)
+        assert first.current is cached.current and first.objects is cached.objects

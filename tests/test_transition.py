@@ -1,11 +1,11 @@
 """The search's one-shot transition against the validated public path.
 
 ``planner.transition`` trusts a fresh recommendation and checks only the
-objects it moves; ``apply_action`` validates everything.  These tests hold
-the two to the same scenes, hold the cached unsatisfied ids to a plain
-recount, confine the cache to search-tree scenes, and keep it invisible to
-equality, hashing, repr and pickling.  Plan costs, made once from the
-solution path, are tested in ``test_planner.py``.
+objects it moves; ``apply_action`` validates the action first.  These
+tests hold the two to the same scenes, hold the cached unsatisfied ids to a
+plain recount, keep constructor, loader and report scenes plain, and keep
+the cache invisible to equality, hashing, repr and pickling.  Plan costs,
+made once from the solution path, are tested in ``test_planner.py``.
 """
 
 import pickle
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import make_swap_scene, take_proposals
+from conftest import assert_cache_exact, has_cache, make_swap_scene, plain_twin, take_proposals
 from pushplan.bench import generate_scene
 from pushplan.executor import execute
 from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
@@ -37,28 +37,6 @@ import pushplan.planner as planner_mod
 
 TOL = 1e-12
 DENSE_SIZES = (0.05, 0.079)
-
-
-def has_cache(scene: Scene) -> bool:
-    return (
-        scene._footprints is not None
-        or scene._goal_footprints is not None
-        or scene._unsatisfied is not None
-    )
-
-
-def plain_twin(scene: Scene) -> Scene:
-    return Scene(scene.workspace, scene.objects, scene.current, scene.goal, scene.tolerance)
-
-
-def assert_cache_exact(scene: Scene) -> None:
-    assert scene._footprints is not None and scene._goal_footprints is not None
-    for i in range(scene.n):
-        assert scene.footprint(i) == rect_from_center(scene.current[i], scene.objects[i].half)
-        assert scene.goal_footprint(i) == rect_from_center(scene.goal[i], scene.objects[i].half)
-    twin = plain_twin(scene)
-    assert scene._unsatisfied == tuple(unsatisfied_ids(twin))
-    assert satisfied_count(scene) == satisfied_count(twin)
 
 
 def check_step(scene: Scene, rec):
@@ -177,16 +155,21 @@ class TestIncrementalCheck:
 
 class TestCacheScope:
     def test_public_entry_points_return_plain_scenes(self):
+        # Constructor and loader scenes are plain; successors carry exact caches.
         scene = make_swap_scene()
         cached = scene.with_footprints()
         push = select_push(scene, 0).as_action()
         assert not has_cache(scene)
-        assert not has_cache(apply_action(cached, push))
-        assert not has_cache(apply_action(scene, push))
-        assert not has_cache(simulate(cached, push)[0])
-        assert not has_cache(simulate(cached, push, NoiseConfig(enabled=True), random.Random(3))[0])
         assert not has_cache(scene_from_dict(scene_to_dict(cached)))
         assert cached._unsatisfied == (0, 1)
+        for successor in (
+            apply_action(cached, push),
+            apply_action(scene, push),
+            simulate(cached, push)[0],
+            simulate(scene, push)[0],
+            simulate(cached, push, NoiseConfig(enabled=True), random.Random(3))[0],
+        ):
+            assert_cache_exact(successor)
 
     def test_execution_reports_hold_plain_scenes(self):
         scene = generate_scene(6, derive_seed("cache-scope", "exec"))
