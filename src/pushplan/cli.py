@@ -116,7 +116,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
             frames.append((step.post_scene, f"step {i}{' (skipped)' if step.skipped else ''}", gripper))
         _write_frames(args.frames, RenderStyle(show_gripper=True), frames)
     status = report.terminated_by.value
-    print(f"execution: {report.total_actions} actions, "
+    print(f"execution: {report.total_actions} actions, {report.plan_rounds} plan rounds, "
           f"{report.success_rate:.0%} at goal, terminated by {status}", file=sys.stderr)
     return 0 if report.terminated_by is TerminationReason.ALL_AT_GOAL else 2
 

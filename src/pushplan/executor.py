@@ -2,9 +2,14 @@
 
 Each cycle compares the observed arrangement with what the transition model
 predicted for the previous action.  While they agree (which under zero noise
-is always), the remainder of the current plan is still exact and is followed;
-any deviation triggers a fresh plan from the observed state.  Only the first
-action of whatever plan is current ever gets executed.
+is always), the remainder of the current plan is still exact and is followed
+as it is.  After a deviation the remainder is re-derived from the observed
+state (``rederive_tail``): placements keep their destinations, pushes keep
+their sides and get fresh blockers and pre-push poses, and every action is
+validated in turn.  The tail is kept when all of it is feasible and it still
+ends with every object within tolerance; otherwise a fresh plan is made from
+the observed state.  Only the first action of whatever plan is current ever
+gets executed.
 
 The loop works on a cached scene (``Scene.with_footprints``): planning,
 simulation, prediction and the goal count all read its footprints and
@@ -18,13 +23,23 @@ the next step's ``pre_scene``.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
 from .metrics import EEState, travel_cost
 from .planner import Plan, PlannerConfig, plan
-from .scene import Action, InfeasibleActionError, Scene, apply_action, satisfied_count
+from .primitives import push_on_side
+from .scene import (
+    Action,
+    InfeasibleActionError,
+    PushPlace,
+    Scene,
+    apply_action,
+    blockers_of,
+    satisfied_count,
+)
 from .seeding import derive_seed
 from .simulator import NO_NOISE, NoiseConfig, SimEvent, SimEventKind, simulate
 
@@ -32,12 +47,13 @@ from .simulator import NO_NOISE, NoiseConfig, SimEvent, SimEventKind, simulate
 # reporting the robot-time proxy.  Seconds, with travel counted 1 m : 1 s.
 ACTION_OVERHEAD_S = 2.0
 
-# A first action can only be invalidated between planning and execution by
-# noise; after this many consecutive skips the trial is abandoned.
+# A skip means the simulator rejected an action the model accepted; after
+# this many consecutive skips the trial is abandoned.
 MAX_CONSECUTIVE_SKIPS = 3
 
 # Observed poses matching the model prediction closer than this mean the
-# previous plan is still exact.  Meters.
+# previous plan's tail is still exact and is kept without re-deriving it;
+# any larger deviation sends the tail through ``rederive_tail``.  Meters.
 PREDICTION_TOL = 1e-12
 
 
@@ -67,12 +83,46 @@ class ExecutionReport:
     robot_time_proxy: float
     terminated_by: TerminationReason
     final_scene: Scene
+    # ``plan()`` calls made in the trial.
+    plan_rounds: int
 
 
 def _poses_match(a: Scene, b: Scene, tol: float = PREDICTION_TOL) -> bool:
     return all(
         abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol for p, q in zip(a.current, b.current)
     )
+
+
+def rederive_tail(scene: Scene, actions: Sequence[Action]) -> Optional[tuple[list[Action], Scene]]:
+    """The remaining ``actions`` re-derived from ``scene``, with the first one's outcome.
+
+    A PickPlace keeps its destination.  A PushPlace keeps its side and takes
+    its blockers and pre-push pose from the scene it now starts in, with the
+    planning edge margin (``push_on_side``).  Each re-derived action is
+    validated and applied by ``apply_action``, so the returned scene is the
+    model's prediction for the first action.  Returns None when an action is
+    inadmissible or infeasible, or when the last one leaves an object outside
+    tolerance (the tail no longer reaches the goal), and for an empty tail.
+    """
+    tail: list[Action] = []
+    successors: list[Scene] = []
+    state = scene
+    for action in actions:
+        if isinstance(action, PushPlace):
+            blockers = sorted(blockers_of(state, action.object))
+            proposal = push_on_side(state, action.object, blockers, action.side) if blockers else None
+            if proposal is None:
+                return None
+            action = proposal.as_action()
+        try:
+            state = apply_action(state, action)
+        except InfeasibleActionError:
+            return None
+        tail.append(action)
+        successors.append(state)
+    if not tail or satisfied_count(state) != state.n:
+        return None
+    return tail, successors[0]
 
 
 def execute(
@@ -84,9 +134,11 @@ def execute(
 ) -> ExecutionReport:
     """Run the plan-act-observe loop until done, stuck, or out of budget.
 
-    ``step_budget`` caps executed actions.  Each replanning round uses a seed
+    ``step_budget`` caps executed actions.  Each planning round uses a seed
     derived from the trial seed and the round index, so a whole trial is a
-    deterministic function of (scene, planner_cfg, noise, rng state).
+    deterministic function of (scene, planner_cfg, noise, rng state).  A new
+    plan is made at the start, after a skip, and whenever the current plan's
+    tail fails ``rederive_tail`` from the observed state.
     """
     if rng is None:
         rng = random.Random(0)
@@ -113,7 +165,12 @@ def execute(
             terminated = TerminationReason.STEP_BUDGET
             break
 
-        if not (pending and predicted is not None and _poses_match(current, predicted)):
+        # The model's outcome of ``pending[0]`` from ``current``, when already known.
+        prediction: Optional[Scene] = None
+        if pending and not _poses_match(current, predicted):
+            rederived = rederive_tail(current, pending)
+            pending, prediction = rederived if rederived is not None else ([], None)
+        if not pending:
             cfg = replace(planner_cfg, seed=derive_seed(trial_seed, "plan", plan_rounds))
             plan_rounds += 1
             result: Optional[Plan] = plan(current, cfg)
@@ -121,14 +178,13 @@ def execute(
                 terminated = TerminationReason.PLANNING_FAILURE
                 break
             pending = list(result.actions)
-            predicted = None
 
         action = pending[0]
         sim_rng = random.Random(derive_seed(trial_seed, "sim", len(steps)))
         try:
             nxt, events = simulate(current, action, noise, sim_rng)
         except InfeasibleActionError as e:
-            # Noise invalidated a held-over action between cycles; replan.
+            # The simulator rejected an action the model accepted; replan.
             steps.append(
                 StepRecord(
                     planned_plan_length=len(pending),
@@ -141,7 +197,6 @@ def execute(
                 )
             )
             pending = []
-            predicted = None
             skips_in_row += 1
             if skips_in_row >= MAX_CONSECUTIVE_SKIPS:
                 terminated = TerminationReason.PLANNING_FAILURE
@@ -151,7 +206,7 @@ def execute(
         skips_in_row = 0
         # apply_action validates the action as it predicts the outcome, so the
         # travel is costed without validating it again.
-        predicted = apply_action(current, action)
+        predicted = prediction if prediction is not None else apply_action(current, action)
         bd, ee = travel_cost(current, action, ee, 1.0)
         travel += bd.approach + bd.pick + bd.transfer
         pending = pending[1:]
@@ -179,4 +234,5 @@ def execute(
         robot_time_proxy=travel + ACTION_OVERHEAD_S * total_actions,
         terminated_by=terminated,
         final_scene=observed,
+        plan_rounds=plan_rounds,
     )

@@ -110,7 +110,7 @@ def recommend_action(
     if not blockers:
         return PickPlace(obj, scene.goal[obj])
     if cfg.push_enabled:
-        proposal = select_push(scene, obj)
+        proposal = select_push(scene, obj, blockers=blockers)
         if proposal is not None:
             return proposal
     b = blockers[rng.randrange(len(blockers))]

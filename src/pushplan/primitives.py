@@ -179,17 +179,42 @@ def _evaluate_side(
     return PushProposal(target, side, p0, tuple(moves)), ""
 
 
-def select_push(scene: Scene, target: int, stats: Optional[PushStats] = None) -> Optional[PushProposal]:
+def push_on_side(
+    scene: Scene,
+    target: int,
+    blockers: Sequence[int],
+    side: Side,
+    stats: Optional[PushStats] = None,
+) -> Optional[PushProposal]:
+    """The push of ``target`` along ``side`` as planning admits it, or None.
+
+    ``blockers`` are ``target``'s, ascending and not empty.  Every pushed
+    blocker must end ``DEFAULT_EDGE_MARGIN`` from the table edges.
+    """
+    proposal, _ = _evaluate_side(scene, target, blockers, side, DEFAULT_EDGE_MARGIN, stats)
+    return proposal
+
+
+def select_push(
+    scene: Scene,
+    target: int,
+    stats: Optional[PushStats] = None,
+    *,
+    blockers: Optional[Sequence[int]] = None,
+) -> Optional[PushProposal]:
     """First admissible push for ``target``, trying sides in ``DEFAULT_SIDE_ORDER``.
 
-    Returns None when no side is admissible.  Raises ValueError when the
-    target's goal region has no blockers (there is nothing to push).
+    ``blockers`` are ``target``'s, ascending, for a caller that has them
+    already; they are derived from ``scene`` when omitted.  Returns None when
+    no side is admissible.  Raises ValueError when the target's goal region
+    has no blockers (there is nothing to push).
     """
-    blockers = sorted(blockers_of(scene, target))
+    if blockers is None:
+        blockers = sorted(blockers_of(scene, target))
     if not blockers:
         raise ValueError(f"object {target} has no blockers; a plain placement suffices")
     for side in DEFAULT_SIDE_ORDER:
-        proposal, _ = _evaluate_side(scene, target, blockers, side, DEFAULT_EDGE_MARGIN, stats)
+        proposal = push_on_side(scene, target, blockers, side, stats)
         if proposal is not None:
             return proposal
     return None

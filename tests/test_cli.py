@@ -192,6 +192,8 @@ class TestExecuteCommand:
         doc = json.loads(captured.out)
         assert doc["terminated_by"] == "all_at_goal"
         assert doc["total_actions"] == 2
+        assert "plan_rounds" not in doc
+        assert "2 actions, 1 plan rounds," in captured.err
         assert "terminated by all_at_goal" in captured.err
 
     def test_step_budget_failure_exits_2(self, swap_file, capsys):

@@ -1,5 +1,5 @@
 """Closed-loop executor tests: zero-noise behaviour, noisy determinism,
-termination reasons, and skip bookkeeping."""
+termination reasons, skip bookkeeping, and keeping the plan tail."""
 
 import random
 from dataclasses import replace
@@ -11,21 +11,28 @@ from pushplan import (
     HalfDims,
     NoiseConfig,
     ObjectSpec,
+    PickPlace,
     PlannerConfig,
+    PushPlace,
     Rect,
     Scene,
+    Side,
     TerminationReason,
     Vec2,
     action_cost,
     apply_action,
     execute,
+    plan,
+    validate_action,
 )
 from pushplan.executor import (
     ACTION_OVERHEAD_S,
     MAX_CONSECUTIVE_SKIPS,
+    rederive_tail,
 )
 from pushplan.io import report_to_dict
-from pushplan.scene import InfeasibleActionError, satisfied_count
+from pushplan.primitives import push_on_side
+from pushplan.scene import InfeasibleActionError, blockers_of, satisfied_count
 from pushplan.bench import generate_scene
 from pushplan.seeding import derive_seed
 
@@ -247,3 +254,152 @@ class TestReportDict:
         doc = report_to_dict(execute(swap_scene, CFG))
         assert all(s["skipped"] and "injected" in s["note"] for s in doc["steps"])
         assert all(s["executed_action"] is None for s in doc["steps"])
+
+
+def _walled_swap_scene():
+    """The swap plus an object with a free goal and a wall behind the push.
+
+    Object 0 pushes object 1 off its goal along ``Side.LEFT`` from a pre-push
+    pose that ends 5 mm short of the wall (object 3, at its goal); object 2
+    only needs a placement.
+    """
+    objs = tuple(ObjectSpec(i, HalfDims(0.05, 0.05)) for i in range(4))
+    current = (Vec2(0.35, 0.5), Vec2(0.65, 0.5), Vec2(0.2, 0.2), Vec2(0.86, 0.5))
+    goal = (Vec2(0.65, 0.5), Vec2(0.35, 0.5), Vec2(0.2, 0.8), Vec2(0.86, 0.5))
+    return Scene(Rect(Vec2(0, 0), Vec2(1, 1)), objs, current, goal, 0.005)
+
+
+def _perturb_first_step(monkeypatch, perturb):
+    """Patch the executor's ``simulate`` so that ``perturb(outcome, action)``
+    replaces the outcome of the first executed action."""
+    real = executor_mod.simulate
+    calls = []
+
+    def patched(scene, action, noise, rng):
+        nxt, events = real(scene, action, noise, rng)
+        calls.append(action)
+        if len(calls) == 1:
+            nxt = perturb(nxt, action)
+        return nxt, events
+
+    monkeypatch.setattr(executor_mod, "simulate", patched)
+
+
+def _record_plan_scenes(monkeypatch):
+    """Patch the executor's ``plan`` to record the scene of every call."""
+    real = executor_mod.plan
+    scenes = []
+
+    def recording(scene, cfg):
+        scenes.append(scene)
+        return real(scene, cfg)
+
+    monkeypatch.setattr(executor_mod, "plan", recording)
+    return scenes
+
+
+class TestPlanTail:
+    NOISE = NoiseConfig(enabled=True)
+
+    def test_unperturbed_tail_is_rederived_bit_for_bit(self):
+        pushes = 0
+        for scene in _unsolved_scenes("tail-exact", 12, (6, 9)):
+            p = plan(scene, CFG)
+            if p is None:
+                continue
+            state = scene
+            for k, action in enumerate(p.actions):
+                tail, first = rederive_tail(state, p.actions[k:])
+                assert tail == list(p.actions[k:])
+                assert [repr(a) for a in tail] == [repr(a) for a in p.actions[k:]]
+                state = apply_action(state, action)
+                assert first == state
+                pushes += isinstance(action, PushPlace)
+        assert pushes > 0
+
+    def test_empty_or_unfinished_tail_is_rejected(self, swap_scene):
+        p = plan(swap_scene, PlannerConfig(max_expansions=3000, seed=0))
+        assert rederive_tail(swap_scene, ()) is None
+        # The first action alone leaves the other object off its goal.
+        assert rederive_tail(swap_scene, p.actions[:1]) is None
+
+    def test_noisy_trials_keep_their_tails_and_stay_feasible(self):
+        rounds = []
+        for k, scene in enumerate(_unsolved_scenes("tail-noise", 8, (8, 8))):
+            report = execute(scene, CFG, noise=self.NOISE, rng=random.Random(k))
+            assert report.terminated_by is TerminationReason.ALL_AT_GOAL
+            assert not any(step.skipped for step in report.steps)
+            for step in report.steps:
+                validate_action(step.pre_scene, step.executed_action)
+            rounds.append(report.plan_rounds)
+        assert sum(rounds) / len(rounds) < 2
+
+    def test_zero_noise_plans_once(self, swap_scene):
+        assert execute(swap_scene, CFG).plan_rounds == 1
+        for scene in _unsolved_scenes("tail-once", 6, (6, 8)):
+            report = execute(scene, CFG)
+            assert report.terminated_by is TerminationReason.ALL_AT_GOAL
+            assert report.plan_rounds == 1
+
+    def test_placed_object_outside_tolerance_forces_a_replan(self, swap_scene, monkeypatch):
+        exact = execute(swap_scene, CFG)
+        assert exact.plan_rounds == 1
+        planned_tail = [s.executed_action for s in exact.steps[1:]]
+        seen = {}
+
+        def displace(nxt, action):
+            # Move the object just placed 3 tolerances off its goal, keeping the scene valid.
+            obj = action.object
+            pose = nxt.current[obj]
+            for step in (Vec2(-0.015, 0.0), Vec2(0.0, 0.015), Vec2(0.0, -0.015), Vec2(0.015, 0.0)):
+                try:
+                    moved = nxt.with_moved([(obj, pose + step)])
+                except InfeasibleActionError:
+                    continue
+                seen["scene"] = moved
+                return moved
+            raise AssertionError("no free pose near the placed object")
+
+        _perturb_first_step(monkeypatch, displace)
+        planned_from = _record_plan_scenes(monkeypatch)
+        report = execute(swap_scene, CFG)
+        assert report.plan_rounds == 2
+        # The replan starts from the displaced observation, before the tail runs.
+        assert planned_from[1] == seen["scene"]
+        assert report.terminated_by is TerminationReason.ALL_AT_GOAL
+        # The planned tail is still feasible; it is rejected for its end state.
+        state = seen["scene"]
+        for action in planned_tail:
+            state = apply_action(state, action)
+        assert satisfied_count(state) < state.n
+        assert rederive_tail(seen["scene"], planned_tail) is None
+
+    def test_blocker_nudged_off_the_planned_side_forces_a_replan(self, monkeypatch):
+        scene = _walled_swap_scene()
+        push = PushPlace(0, Side.LEFT, Vec2(0.755, 0.5))
+        for seed in range(40):
+            report = execute(scene, CFG, rng=random.Random(seed))
+            actions = [s.executed_action for s in report.steps]
+            if isinstance(actions[0], PickPlace) and actions[0].object == 2 and actions[1].object == 0:
+                break
+        else:
+            raise AssertionError("no trial placed object 2 before pushing object 0")
+        assert report.plan_rounds == 1
+        assert actions[1].side is push.side
+        assert (actions[1].pre_push - push.pre_push).norm() < 1e-12
+        seen = {}
+
+        def nudge(nxt, action):
+            # Object 1 still blocks object 0's goal, but the pre-push pose now overlaps the wall.
+            seen["scene"] = nxt.with_moved([(1, nxt.current[1] + Vec2(0.01, 0.0))])
+            return seen["scene"]
+
+        _perturb_first_step(monkeypatch, nudge)
+        planned_from = _record_plan_scenes(monkeypatch)
+        nudged = execute(scene, CFG, rng=random.Random(seed))
+        assert planned_from[1] == seen["scene"]
+        assert sorted(blockers_of(seen["scene"], 0)) == [1]
+        assert push_on_side(seen["scene"], 0, [1], Side.LEFT) is None
+        assert rederive_tail(seen["scene"], actions[1:]) is None
+        assert nudged.plan_rounds == 2
+        assert nudged.terminated_by is TerminationReason.ALL_AT_GOAL

@@ -7,6 +7,8 @@ needs at least three.  Nothing here asserts cost optimality; the search is
 anytime and returns the first full solution.
 """
 
+import random
+
 import pytest
 
 from pushplan import (
@@ -22,7 +24,9 @@ from pushplan import (
 )
 from pushplan.io import SceneFormatError, plan_from_dict, plan_to_dict
 from pushplan.metrics import EEState, action_cost
-from pushplan.scene import satisfied_count
+from pushplan.planner import recommend_action
+from pushplan.primitives import PushProposal, select_push
+from pushplan.scene import blockers_of, satisfied_count
 from pushplan.bench import generate_scene
 from pushplan.seeding import derive_seed
 
@@ -112,6 +116,38 @@ class TestSoundness:
             if p is None:
                 continue
             assert all(isinstance(a, PickPlace) for a in p.actions)
+
+
+class TestRecommendation:
+    def test_an_accepted_push_derives_the_blockers_once(self, swap_scene, monkeypatch):
+        import pushplan.planner as planner_mod
+        import pushplan.primitives as primitives_mod
+        import pushplan.scene as scene_mod
+
+        real = scene_mod.blockers_of
+        calls = []
+
+        def counting(scene, target):
+            calls.append(target)
+            return real(scene, target)
+
+        for module in (planner_mod, primitives_mod, scene_mod):
+            monkeypatch.setattr(module, "blockers_of", counting)
+        rec = recommend_action(swap_scene, 0, PlannerConfig(max_expansions=10), random.Random(0))
+        assert isinstance(rec, PushProposal)
+        assert calls == [0]
+        monkeypatch.undo()
+        assert rec == select_push(swap_scene, 0)
+
+    def test_select_push_with_given_blockers_matches_derived(self):
+        checked = 0
+        for scene in _solved_scenes("given-blockers", 20, (6, 9)):
+            for target in range(scene.n):
+                blockers = sorted(blockers_of(scene, target))
+                if blockers:
+                    assert select_push(scene, target, blockers=blockers) == select_push(scene, target)
+                    checked += 1
+        assert checked > 0
 
 
 class TestDeterminism:
