@@ -5,11 +5,12 @@ predicted for the previous action.  While they agree (which under zero noise
 is always), the remainder of the current plan is still exact and is followed
 as it is.  After a deviation the remainder is re-derived from the observed
 state (``rederive_tail``): placements keep their destinations, pushes keep
-their sides and get fresh blockers and pre-push poses, and every action is
-validated in turn.  The tail is kept when all of it is feasible and it still
-ends with every object within tolerance; otherwise a fresh plan is made from
-the observed state.  Only the first action of whatever plan is current ever
-gets executed.
+their sides and get fresh blockers and pre-push poses, and each action is
+admitted once, its successor built from that derivation as the planner
+builds its children.  The tail is kept when all of it is feasible and it
+still ends with every object within tolerance; otherwise a fresh plan is
+made from the observed state.  Only the first action of whatever plan is
+current ever gets executed.
 
 The loop works on a cached scene (``Scene.with_footprints``): planning,
 simulation, prediction and the goal count all read its footprints and
@@ -38,6 +39,7 @@ from .scene import (
     Scene,
     apply_action,
     blockers_of,
+    moved_poses,
     satisfied_count,
 )
 from .seeding import derive_seed
@@ -98,14 +100,19 @@ def rederive_tail(scene: Scene, actions: Sequence[Action]) -> Optional[tuple[lis
 
     A PickPlace keeps its destination.  A PushPlace keeps its side and takes
     its blockers and pre-push pose from the scene it now starts in, with the
-    planning edge margin (``push_on_side``).  Each re-derived action is
-    validated and applied by ``apply_action``, so the returned scene is the
-    model's prediction for the first action.  Returns None when an action is
-    inadmissible or infeasible, or when the last one leaves an object outside
-    tolerance (the tail no longer reaches the goal), and for an empty tail.
+    planning edge margin (``push_on_side``).  Each successor is built from
+    that derivation, as ``planner.transition`` builds it: a push from its
+    proposal's blocker moves, a placement from its destination, and only the
+    moved objects are checked (``Scene.with_moved``).  A push admitted with
+    the planning margin passes ``validate_action``, which waives the margin
+    and derives the same pre-push pose, so every successor equals
+    ``apply_action``'s and the returned scene is the model's prediction for
+    the first action.  Returns None when an action is inadmissible or
+    infeasible, or when the last one leaves an object outside tolerance (the
+    tail no longer reaches the goal), and for an empty tail.
     """
     tail: list[Action] = []
-    successors: list[Scene] = []
+    first: Optional[Scene] = None
     state = scene
     for action in actions:
         if isinstance(action, PushPlace):
@@ -113,16 +120,19 @@ def rederive_tail(scene: Scene, actions: Sequence[Action]) -> Optional[tuple[lis
             proposal = push_on_side(state, action.object, blockers, action.side) if blockers else None
             if proposal is None:
                 return None
-            action = proposal.as_action()
+            action, blocker_moves = proposal.as_action(), proposal.blocker_moves
+        else:
+            blocker_moves = ()
         try:
-            state = apply_action(state, action)
+            state = state.with_moved(moved_poses(state, action, blocker_moves))
         except InfeasibleActionError:
             return None
         tail.append(action)
-        successors.append(state)
+        if first is None:
+            first = state
     if not tail or satisfied_count(state) != state.n:
         return None
-    return tail, successors[0]
+    return tail, first
 
 
 def execute(
@@ -204,8 +214,9 @@ def execute(
             continue
 
         skips_in_row = 0
-        # apply_action validates the action as it predicts the outcome, so the
-        # travel is costed without validating it again.
+        # The action was admitted either by ``rederive_tail`` or, as
+        # apply_action predicts its outcome, by validation, so the travel is
+        # costed without validating it again.
         predicted = prediction if prediction is not None else apply_action(current, action)
         bd, ee = travel_cost(current, action, ee, 1.0)
         travel += bd.approach + bd.pick + bd.transfer

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 # ``apply_action`` and ``action_cost`` are the validated path that ``transition``
+# (and the executor's ``rederive_tail``, which builds successors the same way)
 # and the plan's costs must agree with.  The search does not call them, but they
 # stay bound here because perfbench's tracer and its tests look them up in this module.
 from .metrics import CostBreakdown, EEState, action_cost, travel_cost  # noqa: F401
@@ -139,16 +140,6 @@ def transition(scene: Scene, rec: Recommendation) -> tuple[Action, Scene]:
     return action, scene.with_moved(moved_poses(scene, action, blocker_moves))
 
 
-def _uct(child: SearchNode, log_parent_visits: float, n_objects: int) -> float:
-    # Both terms live on the per-object scale: satisfying one more object moves
-    # the mean reward by 1/N, so a bonus on the raw [0, 1] scale would drown
-    # the heuristic and flatten the search into breadth-first, which cannot
-    # reach solution depth for N >= 6 under any sane budget.
-    exploit = (child.reward_sum / child.visits) / n_objects
-    explore = EXPLORATION_C * math.sqrt(log_parent_visits / child.visits) / n_objects
-    return exploit + explore
-
-
 def _backprop(path: list[SearchNode], reward: float) -> None:
     for node in path:
         node.visits += 1
@@ -173,8 +164,21 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
         if not node.children:
             _backprop(path, float(satisfied_count(node.state)))
             return None
+        # UCT: (reward_sum / visits) / N + C * sqrt(ln(parent visits) / visits) / N.
+        # Both terms live on the per-object scale: satisfying one more object
+        # moves the mean reward by 1/N, so a bonus on the raw [0, 1] scale
+        # would drown the heuristic and flatten the search into breadth-first,
+        # which cannot reach solution depth for N >= 6 under any sane budget.
+        # Every child has been visited, so each score is finite and the first
+        # maximum wins, as with ``max``.
         log_visits = math.log(node.visits)
-        node = max(node.children, key=lambda ch: _uct(ch, log_visits, n))
+        best, best_score = node, -math.inf
+        for child in node.children:
+            visits = child.visits
+            score = (child.reward_sum / visits) / n + EXPLORATION_C * math.sqrt(log_visits / visits) / n
+            if score > best_score:
+                best, best_score = child, score
+        node = best
         path.append(node)
 
     obj = sample_unsatisfied_object(node.state, rng)

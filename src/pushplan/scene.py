@@ -9,6 +9,7 @@ supposed to do.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -169,17 +170,21 @@ class Scene:
         InfeasibleActionError otherwise.
 
         The result also caches its unsatisfied ids.  When this scene has
-        them, only the moved objects are tested against their goals.
+        them, only the moved objects are tested against their goals, and
+        each is inserted into or removed from this scene's ascending ids.
         """
         poses = list(self.current)
         rects = list(self._footprints or (self.footprint(i) for i in range(self.n)))
+        objects = self.objects
         for i, pose in moves:
             poses[i] = pose
-            rects[i] = rect_from_center(pose, self.objects[i].half)
+            # rect_from_center, inlined: this runs for every successor made.
+            half = objects[i].half
+            rects[i] = Rect(Vec2(pose.x - half.a, pose.y - half.b), Vec2(pose.x + half.a, pose.y + half.b))
         goal_rects = self._goal_footprints or tuple(self.goal_footprint(i) for i in range(self.n))
         # Bypass __post_init__: the checks below establish its invariant.
         out = _unchecked(
-            self.workspace, self.objects, tuple(poses), self.goal, self.tolerance, tuple(rects), goal_rects
+            self.workspace, objects, tuple(poses), self.goal, self.tolerance, tuple(rects), goal_rects
         )
         for i, _ in moves:
             why = placement_conflict(out, i, rects[i])
@@ -188,11 +193,15 @@ class Scene:
         if self._unsatisfied is None:
             pending = [i for i in range(self.n) if not is_at_goal(out, i)]
         else:
-            moved = {i for i, _ in moves}
-            pending = sorted(
-                [i for i in self._unsatisfied if i not in moved]
-                + [i for i in moved if not is_at_goal(out, i)]
-            )
+            pending = list(self._unsatisfied)
+            for i, _ in moves:
+                k = bisect_left(pending, i)
+                listed = k < len(pending) and pending[k] == i
+                if is_at_goal(out, i):
+                    if listed:
+                        del pending[k]
+                elif not listed:
+                    pending.insert(k, i)
         _set(out, "_unsatisfied", tuple(pending))
         return out
 
@@ -262,8 +271,11 @@ def placement_conflict(scene: Scene, obj: int, r: Rect) -> Optional[str]:
     """
     if not contains(scene.workspace, r):
         return "leaves the workspace"
-    for j in range(scene.n):
-        if j != obj and overlaps(r, scene.footprint(j)):
+    rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
+    lx, ly, hx, hy = r.lo.x, r.lo.y, r.hi.x, r.hi.y
+    # ``overlaps(r, rects[j])``, inlined: this runs for every moved object.
+    for j, o in enumerate(rects):
+        if lx < o.hi.x and o.lo.x < hx and ly < o.hi.y and o.lo.y < hy and j != obj:
             return f"overlaps object {j}"
     return None
 

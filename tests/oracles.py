@@ -17,6 +17,8 @@ caller of ``scene.placement_conflict`` is held to.
 ``replace_successor`` is the original transition model, which rebuilds the
 successor through ``Scene.__post_init__``'s full check of every pair; the
 incremental successors of ``apply_action`` and ``simulate`` are held to it.
+``replace_moved`` is its rebuilding step alone, for any set of moves; the
+incremental ``Scene.with_moved`` is held to it.
 """
 
 import random
@@ -217,10 +219,15 @@ def placement_free(scene: Scene, obj: int, dest: Vec2) -> bool:
     return not any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj)
 
 
+def replace_moved(scene: Scene, moves) -> Scene:
+    """``scene`` with each ``(object, pose)`` of ``moves`` relocated, rebuilt with ``replace``."""
+    poses = list(scene.current)
+    for i, pose in moves:
+        poses[i] = pose
+    return replace(scene, current=tuple(poses))
+
+
 def replace_successor(scene: Scene, action: Action) -> Scene:
     """``apply_action`` as first written: validate, move, rebuild with ``replace``."""
     moves = validate_action(scene, action)
-    poses = list(scene.current)
-    for i, pose in moved_poses(scene, action, moves or ()):
-        poses[i] = pose
-    return replace(scene, current=tuple(poses))
+    return replace_moved(scene, moved_poses(scene, action, moves or ()))

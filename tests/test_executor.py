@@ -256,6 +256,29 @@ class TestReportDict:
         assert all(s["executed_action"] is None for s in doc["steps"])
 
 
+def _validated_replay(scene, actions):
+    """``rederive_tail`` by the validated path: each push admitted by
+    ``push_on_side``, then every action validated and applied by ``apply_action``.
+    Returns the tail with every action's outcome, or None."""
+    tail, outcomes, state = [], [], scene
+    for action in actions:
+        if isinstance(action, PushPlace):
+            blockers = sorted(blockers_of(state, action.object))
+            proposal = push_on_side(state, action.object, blockers, action.side) if blockers else None
+            if proposal is None:
+                return None
+            action = proposal.as_action()
+        try:
+            state = apply_action(state, action)
+        except InfeasibleActionError:
+            return None
+        tail.append(action)
+        outcomes.append(state)
+    if not tail or satisfied_count(state) != state.n:
+        return None
+    return tail, outcomes
+
+
 def _walled_swap_scene():
     """The swap plus an object with a free goal and a wall behind the push.
 
@@ -316,6 +339,46 @@ class TestPlanTail:
                 assert first == state
                 pushes += isinstance(action, PushPlace)
         assert pushes > 0
+
+    def test_perturbed_tail_matches_a_validated_replay(self):
+        # From observations that nudge the object just placed, the re-derived
+        # tail and its first outcome equal a replay that admits each push with
+        # ``push_on_side`` and then validates and applies it with ``apply_action``.
+        # Half the scenes are dense, so that some pushes move two blockers.
+        nudges = [Vec2(dx, dy) for d in (0.002, 0.015) for dx, dy in ((d, 0), (-d, 0), (0, d), (0, -d))]
+        seen = {"kept": 0, "rejected": 0, "kept pushes": 0, "kept pushes of two blockers": 0}
+        for k in range(48):
+            sizes = (0.05, 0.079) if k % 2 else (0.03, 0.07)
+            scene = generate_scene(6 + k % 4, derive_seed("tail-perturbed", k), size_range=sizes)
+            p = plan(scene, CFG)
+            if p is None:
+                continue
+            state = scene.with_footprints()
+            for j in range(1, len(p.actions)):
+                state = apply_action(state, p.actions[j - 1])
+                obj = p.actions[j - 1].object
+                for nudge in nudges:
+                    try:
+                        observed = state.with_moved(((obj, state.current[obj] + nudge),))
+                    except InfeasibleActionError:
+                        continue
+                    want = _validated_replay(observed, p.actions[j:])
+                    got = rederive_tail(observed, p.actions[j:])
+                    if want is None:
+                        assert got is None
+                        seen["rejected"] += 1
+                        continue
+                    tail, outcomes = want
+                    assert got is not None
+                    assert got[0] == tail and [repr(a) for a in got[0]] == [repr(a) for a in tail]
+                    assert got[1] == outcomes[0] and repr(got[1]) == repr(outcomes[0])
+                    assert got[1]._unsatisfied == outcomes[0]._unsatisfied
+                    seen["kept"] += 1
+                    for before, action in zip([observed] + outcomes, tail):
+                        if isinstance(action, PushPlace):
+                            seen["kept pushes"] += 1
+                            seen["kept pushes of two blockers"] += len(blockers_of(before, action.object)) > 1
+        assert all(seen.values()), seen
 
     def test_empty_or_unfinished_tail_is_rejected(self, swap_scene):
         p = plan(swap_scene, PlannerConfig(max_expansions=3000, seed=0))

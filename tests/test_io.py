@@ -244,10 +244,16 @@ def test_committed_fixtures(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("golden, argv", [
-    ("plan_swap.json", ["plan", "--expansions", "3000", "--seed", "0"]),
-    ("execute_swap_noise.json", ["execute", "--expansions", "2000", "--noise", "--seed", "9"]),
+    ("plan_swap.json", ["plan", "swap.json", "--expansions", "3000", "--seed", "0"]),
+    ("execute_swap_noise.json", ["execute", "swap.json", "--expansions", "2000", "--noise", "--seed", "9"]),
+    ("execute_cluttered_noise.json",
+     ["execute", "exec_cluttered.json", "--expansions", "2000", "--noise", "--seed", "9"]),
 ])
 def test_golden_cli_outputs(capsys, golden, argv):
-    """``plan`` and ``execute`` on the swap fixture print their committed outputs byte for byte."""
-    assert main(argv[:1] + [str(FIXTURES / "swap.json")] + argv[1:]) == 0
+    """``plan`` and ``execute`` on the committed fixtures print their committed outputs byte for byte.
+
+    ``exec_cluttered.json`` is ``bench.generate_scene(8, 0, size_range=(0.05, 0.079))``, seed 0
+    being the first whose noisy execution keeps a re-derived plan tail that contains a push.
+    """
+    assert main([argv[0], str(FIXTURES / argv[1])] + argv[2:]) == 0
     assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()

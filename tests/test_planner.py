@@ -7,9 +7,12 @@ needs at least three.  Nothing here asserts cost optimality; the search is
 anytime and returns the first full solution.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pushplan import (
     PickPlace,
@@ -22,9 +25,10 @@ from pushplan import (
     plan,
     plan_cost,
 )
+from conftest import make_swap_scene
 from pushplan.io import SceneFormatError, plan_from_dict, plan_to_dict
 from pushplan.metrics import EEState, action_cost
-from pushplan.planner import recommend_action
+from pushplan.planner import EXPLORATION_C, SearchNode, recommend_action, tree_search_step
 from pushplan.primitives import PushProposal, select_push
 from pushplan.scene import blockers_of, satisfied_count
 from pushplan.bench import generate_scene
@@ -148,6 +152,55 @@ class TestRecommendation:
                     assert select_push(scene, target, blockers=blockers) == select_push(scene, target)
                     checked += 1
         assert checked > 0
+
+
+def _uct_reference(child, parent_visits, n):
+    """UCT on the per-object scale, as the planner's selection documents it."""
+    exploit = (child.reward_sum / child.visits) / n
+    return exploit + EXPLORATION_C * math.sqrt(math.log(parent_visits) / child.visits) / n
+
+
+class TestSelection:
+    """Selection descends through the child ``max`` picks under the UCT formula."""
+
+    def selected(self, scene, stats, root_visits):
+        """The child of a hand-built root that one ``tree_search_step`` visits.
+
+        The root already has as many children as widening allows, so the
+        step must select one of them; each node on the path gains a visit.
+        """
+        root = SearchNode(scene, None, None)
+        root.visits = root_visits
+        for visits, reward_sum in stats:
+            child = SearchNode(scene, root, None)
+            child.visits, child.reward_sum = visits, reward_sum
+            root.children.append(child)
+        assert len(root.children) >= max(1, math.isqrt(root_visits))
+        scores = [_uct_reference(ch, root_visits, scene.n) for ch in root.children]
+        expected = max(root.children, key=lambda ch: _uct_reference(ch, root_visits, scene.n))
+        tree_search_step(root, PlannerConfig(max_expansions=1), random.Random(0))
+        visited = [ch for ch, (v, _) in zip(root.children, stats) if ch.visits == v + 1]
+        assert len(visited) == 1
+        return visited[0], expected, root.children, scores
+
+    @given(st.data())
+    def test_random_statistics(self, data):
+        scene = make_swap_scene().with_footprints()
+        k = data.draw(st.integers(1, 6), label="children")
+        stats = []
+        for _ in range(k):
+            visits = data.draw(st.integers(1, 60))
+            stats.append((visits, float(data.draw(st.integers(0, visits * scene.n)))))
+        root_visits = data.draw(st.integers(1, (k + 1) ** 2 - 1))
+        got, expected, _, _ = self.selected(scene, stats, root_visits)
+        assert got is expected
+
+    def test_exact_tie_goes_to_the_first_child(self):
+        scene = make_swap_scene().with_footprints()
+        stats = [(4, 3.0), (9, 16.0), (3, 1.0), (9, 16.0), (2, 0.0)]
+        got, expected, children, scores = self.selected(scene, stats, 30)
+        assert scores[1] == scores[3] > max(scores[0], scores[2], scores[4])
+        assert got is expected is children[1]
 
 
 class TestDeterminism:

@@ -6,24 +6,37 @@ is shared with the input.  ``oracles.replace_successor`` rebuilds the
 successor through the constructor's check of every pair.  These tests hold
 the two to equal, hash-equal and repr-equal scenes with exact caches, on
 plain and cached inputs, with and without noise, along noisy executions and
-dense random walks.  They also check that a physics outcome that fails the
-check still raises InvalidSceneError, and that execution reports keep one
-plain scene per observed state.
+dense random walks.  ``Scene.with_moved`` itself is held to
+``oracles.replace_moved`` and ``oracles.placement_free`` on random move sets.
+They also check that a physics outcome that fails the check still raises
+InvalidSceneError, and that execution reports keep one plain scene per
+observed state.
 """
 
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import assert_cache_exact, has_cache, plain_twin
-from oracles import replace_successor
+from oracles import placement_free, replace_moved, replace_successor
 from pushplan.bench import generate_scene
 from pushplan.executor import execute
 from pushplan.geometry import HalfDims, Rect, Side, Vec2
 from pushplan.planner import Plan, PlannerConfig, recommend_action
 from pushplan.primitives import PushProposal
-from pushplan.scene import InvalidSceneError, ObjectSpec, PushPlace, Scene, apply_action, unsatisfied_ids
+from pushplan.scene import (
+    InfeasibleActionError,
+    InvalidSceneError,
+    ObjectSpec,
+    PushPlace,
+    Scene,
+    _unchecked,
+    apply_action,
+    unsatisfied_ids,
+)
 from pushplan.seeding import derive_seed
 from pushplan.simulator import NO_NOISE, NoiseConfig, SimEventKind, simulate
 
@@ -124,6 +137,75 @@ class TestSuccessorsMatchTheOracle:
                 draws = random.Random(rng.getrandbits(32)).getstate()
                 state = check_simulate(state, action, noise, draws)
         assert all(count >= 5 for count in kinds.values()), kinds
+
+
+@st.composite
+def parents_and_moves(draw):
+    """A valid scene, plain or cached, and moves of distinct objects.
+
+    A cached parent is either fresh from ``with_footprints`` or the
+    successor of up to three accepted moves to goals, so its unsatisfied
+    ids are the ones ``with_moved`` itself left, and some moves take an
+    object off its goal.  Each move goes to the object's goal, a small
+    nudge off its pose, another object's pose, or anywhere in a box a
+    little larger than the table.
+    """
+    n = draw(st.integers(2, 10))
+    sizes = draw(st.sampled_from([(0.03, 0.07), DENSE_SIZES]))
+    scene = generate_scene(n, draw(st.integers(0, 2**32 - 1)), size_range=sizes)
+    kind = draw(st.sampled_from(["plain", "cached", "successor"]))
+    if kind != "plain":
+        scene = scene.with_footprints()
+    if kind == "successor":
+        left = draw(st.integers(1, 3))
+        for i in draw(st.permutations(range(n))):
+            try:
+                scene = scene.with_moved(((i, scene.goal[i]),))
+            except InfeasibleActionError:
+                continue
+            left -= 1
+            if not left:
+                break
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True))
+    moves = []
+    for i in ids:
+        how = draw(st.sampled_from(["goal", "nudge", "other", "anywhere"]))
+        if how == "goal":
+            pose = scene.goal[i]
+        elif how == "nudge":
+            d = st.floats(-0.02, 0.02)
+            pose = scene.current[i] + Vec2(draw(d), draw(d))
+        elif how == "other":
+            pose = scene.current[(i + draw(st.integers(1, n - 1))) % n]
+        else:
+            pose = Vec2(draw(st.floats(-0.05, 1.05)), draw(st.floats(-0.05, 1.05)))
+        moves.append((i, pose))
+    return scene, tuple(moves)
+
+
+class TestWithMoved:
+    @given(parents_and_moves())
+    def test_random_moves_match_the_oracles(self, case):
+        parent, moves = case
+        poses = list(parent.current)
+        for i, pose in moves:
+            poses[i] = pose
+        # The moved arrangement, unchecked, for the reference placement rule.
+        after = _unchecked(parent.workspace, parent.objects, tuple(poses), parent.goal, parent.tolerance)
+        free = all(placement_free(after, i, pose) for i, pose in moves)
+        try:
+            out = parent.with_moved(moves)
+        except InfeasibleActionError:
+            assert not free
+            with pytest.raises(InvalidSceneError):
+                replace_moved(plain_twin(parent), moves)
+            return
+        assert free
+        assert_same(out, replace_moved(plain_twin(parent), moves))
+        if parent._footprints is not None:
+            moved = {i for i, _ in moves}
+            assert all(out._footprints[j] is parent._footprints[j] for j in range(parent.n) if j not in moved)
+            assert out._goal_footprints is parent._goal_footprints
 
 
 def _edge_push() -> tuple[Scene, PushPlace]:
