@@ -1,19 +1,15 @@
 """Closed-loop execution: plan, act once through the physics, observe, repeat.
 
-Each cycle compares the observed arrangement with what the transition model
-predicted for the previous action.  While they agree (which under zero noise
-is always), the remainder of the current plan is still exact and is followed
-as it is.  After a deviation the remainder is re-derived from the observed
+While a plan's tail is pending, each cycle re-derives it from the observed
 state (``rederive_tail``): placements keep their destinations, pushes keep
-their sides and get fresh blockers and pre-push poses, and each action is
-admitted once, its successor built from that derivation as the planner
-builds its children.  The tail is kept when all of it is feasible and it
-still ends with every object within tolerance; otherwise a fresh plan is
-made from the observed state.  Only the first action of whatever plan is
-current ever gets executed.
+their sides and get fresh blockers and pre-push poses, and each successor is
+built by the search's own ``transition``.  The tail is kept when all of it
+is feasible and it still ends with every object within tolerance; otherwise
+a fresh plan is made from the observed state.  Only the first action of
+whatever plan is current ever gets executed.
 
 The loop works on a cached scene (``Scene.with_footprints``): planning,
-simulation, prediction and the goal count all read its footprints and
+simulation, the tail replay and the goal count all read its footprints and
 unsatisfied ids, and each successor updates them for the moved objects
 only.  The report holds plain copies instead (``Scene.without_cache``),
 which share every field with the working scenes but keep no footprints
@@ -30,16 +26,15 @@ from enum import Enum
 from typing import Optional
 
 from .metrics import EEState, travel_cost
-from .planner import Plan, PlannerConfig, plan
+from .planner import Plan, PlannerConfig, plan, transition
 from .primitives import push_on_side
 from .scene import (
     Action,
     InfeasibleActionError,
     PushPlace,
     Scene,
-    apply_action,
+    apply_action,  # noqa: F401  (not called; perfbench's tests look it up here)
     blockers_of,
-    moved_poses,
     satisfied_count,
 )
 from .seeding import derive_seed
@@ -52,11 +47,6 @@ ACTION_OVERHEAD_S = 2.0
 # A skip means the simulator rejected an action the model accepted; after
 # this many consecutive skips the trial is abandoned.
 MAX_CONSECUTIVE_SKIPS = 3
-
-# Observed poses matching the model prediction closer than this mean the
-# previous plan's tail is still exact and is kept without re-deriving it;
-# any larger deviation sends the tail through ``rederive_tail``.  Meters.
-PREDICTION_TOL = 1e-12
 
 
 class TerminationReason(Enum):
@@ -89,50 +79,38 @@ class ExecutionReport:
     plan_rounds: int
 
 
-def _poses_match(a: Scene, b: Scene, tol: float = PREDICTION_TOL) -> bool:
-    return all(
-        abs(p.x - q.x) <= tol and abs(p.y - q.y) <= tol for p, q in zip(a.current, b.current)
-    )
-
-
-def rederive_tail(scene: Scene, actions: Sequence[Action]) -> Optional[tuple[list[Action], Scene]]:
-    """The remaining ``actions`` re-derived from ``scene``, with the first one's outcome.
+def rederive_tail(scene: Scene, actions: Sequence[Action]) -> Optional[list[Action]]:
+    """The remaining ``actions`` re-derived from ``scene``, or None.
 
     A PickPlace keeps its destination.  A PushPlace keeps its side and takes
     its blockers and pre-push pose from the scene it now starts in, with the
-    planning edge margin (``push_on_side``).  Each successor is built from
-    that derivation, as ``planner.transition`` builds it: a push from its
-    proposal's blocker moves, a placement from its destination, and only the
-    moved objects are checked (``Scene.with_moved``).  A push admitted with
-    the planning margin passes ``validate_action``, which waives the margin
-    and derives the same pre-push pose, so every successor equals
-    ``apply_action``'s and the returned scene is the model's prediction for
-    the first action.  Returns None when an action is inadmissible or
-    infeasible, or when the last one leaves an object outside tolerance (the
-    tail no longer reaches the goal), and for an empty tail.
+    planning edge margin (``push_on_side``).  Each successor is built by
+    ``planner.transition`` from that proposal or placement, exactly as the
+    search builds its children.  A push admitted with the planning margin
+    also passes ``validate_action``, which waives the margin and derives the
+    same pre-push pose, so every successor equals ``apply_action``'s.
+    Returns None when an action is inadmissible or infeasible, when the last
+    one leaves an object outside tolerance (the tail no longer reaches the
+    goal), and for an empty tail.
     """
     tail: list[Action] = []
-    first: Optional[Scene] = None
     state = scene
     for action in actions:
         if isinstance(action, PushPlace):
             blockers = sorted(blockers_of(state, action.object))
-            proposal = push_on_side(state, action.object, blockers, action.side) if blockers else None
-            if proposal is None:
+            move = push_on_side(state, action.object, blockers, action.side) if blockers else None
+            if move is None:
                 return None
-            action, blocker_moves = proposal.as_action(), proposal.blocker_moves
         else:
-            blocker_moves = ()
+            move = action
         try:
-            state = state.with_moved(moved_poses(state, action, blocker_moves))
+            action, state = transition(state, move)
         except InfeasibleActionError:
             return None
         tail.append(action)
-        if first is None:
-            first = state
     if not tail or satisfied_count(state) != state.n:
         return None
-    return tail, first
+    return tail
 
 
 def execute(
@@ -159,7 +137,6 @@ def execute(
     observed = scene.without_cache()
     steps: list[StepRecord] = []
     pending: list[Action] = []
-    predicted: Optional[Scene] = None
     total_actions = 0
     travel = 0.0
     ee = EEState(scene.workspace.center, scene.workspace.center)
@@ -175,11 +152,8 @@ def execute(
             terminated = TerminationReason.STEP_BUDGET
             break
 
-        # The model's outcome of ``pending[0]`` from ``current``, when already known.
-        prediction: Optional[Scene] = None
-        if pending and not _poses_match(current, predicted):
-            rederived = rederive_tail(current, pending)
-            pending, prediction = rederived if rederived is not None else ([], None)
+        if pending:
+            pending = rederive_tail(current, pending) or []
         if not pending:
             cfg = replace(planner_cfg, seed=derive_seed(trial_seed, "plan", plan_rounds))
             plan_rounds += 1
@@ -214,10 +188,8 @@ def execute(
             continue
 
         skips_in_row = 0
-        # The action was admitted either by ``rederive_tail`` or, as
-        # apply_action predicts its outcome, by validation, so the travel is
-        # costed without validating it again.
-        predicted = prediction if prediction is not None else apply_action(current, action)
+        # ``transition`` admitted the action from ``current``, in the search
+        # or in ``rederive_tail``, so the travel is costed without validation.
         bd, ee = travel_cost(current, action, ee, 1.0)
         travel += bd.approach + bd.pick + bd.transfer
         pending = pending[1:]

@@ -12,7 +12,7 @@ trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .geometry import Vec2
 from .scene import Action, PickPlace, Scene, apply_action, validate_action
@@ -66,23 +66,21 @@ def travel_cost(
     return CostBreakdown(approach, PICK_TRAVEL, transfer, lam), EEState(final, ee.home)
 
 
-def plan_cost(
-    plan: Union[Iterable[Action], "object"], start: Scene, lam: float = 1.0, home: Optional[Vec2] = None
-) -> float:
+def plan_cost(plan: Union[Iterable[Action], "object"], start: Scene) -> float:
     """Total cost of a plan, recomputed by replaying it from ``start``.
 
     ``plan`` may be a Plan or any iterable of actions.  The end-effector
-    starts at ``home`` (workspace center by default).  Raises if any action
-    is infeasible at its point in the replay.
+    starts at the workspace center.  Raises if any action is infeasible at
+    its point in the replay.
     """
     actions = getattr(plan, "actions", plan)
-    ee = EEState(home if home is not None else start.workspace.center, home or start.workspace.center)
+    ee = EEState(start.workspace.center, start.workspace.center)
     scene = start
     total = 0.0
     for action in actions:
         # apply_action validates the action, so its travel is costed unvalidated.
         nxt = apply_action(scene, action)
-        bd, ee = travel_cost(scene, action, ee, lam)
+        bd, ee = travel_cost(scene, action, ee)
         scene = nxt
         total += bd.total
     return total

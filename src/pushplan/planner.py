@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 # ``apply_action`` and ``action_cost`` are the validated path that ``transition``
-# (and the executor's ``rederive_tail``, which builds successors the same way)
-# and the plan's costs must agree with.  The search does not call them, but they
-# stay bound here because perfbench's tracer and its tests look them up in this module.
+# (which also builds the executor's re-derived tails) and the plan's costs must
+# agree with.  The search does not call them, but they stay bound here because
+# perfbench's tracer and its tests look them up in this module.
 from .metrics import CostBreakdown, EEState, action_cost, travel_cost  # noqa: F401
 from .primitives import PushProposal, sample_buffer_pose, select_push
 from .scene import (

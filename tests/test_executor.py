@@ -35,6 +35,7 @@ from pushplan.primitives import push_on_side
 from pushplan.scene import InfeasibleActionError, blockers_of, satisfied_count
 from pushplan.bench import generate_scene
 from pushplan.seeding import derive_seed
+from pushplan.simulator import NO_NOISE
 
 import pushplan.executor as executor_mod
 
@@ -332,18 +333,17 @@ class TestPlanTail:
                 continue
             state = scene
             for k, action in enumerate(p.actions):
-                tail, first = rederive_tail(state, p.actions[k:])
+                tail = rederive_tail(state, p.actions[k:])
                 assert tail == list(p.actions[k:])
                 assert [repr(a) for a in tail] == [repr(a) for a in p.actions[k:]]
                 state = apply_action(state, action)
-                assert first == state
                 pushes += isinstance(action, PushPlace)
         assert pushes > 0
 
     def test_perturbed_tail_matches_a_validated_replay(self):
         # From observations that nudge the object just placed, the re-derived
-        # tail and its first outcome equal a replay that admits each push with
-        # ``push_on_side`` and then validates and applies it with ``apply_action``.
+        # tail equals a replay that admits each push with ``push_on_side`` and
+        # then validates and applies it with ``apply_action``.
         # Half the scenes are dense, so that some pushes move two blockers.
         nudges = [Vec2(dx, dy) for d in (0.002, 0.015) for dx, dy in ((d, 0), (-d, 0), (0, d), (0, -d))]
         seen = {"kept": 0, "rejected": 0, "kept pushes": 0, "kept pushes of two blockers": 0}
@@ -369,10 +369,7 @@ class TestPlanTail:
                         seen["rejected"] += 1
                         continue
                     tail, outcomes = want
-                    assert got is not None
-                    assert got[0] == tail and [repr(a) for a in got[0]] == [repr(a) for a in tail]
-                    assert got[1] == outcomes[0] and repr(got[1]) == repr(outcomes[0])
-                    assert got[1]._unsatisfied == outcomes[0]._unsatisfied
+                    assert got == tail and [repr(a) for a in got] == [repr(a) for a in tail]
                     seen["kept"] += 1
                     for before, action in zip([observed] + outcomes, tail):
                         if isinstance(action, PushPlace):
@@ -396,6 +393,27 @@ class TestPlanTail:
                 validate_action(step.pre_scene, step.executed_action)
             rounds.append(report.plan_rounds)
         assert sum(rounds) / len(rounds) < 2
+
+    @pytest.mark.parametrize("noise", [NO_NOISE, NOISE], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("n, sizes", [(8, None), (14, (0.05, 0.079))], ids=["n8", "n14-dense"])
+    def test_executed_actions_are_derived_from_their_pre_scenes(self, noise, n, sizes):
+        # Whatever plan round an action comes from, it is the move the model
+        # admits in the scene it was actually executed in.
+        kwargs = {} if sizes is None else {"size_range": sizes}
+        pushes = 0
+        for k in range(25):
+            scene = generate_scene(n, 1000 * n + k, **kwargs)
+            report = execute(scene, PlannerConfig(max_expansions=1500, seed=k), noise, rng=random.Random(k))
+            for step in report.steps:
+                action, pre = step.executed_action, step.pre_scene
+                if action is None:
+                    continue
+                validate_action(pre, action)
+                if isinstance(action, PushPlace):
+                    blockers = sorted(blockers_of(pre, action.object))
+                    assert action == push_on_side(pre, action.object, blockers, action.side).as_action()
+                    pushes += 1
+        assert pushes > 0
 
     def test_zero_noise_plans_once(self, swap_scene):
         assert execute(swap_scene, CFG).plan_rounds == 1

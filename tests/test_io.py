@@ -248,12 +248,14 @@ def test_committed_fixtures(tmp_path, capsys):
     ("execute_swap_noise.json", ["execute", "swap.json", "--expansions", "2000", "--noise", "--seed", "9"]),
     ("execute_cluttered_noise.json",
      ["execute", "exec_cluttered.json", "--expansions", "2000", "--noise", "--seed", "9"]),
+    ("execute_cluttered.json", ["execute", "exec_cluttered.json", "--expansions", "2000", "--seed", "9"]),
 ])
 def test_golden_cli_outputs(capsys, golden, argv):
     """``plan`` and ``execute`` on the committed fixtures print their committed outputs byte for byte.
 
     ``exec_cluttered.json`` is ``bench.generate_scene(8, 0, size_range=(0.05, 0.079))``, seed 0
     being the first whose noisy execution keeps a re-derived plan tail that contains a push.
+    Its zero-noise execution replays the tail from every observed scene as well.
     """
     assert main([argv[0], str(FIXTURES / argv[1])] + argv[2:]) == 0
     assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()

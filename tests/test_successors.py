@@ -1,16 +1,17 @@
 """Incremental successors against the replace-based oracle.
 
-``apply_action`` and ``simulate`` build their result with ``Scene.with_moved``:
-only the objects whose pose changed are checked, and every other footprint
-is shared with the input.  ``oracles.replace_successor`` rebuilds the
-successor through the constructor's check of every pair.  These tests hold
-the two to equal, hash-equal and repr-equal scenes with exact caches, on
-plain and cached inputs, with and without noise, along noisy executions and
-dense random walks.  ``Scene.with_moved`` itself is held to
-``oracles.replace_moved`` and ``oracles.placement_free`` on random move sets.
-They also check that a physics outcome that fails the check still raises
-InvalidSceneError, and that execution reports keep one plain scene per
-observed state.
+``apply_action``, ``planner.transition`` and ``simulate`` build their result
+with ``Scene.with_moved``: only the objects whose pose changed are checked,
+and every other footprint is shared with the input.
+``oracles.replace_successor`` rebuilds the successor through the
+constructor's check of every pair.  These tests hold the two to equal,
+hash-equal and repr-equal scenes with exact caches, on plain and cached
+inputs, with and without noise, along noisy executions (where the
+executor's tail replay calls ``transition``) and dense random walks.
+``Scene.with_moved`` itself is held to ``oracles.replace_moved`` and
+``oracles.placement_free`` on random move sets.  They also check that a
+physics outcome that fails the check still raises InvalidSceneError, and
+that execution reports keep one plain scene per observed state.
 """
 
 import random
@@ -25,7 +26,7 @@ from oracles import placement_free, replace_moved, replace_successor
 from pushplan.bench import generate_scene
 from pushplan.executor import execute
 from pushplan.geometry import HalfDims, Rect, Side, Vec2
-from pushplan.planner import Plan, PlannerConfig, recommend_action
+from pushplan.planner import Plan, PlannerConfig, recommend_action, transition
 from pushplan.primitives import PushProposal
 from pushplan.scene import (
     InfeasibleActionError,
@@ -53,12 +54,16 @@ def assert_same(got: Scene, ref: Scene) -> None:
     assert_cache_exact(got)
 
 
-def check_apply(scene: Scene, action) -> None:
-    """``apply_action`` on the plain and the cached form of ``scene`` against the oracle."""
+def check_apply(scene: Scene, action) -> Scene:
+    """``apply_action`` on the plain and the cached form of ``scene`` against the oracle.
+
+    Returns the oracle's successor.
+    """
     plain = plain_twin(scene)
     ref = replace_successor(plain, action)
     for s in (plain, scene.with_footprints()):
         assert_same(apply_action(s, action), ref)
+    return ref
 
 
 def check_simulate(scene: Scene, action, noise: NoiseConfig, rng_state) -> Scene:
@@ -87,7 +92,7 @@ def check_simulate(scene: Scene, action, noise: NoiseConfig, rng_state) -> Scene
 
 class TestSuccessorsMatchTheOracle:
     def test_every_step_of_noisy_executions(self, monkeypatch):
-        seen = {"simulate": set(), "apply_action": set()}
+        seen = {"simulate": set(), "transition": set()}
 
         def checked_simulate(scene, action, noise, rng):
             # The executor hands its cached working scene to the physics.
@@ -98,21 +103,23 @@ class TestSuccessorsMatchTheOracle:
             seen["simulate"].add(type(action).__name__)
             return out, events
 
-        def checked_apply(scene, action):
+        def checked_transition(scene, move):
+            # Each successor of a re-derived tail is the oracle's.
             assert scene._unsatisfied is not None
-            check_apply(scene, action)
-            seen["apply_action"].add(type(action).__name__)
-            return apply_action(scene, action)
+            action, out = transition(scene, move)
+            assert_same(out, check_apply(scene, action))
+            seen["transition"].add(type(action).__name__)
+            return action, out
 
         monkeypatch.setattr(executor_mod, "simulate", checked_simulate)
-        monkeypatch.setattr(executor_mod, "apply_action", checked_apply)
+        monkeypatch.setattr(executor_mod, "transition", checked_transition)
         steps = 0
         for k in range(8):
             scene = generate_scene(8, derive_seed("successor-exec", k))
             report = execute(scene, PlannerConfig(max_expansions=1500, seed=k), NOISE, rng=random.Random(k))
             steps += report.total_actions
         assert steps >= 40
-        assert seen["simulate"] == seen["apply_action"] == {"PickPlace", "PushPlace"}
+        assert seen["simulate"] == seen["transition"] == {"PickPlace", "PushPlace"}
 
     @pytest.mark.parametrize("noise", [NO_NOISE, NOISE], ids=["exact", "noisy"])
     def test_every_step_of_dense_random_walks(self, noise):
