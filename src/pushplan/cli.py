@@ -114,7 +114,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
         for i, step in enumerate(report.steps, 1):
             gripper = _setdown(step.pre_scene, step.executed_action) if step.executed_action else None
             frames.append((step.post_scene, f"step {i}{' (skipped)' if step.skipped else ''}", gripper))
-        _write_frames(args.frames, RenderStyle(show_gripper=True), frames)
+        _write_frames(args.frames, RenderStyle(), frames)
     status = report.terminated_by.value
     print(f"execution: {report.total_actions} actions, {report.plan_rounds} plan rounds, "
           f"{report.success_rate:.0%} at goal, terminated by {status}", file=sys.stderr)
@@ -147,8 +147,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     scene = io.load(args.scene, io.scene_from_dict)
-    style = RenderStyle(show_goals=not args.no_goals, show_gripper=args.frames is not None,
-                        scale=args.scale)
+    style = RenderStyle(show_goals=not args.no_goals, scale=args.scale)
     if args.frames and not args.plan:
         raise SceneFormatError("--frames requires --plan (per-step frames follow a plan)")
     if not args.plan:

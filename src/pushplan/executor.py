@@ -3,10 +3,10 @@
 While a plan's tail is pending, each cycle re-derives it from the observed
 state (``rederive_tail``): placements keep their destinations, pushes keep
 their sides and get fresh blockers and pre-push poses, and each successor is
-built by the search's own ``transition``.  The tail is kept when all of it
-is feasible and it still ends with every object within tolerance; otherwise
-a fresh plan is made from the observed state.  Only the first action of
-whatever plan is current ever gets executed.
+built by ``scene.transition``, as the search builds its children.  The tail
+is kept when all of it is feasible and it still ends with every object
+within tolerance; otherwise a fresh plan is made from the observed state.
+Only the first action of whatever plan is current ever gets executed.
 
 The loop works on a cached scene (``Scene.with_footprints``): planning,
 simulation, the tail replay and the goal count all read its footprints and
@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .metrics import EEState, travel_cost
-from .planner import Plan, PlannerConfig, plan, transition
+from .metrics import path_costs, total_cost
+from .planner import Plan, PlannerConfig, plan
 from .primitives import push_on_side
 from .scene import (
     Action,
@@ -36,6 +36,7 @@ from .scene import (
     apply_action,  # noqa: F401  (not called; perfbench's tests look it up here)
     blockers_of,
     satisfied_count,
+    transition,
 )
 from .seeding import derive_seed
 from .simulator import NO_NOISE, NoiseConfig, SimEvent, SimEventKind, simulate
@@ -85,7 +86,7 @@ def rederive_tail(scene: Scene, actions: Sequence[Action]) -> Optional[list[Acti
     A PickPlace keeps its destination.  A PushPlace keeps its side and takes
     its blockers and pre-push pose from the scene it now starts in, with the
     planning edge margin (``push_on_side``).  Each successor is built by
-    ``planner.transition`` from that proposal or placement, exactly as the
+    ``scene.transition`` from that proposal or placement, exactly as the
     search builds its children.  A push admitted with the planning margin
     also passes ``validate_action``, which waives the margin and derives the
     same pre-push pose, so every successor equals ``apply_action``'s.
@@ -97,7 +98,7 @@ def rederive_tail(scene: Scene, actions: Sequence[Action]) -> Optional[list[Acti
     state = scene
     for action in actions:
         if isinstance(action, PushPlace):
-            blockers = sorted(blockers_of(state, action.object))
+            blockers = blockers_of(state, action.object)
             move = push_on_side(state, action.object, blockers, action.side) if blockers else None
             if move is None:
                 return None
@@ -138,8 +139,6 @@ def execute(
     steps: list[StepRecord] = []
     pending: list[Action] = []
     total_actions = 0
-    travel = 0.0
-    ee = EEState(scene.workspace.center, scene.workspace.center)
     plan_rounds = 0
     skips_in_row = 0
     terminated: Optional[TerminationReason] = None
@@ -188,10 +187,6 @@ def execute(
             continue
 
         skips_in_row = 0
-        # ``transition`` admitted the action from ``current``, in the search
-        # or in ``rederive_tail``, so the travel is costed without validation.
-        bd, ee = travel_cost(current, action, ee, 1.0)
-        travel += bd.approach + bd.pick + bd.transfer
         pending = pending[1:]
         total_actions += 1
         pre, observed = observed, nxt.without_cache()
@@ -209,6 +204,9 @@ def execute(
             terminated = TerminationReason.OBJECT_LOST
             break
 
+    # ``transition`` admitted each executed action in its pre-scene, in the
+    # search or in ``rederive_tail``, so the travel is costed unvalidated.
+    travel = total_cost(path_costs([(s.pre_scene, s.executed_action) for s in steps if not s.skipped]))
     return ExecutionReport(
         steps=tuple(steps),
         total_actions=total_actions,

@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional
 
 from .executor import ExecutionReport
 from .geometry import HalfDims, Rect, Side, Vec2
-from .metrics import CostBreakdown
+from .metrics import CostBreakdown, total_cost
 from .planner import Plan
 from .scene import (
     DEFAULT_TOLERANCE, Action, InvalidSceneError, ObjectSpec, PickPlace, PushPlace, Scene, satisfied_count,
@@ -303,8 +303,9 @@ def _cost(value: Any, name: str) -> CostBreakdown:
 def plan_from_dict(doc: Any) -> Plan:
     doc = _object(doc, "plan document")
     actions = tuple(_list(_need(doc, "actions", "plan document"), "actions", action_from_dict))
-    costs = tuple(_list(doc.get("costs", []), "costs", _cost))
-    total = _finite(doc["total"], "total") if "total" in doc else sum(bd.total for bd in costs)
+    # One cost entry per action, when there are costs at all.
+    costs = tuple(_list(doc["costs"], "costs", _cost, size=len(actions))) if "costs" in doc else ()
+    total = _finite(doc["total"], "total") if "total" in doc else total_cost(costs)
     return Plan(actions, costs, total)
 
 

@@ -11,8 +11,9 @@ trip.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .geometry import Vec2
 from .scene import Action, PickPlace, Scene, apply_action, validate_action
@@ -66,24 +67,41 @@ def travel_cost(
     return CostBreakdown(approach, PICK_TRAVEL, transfer, lam), EEState(final, ee.home)
 
 
+def path_costs(steps: Iterable[tuple[Scene, Action]]) -> tuple[CostBreakdown, ...]:
+    """The cost of each ``(scene, action)`` step of a path, each action feasible
+    in its scene (unvalidated).  The end-effector starts at the workspace
+    center and ends each step where its action set the object down."""
+    costs: list[CostBreakdown] = []
+    for scene, action in steps:
+        if not costs:
+            ee = EEState(scene.workspace.center, scene.workspace.center)
+        bd, ee = travel_cost(scene, action, ee)
+        costs.append(bd)
+    return tuple(costs)
+
+
+def total_cost(costs: Iterable[CostBreakdown]) -> float:
+    """The costs' totals added left to right; not ``sum()``, which adds floats
+    with compensation from Python 3.12 on."""
+    total = 0.0
+    for bd in costs:
+        total += bd.total
+    return total
+
+
 def plan_cost(plan: Union[Iterable[Action], "object"], start: Scene) -> float:
     """Total cost of a plan, recomputed by replaying it from ``start``.
 
-    ``plan`` may be a Plan or any iterable of actions.  The end-effector
-    starts at the workspace center.  Raises if any action is infeasible at
-    its point in the replay.
+    ``plan`` may be a Plan or any iterable of actions.  The path is replayed
+    with ``apply_action``, which raises if an action is infeasible at its
+    point, and then costed (``path_costs``).
     """
-    actions = getattr(plan, "actions", plan)
-    ee = EEState(start.workspace.center, start.workspace.center)
+    steps = []
     scene = start
-    total = 0.0
-    for action in actions:
-        # apply_action validates the action, so its travel is costed unvalidated.
-        nxt = apply_action(scene, action)
-        bd, ee = travel_cost(scene, action, ee)
-        scene = nxt
-        total += bd.total
-    return total
+    for action in getattr(plan, "actions", plan):
+        steps.append((scene, action))
+        scene = apply_action(scene, action)
+    return total_cost(path_costs(steps))
 
 
 def percent_reduction(baseline: float, candidate: float) -> float:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 # ``apply_action`` and ``action_cost`` are the validated path that ``transition``
-# (which also builds the executor's re-derived tails) and the plan's costs must
-# agree with.  The search does not call them, but they stay bound here because
-# perfbench's tracer and its tests look them up in this module.
-from .metrics import CostBreakdown, EEState, action_cost, travel_cost  # noqa: F401
+# and the plan's costs must agree with.  The search does not call them, but
+# they stay bound here because perfbench's tracer and its tests look them up
+# in this module.
+from .metrics import CostBreakdown, action_cost, path_costs, total_cost  # noqa: F401
 from .primitives import PushProposal, sample_buffer_pose, select_push
 from .scene import (
     Action,
@@ -30,9 +30,8 @@ from .scene import (
     Scene,
     apply_action,  # noqa: F401
     blockers_of,
-    goal_region_free,
-    moved_poses,
     satisfied_count,
+    transition,
     unsatisfied_ids,
 )
 
@@ -91,13 +90,9 @@ def sample_unsatisfied_object(scene: Scene, rng: random.Random) -> int:
     return ids[rng.randrange(len(ids))]
 
 
-# A recommended move: a placement, or an admissible push with its derivation.
-Recommendation = PickPlace | PushProposal
-
-
 def recommend_action(
     scene: Scene, obj: int, cfg: PlannerConfig, rng: random.Random
-) -> Optional[Recommendation]:
+) -> Optional[PickPlace | PushProposal]:
     """One sensible move for ``obj``: place it if its goal is free, push the
     blockers aside if a push is admissible, otherwise relocate one sampled
     blocker (to its own goal when possible, else to a buffer pose).
@@ -107,7 +102,7 @@ def recommend_action(
     returned move is feasible in ``scene``: the placement, or the proposal's
     ``as_action()``, passes ``validate_action``.
     """
-    blockers = sorted(blockers_of(scene, obj))
+    blockers = blockers_of(scene, obj)
     if not blockers:
         return PickPlace(obj, scene.goal[obj])
     if cfg.push_enabled:
@@ -115,29 +110,12 @@ def recommend_action(
         if proposal is not None:
             return proposal
     b = blockers[rng.randrange(len(blockers))]
-    if goal_region_free(scene, b):
+    if not blockers_of(scene, b):
         return PickPlace(b, scene.goal[b])
     buffer = sample_buffer_pose(scene, b, rng)
     if buffer is None:
         return None
     return PickPlace(b, buffer)
-
-
-def transition(scene: Scene, rec: Recommendation) -> tuple[Action, Scene]:
-    """The action and successor scene of one move.
-
-    ``rec`` must come fresh from ``recommend_action`` on ``scene``: a push
-    proposal is trusted, not re-derived, and only the moved objects of the
-    successor are checked (``Scene.with_moved``).  The successor equals
-    ``apply_action`` on the same action, which validates the action first.
-    Raises InfeasibleActionError when a moved object would leave the table
-    or overlap another object.
-    """
-    if isinstance(rec, PushProposal):
-        action, blocker_moves = rec.as_action(), rec.blocker_moves
-    else:
-        action, blocker_moves = rec, ()
-    return action, scene.with_moved(moved_poses(scene, action, blocker_moves))
 
 
 def _backprop(path: list[SearchNode], reward: float) -> None:
@@ -207,13 +185,8 @@ def _extract_plan(terminal: SearchNode) -> Plan:
         steps.append((node.parent.state, node.action))
         node = node.parent
     steps.reverse()
-    center = node.state.workspace.center
-    ee = EEState(center, center)
-    costs: list[CostBreakdown] = []
-    for state, action in steps:
-        bd, ee = travel_cost(state, action, ee)
-        costs.append(bd)
-    return Plan(tuple(action for _, action in steps), tuple(costs), sum(bd.total for bd in costs))
+    costs = tuple(path_costs(steps))
+    return Plan(tuple(action for _, action in steps), costs, total_cost(costs))
 
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:

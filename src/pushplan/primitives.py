@@ -210,7 +210,7 @@ def select_push(
     has no blockers (there is nothing to push).
     """
     if blockers is None:
-        blockers = sorted(blockers_of(scene, target))
+        blockers = blockers_of(scene, target)
     if not blockers:
         raise ValueError(f"object {target} has no blockers; a plain placement suffices")
     for side in DEFAULT_SIDE_ORDER:
@@ -227,7 +227,7 @@ def validate_push_action(scene: Scene, action: PushPlace) -> PushProposal:
     buffer, while feasibility only requires everything to stay on the table.
     Raises InfeasibleActionError naming the violated condition.
     """
-    blockers = sorted(blockers_of(scene, action.object))
+    blockers = blockers_of(scene, action.object)
     if not blockers:
         raise InfeasibleActionError(
             f"push of object {action.object} with no blockers in its goal region"

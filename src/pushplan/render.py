@@ -28,7 +28,6 @@ _CHART_WIDTH, _CHART_HEIGHT = 840.0, 340.0
 @dataclass(frozen=True, slots=True)
 class RenderStyle:
     show_goals: bool = True
-    show_gripper: bool = False
     scale: float = 560.0  # pixels per meter
 
     def __post_init__(self):
@@ -60,7 +59,8 @@ def render_scene(
     title: str = "",
     gripper: Optional[Vec2] = None,
 ) -> str:
-    """Render current footprints (filled) and goal footprints (dashed)."""
+    """Render current footprints (filled), goal footprints (dashed) and, when
+    ``gripper`` is given, a cross where the gripper set its object down."""
     if style is None:
         style = RenderStyle()
     ws = scene.workspace
@@ -101,7 +101,7 @@ def render_scene(
             f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-family="monospace" font-size="11" '
             f'fill="#000000" text-anchor="middle" dominant-baseline="central">{i}</text>'
         )
-    if style.show_gripper and gripper is not None:
+    if gripper is not None:
         gx, gy = to_px(gripper.x, gripper.y)
         parts.append(
             f'<path d="M {_fmt(gx - 6)} {_fmt(gy)} H {_fmt(gx + 6)} '

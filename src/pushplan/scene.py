@@ -1,9 +1,9 @@
 """Scene model: rectangular objects on a table, goal poses, and transitions.
 
 A scene is immutable; applying an action returns a new scene.  The planner's
-transition model lives here (``apply_action``) so that search, cost
-accounting, and the physics layer all share one notion of what an action is
-supposed to do.
+transition model lives here (``transition``, and ``apply_action``, which
+validates first) so that search, cost accounting, the executor and the
+physics layer all share one notion of what an action is supposed to do.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .geometry import (
     HalfDims,
@@ -23,6 +23,9 @@ from .geometry import (
     overlaps,
     rect_from_center,
 )
+
+if TYPE_CHECKING:
+    from .primitives import PushProposal
 
 # Gap left between a pushed blocker and the goal region it was cleared from,
 # and between the pre-push pose and the first blocker.  Meters.
@@ -251,15 +254,11 @@ def unsatisfied_ids(scene: Scene) -> list[int]:
     return [i for i in range(scene.n) if not is_at_goal(scene, i)]
 
 
-def blockers_of(scene: Scene, target: int) -> frozenset[int]:
-    """Ids of objects whose current footprint overlaps ``target``'s goal footprint."""
+def blockers_of(scene: Scene, target: int) -> tuple[int, ...]:
+    """Ascending ids of objects whose current footprint overlaps ``target``'s goal footprint."""
     goal_rect = scene.goal_footprint(target)
     rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
-    return frozenset(j for j, r in enumerate(rects) if j != target and overlaps(r, goal_rect))
-
-
-def goal_region_free(scene: Scene, target: int) -> bool:
-    return not blockers_of(scene, target)
+    return tuple(j for j, r in enumerate(rects) if j != target and overlaps(r, goal_rect))
 
 
 def placement_conflict(scene: Scene, obj: int, r: Rect) -> Optional[str]:
@@ -280,11 +279,12 @@ def placement_conflict(scene: Scene, obj: int, r: Rect) -> Optional[str]:
     return None
 
 
-def validate_action(scene: Scene, action: Action) -> Optional[tuple[tuple[int, float], ...]]:
-    """Check feasibility; return blocker displacements for a push, else None.
+def validate_action(scene: Scene, action: Action) -> PickPlace | PushProposal:
+    """Check feasibility; return the move that ``transition`` builds.
 
-    Raises InfeasibleActionError naming the violated condition.  Push
-    validation delegates to the primitive's admissibility checks.
+    That is the PickPlace itself, or for a push the ``PushProposal`` that
+    ``primitives.validate_push_action`` re-derives from the scene.  Raises
+    InfeasibleActionError naming the violated condition.
     """
     if not (0 <= action.object < scene.n):
         raise InfeasibleActionError(f"action references unknown object {action.object}")
@@ -293,40 +293,42 @@ def validate_action(scene: Scene, action: Action) -> Optional[tuple[tuple[int, f
         why = placement_conflict(scene, action.object, r)
         if why:
             raise InfeasibleActionError(f"destination footprint of object {action.object} {why}")
-        return None
+        return action
     from . import primitives  # deferred: primitives builds on this module
 
-    return primitives.validate_push_action(scene, action).blocker_moves
+    return primitives.validate_push_action(scene, action)
 
 
-def moved_poses(
-    scene: Scene, action: Action, blocker_moves: tuple[tuple[int, float], ...]
-) -> tuple[tuple[int, Vec2], ...]:
-    """``(object, new pose)`` for every object a feasible ``action`` moves.
+def transition(scene: Scene, move: PickPlace | PushProposal) -> tuple[Action, Scene]:
+    """The action and successor scene of a move admitted in ``scene``.
 
-    PickPlace teleports the object to its destination.  PushPlace puts the
-    target exactly on its goal and advances every blocker along the push
-    direction by its displacement in ``blocker_moves``.
+    ``move`` is a placement or a push's derivation (from ``validate_action``,
+    the planner's recommender or ``primitives.push_on_side``), trusted, not
+    derived again.  A PickPlace teleports its object; a push sets the target
+    on its goal and advances each blocker along the side by its displacement.
+    Only the moved objects are checked (``Scene.with_moved``), and one that
+    would leave the table or overlap another raises InfeasibleActionError.
     """
-    if isinstance(action, PickPlace):
-        return ((action.object, action.destination),)
-    u = action.side.unit
-    return ((action.object, scene.goal[action.object]),) + tuple(
-        (b, scene.current[b] + u * d) for b, d in blocker_moves
+    if isinstance(move, PickPlace):
+        return move, scene.with_moved(((move.object, move.destination),))
+    u = move.side.unit
+    moves = ((move.target, scene.goal[move.target]),) + tuple(
+        (b, scene.current[b] + u * d) for b, d in move.blocker_moves
     )
+    return move.as_action(), scene.with_moved(moves)
 
 
 def apply_action(scene: Scene, action: Action) -> Scene:
     """Deterministic transition model: the planner's prediction of an action.
 
     The action is validated first; infeasible actions raise
-    InfeasibleActionError.  The result is built by ``Scene.with_moved`` (see
-    ``moved_poses`` for the motion), so it carries a cache and only the moved
-    objects are checked again.  A result that fails that check raises
-    InvalidSceneError, as construction would.
+    InfeasibleActionError.  The result is ``transition``'s successor of the
+    admitted move, so it carries a cache and only the moved objects are
+    checked again.  A result that fails that check raises InvalidSceneError,
+    as construction would.
     """
-    moves = validate_action(scene, action)
+    move = validate_action(scene, action)
     try:
-        return scene.with_moved(moved_poses(scene, action, moves or ()))
+        return transition(scene, move)[1]
     except InfeasibleActionError as e:
         raise InvalidSceneError(f"the outcome of a validated action is invalid: {e}") from None

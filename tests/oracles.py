@@ -26,7 +26,7 @@ from dataclasses import replace
 from typing import Optional
 
 from pushplan.geometry import Side, Vec2, contains, overlaps, rect_from_center
-from pushplan.scene import Action, Scene, moved_poses, unsatisfied_ids, validate_action
+from pushplan.scene import Action, PickPlace, Scene, unsatisfied_ids, validate_action
 
 STEP = 0.001
 MARGIN = 0.01
@@ -228,6 +228,17 @@ def replace_moved(scene: Scene, moves) -> Scene:
 
 
 def replace_successor(scene: Scene, action: Action) -> Scene:
-    """``apply_action`` as first written: validate, move, rebuild with ``replace``."""
-    moves = validate_action(scene, action)
-    return replace_moved(scene, moved_poses(scene, action, moves or ()))
+    """``apply_action`` as first written: validate, move, rebuild with ``replace``.
+
+    A placement moves its object to the destination.  A push moves its
+    target to the goal and each validated blocker displacement along the
+    side.
+    """
+    move = validate_action(scene, action)
+    if isinstance(action, PickPlace):
+        moves = [(action.object, action.destination)]
+    else:
+        u = action.side.unit
+        moves = [(action.object, scene.goal[action.object])]
+        moves += [(b, scene.current[b] + u * d) for b, d in move.blocker_moves]
+    return replace_moved(scene, moves)

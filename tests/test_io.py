@@ -204,6 +204,9 @@ CASES = [
     ("flags", ["bench", "--out", "{scene}", "--counts", "4", "--scenes", "1", "--runs", "1",
                "--expansions", "300"], "swap.json: File exists"),
     ("flags", ["execute", "{scene}", "--expansions", "2000", "--frames", "{scene}"], "swap.json: File exists"),
+    # a plan document needs one cost entry per action
+    ("plan", {"actions": [SWAP_PLAN_ACTION] * 2, "costs": [{"approach": 0.1, "pick": 0.2, "transfer": 0.3}] * 6},
+     "'costs' must be a list of 2"),
 ]
 
 

@@ -16,7 +16,8 @@ from pushplan import (
     percent_reduction,
     plan_cost,
 )
-from pushplan.metrics import PICK_TRAVEL, CostBreakdown, EEState, action_cost
+from pushplan.io import plan_from_dict
+from pushplan.metrics import PICK_TRAVEL, CostBreakdown, EEState, action_cost, total_cost
 from pushplan.scene import satisfied_count
 
 
@@ -121,6 +122,22 @@ class TestPlanCost:
 
     def test_empty_plan_is_free(self, swap_scene):
         assert plan_cost([], swap_scene) == 0.0
+
+
+class TestTotalCost:
+    """Totals add left to right on every interpreter.  These costs tell the
+    rules apart: 1e16 + 1.0 rounds back to 1e16, so the plain sum is 0.0,
+    while the compensated ``sum()`` of Python 3.12+ gives 1.0."""
+
+    TOTALS = (1e16, 1.0, -1e16)
+
+    def test_total_cost_adds_left_to_right(self):
+        assert total_cost(CostBreakdown(t, 0.0, 0.0) for t in self.TOTALS) == 0.0
+
+    def test_plan_document_without_total_adds_left_to_right(self):
+        action = {"type": "pick_place", "object": 0, "destination": [0.2, 0.2]}
+        costs = [{"approach": t, "pick": 0.0, "transfer": 0.0} for t in self.TOTALS]
+        assert plan_from_dict({"actions": [action] * 3, "costs": costs}).total == 0.0
 
 
 class TestPercentReduction:

@@ -28,9 +28,10 @@ from pushplan import (
 from conftest import make_swap_scene
 from pushplan.io import SceneFormatError, plan_from_dict, plan_to_dict
 from pushplan.metrics import EEState, action_cost
+import pushplan.planner as planner_mod
 from pushplan.planner import EXPLORATION_C, SearchNode, recommend_action, tree_search_step
 from pushplan.primitives import PushProposal, select_push
-from pushplan.scene import blockers_of, satisfied_count
+from pushplan.scene import InfeasibleActionError, blockers_of, satisfied_count
 from pushplan.bench import generate_scene
 from pushplan.seeding import derive_seed
 
@@ -147,7 +148,7 @@ class TestRecommendation:
         checked = 0
         for scene in _solved_scenes("given-blockers", 20, (6, 9)):
             for target in range(scene.n):
-                blockers = sorted(blockers_of(scene, target))
+                blockers = blockers_of(scene, target)
                 if blockers:
                     assert select_push(scene, target, blockers=blockers) == select_push(scene, target)
                     checked += 1
@@ -201,6 +202,47 @@ class TestSelection:
         got, expected, children, scores = self.selected(scene, stats, 30)
         assert scores[1] == scores[3] > max(scores[0], scores[2], scores[4])
         assert got is expected is children[1]
+
+
+class TestUnexpandedStep:
+    """The two exits of ``tree_search_step`` that add no child: a selected
+    node past the depth cap, and a move that ``transition`` rejects.  Both
+    return None and still count the visit along the whole path."""
+
+    def test_leaf_past_the_depth_cap(self, swap_scene):
+        # A chain of single children down to depth 4 * N, each node already
+        # as wide as its visits allow, so selection must descend to the leaf.
+        solved_one = apply_action(swap_scene, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5)))
+        assert satisfied_count(solved_one) == 1
+        path = [SearchNode(swap_scene.with_footprints(), None, None)]
+        for _ in range(4 * swap_scene.n):
+            child = SearchNode(solved_one, path[-1], None)
+            path[-1].children.append(child)
+            path.append(child)
+        for node in path:
+            node.visits, node.reward_sum = 3, 2.0
+        assert tree_search_step(path[0], PlannerConfig(max_expansions=1), random.Random(0)) is None
+        assert path[-1].children == []
+        assert all(len(node.children) == 1 for node in path[:-1])
+        assert [(node.visits, node.reward_sum) for node in path] == [(4, 3.0)] * len(path)
+
+    def test_rejected_transition(self, swap_scene, monkeypatch):
+        moves = []
+
+        def reject(scene, move):
+            moves.append(move)
+            raise InfeasibleActionError("rejected")
+
+        monkeypatch.setattr(planner_mod, "transition", reject)
+        root = SearchNode(swap_scene.with_footprints(), None, None)
+        leaf = SearchNode(apply_action(swap_scene, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5))), root, None)
+        root.children.append(leaf)
+        root.visits, leaf.visits = 2, 1
+        assert tree_search_step(root, PlannerConfig(max_expansions=1), random.Random(0)) is None
+        assert len(moves) == 1
+        assert root.children == [leaf] and leaf.children == []
+        assert (root.visits, root.reward_sum) == (3, 1.0)
+        assert (leaf.visits, leaf.reward_sum) == (2, 1.0)
 
 
 class TestDeterminism:

@@ -19,7 +19,6 @@ from pushplan.scene import (
     Scene,
     apply_action,
     blockers_of,
-    goal_region_free,
     is_at_goal,
     satisfied_count,
     unsatisfied_ids,
@@ -80,8 +79,8 @@ class TestValidation:
     def test_goal_may_overlap_other_objects_current(self):
         # the whole problem: goals blocked by other objects' current poses
         s = make_swap_scene()
-        assert blockers_of(s, 0) == frozenset({1})
-        assert blockers_of(s, 1) == frozenset({0})
+        assert blockers_of(s, 0) == (1,)
+        assert blockers_of(s, 1) == (0,)
 
     def test_empty_scene_is_valid_and_solved(self):
         s = Scene(WS, (), (), ())
@@ -109,22 +108,23 @@ class TestPredicates:
         for k in range(60):
             s = generate_scene(3 + k % 6, 9000 + k)
             for i in range(s.n):
-                expected = frozenset(
+                expected = tuple(
                     j for j in range(s.n)
                     if j != i and overlaps(s.goal_footprint(i), s.footprint(j))
                 )
                 assert blockers_of(s, i) == expected
-                assert goal_region_free(s, i) == (not expected)
 
     def test_placement_free_oracle(self):
         s = make_swap_scene()
-        assert validate_action(s, PickPlace(0, Vec2(0.5, 0.2))) is None
+        free = PickPlace(0, Vec2(0.5, 0.2))
+        assert validate_action(s, free) is free
         with pytest.raises(InfeasibleActionError, match="object 0 overlaps object 1$"):
             validate_action(s, PickPlace(0, Vec2(0.6, 0.45)))
         with pytest.raises(InfeasibleActionError, match="object 0 leaves the workspace$"):
             validate_action(s, PickPlace(0, Vec2(0.03, 0.5)))
         # its own current pose never blocks it
-        assert validate_action(s, PickPlace(0, Vec2(0.36, 0.5))) is None
+        own = PickPlace(0, Vec2(0.36, 0.5))
+        assert validate_action(s, own) is own
 
 
 class TestPickPlace:
@@ -150,16 +150,19 @@ class TestPickPlace:
         with pytest.raises(InfeasibleActionError):
             apply_action(s, PickPlace(7, Vec2(0.2, 0.8)))
 
-    def test_validate_action_returns_no_moves(self):
+    def test_validate_action_returns_the_placement(self):
         s = make_swap_scene()
-        assert validate_action(s, PickPlace(0, Vec2(0.2, 0.8))) is None
+        action = PickPlace(0, Vec2(0.2, 0.8))
+        assert validate_action(s, action) is action
 
 
 class TestPushPlaceTransition:
     def test_swap_fixture_hand_values(self):
         s = make_swap_scene()
-        moves = validate_action(s, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5)))
-        assert moves == ((1, pytest.approx(0.105, abs=1e-12)),)
+        proposal = validate_action(s, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5)))
+        assert (proposal.target, proposal.side) == (0, Side.LEFT)
+        assert proposal.pre_push.x == pytest.approx(0.755, abs=1e-12) and proposal.pre_push.y == 0.5
+        assert proposal.blocker_moves == ((1, pytest.approx(0.105, abs=1e-12)),)
         nxt = apply_action(s, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5)))
         assert nxt.current[0] == Vec2(0.65, 0.5)
         assert nxt.current[1].x == pytest.approx(0.545, abs=1e-12)

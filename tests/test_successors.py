@@ -1,6 +1,6 @@
 """Incremental successors against the replace-based oracle.
 
-``apply_action``, ``planner.transition`` and ``simulate`` build their result
+``apply_action``, ``scene.transition`` and ``simulate`` build their result
 with ``Scene.with_moved``: only the objects whose pose changed are checked,
 and every other footprint is shared with the input.
 ``oracles.replace_successor`` rebuilds the successor through the
@@ -26,7 +26,7 @@ from oracles import placement_free, replace_moved, replace_successor
 from pushplan.bench import generate_scene
 from pushplan.executor import execute
 from pushplan.geometry import HalfDims, Rect, Side, Vec2
-from pushplan.planner import Plan, PlannerConfig, recommend_action, transition
+from pushplan.planner import Plan, PlannerConfig, recommend_action
 from pushplan.primitives import PushProposal
 from pushplan.scene import (
     InfeasibleActionError,
@@ -36,6 +36,7 @@ from pushplan.scene import (
     Scene,
     _unchecked,
     apply_action,
+    transition,
     unsatisfied_ids,
 )
 from pushplan.seeding import derive_seed

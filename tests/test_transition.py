@@ -1,6 +1,6 @@
 """The search's one-shot transition against the validated public path.
 
-``planner.transition`` trusts a fresh recommendation and checks only the
+``scene.transition`` trusts a fresh recommendation and checks only the
 objects it moves; ``apply_action`` validates the action first.  These
 tests hold the two to the same scenes, hold the cached unsatisfied ids to a
 plain recount, keep constructor, loader and report scenes plain, and keep
@@ -18,7 +18,7 @@ from pushplan.bench import generate_scene
 from pushplan.executor import execute
 from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
 from pushplan.io import scene_from_dict, scene_to_dict
-from pushplan.planner import PlannerConfig, plan, recommend_action, transition
+from pushplan.planner import PlannerConfig, plan, recommend_action
 from pushplan.primitives import PushProposal, select_push
 from pushplan.scene import (
     InfeasibleActionError,
@@ -27,6 +27,7 @@ from pushplan.scene import (
     Scene,
     apply_action,
     satisfied_count,
+    transition,
     unsatisfied_ids,
     validate_action,
 )
