@@ -16,7 +16,7 @@ import multiprocessing
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -131,42 +131,32 @@ def generate_scene(
     return Scene(workspace, objects, current, goal, tolerance)
 
 
-def run_single(
-    scene: Scene,
-    variant: BenchVariant,
-    run_seed: int,
-    max_expansions: Optional[int],
-    time_budget_s: Optional[float],
-) -> tuple[bool, Optional[int], Optional[float], float]:
-    """Plan one scene under one variant; returns (found, actions, cost, ms)."""
-    cfg = PlannerConfig(
-        time_budget_s=time_budget_s,
-        max_expansions=max_expansions,
-        push_enabled=variant.push_enabled,
-        seed=run_seed,
-    )
+def run_single(scene: Scene, cfg: PlannerConfig) -> tuple[bool, Optional[int], Optional[float], float]:
+    """Plan ``scene`` under ``cfg`` as given; returns (found, actions, cost, ms)."""
     t0 = time.perf_counter()
     result = plan(scene, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     # Expansion-budgeted runs report 0.0 so record files are reproducible
     # byte for byte; timing is only meaningful under a wall-clock budget.
-    ms = 0.0 if max_expansions is not None else elapsed_ms
+    ms = 0.0 if cfg.max_expansions is not None else elapsed_ms
     if result is None:
         return False, None, None, ms
     return True, len(result.actions), result.total, ms
 
 
 def _run_task(args: tuple) -> BenchRecord:
-    scene, variant, n, scene_idx, run_idx, run_seed, max_exp, budget_s = args
-    found, actions, cost, ms = run_single(scene, variant, run_seed, max_exp, budget_s)
-    return BenchRecord(variant.name, n, scene_idx, run_idx, found, actions, cost, ms)
+    scene, variant, n, scene_idx, run_idx, planner_cfg = args
+    found, actions, cost, ms = run_single(scene, planner_cfg)
+    return BenchRecord(variant, n, scene_idx, run_idx, found, actions, cost, ms)
 
 
 def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
-    """Plan every cell of the benchmark grid, in deterministic order."""
+    """Plan every cell of the benchmark grid, in deterministic order.  A config
+    that sets both budgets raises ValueError before any scene is generated."""
     names = [v.name for v in cfg.variants]
     if len(set(names)) != len(names):
         raise BenchError(f"duplicate variant names: {names}")
+    base = PlannerConfig(time_budget_s=cfg.time_budget_s, max_expansions=cfg.max_expansions)
     tasks = []
     for n in cfg.object_counts:
         for scene_idx in range(cfg.scenes_per_count):
@@ -175,10 +165,8 @@ def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
             for variant in cfg.variants:
                 for run_idx in range(cfg.runs_per_scene):
                     run_seed = derive_seed(cfg.master_seed, variant.name, n, scene_idx, run_idx)
-                    tasks.append(
-                        (scene, variant, n, scene_idx, run_idx, run_seed,
-                         cfg.max_expansions, cfg.time_budget_s)
-                    )
+                    planner_cfg = replace(base, push_enabled=variant.push_enabled, seed=run_seed)
+                    tasks.append((scene, variant.name, n, scene_idx, run_idx, planner_cfg))
     # More workers than tasks would only idle; the cap also keeps a large
     # ``jobs`` from asking the OS for that many processes.
     workers = min(jobs, len(tasks))

@@ -19,12 +19,12 @@ from typing import Optional
 
 from . import io
 from .bench import BenchConfig, BenchError, run_benchmark, write_benchmark_outputs
-from .executor import TerminationReason, execute
-from .geometry import Vec2
+from .executor import DEFAULT_STEP_BUDGET, TerminationReason, execute
 from .io import SceneFormatError
-from .planner import PlannerConfig, plan
+from .metrics import set_down_pose
+from .planner import DEFAULT_TIME_BUDGET_S, PlannerConfig, plan
 from .render import RenderStyle, render_scene
-from .scene import Action, InfeasibleActionError, PickPlace, Scene, apply_action
+from .scene import InfeasibleActionError, apply_action
 from .simulator import NO_NOISE, NoiseConfig, SimulationError
 
 
@@ -62,7 +62,7 @@ def _add_planner_flags(p: argparse.ArgumentParser) -> None:
     budget.add_argument("--expansions", type=int, metavar="N",
                         help="deterministic search budget in tree expansions")
     budget.add_argument("--time-budget", type=float, metavar="SECONDS",
-                        help="wall-clock search budget (default 2.0)")
+                        help=f"wall-clock search budget (default {DEFAULT_TIME_BUDGET_S})")
     p.add_argument("--no-push", action="store_true",
                    help="disable the push primitive (pick-and-place only)")
     p.add_argument("--seed", type=int,
@@ -89,11 +89,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _setdown(scene: Scene, action: Action) -> Vec2:
-    """Where ``action`` sets its object down in ``scene``."""
-    return action.destination if isinstance(action, PickPlace) else scene.goal[action.object]
-
-
 def _write_frames(out_dir: str, style: RenderStyle, frames: list) -> None:
     """Write ``(scene, title, gripper)`` frames as frame_000.svg, frame_001.svg, ..."""
     path = Path(out_dir)
@@ -112,7 +107,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     if args.frames:
         frames = [(scene, "step 0", None)]
         for i, step in enumerate(report.steps, 1):
-            gripper = _setdown(step.pre_scene, step.executed_action) if step.executed_action else None
+            gripper = set_down_pose(step.pre_scene, step.executed_action) if step.executed_action else None
             frames.append((step.post_scene, f"step {i}{' (skipped)' if step.skipped else ''}", gripper))
         _write_frames(args.frames, RenderStyle(), frames)
     status = report.terminated_by.value
@@ -162,7 +157,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         raise SceneFormatError(f"{args.plan}: plan does not replay on this scene: {e}") from e
     if args.frames:
         _write_frames(args.frames, style, [
-            (state, f"step {i}", _setdown(states[i - 1], result.actions[i - 1]) if i else None)
+            (state, f"step {i}", set_down_pose(states[i - 1], result.actions[i - 1]) if i else None)
             for i, state in enumerate(states)
         ])
         print(f"wrote {len(states)} frames -> {args.frames}")
@@ -195,12 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--out", help="write the execution report here instead of stdout")
     p.add_argument("--noise", action="store_true", help="enable placement noise")
-    p.add_argument("--lateral-sigma", type=float, default=0.003,
-                   help="noise drift bound across the motion (m, default 0.003)")
-    p.add_argument("--depth-sigma", type=float, default=0.002,
-                   help="noise drift bound along the motion (m, default 0.002)")
-    p.add_argument("--step-budget", type=int, default=15,
-                   help="maximum executed actions (default 15)")
+    noise = NoiseConfig()
+    p.add_argument("--lateral-sigma", type=float, default=noise.lateral_sigma,
+                   help="noise drift bound across the motion (m, default %(default)s)")
+    p.add_argument("--depth-sigma", type=float, default=noise.depth_sigma,
+                   help="noise drift bound along the motion (m, default %(default)s)")
+    p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
+                   help="maximum executed actions (default %(default)s)")
     p.add_argument("--frames", metavar="DIR", help="write one SVG per step into DIR")
     _add_planner_flags(p)
     p.set_defaults(func=_cmd_execute)
@@ -223,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", help="plan JSON to replay over the scene")
     p.add_argument("--frames", metavar="DIR", help="with --plan, write one SVG per step into DIR")
     p.add_argument("--out", help="write the SVG here instead of stdout")
-    p.add_argument("--scale", type=float, default=560.0, help="pixels per meter (default 560)")
+    p.add_argument("--scale", type=float, default=RenderStyle().scale,
+                   help="pixels per meter (default %(default)s)")
     p.add_argument("--no-goals", action="store_true", help="hide dashed goal outlines")
     p.add_argument("--title", default="", help="title text drawn above the scene")
     p.set_defaults(func=_cmd_render)

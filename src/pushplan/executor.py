@@ -45,6 +45,9 @@ from .simulator import NO_NOISE, NoiseConfig, SimEvent, SimEventKind, simulate
 # reporting the robot-time proxy.  Seconds, with travel counted 1 m : 1 s.
 ACTION_OVERHEAD_S = 2.0
 
+# Executed actions allowed per trial unless the caller sets another budget.
+DEFAULT_STEP_BUDGET = 15
+
 # A skip means the simulator rejected an action the model accepted; after
 # this many consecutive skips the trial is abandoned.
 MAX_CONSECUTIVE_SKIPS = 3
@@ -118,7 +121,7 @@ def execute(
     scene: Scene,
     planner_cfg: PlannerConfig,
     noise: NoiseConfig = NO_NOISE,
-    step_budget: int = 15,
+    step_budget: int = DEFAULT_STEP_BUDGET,
     rng: Optional[random.Random] = None,
 ) -> ExecutionReport:
     """Run the plan-act-observe loop until done, stuck, or out of budget.

@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional
 
 from .executor import ExecutionReport
 from .geometry import HalfDims, Rect, Side, Vec2
-from .metrics import CostBreakdown, total_cost
+from .metrics import CostBreakdown
 from .planner import Plan
 from .scene import (
     DEFAULT_TOLERANCE, Action, InvalidSceneError, ObjectSpec, PickPlace, PushPlace, Scene, satisfied_count,
@@ -280,23 +280,25 @@ def action_from_dict(doc: Any, name: str = "action") -> Action:
     return PushPlace(obj, _side(doc.get("side"), f"{name}.side"), _pose(doc.get("pre_push"), f"{name}.pre_push"))
 
 
-# A cost entry's keys, in the order of CostBreakdown's fields.
-_COST_KEYS = ("approach", "pick", "transfer", "lambda")
+# A cost entry's travel keys, in the order of CostBreakdown's fields.
+_COST_KEYS = ("approach", "pick", "transfer")
 
 
 def plan_to_dict(p: Plan) -> dict:
     return {
         "actions": [action_to_dict(a) for a in p.actions],
-        "costs": [
-            dict(zip(_COST_KEYS, (bd.approach, bd.pick, bd.transfer, bd.lam)), total=bd.total)
-            for bd in p.costs
-        ],
+        "costs": [{"approach": bd.approach, "pick": bd.pick, "transfer": bd.transfer, "lambda": bd.lam,
+                   "total": bd.total} for bd in p.costs],
         "total": p.total,
     }
 
 
 def _cost(value: Any, name: str) -> CostBreakdown:
-    doc = {"lambda": 1.0} | _object(value, f"field '{name}'")
+    """A cost entry.  Its ``lambda`` may be omitted but is otherwise 1: every
+    cost pushplan computes is unscaled, and a stored total is never read."""
+    doc = _object(value, f"field '{name}'")
+    if _finite(doc.get("lambda", 1.0), f"{name}.lambda") != 1.0:
+        raise _bad(f"{name}.lambda", "1", doc["lambda"])
     return CostBreakdown(*(_finite(doc.get(key), f"{name}.{key}") for key in _COST_KEYS))
 
 
@@ -305,8 +307,9 @@ def plan_from_dict(doc: Any) -> Plan:
     actions = tuple(_list(_need(doc, "actions", "plan document"), "actions", action_from_dict))
     # One cost entry per action, when there are costs at all.
     costs = tuple(_list(doc["costs"], "costs", _cost, size=len(actions))) if "costs" in doc else ()
-    total = _finite(doc["total"], "total") if "total" in doc else total_cost(costs)
-    return Plan(actions, costs, total)
+    # A stored total is checked but not read: ``Plan.total`` is derived from the costs.
+    _finite(doc.get("total", 0.0), "total")
+    return Plan(actions, costs)
 
 
 # --- execution reports ----------------------------------------------------------------

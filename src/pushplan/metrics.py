@@ -57,14 +57,18 @@ def travel_cost(
     """``action_cost`` for an action already known to be feasible: no validation."""
     start = scene.current[action.object]
     approach = (start - ee.pose).norm()
+    final = set_down_pose(scene, action)
     if isinstance(action, PickPlace):
-        transfer = (action.destination - start).norm()
-        final = action.destination
+        transfer = (final - start).norm()
     else:
-        goal = scene.goal[action.object]
-        transfer = (action.pre_push - start).norm() + (goal - action.pre_push).norm()
-        final = goal
+        transfer = (action.pre_push - start).norm() + (final - action.pre_push).norm()
     return CostBreakdown(approach, PICK_TRAVEL, transfer, lam), EEState(final, ee.home)
+
+
+def set_down_pose(scene: Scene, action: Action) -> Vec2:
+    """Where ``action`` sets its object down in ``scene``: a placement's
+    destination, a push's goal.  The end-effector ends the action there."""
+    return action.destination if isinstance(action, PickPlace) else scene.goal[action.object]
 
 
 def path_costs(steps: Iterable[tuple[Scene, Action]]) -> tuple[CostBreakdown, ...]:

@@ -63,9 +63,15 @@ class PlannerConfig:
 
 @dataclass(frozen=True, slots=True)
 class Plan:
+    """An action sequence and each action's cost.  ``total`` is derived from
+    ``costs`` on every read, so the two cannot disagree."""
+
     actions: tuple[Action, ...]
     costs: tuple[CostBreakdown, ...]
-    total: float
+
+    @property
+    def total(self) -> float:
+        return total_cost(self.costs)
 
 
 class SearchNode:
@@ -185,8 +191,7 @@ def _extract_plan(terminal: SearchNode) -> Plan:
         steps.append((node.parent.state, node.action))
         node = node.parent
     steps.reverse()
-    costs = tuple(path_costs(steps))
-    return Plan(tuple(action for _, action in steps), costs, total_cost(costs))
+    return Plan(tuple(action for _, action in steps), path_costs(steps))
 
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
@@ -196,7 +201,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
     an expansion budget the result is a pure function of (scene, cfg).
     """
     if satisfied_count(scene) == scene.n:
-        return Plan((), (), 0.0)
+        return Plan((), ())
     rng = random.Random(cfg.seed)
     # None of the search tree's scenes escapes.
     root = SearchNode(scene.with_footprints(), None, None)

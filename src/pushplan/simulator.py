@@ -25,7 +25,6 @@ from .scene import (
     InvalidSceneError,
     PickPlace,
     Scene,
-    blockers_of,
     placement_conflict,
     validate_action,
 )
@@ -39,6 +38,10 @@ class SimulationError(RuntimeError):
 
 
 class SimEventKind(Enum):
+    """A swept object's kind is its place in the contact chain, blocker or not:
+    PUSHED when the target carries it, SECONDARY_CONTACT when another carried
+    object does.  LEFT_TABLE: an object clamped back inside the table edge."""
+
     PUSHED = "pushed"
     SECONDARY_CONTACT = "secondary_contact"
     LEFT_TABLE = "left_table"
@@ -291,11 +294,11 @@ def simulate(
 
     With noise disabled this agrees with ``scene.apply_action`` exactly (to
     float noise) for any admissible push.  Unsafe pushes are simulated, not
-    rejected: extra contacts surface as SecondaryContact events and anything
-    driven off the table is clamped just inside the edge with a LeftTable
-    event.  The returned scene is always valid: only the objects whose pose
-    changed are checked, and one that fails raises InvalidSceneError.  It
-    carries a cache (``Scene.with_moved``).
+    rejected: the contact events are ``push_forward``'s, unchanged (see
+    ``SimEventKind``), and anything driven off the table is clamped just
+    inside the edge with a LeftTable event.  The returned scene is always
+    valid: only the objects whose pose changed are checked, and one that
+    fails raises InvalidSceneError.  It carries a cache (``Scene.with_moved``).
 
     Raises InfeasibleActionError for a pre-push pose whose footprint collides
     or hangs off the table, and for an occupied PickPlace destination.
@@ -339,19 +342,10 @@ def simulate(
     # the goal region with a visible gap, then set the grasped target down on
     # the goal itself.
     sweep_end = goal + side.unit * DEFAULT_CLEARANCE
-    raw_poses, raw_events = push_forward(scene, target, side, p0, sweep_end)
+    raw_poses, events = push_forward(scene, target, side, p0, sweep_end)
     poses = list(raw_poses)
     poses[target] = goal
-
-    blockers = blockers_of(scene, target)
-    events: list[SimEvent] = []
-    moved = []
-    for ev in raw_events:
-        moved.append(ev.object)
-        if ev.object in blockers:
-            events.append(SimEvent(SimEventKind.PUSHED, ev.object, ev.detail))
-        else:
-            events.append(SimEvent(SimEventKind.SECONDARY_CONTACT, ev.object, ev.detail))
+    moved = [ev.object for ev in events]
 
     events.extend(_relax_off_table(scene, poses, moved, side, target))
     _resolve_residual_overlaps(scene, poses, moved, side)

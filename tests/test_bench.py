@@ -11,7 +11,7 @@ from pushplan import (
     BenchConfig,
     BenchRecord,
     BenchVariant,
-    HalfDims,
+    PlannerConfig,
     Rect,
     Vec2,
     aggregate,
@@ -30,7 +30,6 @@ from pushplan.bench import (
 )
 from pushplan.cli import main
 from pushplan.geometry import contains, overlaps
-from pushplan.scene import satisfied_count
 
 from conftest import make_swap_scene
 
@@ -90,8 +89,9 @@ class TestGenerateScene:
 class TestRunSingle:
     def test_swap_variants_disagree_on_action_count(self):
         scene = make_swap_scene()
-        found_p, actions_p, cost_p, _ = run_single(scene, BenchVariant("push", True), 0, 3000, None)
-        found_b, actions_b, cost_b, _ = run_single(scene, BenchVariant("baseline", False), 0, 3000, None)
+        found_p, actions_p, cost_p, _ = run_single(scene, PlannerConfig(max_expansions=3000, seed=0))
+        found_b, actions_b, cost_b, _ = run_single(
+            scene, PlannerConfig(max_expansions=3000, push_enabled=False, seed=0))
         assert found_p and found_b
         assert actions_p == 2
         assert actions_b >= 3
@@ -99,12 +99,12 @@ class TestRunSingle:
 
     def test_expansion_budget_zeroes_the_clock(self):
         scene = make_swap_scene()
-        _, _, _, ms = run_single(scene, BenchVariant("push", True), 0, 500, None)
+        _, _, _, ms = run_single(scene, PlannerConfig(max_expansions=500, seed=0))
         assert ms == 0.0
 
     def test_wall_clock_budget_reports_time(self):
         scene = make_swap_scene()
-        found, _, _, ms = run_single(scene, BenchVariant("push", True), 0, None, 0.5)
+        found, _, _, ms = run_single(scene, PlannerConfig(time_budget_s=0.5, seed=0))
         assert found
         assert ms > 0.0
 
@@ -151,6 +151,15 @@ class TestRunBenchmark:
         assert len(records) == 4
         assert sizes == [4]
         assert records == run_benchmark(cfg)
+
+    def test_both_budgets_rejected_before_any_scene_is_generated(self, monkeypatch):
+        generated = []
+        monkeypatch.setattr(bench, "generate_scene", lambda *args: generated.append(args))
+        cfg = BenchConfig(object_counts=(3,), scenes_per_count=1, runs_per_scene=1, time_budget_s=0.05)
+        assert cfg.max_expansions is not None
+        with pytest.raises(ValueError, match="not both"):
+            run_benchmark(cfg)
+        assert generated == []
 
     def test_duplicate_variant_names_rejected(self):
         cfg = BenchConfig(variants=(BenchVariant("x", True), BenchVariant("x", False)))

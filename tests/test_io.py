@@ -15,6 +15,7 @@ from pushplan import io
 from pushplan.bench import BenchConfig
 from pushplan.cli import main
 from pushplan.io import SceneFormatError
+from pushplan.metrics import total_cost
 from pushplan.planner import Plan, PlannerConfig, plan
 from pushplan.scene import Scene
 
@@ -145,6 +146,13 @@ class TestTables:
         cfg = BenchConfig(**io.bench_config_kwargs({"time_budget_s": 0.5}))
         assert (cfg.max_expansions, cfg.time_budget_s) == (None, 0.5)
 
+    def test_plan_total_is_derived_from_the_costs(self):
+        doc = json.loads((Path(__file__).parent / "golden" / "plan_swap.json").read_text())
+        p = io.plan_from_dict(dict(doc, total=99.0))
+        assert p.total == total_cost(p.costs) == doc["total"]
+        assert io.plan_from_dict({"actions": doc["actions"]}).total == 0.0
+        assert [f.name for f in dataclasses.fields(Plan)] == ["actions", "costs"]
+
     def test_inverted_workspace_names_the_field(self):
         with pytest.raises(SceneFormatError, match=r"'workspace' must be \[x0, y0, x1, y1\] with x0 <= x1"):
             io.scene_from_dict(dict(SCENE_DOC, workspace=[1.0, 0.0, 0.0, 1.0]))
@@ -207,6 +215,9 @@ CASES = [
     # a plan document needs one cost entry per action
     ("plan", {"actions": [SWAP_PLAN_ACTION] * 2, "costs": [{"approach": 0.1, "pick": 0.2, "transfer": 0.3}] * 6},
      "'costs' must be a list of 2"),
+    # every cost is unscaled: a cost entry's lambda is 1 or absent
+    ("plan", {"actions": [SWAP_PLAN_ACTION],
+              "costs": [{"approach": 0.1, "pick": 0.2, "transfer": 0.3, "lambda": 2.0}]}, "'costs[0].lambda'"),
 ]
 
 

@@ -280,7 +280,6 @@ class TestEdgeCases:
                     PickPlace(0, Vec2(0.65, 0.5)),
                 ),
                 (),
-                0.0,
             ),
         )
         p = plan(solved, PlannerConfig(max_expansions=10))

@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import make_chained_push_scene, make_edge_push_scene, make_swap_scene, take_proposals
+from conftest import make_chained_push_scene, make_swap_scene, take_proposals
 from oracles import check_push, oracle_blockers, oracle_buffer_pose, oracle_p0, placement_free, side_fails
 from pushplan import primitives
 from pushplan.bench import generate_scene

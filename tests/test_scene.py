@@ -1,8 +1,5 @@
 """Scene state, transitions, and the JSON wire format."""
 
-import json
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

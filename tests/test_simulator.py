@@ -1,13 +1,11 @@
 """Simulator tests: chain propagation, edge handling, noise, and the
 zero-noise fidelity guarantee against scene.apply_action."""
 
-import math
 import random
 
 import pytest
 
 from pushplan import (
-    NO_NOISE,
     EDGE_REST_INSET,
     InfeasibleActionError,
     NoiseConfig,
@@ -26,6 +24,7 @@ from pushplan import (
     simulate,
 )
 from pushplan.geometry import HalfDims, Rect, axis_coord, overlaps, perp_coord
+from pushplan.scene import DEFAULT_CLEARANCE
 
 from conftest import take_proposals
 
@@ -163,6 +162,22 @@ class TestForcedPushes:
         assert (SimEventKind.SECONDARY_CONTACT, 4) in kinds
         sec = next(e for e in events if e.kind is SimEventKind.SECONDARY_CONTACT)
         assert "by object 1" in sec.detail
+
+    def test_contact_kind_is_the_chain_position_not_blocker_status(self):
+        # Objects 1 and 2 both block the target's goal, but only object 1 is
+        # carried by the target; object 2 is carried by object 1.
+        scene = _row_scene([0.15, 0.43, 0.54], Vec2(0.5, 0.5))
+        assert blockers_of(scene, 0) == (1, 2)
+        action = PushPlace(0, Side.RIGHT, Vec2(0.27, 0.5))
+        sweep_end = scene.goal[0] + Side.RIGHT.unit * DEFAULT_CLEARANCE
+        _, expected = push_forward(scene, 0, Side.RIGHT, action.pre_push, sweep_end)
+        _, events = simulate(scene, action)
+        assert events == expected
+        assert [(e.kind, e.object) for e in events] == [
+            (SimEventKind.PUSHED, 1),
+            (SimEventKind.SECONDARY_CONTACT, 2),
+        ]
+        assert events[1].detail == "contact chain: pushed 0.165000 m by object 1"
 
     def test_edge_push_clamps_and_slides(self):
         # blocker driven past the right wall: clamped to rest just inside,

@@ -245,7 +245,7 @@ class TestInvalidOutcome:
         # An InfeasibleActionError would be swallowed as a skipped step.
         scene, action = _edge_push()
         monkeypatch.setattr(simulator_mod, "_resolve_residual_overlaps", lambda *args: None)
-        monkeypatch.setattr(executor_mod, "plan", lambda s, cfg: Plan((action,), (), 0.0))
+        monkeypatch.setattr(executor_mod, "plan", lambda s, cfg: Plan((action,), ()))
         with pytest.raises(InvalidSceneError):
             execute(scene, PlannerConfig(max_expansions=10))
 
