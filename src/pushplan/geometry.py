@@ -156,12 +156,29 @@ def sweep(r: Rect, side: Side, distance: float) -> Rect:
     Because motion is axis-aligned, the swept region is itself a rectangle:
     the union of start and end footprints and everything between.
     """
+    lx, ly, hx, hy = sweep_bounds(r, side, distance)
+    return Rect(Vec2(lx, ly), Vec2(hx, hy))
+
+
+def sweep_bounds(r: Rect, side: Side, distance: float) -> tuple[float, float, float, float]:
+    """``sweep(r, side, distance)`` as plain floats (lo.x, lo.y, hi.x, hi.y).
+
+    For scans that test one swept region against many footprints and need
+    no ``Rect`` of it.
+    """
     if distance < 0.0:
         raise ValueError(f"sweep distance must be non-negative, got {distance}")
-    moved = translate(r, side.unit * distance)
-    return Rect(
-        Vec2(min(r.lo.x, moved.lo.x), min(r.lo.y, moved.lo.y)),
-        Vec2(max(r.hi.x, moved.hi.x), max(r.hi.y, moved.hi.y)),
+    u = side.unit
+    dx, dy = u.x * distance, u.y * distance
+    lx, ly, hx, hy = r.lo.x, r.lo.y, r.hi.x, r.hi.y
+    # ``min`` and ``max`` of the start and end faces: like the builtins, keep
+    # the start unless the end lies strictly beyond it.
+    mlx, mly, mhx, mhy = lx + dx, ly + dy, hx + dx, hy + dy
+    return (
+        mlx if mlx < lx else lx,
+        mly if mly < ly else ly,
+        mhx if mhx > hx else hx,
+        mhy if mhy > hy else hy,
     )
 
 

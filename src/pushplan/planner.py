@@ -75,13 +75,16 @@ class Plan:
 
 
 class SearchNode:
-    """One arrangement in the tree, with UCT statistics."""
+    """One arrangement in the tree, its incoming action, and UCT statistics.
 
-    __slots__ = ("state", "parent", "action", "children", "visits", "reward_sum")
+    A node holds no link to its parent, so the tree has no reference cycle
+    and reference counting frees it as soon as the search drops its root.
+    """
 
-    def __init__(self, state: Scene, parent: Optional["SearchNode"], action: Optional[Action]) -> None:
+    __slots__ = ("state", "action", "children", "visits", "reward_sum")
+
+    def __init__(self, state: Scene, action: Optional[Action]) -> None:
         self.state = state
-        self.parent = parent
         self.action = action
         self.children: list[SearchNode] = []
         self.visits = 0
@@ -130,8 +133,9 @@ def _backprop(path: list[SearchNode], reward: float) -> None:
         node.reward_sum += reward
 
 
-def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -> Optional[SearchNode]:
-    """Select a node, expand one child, backpropagate; return the new child.
+def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -> Optional[list[SearchNode]]:
+    """Select a node, expand one child, backpropagate; return the path from
+    ``root`` to the new child.
 
     Returns None when the selected node could not be expanded (depth cap or
     buffer exhaustion); the visit still counts so selection moves on.
@@ -176,21 +180,16 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
         # The recommender only proposes feasible moves; keep searching anyway.
         _backprop(path, float(satisfied_count(node.state)))
         return None
-    child = SearchNode(new_state, node, action)
+    child = SearchNode(new_state, action)
     node.children.append(child)
     path.append(child)
     _backprop(path, float(satisfied_count(new_state)))
-    return child
+    return path
 
 
-def _extract_plan(terminal: SearchNode) -> Plan:
-    """The actions from the root to ``terminal``, costed once along that path."""
-    steps: list[tuple[Scene, Action]] = []
-    node = terminal
-    while node.parent is not None:
-        steps.append((node.parent.state, node.action))
-        node = node.parent
-    steps.reverse()
+def _extract_plan(path: list[SearchNode]) -> Plan:
+    """The actions along ``path``, from the root, costed once along it."""
+    steps = [(parent.state, child.action) for parent, child in zip(path, path[1:])]
     return Plan(tuple(action for _, action in steps), path_costs(steps))
 
 
@@ -204,7 +203,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
         return Plan((), ())
     rng = random.Random(cfg.seed)
     # None of the search tree's scenes escapes.
-    root = SearchNode(scene.with_footprints(), None, None)
+    root = SearchNode(scene.with_footprints(), None)
 
     if cfg.max_expansions is not None:
         remaining = cfg.max_expansions
@@ -221,7 +220,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
             return time.monotonic() < deadline
 
     while budget_left():
-        child = tree_search_step(root, cfg, rng)
-        if child is not None and satisfied_count(child.state) == scene.n:
-            return _extract_plan(child)
+        path = tree_search_step(root, cfg, rng)
+        if path is not None and satisfied_count(path[-1].state) == scene.n:
+            return _extract_plan(path)
     return None

@@ -12,26 +12,31 @@ near a table edge:
   empty of everything except the blockers it is about to push.
 
 Sides are tried in a fixed order and the first admissible one wins, so at
-most four sides are ever evaluated and each side does work linear in the
-number of blockers.
+most four sides are ever evaluated.  Each side does O(|B|·n) overlap tests
+for its |B| blockers among n objects: one corridor scan per blocker, plus
+the approach scan.  The scans read the scene's footprints as plain floats.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+# ``overlaps`` is not called here: the scans below test overlap on floats.
+# It stays bound because perfbench's tracer and its tests look it up in this
+# module.
 from .geometry import (
+    Rect,
     Side,
     Vec2,
     axis_coord,
     axis_extent,
-    overlaps,
+    overlaps,  # noqa: F401
     rect_from_center,
-    sweep,
-    translate,
+    sweep_bounds,
 )
 from .scene import (
     DEFAULT_CLEARANCE,
@@ -75,6 +80,23 @@ class PushProposal:
         return PushPlace(self.target, self.side, self.pre_push)
 
 
+def _first_overlap(
+    rects: Sequence[Rect],
+    bounds: tuple[float, float, float, float],
+    own: int,
+    skip: frozenset[int],
+) -> Optional[int]:
+    """The lowest j, neither ``own`` nor in ``skip``, whose rect in ``rects``
+    overlaps the region ``bounds`` (lo.x, lo.y, hi.x, hi.y); None if none does."""
+    lx, ly, hx, hy = bounds
+    # ``overlaps``, inlined: this runs for every object, for every blocker of
+    # every side the search evaluates.
+    for j, o in enumerate(rects):
+        if lx < o.hi.x and o.lo.x < hx and ly < o.hi.y and o.lo.y < hy and j != own and j not in skip:
+            return j
+    return None
+
+
 def corridor_clear(
     scene: Scene,
     blocker: int,
@@ -89,24 +111,22 @@ def corridor_clear(
     blockers are *not* excluded: a blocker in another's path is exactly the
     contact chain this check exists to reject.
     """
-    region = sweep(scene.footprint(blocker), side, displacement)
-    for j in range(scene.n):
-        if j == blocker or j in exclude:
-            continue
-        if overlaps(region, scene.footprint(j)):
-            return False
-    return True
+    rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
+    region = sweep_bounds(rects[blocker], side, displacement)
+    return _first_overlap(rects, region, blocker, exclude) is None
 
 
 def edge_safe(scene: Scene, blocker: int, side: Side, displacement: float, margin: float) -> bool:
     """True iff the blocker's post-push footprint keeps ``margin`` from every table edge."""
-    r = translate(scene.footprint(blocker), side.unit * displacement)
+    r = scene.footprint(blocker)
+    u = side.unit
+    dx, dy = u.x * displacement, u.y * displacement
     w = scene.workspace
     return (
-        r.lo.x >= w.lo.x + margin
-        and r.lo.y >= w.lo.y + margin
-        and r.hi.x <= w.hi.x - margin
-        and r.hi.y <= w.hi.y - margin
+        r.lo.x + dx >= w.lo.x + margin
+        and r.lo.y + dy >= w.lo.y + margin
+        and r.hi.x + dx <= w.hi.x - margin
+        and r.hi.y + dy <= w.hi.y - margin
     )
 
 
@@ -127,15 +147,23 @@ def _evaluate_side(
     ``edge_margin`` from the table edges; return (proposal, "") or (None, reason)."""
     if stats is not None:
         stats.sides_evaluated += 1
+    rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
+    u = side.unit
     goal_pose = scene.goal[target]
     goal_far = axis_extent(scene.goal_footprint(target), side)[1]
     grasped = frozenset((target,))
 
     moves: list[tuple[int, float]] = []
+    min_near = math.inf
     for b in blockers:
+        # ``axis_extent(rects[b], side)[0]``, inlined: the blocker's face
+        # nearest the approach.
+        r = rects[b]
+        c1 = r.lo.x * u.x + r.lo.y * u.y
+        c2 = r.hi.x * u.x + r.hi.y * u.y
+        near = c1 if c1 <= c2 else c2
         # Travel that puts the blocker's trailing face one clearance past the
         # goal region's far edge: strictly positive, since ``b`` overlaps it.
-        near = axis_extent(scene.footprint(b), side)[0]
         d = goal_far - near + DEFAULT_CLEARANCE
         if stats is not None:
             stats.pair_checks += 1
@@ -144,19 +172,21 @@ def _evaluate_side(
         if not corridor_clear(scene, b, side, d, exclude=grasped):
             return None, f"push corridor of blocker {b} is not empty"
         moves.append((b, d))
+        if near < min_near:
+            min_near = near
 
     # Post-push footprints need no pairwise check: every trailing face ends at
     # ``goal_far`` plus the clearance, so two blockers could only collide if
     # they overlap laterally, and then the rear one's corridor met the front one.
 
     # Pre-push pose: leading face one clearance behind the outermost blocker,
-    # i.e. the one protruding farthest toward the approach.  That puts the
-    # target behind every blocker so a single sweep collects them all.
-    min_near = min(axis_extent(scene.footprint(b), side)[0] for b, _ in moves)
+    # i.e. the one protruding farthest toward the approach (``min_near``).
+    # That puts the target behind every blocker so a single sweep collects
+    # them all.
     h = _half_along(scene, target, side)
     p0_axis = (min_near - DEFAULT_CLEARANCE) - h
     goal_axis = axis_coord(goal_pose, side)
-    p0 = goal_pose + side.unit * (p0_axis - goal_axis)
+    p0 = goal_pose + u * (p0_axis - goal_axis)
 
     if stats is not None:
         stats.p0_checks += 1
@@ -168,13 +198,9 @@ def _evaluate_side(
     # The target's own sweep (through the goal plus the clearance overshoot)
     # may touch blockers only.
     travel = (goal_axis - p0_axis) + DEFAULT_CLEARANCE
-    approach = sweep(p0_rect, side, travel)
-    blocker_set = frozenset(b for b, _ in moves)
-    for j in range(scene.n):
-        if j == target or j in blocker_set:
-            continue
-        if overlaps(approach, scene.footprint(j)):
-            return None, f"approach corridor is blocked by non-blocker object {j}"
+    j = _first_overlap(rects, sweep_bounds(p0_rect, side, travel), target, frozenset(blockers))
+    if j is not None:
+        return None, f"approach corridor is blocked by non-blocker object {j}"
 
     return PushProposal(target, side, p0, tuple(moves)), ""
 

@@ -19,14 +19,38 @@ successor through ``Scene.__post_init__``'s full check of every pair; the
 incremental successors of ``apply_action`` and ``simulate`` are held to it.
 ``replace_moved`` is its rebuilding step alone, for any set of moves; the
 incremental ``Scene.with_moved`` is held to it.
+``object_evaluate_side`` is the original, object-based side evaluation of
+``primitives``, kept as written: a ``Rect`` per translated or swept blocker
+and one ``overlaps`` call per object scanned.  The float-based scan is held
+to it exactly.
 """
 
 import random
+from collections.abc import Sequence
 from dataclasses import replace
 from typing import Optional
 
-from pushplan.geometry import Side, Vec2, contains, overlaps, rect_from_center
-from pushplan.scene import Action, PickPlace, Scene, unsatisfied_ids, validate_action
+from pushplan.geometry import (
+    Rect,
+    Side,
+    Vec2,
+    axis_coord,
+    axis_extent,
+    contains,
+    overlaps,
+    rect_from_center,
+    translate,
+)
+from pushplan.primitives import PushProposal, PushStats
+from pushplan.scene import (
+    DEFAULT_CLEARANCE,
+    Action,
+    PickPlace,
+    Scene,
+    placement_conflict,
+    unsatisfied_ids,
+    validate_action,
+)
 
 STEP = 0.001
 MARGIN = 0.01
@@ -242,3 +266,87 @@ def replace_successor(scene: Scene, action: Action) -> Scene:
         moves = [(action.object, scene.goal[action.object])]
         moves += [(b, scene.current[b] + u * d) for b, d in move.blocker_moves]
     return replace_moved(scene, moves)
+
+
+def _object_sweep(r: Rect, side: Side, distance: float) -> Rect:
+    if distance < 0.0:
+        raise ValueError(f"sweep distance must be non-negative, got {distance}")
+    moved = translate(r, side.unit * distance)
+    return Rect(
+        Vec2(min(r.lo.x, moved.lo.x), min(r.lo.y, moved.lo.y)),
+        Vec2(max(r.hi.x, moved.hi.x), max(r.hi.y, moved.hi.y)),
+    )
+
+
+def _object_corridor_clear(scene: Scene, blocker: int, side: Side, displacement: float, exclude) -> bool:
+    region = _object_sweep(scene.footprint(blocker), side, displacement)
+    for j in range(scene.n):
+        if j == blocker or j in exclude:
+            continue
+        if overlaps(region, scene.footprint(j)):
+            return False
+    return True
+
+
+def _object_edge_safe(scene: Scene, blocker: int, side: Side, displacement: float, margin: float) -> bool:
+    r = translate(scene.footprint(blocker), side.unit * displacement)
+    w = scene.workspace
+    return (
+        r.lo.x >= w.lo.x + margin
+        and r.lo.y >= w.lo.y + margin
+        and r.hi.x <= w.hi.x - margin
+        and r.hi.y <= w.hi.y - margin
+    )
+
+
+def object_evaluate_side(
+    scene: Scene,
+    target: int,
+    blockers: Sequence[int],
+    side: Side,
+    edge_margin: float,
+    stats: Optional[PushStats],
+) -> tuple[Optional[PushProposal], str]:
+    """``primitives._evaluate_side`` as first written, on ``Rect`` and ``Vec2`` objects."""
+    if stats is not None:
+        stats.sides_evaluated += 1
+    goal_pose = scene.goal[target]
+    goal_far = axis_extent(scene.goal_footprint(target), side)[1]
+    grasped = frozenset((target,))
+
+    moves: list[tuple[int, float]] = []
+    for b in blockers:
+        near = axis_extent(scene.footprint(b), side)[0]
+        d = goal_far - near + DEFAULT_CLEARANCE
+        if stats is not None:
+            stats.pair_checks += 1
+        if not _object_edge_safe(scene, b, side, d, edge_margin):
+            return None, f"blocker {b} would end within {edge_margin} m of a table edge"
+        if not _object_corridor_clear(scene, b, side, d, grasped):
+            return None, f"push corridor of blocker {b} is not empty"
+        moves.append((b, d))
+
+    min_near = min(axis_extent(scene.footprint(b), side)[0] for b, _ in moves)
+    half = scene.objects[target].half
+    h = half.a if side.horizontal else half.b
+    p0_axis = (min_near - DEFAULT_CLEARANCE) - h
+    goal_axis = axis_coord(goal_pose, side)
+    p0 = goal_pose + side.unit * (p0_axis - goal_axis)
+
+    if stats is not None:
+        stats.p0_checks += 1
+    p0_rect = rect_from_center(p0, half)
+    why = placement_conflict(scene, target, p0_rect)
+    if why:
+        return None, f"pre-push footprint {why}"
+
+    travel = (goal_axis - p0_axis) + DEFAULT_CLEARANCE
+    approach = _object_sweep(p0_rect, side, travel)
+    blocker_set = frozenset(b for b, _ in moves)
+    for j in range(scene.n):
+        if j == target or j in blocker_set:
+            continue
+        if overlaps(approach, scene.footprint(j)):
+            return None, f"approach corridor is blocked by non-blocker object {j}"
+
+    return PushProposal(target, side, p0, tuple(moves)), ""

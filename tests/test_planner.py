@@ -7,6 +7,7 @@ needs at least three.  Nothing here asserts cost optimality; the search is
 anytime and returns the first full solution.
 """
 
+import gc
 import math
 import random
 
@@ -15,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pushplan import (
+    NoiseConfig,
     PickPlace,
     Plan,
     PlannerConfig,
@@ -22,6 +24,7 @@ from pushplan import (
     Side,
     Vec2,
     apply_action,
+    execute,
     plan,
     plan_cost,
 )
@@ -170,10 +173,10 @@ class TestSelection:
         The root already has as many children as widening allows, so the
         step must select one of them; each node on the path gains a visit.
         """
-        root = SearchNode(scene, None, None)
+        root = SearchNode(scene, None)
         root.visits = root_visits
         for visits, reward_sum in stats:
-            child = SearchNode(scene, root, None)
+            child = SearchNode(scene, None)
             child.visits, child.reward_sum = visits, reward_sum
             root.children.append(child)
         assert len(root.children) >= max(1, math.isqrt(root_visits))
@@ -214,9 +217,9 @@ class TestUnexpandedStep:
         # as wide as its visits allow, so selection must descend to the leaf.
         solved_one = apply_action(swap_scene, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5)))
         assert satisfied_count(solved_one) == 1
-        path = [SearchNode(swap_scene.with_footprints(), None, None)]
+        path = [SearchNode(swap_scene.with_footprints(), None)]
         for _ in range(4 * swap_scene.n):
-            child = SearchNode(solved_one, path[-1], None)
+            child = SearchNode(solved_one, None)
             path[-1].children.append(child)
             path.append(child)
         for node in path:
@@ -234,8 +237,8 @@ class TestUnexpandedStep:
             raise InfeasibleActionError("rejected")
 
         monkeypatch.setattr(planner_mod, "transition", reject)
-        root = SearchNode(swap_scene.with_footprints(), None, None)
-        leaf = SearchNode(apply_action(swap_scene, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5))), root, None)
+        root = SearchNode(swap_scene.with_footprints(), None)
+        leaf = SearchNode(apply_action(swap_scene, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5))), None)
         root.children.append(leaf)
         root.visits, leaf.visits = 2, 1
         assert tree_search_step(root, PlannerConfig(max_expansions=1), random.Random(0)) is None
@@ -243,6 +246,35 @@ class TestUnexpandedStep:
         assert root.children == [leaf] and leaf.children == []
         assert (root.visits, root.reward_sum) == (3, 1.0)
         assert (leaf.visits, leaf.reward_sum) == (2, 1.0)
+
+
+def cyclic_garbage(call) -> int:
+    """Objects the cyclic collector finds after two runs of ``call`` made
+    with the collector off; 0 when reference counting freed everything."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCycles:
+    """A search tree holds no reference cycle, so reference counting frees it
+    when ``plan`` returns, and the cyclic collector finds nothing to do."""
+
+    def test_plan(self):
+        scene = generate_scene(14, 5, size_range=DENSE_SIZES)
+        cfg = PlannerConfig(max_expansions=1500, seed=0)
+        assert cyclic_garbage(lambda: plan(scene, cfg)) == 0
+
+    def test_noisy_execution(self):
+        scene = generate_scene(8, 4)
+        cfg = PlannerConfig(max_expansions=1500, seed=0)
+        noise = NoiseConfig(enabled=True)
+        assert cyclic_garbage(lambda: execute(scene, cfg, noise, rng=random.Random(0))) == 0
 
 
 class TestDeterminism:

@@ -7,7 +7,15 @@ from typing import Optional
 import pytest
 
 from conftest import make_chained_push_scene, make_swap_scene, take_proposals
-from oracles import check_push, oracle_blockers, oracle_buffer_pose, oracle_p0, placement_free, side_fails
+from oracles import (
+    check_push,
+    object_evaluate_side,
+    oracle_blockers,
+    oracle_buffer_pose,
+    oracle_p0,
+    placement_free,
+    side_fails,
+)
 from pushplan import primitives
 from pushplan.bench import generate_scene
 from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, overlaps, perp_coord, translate
@@ -402,6 +410,33 @@ class TestBlockersMatchOracle:
             # object 2's goal [0, 0.125] touches object 1's footprint [0.125, 0.25]
             assert blockers_of(s, 2) == () and oracle_blockers(s, 2) == []
             assert blockers_of(s, 0) == (2,) and oracle_blockers(s, 0) == [2]
+
+
+class TestSideScanMatchesObjectOracle:
+    """The float-based side scan decides exactly as the object-based original:
+    the same proposal or rejection reason, and the same work counters."""
+
+    @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
+    def test_every_blocked_target_side_and_margin(self, n, sizes):
+        outcomes = dict.fromkeys(("accepted", "blocker", "push corridor", "pre-push", "approach"), 0)
+        for k in range(60):
+            scene = generate_scene(n, derive_seed("side-scan", n, k), size_range=sizes)
+            for s in (scene, scene.with_footprints()):
+                for target in range(s.n):
+                    blockers = blockers_of(s, target)
+                    if not blockers:
+                        continue
+                    for side in Side:
+                        for margin in (0.0, DEFAULT_EDGE_MARGIN):
+                            got_stats, want_stats = PushStats(), PushStats()
+                            got = primitives._evaluate_side(s, target, blockers, side, margin, got_stats)
+                            want = object_evaluate_side(s, target, blockers, side, margin, want_stats)
+                            assert got == want
+                            assert got_stats == want_stats
+                            proposal, reason = got
+                            kind = "accepted" if proposal else next(o for o in outcomes if reason.startswith(o))
+                            outcomes[kind] += 1
+        assert all(outcomes.values()), outcomes
 
 
 def accepted(prefix: str, call, *args) -> bool:
