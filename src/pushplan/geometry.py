@@ -7,6 +7,10 @@ Lengths are meters.  Two conventions matter and are relied on everywhere:
 * ``overlaps`` tests *interior* intersection: rectangles that merely share
   an edge or a corner do not overlap.
 * ``contains`` is closed: an inner rectangle may touch the outer boundary.
+
+The search tests footprints by the hundred thousand, so it reads them as
+``Bounds``, plain float tuples (lo.x, lo.y, hi.x, hi.y), and writes these two
+tests out on floats.  ``Rect`` is the type everything else uses.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+# A rectangle as plain floats: (lo.x, lo.y, hi.x, hi.y).
+Bounds = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,6 +72,10 @@ class Rect:
             raise ValueError(f"degenerate rect: lo={self.lo} hi={self.hi}")
 
     @property
+    def bounds(self) -> Bounds:
+        return (self.lo.x, self.lo.y, self.hi.x, self.hi.y)
+
+    @property
     def center(self) -> Vec2:
         return Vec2((self.lo.x + self.hi.x) / 2.0, (self.lo.y + self.hi.y) / 2.0)
 
@@ -82,7 +93,10 @@ class Side(Enum):
 
     The value doubles as the serialized form.  ``unit`` is the direction the
     pusher (and anything it shoves) moves: LEFT travels in -x, RIGHT in +x,
-    UP in +y, DOWN in -y.
+    UP in +y, DOWN in -y.  ``horizontal`` is True for LEFT and RIGHT, and
+    ``opposite`` is the side pushing the other way.  All three are plain
+    attributes of each member, set once below: the search reads them on
+    every push it scans.
     """
 
     LEFT = "left"
@@ -90,32 +104,21 @@ class Side(Enum):
     UP = "up"
     DOWN = "down"
 
-    @property
-    def unit(self) -> Vec2:
-        return _SIDE_UNITS[self]
-
-    @property
-    def horizontal(self) -> bool:
-        return self in (Side.LEFT, Side.RIGHT)
-
-    @property
-    def opposite(self) -> "Side":
-        return _SIDE_OPPOSITES[self]
+    unit: Vec2
+    horizontal: bool
+    opposite: "Side"
 
 
-_SIDE_UNITS = {
-    Side.LEFT: Vec2(-1.0, 0.0),
-    Side.RIGHT: Vec2(1.0, 0.0),
-    Side.UP: Vec2(0.0, 1.0),
-    Side.DOWN: Vec2(0.0, -1.0),
-}
-
-_SIDE_OPPOSITES = {
-    Side.LEFT: Side.RIGHT,
-    Side.RIGHT: Side.LEFT,
-    Side.UP: Side.DOWN,
-    Side.DOWN: Side.UP,
-}
+for _side, _unit, _opposite in (
+    (Side.LEFT, Vec2(-1.0, 0.0), Side.RIGHT),
+    (Side.RIGHT, Vec2(1.0, 0.0), Side.LEFT),
+    (Side.UP, Vec2(0.0, 1.0), Side.DOWN),
+    (Side.DOWN, Vec2(0.0, -1.0), Side.UP),
+):
+    _side.unit = _unit
+    _side.horizontal = _unit.y == 0.0
+    _side.opposite = _opposite
+del _side, _unit, _opposite
 
 
 def rect_from_center(center: Vec2, half: HalfDims) -> Rect:
@@ -124,6 +127,11 @@ def rect_from_center(center: Vec2, half: HalfDims) -> Rect:
         Vec2(center.x - half.a, center.y - half.b),
         Vec2(center.x + half.a, center.y + half.b),
     )
+
+
+def bounds_from_center(center: Vec2, half: HalfDims) -> Bounds:
+    """``rect_from_center(center, half).bounds``, without building the Rect."""
+    return (center.x - half.a, center.y - half.b, center.x + half.a, center.y + half.b)
 
 
 def translate(r: Rect, v: Vec2) -> Rect:
@@ -156,12 +164,12 @@ def sweep(r: Rect, side: Side, distance: float) -> Rect:
     Because motion is axis-aligned, the swept region is itself a rectangle:
     the union of start and end footprints and everything between.
     """
-    lx, ly, hx, hy = sweep_bounds(r, side, distance)
+    lx, ly, hx, hy = sweep_bounds(r.bounds, side, distance)
     return Rect(Vec2(lx, ly), Vec2(hx, hy))
 
 
-def sweep_bounds(r: Rect, side: Side, distance: float) -> tuple[float, float, float, float]:
-    """``sweep(r, side, distance)`` as plain floats (lo.x, lo.y, hi.x, hi.y).
+def sweep_bounds(b: Bounds, side: Side, distance: float) -> Bounds:
+    """``sweep`` of the rectangle with bounds ``b``, as bounds.
 
     For scans that test one swept region against many footprints and need
     no ``Rect`` of it.
@@ -170,7 +178,7 @@ def sweep_bounds(r: Rect, side: Side, distance: float) -> tuple[float, float, fl
         raise ValueError(f"sweep distance must be non-negative, got {distance}")
     u = side.unit
     dx, dy = u.x * distance, u.y * distance
-    lx, ly, hx, hy = r.lo.x, r.lo.y, r.hi.x, r.hi.y
+    lx, ly, hx, hy = b
     # ``min`` and ``max`` of the start and end faces: like the builtins, keep
     # the start unless the end lies strictly beyond it.
     mlx, mly, mhx, mhy = lx + dx, ly + dy, hx + dx, hy + dy
@@ -199,6 +207,12 @@ def axis_extent(r: Rect, side: Side) -> tuple[float, float]:
     Oriented so that far > near in the direction of travel; hence
     ``axis_extent(r, s)[1] == -axis_extent(r, s.opposite)[0]``.
     """
-    c1 = axis_coord(r.lo, side)
-    c2 = axis_coord(r.hi, side)
+    return bounds_extent(r.bounds, side)
+
+
+def bounds_extent(b: Bounds, side: Side) -> tuple[float, float]:
+    """``axis_extent`` of the rectangle with bounds ``b``."""
+    u = side.unit
+    c1 = b[0] * u.x + b[1] * u.y
+    c2 = b[2] * u.x + b[3] * u.y
     return (c1, c2) if c1 <= c2 else (c2, c1)

@@ -14,7 +14,13 @@ near a table edge:
 Sides are tried in a fixed order and the first admissible one wins, so at
 most four sides are ever evaluated.  Each side does O(|B|·n) overlap tests
 for its |B| blockers among n objects: one corridor scan per blocker, plus
-the approach scan.  The scans read the scene's footprints as plain floats.
+the approach scan.
+
+Every scan here, buffer sampling included, reads footprints as ``Bounds``
+(plain floats lo.x, lo.y, hi.x, hi.y) from ``Scene.bounds`` and
+``Scene.goal_bounds``, and tests overlap inline on them, with the
+comparisons ``geometry.overlaps`` makes.  No ``Rect`` or ``Vec2`` is built
+per object scanned.
 """
 
 from __future__ import annotations
@@ -25,19 +31,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-# ``overlaps`` is not called here: the scans below test overlap on floats.
-# It stays bound because perfbench's tracer and its tests look it up in this
-# module.
-from .geometry import (
-    Rect,
-    Side,
-    Vec2,
-    axis_coord,
-    axis_extent,
-    overlaps,  # noqa: F401
-    rect_from_center,
-    sweep_bounds,
-)
+from .geometry import Bounds, Side, Vec2, axis_coord, sweep_bounds
+# ``overlaps`` and ``rect_from_center`` are not called here: the scans below
+# work on ``Bounds``.  Both stay bound because perfbench's tracer and its
+# tests look them up in this module.
+from .geometry import overlaps, rect_from_center  # noqa: F401
 from .scene import (
     DEFAULT_CLEARANCE,
     InfeasibleActionError,
@@ -81,18 +79,18 @@ class PushProposal:
 
 
 def _first_overlap(
-    rects: Sequence[Rect],
-    bounds: tuple[float, float, float, float],
+    rects: Sequence[Bounds],
+    region: Bounds,
     own: int,
     skip: frozenset[int],
 ) -> Optional[int]:
-    """The lowest j, neither ``own`` nor in ``skip``, whose rect in ``rects``
-    overlaps the region ``bounds`` (lo.x, lo.y, hi.x, hi.y); None if none does."""
-    lx, ly, hx, hy = bounds
+    """The lowest j, neither ``own`` nor in ``skip``, whose bounds in ``rects``
+    overlap ``region``; None if none do."""
+    lx, ly, hx, hy = region
     # ``overlaps``, inlined: this runs for every object, for every blocker of
     # every side the search evaluates.
-    for j, o in enumerate(rects):
-        if lx < o.hi.x and o.lo.x < hx and ly < o.hi.y and o.lo.y < hy and j != own and j not in skip:
+    for j, (olx, oly, ohx, ohy) in enumerate(rects):
+        if lx < ohx and olx < hx and ly < ohy and oly < hy and j != own and j not in skip:
             return j
     return None
 
@@ -111,28 +109,23 @@ def corridor_clear(
     blockers are *not* excluded: a blocker in another's path is exactly the
     contact chain this check exists to reject.
     """
-    rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
+    rects = scene.bounds()
     region = sweep_bounds(rects[blocker], side, displacement)
     return _first_overlap(rects, region, blocker, exclude) is None
 
 
 def edge_safe(scene: Scene, blocker: int, side: Side, displacement: float, margin: float) -> bool:
     """True iff the blocker's post-push footprint keeps ``margin`` from every table edge."""
-    r = scene.footprint(blocker)
+    lx, ly, hx, hy = scene.bounds()[blocker]
     u = side.unit
     dx, dy = u.x * displacement, u.y * displacement
     w = scene.workspace
     return (
-        r.lo.x + dx >= w.lo.x + margin
-        and r.lo.y + dy >= w.lo.y + margin
-        and r.hi.x + dx <= w.hi.x - margin
-        and r.hi.y + dy <= w.hi.y - margin
+        lx + dx >= w.lo.x + margin
+        and ly + dy >= w.lo.y + margin
+        and hx + dx <= w.hi.x - margin
+        and hy + dy <= w.hi.y - margin
     )
-
-
-def _half_along(scene: Scene, obj: int, side: Side) -> float:
-    half = scene.objects[obj].half
-    return half.a if side.horizontal else half.b
 
 
 def _evaluate_side(
@@ -147,10 +140,15 @@ def _evaluate_side(
     ``edge_margin`` from the table edges; return (proposal, "") or (None, reason)."""
     if stats is not None:
         stats.sides_evaluated += 1
-    rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
+    rects = scene.bounds()
     u = side.unit
+    ux, uy = u.x, u.y
     goal_pose = scene.goal[target]
-    goal_far = axis_extent(scene.goal_footprint(target), side)[1]
+    # ``axis_extent(goal_footprint(target), side)[1]``, on floats.
+    glx, gly, ghx, ghy = scene.goal_bounds()[target]
+    c1 = glx * ux + gly * uy
+    c2 = ghx * ux + ghy * uy
+    goal_far = c2 if c1 <= c2 else c1
     grasped = frozenset((target,))
 
     moves: list[tuple[int, float]] = []
@@ -158,9 +156,9 @@ def _evaluate_side(
     for b in blockers:
         # ``axis_extent(rects[b], side)[0]``, inlined: the blocker's face
         # nearest the approach.
-        r = rects[b]
-        c1 = r.lo.x * u.x + r.lo.y * u.y
-        c2 = r.hi.x * u.x + r.hi.y * u.y
+        lx, ly, hx, hy = rects[b]
+        c1 = lx * ux + ly * uy
+        c2 = hx * ux + hy * uy
         near = c1 if c1 <= c2 else c2
         # Travel that puts the blocker's trailing face one clearance past the
         # goal region's far edge: strictly positive, since ``b`` overlaps it.
@@ -183,22 +181,24 @@ def _evaluate_side(
     # i.e. the one protruding farthest toward the approach (``min_near``).
     # That puts the target behind every blocker so a single sweep collects
     # them all.
-    h = _half_along(scene, target, side)
+    half = scene.objects[target].half
+    h = half.a if side.horizontal else half.b
     p0_axis = (min_near - DEFAULT_CLEARANCE) - h
     goal_axis = axis_coord(goal_pose, side)
     p0 = goal_pose + u * (p0_axis - goal_axis)
 
     if stats is not None:
         stats.p0_checks += 1
-    p0_rect = rect_from_center(p0, scene.objects[target].half)
-    why = placement_conflict(scene, target, p0_rect)
+    # ``bounds_from_center(p0, half)``, inlined.
+    p0_bounds = (p0.x - half.a, p0.y - half.b, p0.x + half.a, p0.y + half.b)
+    why = placement_conflict(scene, target, p0_bounds)
     if why:
         return None, f"pre-push footprint {why}"
 
     # The target's own sweep (through the goal plus the clearance overshoot)
     # may touch blockers only.
     travel = (goal_axis - p0_axis) + DEFAULT_CLEARANCE
-    j = _first_overlap(rects, sweep_bounds(p0_rect, side, travel), target, frozenset(blockers))
+    j = _first_overlap(rects, sweep_bounds(p0_bounds, side, travel), target, frozenset(blockers))
     if j is not None:
         return None, f"approach corridor is blocked by non-blocker object {j}"
 
@@ -286,17 +286,19 @@ def sample_buffer_pose(scene: Scene, obj: int, rng: random.Random) -> Optional[V
     ylo, yhi = w.lo.y + b, w.hi.y - b
     if xlo > xhi or ylo > yhi:
         return None
-    # Obstacles as (lo.x, hi.x, lo.y, hi.y); a pose is rejected when its
-    # footprint's interior meets one, exactly as ``overlaps`` decides.
-    rects = [scene.footprint(j) for j in range(scene.n) if j != obj]
-    rects += [scene.goal_footprint(j) for j in unsatisfied_ids(scene)]
-    obstacles = [(r.lo.x, r.hi.x, r.lo.y, r.hi.y) for r in rects]
-    uniform = rng.uniform
+    # A pose is rejected when its footprint's interior meets an obstacle,
+    # exactly as ``overlaps`` decides.
+    current, goals = scene.bounds(), scene.goal_bounds()
+    obstacles = [*current[:obj], *current[obj + 1 :], *(goals[j] for j in unsatisfied_ids(scene))]
+    # ``rng.uniform(xlo, xhi)``, written out as ``random.Random.uniform``
+    # computes it: ``xlo + (xhi - xlo) * rng.random()``.
+    draw = rng.random
+    width, depth = xhi - xlo, yhi - ylo
     for _ in range(BUFFER_MAX_ATTEMPTS):
-        x = uniform(xlo, xhi)
-        y = uniform(ylo, yhi)
+        x = xlo + width * draw()
+        y = ylo + depth * draw()
         lx, hx, ly, hy = x - a, x + a, y - b, y + b
-        for olx, ohx, oly, ohy in obstacles:
+        for olx, oly, ohx, ohy in obstacles:
             if lx < ohx and olx < hx and ly < ohy and oly < hy:
                 break
         else:

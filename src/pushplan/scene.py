@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .geometry import (
+    Bounds,
     HalfDims,
     Rect,
     Side,
     Vec2,
+    bounds_from_center,
     contains,
     overlaps,
     rect_from_center,
@@ -97,6 +99,12 @@ class Scene:
     search tree).  The cache takes no part in equality, hashing or repr.
     Scenes built by the constructor or by loading have none, and neither do
     the scenes an execution report holds (``without_cache``).
+
+    The footprints are cached as ``Bounds``, plain float tuples
+    (lo.x, lo.y, hi.x, hi.y) computed as ``rect_from_center`` computes its
+    corners.  The search's scans read them through ``bounds`` and
+    ``goal_bounds``, which build the same tuples for a scene without a
+    cache.  ``footprint`` and ``goal_footprint`` build a ``Rect`` on demand.
     """
 
     workspace: Rect
@@ -104,8 +112,8 @@ class Scene:
     current: Arrangement
     goal: Arrangement
     tolerance: float = DEFAULT_TOLERANCE
-    _footprints: Optional[tuple[Rect, ...]] = field(default=None, init=False, repr=False, compare=False)
-    _goal_footprints: Optional[tuple[Rect, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _footprints: Optional[tuple[Bounds, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _goal_footprints: Optional[tuple[Bounds, ...]] = field(default=None, init=False, repr=False, compare=False)
     _unsatisfied: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -136,13 +144,23 @@ class Scene:
 
     def footprint(self, i: int) -> Rect:
         if self._footprints is not None:
-            return self._footprints[i]
+            lx, ly, hx, hy = self._footprints[i]
+            return Rect(Vec2(lx, ly), Vec2(hx, hy))
         return rect_from_center(self.current[i], self.objects[i].half)
 
     def goal_footprint(self, i: int) -> Rect:
         if self._goal_footprints is not None:
-            return self._goal_footprints[i]
+            lx, ly, hx, hy = self._goal_footprints[i]
+            return Rect(Vec2(lx, ly), Vec2(hx, hy))
         return rect_from_center(self.goal[i], self.objects[i].half)
+
+    def bounds(self) -> Sequence[Bounds]:
+        """Every current footprint as ``Bounds``, indexed by object id."""
+        return self._footprints or _all_bounds(self.current, self.objects)
+
+    def goal_bounds(self) -> Sequence[Bounds]:
+        """Every goal footprint as ``Bounds``, indexed by object id."""
+        return self._goal_footprints or _all_bounds(self.goal, self.objects)
 
     def with_footprints(self) -> "Scene":
         """An equal scene whose footprints and unsatisfied ids are computed once.
@@ -177,14 +195,14 @@ class Scene:
         each is inserted into or removed from this scene's ascending ids.
         """
         poses = list(self.current)
-        rects = list(self._footprints or (self.footprint(i) for i in range(self.n)))
+        rects = list(self.bounds())
         objects = self.objects
         for i, pose in moves:
             poses[i] = pose
-            # rect_from_center, inlined: this runs for every successor made.
+            # bounds_from_center, inlined: this runs for every successor made.
             half = objects[i].half
-            rects[i] = Rect(Vec2(pose.x - half.a, pose.y - half.b), Vec2(pose.x + half.a, pose.y + half.b))
-        goal_rects = self._goal_footprints or tuple(self.goal_footprint(i) for i in range(self.n))
+            rects[i] = (pose.x - half.a, pose.y - half.b, pose.x + half.a, pose.y + half.b)
+        goal_rects = tuple(self.goal_bounds())
         # Bypass __post_init__: the checks below establish its invariant.
         out = _unchecked(
             self.workspace, objects, tuple(poses), self.goal, self.tolerance, tuple(rects), goal_rects
@@ -209,14 +227,19 @@ class Scene:
         return out
 
 
+def _all_bounds(poses: Arrangement, objects: tuple[ObjectSpec, ...]) -> list[Bounds]:
+    """The footprints of ``objects`` at ``poses``, for a scene without a cache."""
+    return [bounds_from_center(p, objects[i].half) for i, p in enumerate(poses)]
+
+
 def _unchecked(
     workspace: Rect,
     objects: tuple[ObjectSpec, ...],
     current: Arrangement,
     goal: Arrangement,
     tolerance: float,
-    footprints: Optional[tuple[Rect, ...]] = None,
-    goal_footprints: Optional[tuple[Rect, ...]] = None,
+    footprints: Optional[tuple[Bounds, ...]] = None,
+    goal_footprints: Optional[tuple[Bounds, ...]] = None,
 ) -> Scene:
     """A Scene of these fields, built without ``__post_init__``'s checks.
 
@@ -256,25 +279,31 @@ def unsatisfied_ids(scene: Scene) -> list[int]:
 
 def blockers_of(scene: Scene, target: int) -> tuple[int, ...]:
     """Ascending ids of objects whose current footprint overlaps ``target``'s goal footprint."""
-    goal_rect = scene.goal_footprint(target)
-    rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
-    return tuple(j for j, r in enumerate(rects) if j != target and overlaps(r, goal_rect))
+    glx, gly, ghx, ghy = scene.goal_bounds()[target]
+    # ``overlaps(footprint(j), goal_footprint(target))``, on floats.
+    return tuple(
+        j
+        for j, (lx, ly, hx, hy) in enumerate(scene.bounds())
+        if lx < ghx and glx < hx and ly < ghy and gly < hy and j != target
+    )
 
 
-def placement_conflict(scene: Scene, obj: int, r: Rect) -> Optional[str]:
-    """Why ``obj`` cannot rest with footprint ``r`` in ``scene``, or None if it can.
+def placement_conflict(scene: Scene, obj: int, b: Bounds) -> Optional[str]:
+    """Why ``obj`` cannot rest with footprint bounds ``b`` in ``scene``, or
+    None if it can.
 
     The footprint must lie inside the workspace, touching its edge allowed,
     and overlap no other object's current footprint; ``obj``'s own is
     skipped.  The reason names the lowest-numbered object hit.
     """
-    if not contains(scene.workspace, r):
+    lx, ly, hx, hy = b
+    w = scene.workspace
+    # ``contains(w, r)`` and ``overlaps(r, footprint(j))``, on floats: this
+    # runs for every moved object.
+    if not (w.lo.x <= lx and w.lo.y <= ly and hx <= w.hi.x and hy <= w.hi.y):
         return "leaves the workspace"
-    rects = scene._footprints or [scene.footprint(j) for j in range(scene.n)]
-    lx, ly, hx, hy = r.lo.x, r.lo.y, r.hi.x, r.hi.y
-    # ``overlaps(r, rects[j])``, inlined: this runs for every moved object.
-    for j, o in enumerate(rects):
-        if lx < o.hi.x and o.lo.x < hx and ly < o.hi.y and o.lo.y < hy and j != obj:
+    for j, (olx, oly, ohx, ohy) in enumerate(scene.bounds()):
+        if lx < ohx and olx < hx and ly < ohy and oly < hy and j != obj:
             return f"overlaps object {j}"
     return None
 
@@ -289,8 +318,8 @@ def validate_action(scene: Scene, action: Action) -> PickPlace | PushProposal:
     if not (0 <= action.object < scene.n):
         raise InfeasibleActionError(f"action references unknown object {action.object}")
     if isinstance(action, PickPlace):
-        r = rect_from_center(action.destination, scene.objects[action.object].half)
-        why = placement_conflict(scene, action.object, r)
+        b = bounds_from_center(action.destination, scene.objects[action.object].half)
+        why = placement_conflict(scene, action.object, b)
         if why:
             raise InfeasibleActionError(f"destination footprint of object {action.object} {why}")
         return action

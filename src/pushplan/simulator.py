@@ -16,7 +16,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .geometry import Rect, Side, Vec2, axis_coord, axis_extent, overlaps, perp_coord, rect_from_center
+from .geometry import Bounds, Rect, Side, Vec2, axis_coord, axis_extent, bounds_extent, bounds_from_center, perp_coord
+# ``overlaps`` and ``rect_from_center`` are not called here: the simulator
+# reads footprints as ``Bounds``.  Both stay bound because perfbench's tracer
+# and its tests look them up in this module.
+from .geometry import overlaps, rect_from_center  # noqa: F401
 from .scene import (
     DEFAULT_CLEARANCE,
     Action,
@@ -66,15 +70,20 @@ class NoiseConfig:
 NO_NOISE = NoiseConfig(enabled=False)
 
 
-def _lat_interval(r: Rect, side: Side) -> tuple[float, float]:
-    return (r.lo.y, r.hi.y) if side.horizontal else (r.lo.x, r.hi.x)
+def _lat_interval(b: Bounds, side: Side) -> tuple[float, float]:
+    return (b[1], b[3]) if side.horizontal else (b[0], b[2])
 
 
-def _rect_at(scene: Scene, poses: list[Vec2], k: int) -> Rect:
-    """Footprint of object ``k`` at ``poses[k]``: the scene's own while it is unmoved."""
+def _overlap(b1: Bounds, b2: Bounds) -> bool:
+    """``overlaps`` of the rectangles with bounds ``b1`` and ``b2``."""
+    return b1[0] < b2[2] and b2[0] < b1[2] and b1[1] < b2[3] and b2[1] < b1[3]
+
+
+def _bounds_at(scene: Scene, poses: list[Vec2], k: int) -> Bounds:
+    """Footprint bounds of object ``k`` at ``poses[k]``: the scene's own while it is unmoved."""
     if poses[k] is scene.current[k]:
-        return scene.footprint(k)
-    return rect_from_center(poses[k], scene.objects[k].half)
+        return scene.bounds()[k]
+    return bounds_from_center(poses[k], scene.objects[k].half)
 
 
 @dataclass(slots=True)
@@ -111,22 +120,23 @@ def push_forward(
     if travel < 0.0:
         raise ValueError(f"push travel must be non-negative, got {travel}")
 
-    start_rect = rect_from_center(start, scene.objects[target].half)
-    lat_lo, lat_hi = _lat_interval(start_rect, side)
-    front0 = axis_extent(start_rect, side)[1]
+    start_bounds = bounds_from_center(start, scene.objects[target].half)
+    lat_lo, lat_hi = _lat_interval(start_bounds, side)
+    front0 = bounds_extent(start_bounds, side)[1]
     movers = [_Mover(target, lat_lo, lat_hi, front0, front0 + travel, 0)]
 
     poses = list(scene.current)
     poses[target] = end
     events: list[SimEvent] = []
 
+    rects = scene.bounds()
     order = sorted(
         (j for j in range(scene.n) if j != target),
-        key=lambda j: (axis_extent(scene.footprint(j), side)[0], j),
+        key=lambda j: (bounds_extent(rects[j], side)[0], j),
     )
     for j in order:
-        foot = scene.footprint(j)
-        near, far = axis_extent(foot, side)
+        foot = rects[j]
+        near, far = bounds_extent(foot, side)
         jlo, jhi = _lat_interval(foot, side)
         best: Optional[_Mover] = None
         for m in movers:
@@ -178,16 +188,16 @@ def _relax_off_table(
     clamped: set[int] = set()
     for _ in range(4 * max(1, len(moved))):
         changed = False
-        for j in sorted(moved, key=lambda j: -axis_extent(_rect_at(scene, poses, j), side)[0]):
-            r = _rect_at(scene, poses, j)
-            near, far = axis_extent(r, side)
+        for j in sorted(moved, key=lambda j: -bounds_extent(_bounds_at(scene, poses, j), side)[0]):
+            r = _bounds_at(scene, poses, j)
+            near, far = bounds_extent(r, side)
             jlo, jhi = _lat_interval(r, side)
             limit = wall
             for k in range(scene.n):
                 if k == j or k == target:
                     continue
-                rk = _rect_at(scene, poses, k)
-                knear = axis_extent(rk, side)[0]
+                rk = _bounds_at(scene, poses, k)
+                knear = bounds_extent(rk, side)[0]
                 klo, khi = _lat_interval(rk, side)
                 if klo < jhi and jlo < khi and knear >= near:
                     limit = min(limit, knear)
@@ -209,9 +219,9 @@ def _resolve_residual_overlaps(scene: Scene, poses: list[Vec2], moved: list[int]
     for _ in range(len(moved) + 1):
         conflict = None
         for j in moved:
-            rj = _rect_at(scene, poses, j)
+            rj = _bounds_at(scene, poses, j)
             for k in range(scene.n):
-                if k != j and overlaps(rj, _rect_at(scene, poses, k)):
+                if k != j and _overlap(rj, _bounds_at(scene, poses, k)):
                     conflict = j
                     break
             if conflict is not None:
@@ -226,17 +236,17 @@ def _resolve_residual_overlaps(scene: Scene, poses: list[Vec2], moved: list[int]
         for k in range(scene.n):
             if k == j:
                 continue
-            klo, khi = _lat_interval(_rect_at(scene, poses, k), side)
+            klo, khi = _lat_interval(_bounds_at(scene, poses, k), side)
             candidates.extend((khi + hw, klo - hw))
         box = _clamp_box(scene)
-        blo, bhi = _lat_interval(box, side)
+        blo, bhi = _lat_interval(box.bounds, side)
         ok = []
         for c in sorted(candidates, key=lambda c: abs(c - cur)):
             if not (blo + hw <= c <= bhi - hw):
                 continue
             pose = Vec2(poses[j].x, c) if side.horizontal else Vec2(c, poses[j].y)
-            r = rect_from_center(pose, half)
-            if not any(overlaps(r, _rect_at(scene, poses, k)) for k in range(scene.n) if k != j):
+            r = bounds_from_center(pose, half)
+            if not any(_overlap(r, _bounds_at(scene, poses, k)) for k in range(scene.n) if k != j):
                 ok.append(pose)
                 break
         if not ok:
@@ -261,8 +271,8 @@ def _settle_with_noise(
     t = 1.0
     while True:
         cand, clipped = _clamp_pose(scene, obj, base + drift * t, box)
-        r = rect_from_center(cand, scene.objects[obj].half)
-        free = not any(overlaps(r, _rect_at(scene, poses, k)) for k in range(scene.n) if k != obj)
+        r = bounds_from_center(cand, scene.objects[obj].half)
+        free = not any(_overlap(r, _bounds_at(scene, poses, k)) for k in range(scene.n) if k != obj)
         if free:
             poses[obj] = cand
             return clipped
@@ -298,7 +308,9 @@ def simulate(
     ``SimEventKind``), and anything driven off the table is clamped just
     inside the edge with a LeftTable event.  The returned scene is always
     valid: only the objects whose pose changed are checked, and one that
-    fails raises InvalidSceneError.  It carries a cache (``Scene.with_moved``).
+    fails raises InvalidSceneError.  It carries a cache (``Scene.with_moved``);
+    so does the scene the physics reads, since a scene without one is given
+    it first (``Scene.with_footprints``).
 
     Raises InfeasibleActionError for a pre-push pose whose footprint collides
     or hangs off the table, and for an occupied PickPlace destination.
@@ -307,6 +319,7 @@ def simulate(
         raise ValueError("noise is enabled but no rng was provided")
     if not (0 <= action.object < scene.n):
         raise InfeasibleActionError(f"action references unknown object {action.object}")
+    scene = scene.with_footprints()
     box = _clamp_box(scene)
 
     if isinstance(action, PickPlace):
@@ -334,7 +347,7 @@ def simulate(
         raise InfeasibleActionError(
             f"pre-push pose of object {target} lies beyond its goal along side '{side.value}'"
         )
-    why = placement_conflict(scene, target, rect_from_center(p0, scene.objects[target].half))
+    why = placement_conflict(scene, target, bounds_from_center(p0, scene.objects[target].half))
     if why:
         raise InfeasibleActionError(f"pre-push footprint of object {target} {why}")
 

@@ -122,11 +122,23 @@ def plain_twin(scene: Scene) -> Scene:
     return Scene(scene.workspace, scene.objects, scene.current, scene.goal, scene.tolerance)
 
 
+def corners(r: Rect) -> tuple[float, float, float, float]:
+    return (r.lo.x, r.lo.y, r.hi.x, r.hi.y)
+
+
 def assert_cache_exact(scene: Scene) -> None:
+    """Every cached float tuple is ``rect_from_center``'s corners, exactly,
+    and so is every ``Rect`` built from it; the unsatisfied ids are a plain
+    scene's."""
     assert scene._footprints is not None and scene._goal_footprints is not None
+    assert len(scene._footprints) == len(scene._goal_footprints) == scene.n
     for i in range(scene.n):
-        assert scene.footprint(i) == rect_from_center(scene.current[i], scene.objects[i].half)
-        assert scene.goal_footprint(i) == rect_from_center(scene.goal[i], scene.objects[i].half)
+        want = rect_from_center(scene.current[i], scene.objects[i].half)
+        want_goal = rect_from_center(scene.goal[i], scene.objects[i].half)
+        assert scene._footprints[i] == corners(want)
+        assert scene._goal_footprints[i] == corners(want_goal)
+        assert scene.footprint(i) == want
+        assert scene.goal_footprint(i) == want_goal
     twin = plain_twin(scene)
     assert scene._unsatisfied == tuple(unsatisfied_ids(twin))
     assert satisfied_count(scene) == satisfied_count(twin)

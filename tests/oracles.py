@@ -21,8 +21,9 @@ incremental successors of ``apply_action`` and ``simulate`` are held to it.
 incremental ``Scene.with_moved`` is held to it.
 ``object_evaluate_side`` is the original, object-based side evaluation of
 ``primitives``, kept as written: a ``Rect`` per translated or swept blocker
-and one ``overlaps`` call per object scanned.  The float-based scan is held
-to it exactly.
+and one ``overlaps`` call per object scanned.  Its pre-push check is its own
+(``contains`` and ``overlaps``), not ``scene.placement_conflict``, so that a
+fault there shows.  The float-based scan is held to it exactly.
 """
 
 import random
@@ -47,7 +48,6 @@ from pushplan.scene import (
     Action,
     PickPlace,
     Scene,
-    placement_conflict,
     unsatisfied_ids,
     validate_action,
 )
@@ -299,6 +299,17 @@ def _object_edge_safe(scene: Scene, blocker: int, side: Side, displacement: floa
     )
 
 
+def _object_placement_conflict(scene: Scene, obj: int, r: Rect) -> Optional[str]:
+    """``scene.placement_conflict`` as first written, on a ``Rect``: the same
+    rule and the same reason strings."""
+    if not contains(scene.workspace, r):
+        return "leaves the workspace"
+    for j in range(scene.n):
+        if j != obj and overlaps(r, scene.footprint(j)):
+            return f"overlaps object {j}"
+    return None
+
+
 def object_evaluate_side(
     scene: Scene,
     target: int,
@@ -336,7 +347,7 @@ def object_evaluate_side(
     if stats is not None:
         stats.p0_checks += 1
     p0_rect = rect_from_center(p0, half)
-    why = placement_conflict(scene, target, p0_rect)
+    why = _object_placement_conflict(scene, target, p0_rect)
     if why:
         return None, f"pre-push footprint {why}"
 

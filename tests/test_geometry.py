@@ -96,6 +96,26 @@ class TestSides:
         assert Side.LEFT.horizontal and Side.RIGHT.horizontal
         assert not Side.UP.horizontal and not Side.DOWN.horizontal
 
+    def test_member_attributes_match_the_tables_they_replace(self):
+        """``unit``, ``horizontal`` and ``opposite`` are plain attributes of each
+        member, equal to the former lookup tables and the former
+        ``self in (LEFT, RIGHT)`` rule; the serialized form is unchanged."""
+        units = {
+            Side.LEFT: Vec2(-1.0, 0.0),
+            Side.RIGHT: Vec2(1.0, 0.0),
+            Side.UP: Vec2(0.0, 1.0),
+            Side.DOWN: Vec2(0.0, -1.0),
+        }
+        opposites = {Side.LEFT: Side.RIGHT, Side.RIGHT: Side.LEFT, Side.UP: Side.DOWN, Side.DOWN: Side.UP}
+        for name in ("unit", "horizontal", "opposite"):
+            assert not isinstance(vars(Side).get(name), property), name
+        for s in Side:
+            assert vars(s)["unit"] == units[s]
+            assert vars(s)["opposite"] is opposites[s]
+            assert vars(s)["horizontal"] is (s in (Side.LEFT, Side.RIGHT))
+            assert Side(s.value) is s
+        assert [s.value for s in Side] == ["left", "right", "up", "down"]
+
     @given(rects(), sides)
     def test_axis_extent_flip(self, r, s):
         near, far = axis_extent(r, s)

@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import make_chained_push_scene, make_swap_scene, take_proposals
+from conftest import assert_cache_exact, make_chained_push_scene, make_swap_scene, take_proposals
 from oracles import (
     check_push,
     object_evaluate_side,
@@ -18,7 +18,17 @@ from oracles import (
 )
 from pushplan import primitives
 from pushplan.bench import generate_scene
-from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, overlaps, perp_coord, translate
+from pushplan.geometry import (
+    HalfDims,
+    Rect,
+    Side,
+    Vec2,
+    axis_coord,
+    bounds_from_center,
+    overlaps,
+    perp_coord,
+    translate,
+)
 from pushplan.planner import PlannerConfig, recommend_action, sample_unsatisfied_object
 from pushplan.primitives import (
     DEFAULT_EDGE_MARGIN,
@@ -38,6 +48,7 @@ from pushplan.scene import (
     apply_action,
     blockers_of,
     is_at_goal,
+    placement_conflict,
     satisfied_count,
     transition,
     unsatisfied_ids,
@@ -358,20 +369,28 @@ class ScriptedRandom(random.Random):
         return self.values.pop(0)
 
 
+def assert_buffer_sampling_matches(scenes, runs, monkeypatch) -> None:
+    """``sample_buffer_pose`` gives the loop oracle's pose and RNG state for
+    every pending object of ``scenes``, for each ``(seed, attempts)`` of
+    ``runs``; both an accepted pose and an exhausted budget occur."""
+    outcomes = {"accepted": 0, "exhausted": 0}
+    for scene in scenes:
+        for obj in unsatisfied_ids(scene):
+            for seed, attempts in runs:
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", attempts)
+                pose = sample_buffer_pose(scene, obj, rng)
+                assert pose == oracle_buffer_pose(scene, obj, ref_rng, attempts)
+                assert rng.getstate() == ref_rng.getstate()
+                outcomes["accepted" if pose is not None else "exhausted"] += 1
+    assert all(outcomes.values()), outcomes
+
+
 class TestBufferSamplingMatchesLoopOracle:
     @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
     def test_same_pose_and_rng_state(self, n, sizes, monkeypatch):
-        outcomes = {"accepted": 0, "exhausted": 0}
-        for scene in plain_and_cached_scenes(n, sizes, 6):
-            for obj in unsatisfied_ids(scene):
-                for seed, attempts in ((0, 100), (1, 100), (2, 4), (3, 1)):
-                    rng, ref_rng = random.Random(seed), random.Random(seed)
-                    monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", attempts)
-                    pose = sample_buffer_pose(scene, obj, rng)
-                    assert pose == oracle_buffer_pose(scene, obj, ref_rng, attempts)
-                    assert rng.getstate() == ref_rng.getstate()
-                    outcomes["accepted" if pose is not None else "exhausted"] += 1
-        assert all(outcomes.values()), outcomes
+        runs = ((0, 100), (1, 100), (2, 4), (3, 1))
+        assert_buffer_sampling_matches(plain_and_cached_scenes(n, sizes, 6), runs, monkeypatch)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_pose_touching_obstacles_is_accepted(self, transpose):
@@ -412,30 +431,35 @@ class TestBlockersMatchOracle:
             assert blockers_of(s, 0) == (2,) and oracle_blockers(s, 0) == [2]
 
 
-class TestSideScanMatchesObjectOracle:
-    """The float-based side scan decides exactly as the object-based original:
-    the same proposal or rejection reason, and the same work counters."""
+def side_scan_outcomes(scenes) -> dict[str, int]:
+    """Hold the float-based side scan to the object-based original on every
+    blocked target, side and edge margin of ``scenes``: the same proposal or
+    rejection reason, and the same work counters.  Returns how often each
+    kind of outcome occurred."""
+    outcomes = dict.fromkeys(("accepted", "blocker", "push corridor", "pre-push", "approach"), 0)
+    for s in scenes:
+        for target in range(s.n):
+            blockers = blockers_of(s, target)
+            if not blockers:
+                continue
+            for side in Side:
+                for margin in (0.0, DEFAULT_EDGE_MARGIN):
+                    got_stats, want_stats = PushStats(), PushStats()
+                    got = primitives._evaluate_side(s, target, blockers, side, margin, got_stats)
+                    want = object_evaluate_side(s, target, blockers, side, margin, want_stats)
+                    assert got == want
+                    assert got_stats == want_stats
+                    proposal, reason = got
+                    kind = "accepted" if proposal else next(o for o in outcomes if reason.startswith(o))
+                    outcomes[kind] += 1
+    return outcomes
 
+
+class TestSideScanMatchesObjectOracle:
     @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
     def test_every_blocked_target_side_and_margin(self, n, sizes):
-        outcomes = dict.fromkeys(("accepted", "blocker", "push corridor", "pre-push", "approach"), 0)
-        for k in range(60):
-            scene = generate_scene(n, derive_seed("side-scan", n, k), size_range=sizes)
-            for s in (scene, scene.with_footprints()):
-                for target in range(s.n):
-                    blockers = blockers_of(s, target)
-                    if not blockers:
-                        continue
-                    for side in Side:
-                        for margin in (0.0, DEFAULT_EDGE_MARGIN):
-                            got_stats, want_stats = PushStats(), PushStats()
-                            got = primitives._evaluate_side(s, target, blockers, side, margin, got_stats)
-                            want = object_evaluate_side(s, target, blockers, side, margin, want_stats)
-                            assert got == want
-                            assert got_stats == want_stats
-                            proposal, reason = got
-                            kind = "accepted" if proposal else next(o for o in outcomes if reason.startswith(o))
-                            outcomes[kind] += 1
+        roots = (generate_scene(n, derive_seed("side-scan", n, k), size_range=sizes) for k in range(60))
+        outcomes = side_scan_outcomes(s for scene in roots for s in (scene, scene.with_footprints()))
         assert all(outcomes.values()), outcomes
 
 
@@ -547,3 +571,78 @@ class TestPlacementMatchesOracle:
             for obj in (1, 2):
                 self.check(scene, obj, [scene.current[obj]], side, [], seen)
         assert all(all(counts) for counts in seen.values()), seen
+
+
+def walk_successors(n: int, sizes: tuple[float, float], walks: int, steps: int) -> list[Scene]:
+    """Search successors: the scenes ``transition`` builds along seeded random
+    walks from cached roots.  Each step either applies the recommender's move
+    for a random pending object, as an expansion does, or parks a random
+    object at a buffer pose, which can take an object off its goal again.
+    Every successor's cache is checked against ``rect_from_center``."""
+    cfg = PlannerConfig(max_expansions=1)
+    out = []
+    for k in range(walks):
+        state = generate_scene(n, derive_seed("successor-walk", n, k), size_range=sizes).with_footprints()
+        rng = random.Random(derive_seed("successor-walk-rng", n, k))
+        for _ in range(steps):
+            if not unsatisfied_ids(state):
+                break
+            if rng.random() < 0.25:
+                obj = rng.randrange(state.n)
+                pose = sample_buffer_pose(state, obj, rng)
+                move = None if pose is None else PickPlace(obj, pose)
+            else:
+                move = recommend_action(state, sample_unsatisfied_object(state, rng), cfg, rng)
+            if move is None:
+                continue
+            _, state = transition(state, move)
+            assert_cache_exact(state)
+            out.append(state)
+    return out
+
+
+@pytest.fixture(scope="module", params=[(8, (0.03, 0.07)), (14, DENSE_SIZES)], ids=["8-default", "14-large"])
+def successors(request) -> list[Scene]:
+    n, sizes = request.param
+    states = walk_successors(n, sizes, 16, 12)
+    assert len(states) >= 150
+    return states
+
+
+class TestSuccessorsMatchOracles:
+    """The float scans read the cache ``Scene.with_moved`` builds for each
+    successor, so they are held to the object-based oracles on successors
+    along search walks, not only on root scenes."""
+
+    def test_blockers(self, successors):
+        blocked = 0
+        for s in successors:
+            for i in range(s.n):
+                got = blockers_of(s, i)
+                assert list(got) == oracle_blockers(s, i)
+                blocked += bool(got)
+        assert blocked
+
+    def test_placement_conflict(self, successors):
+        seen = [0, 0]
+        rng = random.Random(0)
+        for s in successors:
+            for obj in range(s.n):
+                for pose in placement_cases(s, obj, rng):
+                    want = placement_free(s, obj, pose)
+                    got = placement_conflict(s, obj, bounds_from_center(pose, s.objects[obj].half))
+                    assert (got is None) == want, (obj, pose, got)
+                    seen[want] += 1
+        assert all(seen), seen
+
+    def test_buffer_pose(self, successors, monkeypatch):
+        assert_buffer_sampling_matches(successors, ((0, 100), (1, 2)), monkeypatch)
+
+    def test_side_scan(self, successors):
+        outcomes = side_scan_outcomes(successors)
+        # An approach corridor blocked past a free pre-push pose is rare: 2 of
+        # 1128 side evaluations on the N = 8 roots above, and none along these
+        # N = 8 walks, so only the N = 14 walks must show it.
+        if successors[0].n == 8:
+            del outcomes["approach"]
+        assert all(outcomes.values()), outcomes
