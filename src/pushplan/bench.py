@@ -20,7 +20,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .geometry import HalfDims, Rect, Vec2, overlaps, rect_from_center
+from .geometry import Bounds, HalfDims, Rect, Vec2
+# ``overlaps`` and ``rect_from_center`` are not called here: scene generation
+# tests ``Bounds``.  Both stay bound because perfbench's tracer and its tests
+# look them up in this module.
+from .geometry import overlaps, rect_from_center  # noqa: F401
 from .metrics import percent_reduction
 from .planner import PlannerConfig, plan
 from .scene import DEFAULT_TOLERANCE, ObjectSpec, Scene
@@ -81,8 +85,11 @@ def generate_scene(
 ) -> Scene:
     """Sample a random scene with valid start and goal arrangements.
 
-    Half extents are uniform in ``size_range``; poses are rejection-sampled
-    until containment and pairwise separation hold in both arrangements.
+    Half extents are uniform in ``size_range``.  Each center is drawn
+    uniformly from the centers that keep the footprint on the table, and
+    draws are rejected until the footprint overlaps no object placed before
+    it, separately in each arrangement.  An object wider or taller than the
+    table raises BenchError before its first pose is drawn.
     """
     if workspace is None:
         workspace = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
@@ -99,31 +106,38 @@ def generate_scene(
     objects = tuple(
         ObjectSpec(i, HalfDims(rng.uniform(lo, hi), rng.uniform(lo, hi))) for i in range(n)
     )
+    # Per object: its half extents and the ranges its center is drawn from.
+    w = workspace
+    ranges = []
+    for spec in objects:
+        a, b = spec.half.a, spec.half.b
+        xlo, xhi, ylo, yhi = w.lo.x + a, w.hi.x - a, w.lo.y + b, w.hi.y - b
+        if xlo > xhi or ylo > yhi:
+            raise BenchError(f"object {spec.id} with half extents ({a}, {b}) does not fit the workspace")
+        ranges.append((a, b, xlo, xhi, ylo, yhi))
 
     def sample_arrangement(label: str) -> tuple[Vec2, ...]:
         poses: list[Vec2] = []
-        for spec in objects:
-            a, b = spec.half.a, spec.half.b
-            placed = None
+        placed: list[Bounds] = []
+        for i, (a, b, xlo, xhi, ylo, yhi) in enumerate(ranges):
+            # Read at call time, so a caller may lower the module constant.
             for _ in range(PLACEMENT_ATTEMPTS):
-                c = Vec2(
-                    rng.uniform(workspace.lo.x + a, workspace.hi.x - a),
-                    rng.uniform(workspace.lo.y + b, workspace.hi.y - b),
-                )
-                r = rect_from_center(c, spec.half)
-                if any(
-                    overlaps(r, rect_from_center(p, objects[j].half))
-                    for j, p in enumerate(poses)
-                ):
-                    continue
-                placed = c
-                break
-            if placed is None:
+                x = rng.uniform(xlo, xhi)
+                y = rng.uniform(ylo, yhi)
+                lx, ly, hx, hy = x - a, y - b, x + a, y + b
+                # ``overlaps`` with each placed footprint, on floats.
+                for plx, ply, phx, phy in placed:
+                    if lx < phx and plx < hx and ly < phy and ply < hy:
+                        break
+                else:  # no overlap: accept the draw
+                    poses.append(Vec2(x, y))
+                    placed.append((lx, ly, hx, hy))
+                    break
+            else:  # every draw was rejected
                 raise BenchError(
-                    f"could not place object {spec.id} in the {label} arrangement "
+                    f"could not place object {i} in the {label} arrangement "
                     f"after {PLACEMENT_ATTEMPTS} attempts (seed {seed})"
                 )
-            poses.append(placed)
         return tuple(poses)
 
     current = sample_arrangement("start")

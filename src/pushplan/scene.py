@@ -21,10 +21,12 @@ from .geometry import (
     Side,
     Vec2,
     bounds_from_center,
-    contains,
-    overlaps,
     rect_from_center,
 )
+# ``overlaps`` is not called here: every footprint test reads ``Bounds``.  It
+# stays bound because perfbench's tracer and its tests look it up in this
+# module.
+from .geometry import overlaps  # noqa: F401
 
 if TYPE_CHECKING:
     from .primitives import PushProposal
@@ -128,14 +130,19 @@ class Scene:
         for i, spec in enumerate(self.objects):
             if spec.id != i:
                 raise InvalidSceneError(f"object ids must be dense 0..n-1; index {i} has id {spec.id}")
+        w = self.workspace
+        wlx, wly, whx, why = w.lo.x, w.lo.y, w.hi.x, w.hi.y
         for label, poses in (("current", self.current), ("goal", self.goal)):
-            rects = [rect_from_center(poses[i], self.objects[i].half) for i in range(n)]
-            for i, r in enumerate(rects):
-                if not contains(self.workspace, r):
+            rects = _all_bounds(poses, self.objects)
+            # ``contains(workspace, footprint)``, then ``overlaps`` of each
+            # pair in ascending (i, j) order, on floats.
+            for i, (lx, ly, hx, hy) in enumerate(rects):
+                if not (wlx <= lx and wly <= ly and hx <= whx and hy <= why):
                     raise InvalidSceneError(f"{label} footprint of object {i} leaves the workspace")
-            for i in range(n):
+            for i, (lx, ly, hx, hy) in enumerate(rects):
                 for j in range(i + 1, n):
-                    if overlaps(rects[i], rects[j]):
+                    olx, oly, ohx, ohy = rects[j]
+                    if lx < ohx and olx < hx and ly < ohy and oly < hy:
                         raise InvalidSceneError(f"{label} footprints of objects {i} and {j} overlap")
 
     @property

@@ -24,6 +24,11 @@ incremental ``Scene.with_moved`` is held to it.
 and one ``overlaps`` call per object scanned.  Its pre-push check is its own
 (``contains`` and ``overlaps``), not ``scene.placement_conflict``, so that a
 fault there shows.  The float-based scan is held to it exactly.
+``object_generate_scene`` is the original, object-based ``bench.generate_scene``,
+kept as written: a ``Rect`` per candidate pose and per placed object, and one
+``overlaps`` call per pair.  It reads ``bench.PLACEMENT_ATTEMPTS`` at call
+time, as the library does.  ``object_validate_scene`` is the original body of
+``Scene.__post_init__``: ``contains`` and ``overlaps`` on ``Rect`` footprints.
 """
 
 import random
@@ -31,7 +36,10 @@ from collections.abc import Sequence
 from dataclasses import replace
 from typing import Optional
 
+import pushplan.bench as bench
+from pushplan.bench import MAX_AREA_FRACTION, BenchError
 from pushplan.geometry import (
+    HalfDims,
     Rect,
     Side,
     Vec2,
@@ -45,7 +53,10 @@ from pushplan.geometry import (
 from pushplan.primitives import PushProposal, PushStats
 from pushplan.scene import (
     DEFAULT_CLEARANCE,
+    DEFAULT_TOLERANCE,
     Action,
+    InvalidSceneError,
+    ObjectSpec,
     PickPlace,
     Scene,
     unsatisfied_ids,
@@ -361,3 +372,89 @@ def object_evaluate_side(
             return None, f"approach corridor is blocked by non-blocker object {j}"
 
     return PushProposal(target, side, p0, tuple(moves)), ""
+
+
+def object_generate_scene(
+    n: int,
+    seed: int,
+    workspace: Optional[Rect] = None,
+    size_range: tuple[float, float] = (0.03, 0.07),
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> Scene:
+    """``bench.generate_scene`` as first written, on ``Rect`` and ``Vec2`` objects."""
+    if workspace is None:
+        workspace = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
+    lo, hi = size_range
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"invalid size range ({lo}, {hi})")
+    area = workspace.width * workspace.height
+    if n * (2.0 * hi) ** 2 > MAX_AREA_FRACTION * area:
+        raise BenchError(
+            f"{n} objects of max footprint {2 * hi:.3f} m square exceed "
+            f"{MAX_AREA_FRACTION:.0%} of the table area"
+        )
+    rng = random.Random(seed)
+    objects = tuple(
+        ObjectSpec(i, HalfDims(rng.uniform(lo, hi), rng.uniform(lo, hi))) for i in range(n)
+    )
+
+    def sample_arrangement(label: str) -> tuple[Vec2, ...]:
+        poses: list[Vec2] = []
+        for spec in objects:
+            a, b = spec.half.a, spec.half.b
+            placed = None
+            for _ in range(bench.PLACEMENT_ATTEMPTS):
+                c = Vec2(
+                    rng.uniform(workspace.lo.x + a, workspace.hi.x - a),
+                    rng.uniform(workspace.lo.y + b, workspace.hi.y - b),
+                )
+                r = rect_from_center(c, spec.half)
+                if any(
+                    overlaps(r, rect_from_center(p, objects[j].half))
+                    for j, p in enumerate(poses)
+                ):
+                    continue
+                placed = c
+                break
+            if placed is None:
+                raise BenchError(
+                    f"could not place object {spec.id} in the {label} arrangement "
+                    f"after {bench.PLACEMENT_ATTEMPTS} attempts (seed {seed})"
+                )
+            poses.append(placed)
+        return tuple(poses)
+
+    current = sample_arrangement("start")
+    goal = sample_arrangement("goal")
+    return Scene(workspace, objects, current, goal, tolerance)
+
+
+def object_validate_scene(
+    workspace: Rect,
+    objects: tuple[ObjectSpec, ...],
+    current: tuple[Vec2, ...],
+    goal: tuple[Vec2, ...],
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> None:
+    """``Scene.__post_init__`` as first written: raises InvalidSceneError, or
+    returns None for a valid scene."""
+    n = len(objects)
+    if len(current) != n or len(goal) != n:
+        raise InvalidSceneError(
+            f"pose counts (current={len(current)}, goal={len(goal)}) "
+            f"must match object count {n}"
+        )
+    if not tolerance > 0.0:
+        raise InvalidSceneError(f"tolerance must be positive, got {tolerance}")
+    for i, spec in enumerate(objects):
+        if spec.id != i:
+            raise InvalidSceneError(f"object ids must be dense 0..n-1; index {i} has id {spec.id}")
+    for label, poses in (("current", current), ("goal", goal)):
+        rects = [rect_from_center(poses[i], objects[i].half) for i in range(n)]
+        for i, r in enumerate(rects):
+            if not contains(workspace, r):
+                raise InvalidSceneError(f"{label} footprint of object {i} leaves the workspace")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if overlaps(rects[i], rects[j]):
+                    raise InvalidSceneError(f"{label} footprints of objects {i} and {j} overlap")

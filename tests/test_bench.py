@@ -3,6 +3,8 @@
 outputs, and golden records."""
 
 import math
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -30,8 +32,10 @@ from pushplan.bench import (
 )
 from pushplan.cli import main
 from pushplan.geometry import contains, overlaps
+from pushplan.scene import Scene
 
 from conftest import make_swap_scene
+from oracles import object_generate_scene
 
 HERE = Path(__file__).parent
 
@@ -84,6 +88,90 @@ class TestGenerateScene:
             generate_scene(60, 0, size_range=(0.12, 0.14))
         # sanity: the bound is the constant, not hard-coded magic
         assert math.isclose(MAX_AREA_FRACTION, 0.4)
+
+    def test_object_wider_than_the_table_is_named(self):
+        # Before any pose is drawn: the centers that keep a 0.06 m-plus
+        # footprint on a 0.05 m table form an empty range.
+        narrow = Rect(Vec2(0, 0), Vec2(1.0, 0.05))
+        with pytest.raises(BenchError, match=r"^object 0 with half extents \(\S+, \S+\) does not fit the workspace$"):
+            generate_scene(1, 0, workspace=narrow)
+
+
+DEFAULT_SIZES = (0.03, 0.07)
+LARGE_SIZES = (0.05, 0.079)
+ORACLE_SEEDS = 40
+
+
+def generation_outcome(generate, *args, **kwargs):
+    """The scene ``generate`` returns, or the text of the BenchError it raises."""
+    try:
+        return generate(*args, **kwargs)
+    except BenchError as e:
+        return f"BenchError: {e}"
+
+
+def assert_same_generation(*args, **kwargs):
+    """``generate_scene`` and the object loop agree on these arguments; returns the outcome."""
+    got = generation_outcome(generate_scene, *args, **kwargs)
+    assert got == generation_outcome(object_generate_scene, *args, **kwargs), (args, kwargs)
+    return got
+
+
+class GridRandom(random.Random):
+    """Draws from a 1/32 m grid over each range, so footprints touch exactly."""
+
+    STEP = 1 / 32
+
+    def uniform(self, a, b):
+        return a + self.STEP * self.randrange(int((b - a) / self.STEP) + 1)
+
+
+class TestGenerateSceneMatchesObjectLoop:
+    """The float scan draws, accepts and rejects as the object loop it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 14, 20])
+    @pytest.mark.parametrize("sizes", [DEFAULT_SIZES, LARGE_SIZES], ids=["default", "large"])
+    def test_same_scene(self, n, sizes):
+        # N = 20 of the large sizes exceeds the area rule: both raise its error.
+        rejected = n * (2.0 * sizes[1]) ** 2 > MAX_AREA_FRACTION
+        for seed in range(ORACLE_SEEDS):
+            got = assert_same_generation(n, seed, size_range=sizes)
+            assert isinstance(got, str if rejected else Scene), (seed, got)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_same_scene_on_a_wide_table(self, n):
+        wide = Rect(Vec2(0, 0), Vec2(2, 1))
+        for seed in range(ORACLE_SEEDS):
+            got = assert_same_generation(n, seed, workspace=wide, size_range=(0.1, 0.2))
+            assert isinstance(got, Scene), (seed, got)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_same_scene_when_draws_touch_exactly(self, monkeypatch, n):
+        # Every draw is a multiple of 1/32, so footprint edges are exact and
+        # candidates often touch a placed object: touching is not overlap.
+        monkeypatch.setattr(bench.random, "Random", GridRandom)
+        touching = 0
+        for seed in range(ORACLE_SEEDS):
+            got = assert_same_generation(n, seed, size_range=(0.0625, 0.125))
+            assert isinstance(got, Scene), (seed, got)
+            for poses in (got.current, got.goal):
+                rects = [(p.x - o.half.a, p.y - o.half.b, p.x + o.half.a, p.y + o.half.b)
+                         for p, o in zip(poses, got.objects)]
+                touching += sum(1 for r in rects for q in rects if r[2] == q[0] and r[1] < q[3] and q[1] < r[3])
+        assert touching > 0
+
+    def test_exhaustion_raises_the_same_error(self, monkeypatch):
+        # The loops read the module constant when they run.
+        monkeypatch.setattr(bench, "PLACEMENT_ATTEMPTS", 3)
+        pattern = r"BenchError: could not place object (\d+) in the (start|goal) arrangement after 3 attempts \(seed (\d+)\)"
+        labels = set()
+        for seed in range(ORACLE_SEEDS):
+            got = assert_same_generation(14, seed, size_range=LARGE_SIZES)
+            if isinstance(got, str):
+                m = re.fullmatch(pattern, got)
+                assert m and int(m[3]) == seed, got
+                labels.add(m[2])
+        assert labels == {"start", "goal"}
 
 
 class TestRunSingle:

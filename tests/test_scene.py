@@ -1,13 +1,18 @@
 """Scene state, transitions, and the JSON wire format."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_swap_scene, take_proposals
+from oracles import object_validate_scene
 from pushplan.bench import generate_scene
 from pushplan.geometry import HalfDims, Rect, Side, Vec2, contains, overlaps
 from pushplan.scene import (
+    DEFAULT_TOLERANCE,
     InfeasibleActionError,
     InvalidSceneError,
     ObjectSpec,
@@ -83,6 +88,123 @@ class TestValidation:
         s = Scene(WS, (), (), ())
         assert s.n == 0
         assert satisfied_count(s) == 0
+
+
+def validation_outcome(validate, fields):
+    """The InvalidSceneError text ``validate(*fields)`` raises, or None."""
+    try:
+        validate(*fields)
+    except InvalidSceneError as e:
+        return str(e)
+    return None
+
+
+def assert_same_validation(fields):
+    """``Scene`` and the object-based checks agree on ``fields``; returns the outcome."""
+    got = validation_outcome(Scene, fields)
+    assert got == validation_outcome(object_validate_scene, fields), fields
+    return got
+
+
+def perturb(fields, rng: random.Random):
+    """``fields`` with one object of one arrangement moved to a contact, one
+    ulp past it, or onto another object, or the workspace shrunk one ulp."""
+    ws, objects, current, goal, tol = fields
+    n = len(objects)
+    kind = rng.randrange(4)
+    if kind == 3:
+        # The workspace's top or right edge one ulp inside the extreme footprint.
+        hx = max(p.x + o.half.a for p, o in zip(current + goal, objects + objects))
+        hy = max(p.y + o.half.b for p, o in zip(current + goal, objects + objects))
+        if rng.random() < 0.5:
+            hi = Vec2(math.nextafter(hx, -math.inf), ws.hi.y)
+        else:
+            hi = Vec2(ws.hi.x, math.nextafter(hy, -math.inf))
+        return (Rect(ws.lo, hi), objects, current, goal, tol)
+    arrangement = rng.choice(("current", "goal"))
+    poses = list(current if arrangement == "current" else goal)
+    j = rng.randrange(n)
+    hj = objects[j].half
+    if kind == 0:
+        # Touching the workspace's left or bottom edge.
+        x, y = poses[j].x, poses[j].y
+        if rng.random() < 0.5:
+            x = ws.lo.x + hj.a
+        else:
+            y = ws.lo.y + hj.b
+    else:
+        # Touching object i on its right (kind 1), or centered on it (kind 2).
+        i = rng.choice([k for k in range(n) if k != j])
+        pi, hi_ = poses[i], objects[i].half
+        x, y = (pi.x + hi_.a + hj.a, pi.y) if kind == 1 else (pi.x, pi.y)
+    if rng.random() < 0.5:
+        # One ulp in a random direction.
+        x = math.nextafter(x, rng.choice((-math.inf, math.inf)))
+    poses[j] = Vec2(x, y)
+    if arrangement == "current":
+        return (ws, objects, tuple(poses), goal, tol)
+    return (ws, objects, current, tuple(poses), tol)
+
+
+def eighths(*xs_ys):
+    """Squares of half extent 1/8 m at the given centers (x, y).  At dyadic
+    centers every footprint edge is exact."""
+    objects = tuple(ObjectSpec(i, HalfDims(0.125, 0.125)) for i in range(len(xs_ys)))
+    return objects, tuple(Vec2(x, y) for x, y in xs_ys)
+
+
+class TestValidationMatchesObjectChecks:
+    """Construction accepts, rejects and names the violation as the ``Rect``
+    checks it replaced: current before goal, workspace before overlap,
+    lowest (i, j) first."""
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_perturbed_generated_scenes(self, n):
+        rng = random.Random(n)
+        outcomes = set()
+        for seed in range(40):
+            s = generate_scene(n, seed)
+            fields = (s.workspace, s.objects, s.current, s.goal, s.tolerance)
+            assert assert_same_validation(fields) is None
+            for _ in range(12):
+                for _ in range(rng.randint(1, 3)):
+                    fields = perturb(fields, rng)
+                got = assert_same_validation(fields)
+                outcomes.add(None if got is None else got.split(" of")[0])
+                fields = (s.workspace, s.objects, s.current, s.goal, s.tolerance)
+        assert outcomes == {None, "current footprint", "current footprints", "goal footprint", "goal footprints"}
+
+    @pytest.mark.parametrize(
+        "centers, want",
+        [
+            # Exact contact, between objects and with the workspace edge, is legal.
+            ([(0.25, 0.5), (0.5, 0.5)], None),
+            ([(0.125, 0.125), (0.875, 0.875)], None),
+            # A footprint edge one ulp past either contact is not.
+            ([(0.25, 0.5), (math.nextafter(0.5, 0.0), 0.5)], "current footprints of objects 0 and 1 overlap"),
+            ([(math.nextafter(0.125, 0.0), 0.5)], "current footprint of object 0 leaves the workspace"),
+            ([(0.5, 0.875 + 2 ** -52)], "current footprint of object 0 leaves the workspace"),
+            # Workspace before overlap, and the lowest (i, j) first: (0, 3) before (1, 2).
+            ([(0.5, 0.5), (0.5, 0.5), (1.0, 0.25)], "current footprint of object 2 leaves the workspace"),
+            ([(0.25, 0.25), (0.75, 0.75), (0.75, 0.75), (0.25, 0.25)],
+             "current footprints of objects 0 and 3 overlap"),
+        ],
+    )
+    def test_pinned_cases(self, centers, want):
+        objects, poses = eighths(*centers)
+        fields = (WS, objects, poses, poses, DEFAULT_TOLERANCE)
+        assert assert_same_validation(fields) == want
+        if want is not None:
+            # The same violation in the goal arrangement alone is named for the goal.
+            _, spread = eighths(*[(0.125 + 0.25 * (k % 4), 0.125 + 0.25 * (k // 4)) for k in range(len(centers))])
+            assert assert_same_validation((WS, objects, spread, poses, DEFAULT_TOLERANCE)) == want.replace("current", "goal")
+
+    def test_current_is_checked_before_goal(self):
+        # The goal arrangement leaves the table; the current one overlaps.
+        objects, current = eighths((0.25, 0.25), (0.5, 0.5), (0.5, 0.5))
+        _, goal = eighths((1.0, 0.5), (0.25, 0.75), (0.75, 0.25))
+        got = assert_same_validation((WS, objects, current, goal, DEFAULT_TOLERANCE))
+        assert got == "current footprints of objects 1 and 2 overlap"
 
 
 class TestPredicates:
