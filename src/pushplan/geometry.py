@@ -159,34 +159,18 @@ def contains(outer: Rect, inner: Rect) -> bool:
 
 
 def sweep(r: Rect, side: Side, distance: float) -> Rect:
-    """Bounding rectangle of ``r`` translated along ``side`` by up to ``distance``.
+    """Region ``r`` covers while translated along ``side`` by up to ``distance``.
 
-    Because motion is axis-aligned, the swept region is itself a rectangle:
-    the union of start and end footprints and everything between.
-    """
-    lx, ly, hx, hy = sweep_bounds(r.bounds, side, distance)
-    return Rect(Vec2(lx, ly), Vec2(hx, hy))
-
-
-def sweep_bounds(b: Bounds, side: Side, distance: float) -> Bounds:
-    """``sweep`` of the rectangle with bounds ``b``, as bounds.
-
-    For scans that test one swept region against many footprints and need
-    no ``Rect`` of it.
+    Because motion is axis-aligned, the region is the union of the start and
+    end footprints, a rectangle.  The push scan builds the same union from
+    the end footprint ``transition`` gives a pushed object.
     """
     if distance < 0.0:
         raise ValueError(f"sweep distance must be non-negative, got {distance}")
-    u = side.unit
-    dx, dy = u.x * distance, u.y * distance
-    lx, ly, hx, hy = b
-    # ``min`` and ``max`` of the start and end faces: like the builtins, keep
-    # the start unless the end lies strictly beyond it.
-    mlx, mly, mhx, mhy = lx + dx, ly + dy, hx + dx, hy + dy
-    return (
-        mlx if mlx < lx else lx,
-        mly if mly < ly else ly,
-        mhx if mhx > hx else hx,
-        mhy if mhy > hy else hy,
+    end = translate(r, side.unit * distance)
+    return Rect(
+        Vec2(min(r.lo.x, end.lo.x), min(r.lo.y, end.lo.y)),
+        Vec2(max(r.hi.x, end.hi.x), max(r.hi.y, end.hi.y)),
     )
 
 

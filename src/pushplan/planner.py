@@ -25,7 +25,6 @@ from .metrics import CostBreakdown, action_cost, path_costs, total_cost  # noqa:
 from .primitives import PushProposal, sample_buffer_pose, select_push
 from .scene import (
     Action,
-    InfeasibleActionError,
     PickPlace,
     Scene,
     apply_action,  # noqa: F401
@@ -138,7 +137,8 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
     ``root`` to the new child.
 
     Returns None when the selected node could not be expanded (depth cap or
-    buffer exhaustion); the visit still counts so selection moves on.
+    buffer exhaustion); the visit still counts so selection moves on.  The
+    recommender's moves are feasible: ``transition`` raises on none.
     """
     n = root.state.n
     depth_cap = 4 * n
@@ -174,12 +174,7 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
     if rec is None:
         _backprop(path, float(satisfied_count(node.state)))
         return None
-    try:
-        action, new_state = transition(node.state, rec)
-    except InfeasibleActionError:
-        # The recommender only proposes feasible moves; keep searching anyway.
-        _backprop(path, float(satisfied_count(node.state)))
-        return None
+    action, new_state = transition(node.state, rec)
     child = SearchNode(new_state, action)
     node.children.append(child)
     path.append(child)

@@ -6,10 +6,12 @@ clear, then sets the target down on the goal.  A side is admissible only when
 the maneuver provably touches nothing but the blockers and strands nothing
 near a table edge:
 
-* each blocker, shifted along the side, stays on the table with a margin;
-* the corridor each blocker sweeps is empty, so no contact chains form;
-* the target fits at the pre-push pose and its own approach corridor is
-  empty of everything except the blockers it is about to push.
+* each blocker's footprint where it lands (``scene.landing``, as
+  ``transition`` places it) stays on the table with a margin;
+* the corridor each blocker sweeps, from its footprint to that one, is
+  empty, so no contact chains form;
+* the target fits at the pre-push pose and its own approach corridor, to
+  one clearance past the goal, is empty of everything but the blockers.
 
 Sides are tried in a fixed order and the first admissible one wins, so at
 most four sides are ever evaluated.  Each side does O(|B|·n) overlap tests
@@ -31,7 +33,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Bounds, Side, Vec2, axis_coord, sweep_bounds
+from .geometry import Bounds, Side, Vec2, axis_coord
 # ``overlaps`` and ``rect_from_center`` are not called here: the scans below
 # work on ``Bounds``.  Both stay bound because perfbench's tracer and its
 # tests look them up in this module.
@@ -80,13 +82,20 @@ class PushProposal:
 
 def _first_overlap(
     rects: Sequence[Bounds],
-    region: Bounds,
+    start: Bounds,
+    end: Bounds,
     own: int,
     skip: frozenset[int],
 ) -> Optional[int]:
     """The lowest j, neither ``own`` nor in ``skip``, whose bounds in ``rects``
-    overlap ``region``; None if none do."""
-    lx, ly, hx, hy = region
+    overlap the union of footprints ``start`` and ``end``, the region swept
+    between them on one axis (``geometry.sweep``); None if none do."""
+    slx, sly, shx, shy = start
+    elx, ely, ehx, ehy = end
+    lx = elx if elx < slx else slx
+    ly = ely if ely < sly else sly
+    hx = ehx if ehx > shx else shx
+    hy = ehy if ehy > shy else shy
     # ``overlaps``, inlined: this runs for every object, for every blocker of
     # every side the search evaluates.
     for j, (olx, oly, ohx, ohy) in enumerate(rects):
@@ -98,11 +107,10 @@ def _first_overlap(
 def corridor_clear(
     scene: Scene,
     blocker: int,
-    side: Side,
-    displacement: float,
+    end: Bounds,
     exclude: frozenset[int] = frozenset(),
 ) -> bool:
-    """True iff the region ``blocker`` sweeps while displaced is empty.
+    """True iff the region ``blocker`` sweeps to landing footprint ``end`` is empty.
 
     The blocker itself is always ignored; callers additionally pass the
     grasped target in ``exclude`` since it is held above the table.  Other
@@ -110,21 +118,18 @@ def corridor_clear(
     contact chain this check exists to reject.
     """
     rects = scene.bounds()
-    region = sweep_bounds(rects[blocker], side, displacement)
-    return _first_overlap(rects, region, blocker, exclude) is None
+    return _first_overlap(rects, rects[blocker], end, blocker, exclude) is None
 
 
-def edge_safe(scene: Scene, blocker: int, side: Side, displacement: float, margin: float) -> bool:
-    """True iff the blocker's post-push footprint keeps ``margin`` from every table edge."""
-    lx, ly, hx, hy = scene.bounds()[blocker]
-    u = side.unit
-    dx, dy = u.x * displacement, u.y * displacement
+def edge_safe(scene: Scene, end: Bounds, margin: float) -> bool:
+    """True iff landing footprint ``end`` keeps ``margin`` from every table edge."""
+    lx, ly, hx, hy = end
     w = scene.workspace
     return (
-        lx + dx >= w.lo.x + margin
-        and ly + dy >= w.lo.y + margin
-        and hx + dx <= w.hi.x - margin
-        and hy + dy <= w.hi.y - margin
+        lx >= w.lo.x + margin
+        and ly >= w.lo.y + margin
+        and hx <= w.hi.x - margin
+        and hy <= w.hi.y - margin
     )
 
 
@@ -141,6 +146,7 @@ def _evaluate_side(
     if stats is not None:
         stats.sides_evaluated += 1
     rects = scene.bounds()
+    current, objects = scene.current, scene.objects
     u = side.unit
     ux, uy = u.x, u.y
     goal_pose = scene.goal[target]
@@ -165,9 +171,14 @@ def _evaluate_side(
         d = goal_far - near + DEFAULT_CLEARANCE
         if stats is not None:
             stats.pair_checks += 1
-        if not edge_safe(scene, b, side, d, edge_margin):
+        # ``bounds_from_center(landing(scene, b, side, d), half)``, inlined:
+        # the footprint ``transition`` gives the blocker, float for float.
+        c, half = current[b], objects[b].half
+        x, y = c.x + ux * d, c.y + uy * d
+        end = (x - half.a, y - half.b, x + half.a, y + half.b)
+        if not edge_safe(scene, end, edge_margin):
             return None, f"blocker {b} would end within {edge_margin} m of a table edge"
-        if not corridor_clear(scene, b, side, d, exclude=grasped):
+        if not corridor_clear(scene, b, end, exclude=grasped):
             return None, f"push corridor of blocker {b} is not empty"
         moves.append((b, d))
         if near < min_near:
@@ -181,7 +192,7 @@ def _evaluate_side(
     # i.e. the one protruding farthest toward the approach (``min_near``).
     # That puts the target behind every blocker so a single sweep collects
     # them all.
-    half = scene.objects[target].half
+    half = objects[target].half
     h = half.a if side.horizontal else half.b
     p0_axis = (min_near - DEFAULT_CLEARANCE) - h
     goal_axis = axis_coord(goal_pose, side)
@@ -195,10 +206,12 @@ def _evaluate_side(
     if why:
         return None, f"pre-push footprint {why}"
 
-    # The target's own sweep (through the goal plus the clearance overshoot)
-    # may touch blockers only.
-    travel = (goal_axis - p0_axis) + DEFAULT_CLEARANCE
-    j = _first_overlap(rects, sweep_bounds(p0_bounds, side, travel), target, frozenset(blockers))
+    # The target's own sweep may touch blockers only.  It ends one clearance
+    # past the goal, at ``goal + side.unit * DEFAULT_CLEARANCE``, where
+    # ``simulate`` ends it.
+    x, y = goal_pose.x + ux * DEFAULT_CLEARANCE, goal_pose.y + uy * DEFAULT_CLEARANCE
+    end = (x - half.a, y - half.b, x + half.a, y + half.b)
+    j = _first_overlap(rects, p0_bounds, end, target, frozenset(blockers))
     if j is not None:
         return None, f"approach corridor is blocked by non-blocker object {j}"
 

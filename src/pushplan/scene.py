@@ -335,21 +335,26 @@ def validate_action(scene: Scene, action: Action) -> PickPlace | PushProposal:
     return primitives.validate_push_action(scene, action)
 
 
+def landing(scene: Scene, blocker: int, side: Side, d: float) -> Vec2:
+    """Where ``blocker`` lands when pushed ``d`` along ``side``: ``transition``
+    moves it here, and the push scan tests its footprint here."""
+    return scene.current[blocker] + side.unit * d
+
+
 def transition(scene: Scene, move: PickPlace | PushProposal) -> tuple[Action, Scene]:
     """The action and successor scene of a move admitted in ``scene``.
 
     ``move`` is a placement or a push's derivation (from ``validate_action``,
     the planner's recommender or ``primitives.push_on_side``), trusted, not
     derived again.  A PickPlace teleports its object; a push sets the target
-    on its goal and advances each blocker along the side by its displacement.
-    Only the moved objects are checked (``Scene.with_moved``), and one that
-    would leave the table or overlap another raises InfeasibleActionError.
+    on its goal and moves each blocker to its ``landing``.  Only the moved
+    objects are checked (``Scene.with_moved``); one that would leave the table
+    or overlap another raises InfeasibleActionError, which no admitted move does.
     """
     if isinstance(move, PickPlace):
         return move, scene.with_moved(((move.object, move.destination),))
-    u = move.side.unit
     moves = ((move.target, scene.goal[move.target]),) + tuple(
-        (b, scene.current[b] + u * d) for b, d in move.blocker_moves
+        (b, landing(scene, b, move.side, d)) for b, d in move.blocker_moves
     )
     return move.as_action(), scene.with_moved(moves)
 
@@ -360,11 +365,6 @@ def apply_action(scene: Scene, action: Action) -> Scene:
     The action is validated first; infeasible actions raise
     InfeasibleActionError.  The result is ``transition``'s successor of the
     admitted move, so it carries a cache and only the moved objects are
-    checked again.  A result that fails that check raises InvalidSceneError,
-    as construction would.
+    checked again.
     """
-    move = validate_action(scene, action)
-    try:
-        return transition(scene, move)[1]
-    except InfeasibleActionError as e:
-        raise InvalidSceneError(f"the outcome of a validated action is invalid: {e}") from None
+    return transition(scene, validate_action(scene, action))[1]

@@ -20,10 +20,14 @@ incremental successors of ``apply_action`` and ``simulate`` are held to it.
 ``replace_moved`` is its rebuilding step alone, for any set of moves; the
 incremental ``Scene.with_moved`` is held to it.
 ``object_evaluate_side`` is the original, object-based side evaluation of
-``primitives``, kept as written: a ``Rect`` per translated or swept blocker
-and one ``overlaps`` call per object scanned.  Its pre-push check is its own
-(``contains`` and ``overlaps``), not ``scene.placement_conflict``, so that a
-fault there shows.  The float-based scan is held to it exactly.
+``primitives``, kept as written but for the landing rule: a ``Rect`` per
+landing or swept blocker and one ``overlaps`` call per object scanned.  A
+pushed blocker's landing footprint is ``rect_from_center`` at
+``current[b] + side.unit * d``, the center the transition model moves it to,
+and each swept region is the union of a start and an end footprint.  Its
+pre-push check is its own (``contains`` and ``overlaps``), not
+``scene.placement_conflict``, so that a fault there shows.  The float-based
+scan is held to it exactly.
 ``object_generate_scene`` is the original, object-based ``bench.generate_scene``,
 kept as written: a ``Rect`` per candidate pose and per placed object, and one
 ``overlaps`` call per pair.  It reads ``bench.PLACEMENT_ATTEMPTS`` at call
@@ -48,7 +52,6 @@ from pushplan.geometry import (
     contains,
     overlaps,
     rect_from_center,
-    translate,
 )
 from pushplan.primitives import PushProposal, PushStats
 from pushplan.scene import (
@@ -279,18 +282,23 @@ def replace_successor(scene: Scene, action: Action) -> Scene:
     return replace_moved(scene, moves)
 
 
-def _object_sweep(r: Rect, side: Side, distance: float) -> Rect:
-    if distance < 0.0:
-        raise ValueError(f"sweep distance must be non-negative, got {distance}")
-    moved = translate(r, side.unit * distance)
+def _object_union(r1: Rect, r2: Rect) -> Rect:
+    """The bounding rectangle of ``r1`` and ``r2``: the region swept between
+    two footprints on one axis."""
     return Rect(
-        Vec2(min(r.lo.x, moved.lo.x), min(r.lo.y, moved.lo.y)),
-        Vec2(max(r.hi.x, moved.hi.x), max(r.hi.y, moved.hi.y)),
+        Vec2(min(r1.lo.x, r2.lo.x), min(r1.lo.y, r2.lo.y)),
+        Vec2(max(r1.hi.x, r2.hi.x), max(r1.hi.y, r2.hi.y)),
     )
 
 
+def _object_landing(scene: Scene, blocker: int, side: Side, displacement: float) -> Rect:
+    """The footprint of ``blocker`` pushed ``displacement`` along ``side``,
+    at the center the transition model moves it to."""
+    return rect_from_center(scene.current[blocker] + side.unit * displacement, scene.objects[blocker].half)
+
+
 def _object_corridor_clear(scene: Scene, blocker: int, side: Side, displacement: float, exclude) -> bool:
-    region = _object_sweep(scene.footprint(blocker), side, displacement)
+    region = _object_union(scene.footprint(blocker), _object_landing(scene, blocker, side, displacement))
     for j in range(scene.n):
         if j == blocker or j in exclude:
             continue
@@ -300,7 +308,7 @@ def _object_corridor_clear(scene: Scene, blocker: int, side: Side, displacement:
 
 
 def _object_edge_safe(scene: Scene, blocker: int, side: Side, displacement: float, margin: float) -> bool:
-    r = translate(scene.footprint(blocker), side.unit * displacement)
+    r = _object_landing(scene, blocker, side, displacement)
     w = scene.workspace
     return (
         r.lo.x >= w.lo.x + margin
@@ -362,8 +370,8 @@ def object_evaluate_side(
     if why:
         return None, f"pre-push footprint {why}"
 
-    travel = (goal_axis - p0_axis) + DEFAULT_CLEARANCE
-    approach = _object_sweep(p0_rect, side, travel)
+    # The target's sweep ends one clearance past its goal.
+    approach = _object_union(p0_rect, rect_from_center(goal_pose + side.unit * DEFAULT_CLEARANCE, half))
     blocker_set = frozenset(b for b, _ in moves)
     for j in range(scene.n):
         if j == target or j in blocker_set:

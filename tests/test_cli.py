@@ -19,6 +19,7 @@ from pushplan.cli import main
 from conftest import make_swap_scene
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture()
@@ -315,6 +316,17 @@ class TestRenderCommand:
         rc = main(["render", solved_file, "--plan", str(plan_file)])
         assert rc == 1
         assert "does not replay" in capsys.readouterr().err
+
+    def test_push_onto_a_touching_neighbour_does_not_replay(self, capsys):
+        # The push would land blocker 1 on object 2, which touches the face a
+        # translation of blocker 1's bounds gives but overlaps its landing
+        # footprint by one ulp: validation rejects it, with no traceback.
+        rc = main(["render", str(FIXTURES / "touching_push.json"),
+                   "--plan", str(FIXTURES / "touching_push_plan.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "plan does not replay on this scene" in err and "push corridor of blocker 1" in err
+        assert "Traceback" not in err
 
 
 class TestBenchCommand:

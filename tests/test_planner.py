@@ -208,9 +208,10 @@ class TestSelection:
 
 
 class TestUnexpandedStep:
-    """The two exits of ``tree_search_step`` that add no child: a selected
-    node past the depth cap, and a move that ``transition`` rejects.  Both
-    return None and still count the visit along the whole path."""
+    """The exit of ``tree_search_step`` that adds no child (a selected node
+    past the depth cap) returns None and still counts the visit along the
+    whole path.  A move that ``transition`` rejects is not such an exit: the
+    recommender only proposes moves it accepts, so a rejection propagates."""
 
     def test_leaf_past_the_depth_cap(self, swap_scene):
         # A chain of single children down to depth 4 * N, each node already
@@ -229,7 +230,7 @@ class TestUnexpandedStep:
         assert all(len(node.children) == 1 for node in path[:-1])
         assert [(node.visits, node.reward_sum) for node in path] == [(4, 3.0)] * len(path)
 
-    def test_rejected_transition(self, swap_scene, monkeypatch):
+    def test_rejected_transition_propagates(self, swap_scene, monkeypatch):
         moves = []
 
         def reject(scene, move):
@@ -241,11 +242,13 @@ class TestUnexpandedStep:
         leaf = SearchNode(apply_action(swap_scene, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5))), None)
         root.children.append(leaf)
         root.visits, leaf.visits = 2, 1
-        assert tree_search_step(root, PlannerConfig(max_expansions=1), random.Random(0)) is None
+        with pytest.raises(InfeasibleActionError, match="rejected"):
+            tree_search_step(root, PlannerConfig(max_expansions=1), random.Random(0))
         assert len(moves) == 1
         assert root.children == [leaf] and leaf.children == []
-        assert (root.visits, root.reward_sum) == (3, 1.0)
-        assert (leaf.visits, leaf.reward_sum) == (2, 1.0)
+        with pytest.raises(InfeasibleActionError, match="rejected"):
+            plan(swap_scene, PlannerConfig(max_expansions=10))
+        assert len(moves) == 2
 
 
 def cyclic_garbage(call) -> int:

@@ -1,7 +1,9 @@
 """Push-assisted placement: displacement math, admissibility, side selection,
 buffer sampling, and the placement rule every caller shares."""
 
+import math
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -41,6 +43,7 @@ from pushplan.primitives import (
 )
 from pushplan.scene import (
     InfeasibleActionError,
+    InvalidSceneError,
     ObjectSpec,
     PickPlace,
     PushPlace,
@@ -48,6 +51,7 @@ from pushplan.scene import (
     apply_action,
     blockers_of,
     is_at_goal,
+    landing,
     placement_conflict,
     satisfied_count,
     transition,
@@ -79,6 +83,11 @@ def bisect_displacement(scene: Scene, blocker: int, target: int, side: Side) -> 
         else:
             hi = mid
     return hi
+
+
+def landing_bounds(scene: Scene, blocker: int, side: Side, d: float):
+    """The footprint bounds of ``blocker`` at its ``landing`` after a push of ``d``."""
+    return bounds_from_center(landing(scene, blocker, side, d), scene.objects[blocker].half)
 
 
 def displacements(scene: Scene, target: int, side: Side) -> tuple[tuple[int, float], ...]:
@@ -121,13 +130,13 @@ class TestCorridorAndEdge:
     def test_corridor_blocked_by_third_object(self):
         s = make_chained_push_scene()
         d = bisect_displacement(s, 1, 0, Side.LEFT) + 0.005
-        assert not corridor_clear(s, 1, Side.LEFT, d, exclude=frozenset({0}))
+        assert not corridor_clear(s, 1, landing_bounds(s, 1, Side.LEFT, d), exclude=frozenset({0}))
 
     def test_corridor_open_when_neighbor_removed(self):
         s = make_chained_push_scene()
         opened = apply_action(s, PickPlace(2, Vec2(0.2, 0.8)))
         d = bisect_displacement(opened, 1, 0, Side.LEFT) + 0.005
-        assert corridor_clear(opened, 1, Side.LEFT, d, exclude=frozenset({0}))
+        assert corridor_clear(opened, 1, landing_bounds(opened, 1, Side.LEFT, d), exclude=frozenset({0}))
 
     def test_edge_safe_boundary(self):
         s = Scene(WS, (square(0), square(1)),
@@ -135,13 +144,13 @@ class TestCorridorAndEdge:
                   (Vec2(0.76, 0.5), Vec2(0.2, 0.8)))
         # a RIGHT displacement of 0.09 rests the blocker at x=0.89,
         # footprint up to 0.94: a clear 0.06 from the edge
-        assert edge_safe(s, 1, Side.RIGHT, 0.09, DEFAULT_EDGE_MARGIN)
+        assert edge_safe(s, landing_bounds(s, 1, Side.RIGHT, 0.09), DEFAULT_EDGE_MARGIN)
         # 0.8 + 0.145 + 0.05 = 0.995, inside the margin band
-        assert not edge_safe(s, 1, Side.RIGHT, 0.145, DEFAULT_EDGE_MARGIN)
+        assert not edge_safe(s, landing_bounds(s, 1, Side.RIGHT, 0.145), DEFAULT_EDGE_MARGIN)
         # with margin waived the same rest pose is fine (still on the table)
-        assert edge_safe(s, 1, Side.RIGHT, 0.145, 0.0)
+        assert edge_safe(s, landing_bounds(s, 1, Side.RIGHT, 0.145), 0.0)
         # past the physical edge fails even at zero margin
-        assert not edge_safe(s, 1, Side.RIGHT, 0.16, 0.0)
+        assert not edge_safe(s, landing_bounds(s, 1, Side.RIGHT, 0.16), 0.0)
 
 
 class TestSelectPush:
@@ -219,6 +228,7 @@ class TestProposalPostconditions:
         # Admissibility has no pairwise check of the blockers' end poses: the
         # per-blocker corridor checks already imply it, on every side of every
         # blocked target, at the planning margin and the validation margin.
+        # The end footprints are read from the successor ``transition`` builds.
         accepted = multi = 0
         for k in range(60):
             scene = generate_scene(n, derive_seed("post-push-disjoint", n, k), size_range=sizes)
@@ -231,7 +241,8 @@ class TestProposalPostconditions:
                         prop, _ = primitives._evaluate_side(scene, target, blockers, side, margin, None)
                         if prop is None:
                             continue
-                        post = [translate(scene.footprint(b), side.unit * d) for b, d in prop.blocker_moves]
+                        _, nxt = transition(scene, prop)
+                        post = [nxt.footprint(b) for b, _ in prop.blocker_moves]
                         for i in range(len(post)):
                             for j in range(i + 1, len(post)):
                                 assert not overlaps(post[i], post[j]), (k, target, side, margin)
@@ -646,3 +657,113 @@ class TestSuccessorsMatchOracles:
         if successors[0].n == 8:
             del outcomes["approach"]
         assert all(outcomes.values()), outcomes
+
+
+# Half extent of the neighbour ``touching_neighbours`` adds: a power of two,
+# so that its near face can be set to most floats exactly.
+NEIGHBOUR_HALF = 2.0**-7
+
+
+def touching_neighbours(scene: Scene, side: Side, moves: tuple[tuple[int, float], ...]):
+    """``scene`` with one more object, a small square at its own goal, whose
+    near face lies on a pushed blocker's landing far face (offset 0), one ulp
+    short of it, overlapping the landing (offset -1), or one ulp past it
+    (offset 1).  Yields ``(scene, blocker, offset)`` for each blocker of
+    ``moves`` and each offset at which that face is reachable and the
+    scene is valid."""
+    axis = 0 if side.horizontal else 1
+    sign = side.unit.x + side.unit.y
+    half = HalfDims(NEIGHBOUR_HALF, NEIGHBOUR_HALF)
+    spec = ObjectSpec(scene.n, half)
+    for b, d in moves:
+        end = landing_bounds(scene, b, side, d)
+        far = end[axis + 2] if sign > 0 else end[axis]
+        lateral = landing(scene, b, side, d)
+        for offset in (-1, 0, 1):
+            face = far if offset == 0 else math.nextafter(far, offset * sign * math.inf)
+            # A center whose near face is ``face``: ``c - sign * h == face``.
+            center = face + sign * NEIGHBOUR_HALF
+            for _ in range(8):
+                near = center - sign * NEIGHBOUR_HALF
+                if near == face:
+                    break
+                center = math.nextafter(center, math.inf if near < face else -math.inf)
+            else:
+                continue
+            pose = Vec2(center, lateral.y) if axis == 0 else Vec2(lateral.x, center)
+            try:
+                out = Scene(scene.workspace, scene.objects + (spec,), scene.current + (pose,),
+                            scene.goal + (pose,), scene.tolerance)
+            except InvalidSceneError:
+                continue
+            yield out, b, offset
+
+
+class TestAdmissionMatchesTransition:
+    """The push scan tests each blocker at the footprint ``transition``
+    builds, so every push it admits has a successor.  On search successors
+    and on a touching corpus built from them (a neighbour face to face with
+    a blocker's landing, and one ulp either side), every push the scan
+    admits, every action ``validate_action`` admits and every move
+    ``recommend_action`` returns is accepted by ``transition``, and the
+    footprint the scan tested for each blocker is the successor's cached
+    one, bit for bit."""
+
+    def test_touching_corpus(self, successors, monkeypatch):
+        tested = []
+        edge_safe_of_scan = primitives.edge_safe
+
+        def recording_edge_safe(scene, end, margin):
+            tested.append(end)
+            return edge_safe_of_scan(scene, end, margin)
+
+        monkeypatch.setattr(primitives, "edge_safe", recording_edge_safe)
+        cfg = PlannerConfig(max_expansions=1)
+        seen = Counter()
+
+        def check_scan(scene, target, blockers, side, margin):
+            tested.clear()
+            prop, reason = primitives._evaluate_side(scene, target, blockers, side, margin, None)
+            if prop is not None:
+                _, nxt = transition(scene, prop)
+                assert [nxt._footprints[b] for b, _ in prop.blocker_moves] == tested
+                seen["admitted"] += 1
+            return prop, reason
+
+        def check_moves(scene, target, side, k):
+            try:
+                move = validate_action(scene, PushPlace(target, side, oracle_p0(scene, target, side)))
+            except InfeasibleActionError:
+                pass
+            else:
+                transition(scene, move)
+                seen["validated"] += 1
+            rec = recommend_action(scene, target, cfg, random.Random(k))
+            if rec is not None:
+                transition(scene, rec)
+                seen["recommended"] += 1
+
+        for k, s in enumerate(successors):
+            for target in unsatisfied_ids(s):
+                blockers = blockers_of(s, target)
+                if not blockers:
+                    continue
+                for side in Side:
+                    check_moves(s, target, side, k)
+                    for margin in (0.0, DEFAULT_EDGE_MARGIN):
+                        prop, _ = check_scan(s, target, blockers, side, margin)
+                        if prop is None:
+                            continue
+                        for v, b, offset in touching_neighbours(s, side, prop.blocker_moves):
+                            got, reason = check_scan(v, target, blockers, side, margin)
+                            # The scan's landing far face is the successor's: one
+                            # ulp of overlap is a collision, a touch is not.
+                            if offset < 0:
+                                assert got is None, (k, target, side, margin, b)
+                            else:
+                                assert reason != f"push corridor of blocker {b} is not empty"
+                            seen[f"touching {offset}"] += 1
+                            seen[f"touching {offset} admitted"] += got is not None
+                            check_moves(v, target, side, k)
+        assert seen["touching 0 admitted"] >= 100 and seen["touching 1 admitted"] >= 100, seen
+        assert seen["touching -1"] >= 100 and seen["recommended"] and seen["validated"], seen

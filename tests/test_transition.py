@@ -44,8 +44,8 @@ def check_step(scene: Scene, rec):
     """Run one transition and compare it with the validated path; return its result."""
     action, child = transition(scene, rec)
     assert action == (rec.as_action() if isinstance(rec, PushProposal) else rec)
-    # Every recommended action passes validation: the InfeasibleActionError
-    # that tree_search_step swallows never fires on a fresh recommendation.
+    # Every recommended action passes validation, and ``transition`` accepts
+    # it: ``tree_search_step`` catches no InfeasibleActionError.
     validate_action(scene, action)
     ref = apply_action(scene, action)
 
