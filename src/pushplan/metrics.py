@@ -11,6 +11,7 @@ trip.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Union
@@ -54,15 +55,31 @@ def action_cost(scene: Scene, action: Action, ee: EEState, lam: float = 1.0) -> 
 def travel_cost(
     scene: Scene, action: Action, ee: EEState, lam: float = 1.0
 ) -> tuple[CostBreakdown, EEState]:
-    """``action_cost`` for an action already known to be feasible: no validation."""
+    """``action_cost`` for an action already known to be feasible: no validation.
+
+    The legs are ``_legs``'s, the one cost formula ``path_costs`` uses too.
+    """
+    approach, transfer, final = _legs(scene, action, ee.pose)
+    return CostBreakdown(approach, PICK_TRAVEL, transfer, lam), EEState(final, ee.home)
+
+
+def _legs(scene: Scene, action: Action, pose: Vec2) -> tuple[float, float, Vec2]:
+    """(approach, transfer, set-down pose) of ``action`` for an end-effector at ``pose``.
+
+    Each leg from ``a`` to ``b`` is ``math.hypot(b.x - a.x, b.y - a.y)``,
+    the value ``(b - a).norm()`` gives, without building the difference.  A
+    placement's transfer runs from the object to its destination; a push's
+    runs from the object to the pre-push pose and on to ``set_down_pose``.
+    """
     start = scene.current[action.object]
-    approach = (start - ee.pose).norm()
+    sx, sy = start.x, start.y
+    approach = math.hypot(sx - pose.x, sy - pose.y)
     final = set_down_pose(scene, action)
     if isinstance(action, PickPlace):
-        transfer = (final - start).norm()
-    else:
-        transfer = (action.pre_push - start).norm() + (final - action.pre_push).norm()
-    return CostBreakdown(approach, PICK_TRAVEL, transfer, lam), EEState(final, ee.home)
+        return approach, math.hypot(final.x - sx, final.y - sy), final
+    pre = action.pre_push
+    px, py = pre.x, pre.y
+    return approach, math.hypot(px - sx, py - sy) + math.hypot(final.x - px, final.y - py), final
 
 
 def set_down_pose(scene: Scene, action: Action) -> Vec2:
@@ -74,13 +91,19 @@ def set_down_pose(scene: Scene, action: Action) -> Vec2:
 def path_costs(steps: Iterable[tuple[Scene, Action]]) -> tuple[CostBreakdown, ...]:
     """The cost of each ``(scene, action)`` step of a path, each action feasible
     in its scene (unvalidated).  The end-effector starts at the workspace
-    center and ends each step where its action set the object down."""
+    center and ends each step where its action set the object down.
+
+    Each entry equals ``travel_cost``'s along the same steps, bit for bit:
+    both take their legs from ``_legs``.  Only the pose is carried from step
+    to step, so no ``EEState`` is built.
+    """
     costs: list[CostBreakdown] = []
+    pose = None
     for scene, action in steps:
-        if not costs:
-            ee = EEState(scene.workspace.center, scene.workspace.center)
-        bd, ee = travel_cost(scene, action, ee)
-        costs.append(bd)
+        if pose is None:
+            pose = scene.workspace.center
+        approach, transfer, pose = _legs(scene, action, pose)
+        costs.append(CostBreakdown(approach, PICK_TRAVEL, transfer))
     return tuple(costs)
 
 

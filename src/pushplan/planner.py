@@ -37,6 +37,9 @@ from .scene import (
 DEFAULT_TIME_BUDGET_S = 2.0
 # UCB1's exploration constant, as in UCT (Kocsis & Szepesvari, ECML 2006).
 EXPLORATION_C = math.sqrt(2.0)
+# Read once per child scored by UCT, so bound here rather than looked up on ``math``.
+_log = math.log
+_sqrt = math.sqrt
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +95,9 @@ class SearchNode:
 
 def sample_unsatisfied_object(scene: Scene, rng: random.Random) -> int:
     """Uniformly pick an object not yet at its goal."""
-    ids = unsatisfied_ids(scene)
+    ids = scene._unsatisfied
+    if ids is None:
+        ids = unsatisfied_ids(scene)
     if not ids:
         raise ValueError("all objects are satisfied; nothing to sample")
     return ids[rng.randrange(len(ids))]
@@ -159,11 +164,11 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
         # which cannot reach solution depth for N >= 6 under any sane budget.
         # Every child has been visited, so each score is finite and the first
         # maximum wins, as with ``max``.
-        log_visits = math.log(node.visits)
+        log_visits = _log(node.visits)
         best, best_score = node, -math.inf
         for child in node.children:
             visits = child.visits
-            score = (child.reward_sum / visits) / n + EXPLORATION_C * math.sqrt(log_visits / visits) / n
+            score = (child.reward_sum / visits) / n + EXPLORATION_C * _sqrt(log_visits / visits) / n
             if score > best_score:
                 best, best_score = child, score
         node = best
@@ -193,29 +198,28 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
 
     Returns the first complete plan found within the budget, or None.  With
     an expansion budget the result is a pure function of (scene, cfg).
+
+    The search starts from ``scene.with_footprints()``, the scene with its
+    footprints and unsatisfied ids cached, and every scene in the tree caches
+    them too.  So "solved", for the start scene and for each new leaf, is a
+    read of those ids, not a distance test per object.  The expansion budget
+    runs a plain ``for`` loop; the wall-clock budget reads the clock before
+    each expansion.
     """
-    if satisfied_count(scene) == scene.n:
-        return Plan((), ())
-    rng = random.Random(cfg.seed)
     # None of the search tree's scenes escapes.
     root = SearchNode(scene.with_footprints(), None)
-
+    if not root.state._unsatisfied:
+        return Plan((), ())
+    rng = random.Random(cfg.seed)
     if cfg.max_expansions is not None:
-        remaining = cfg.max_expansions
-
-        def budget_left() -> bool:
-            nonlocal remaining
-            remaining -= 1
-            return remaining >= 0
-
-    else:
-        deadline = time.monotonic() + cfg.time_budget_s
-
-        def budget_left() -> bool:
-            return time.monotonic() < deadline
-
-    while budget_left():
+        for _ in range(cfg.max_expansions):
+            path = tree_search_step(root, cfg, rng)
+            if path is not None and not path[-1].state._unsatisfied:
+                return _extract_plan(path)
+        return None
+    deadline = time.monotonic() + cfg.time_budget_s
+    while time.monotonic() < deadline:
         path = tree_search_step(root, cfg, rng)
-        if path is not None and satisfied_count(path[-1].state) == scene.n:
+        if path is not None and not path[-1].state._unsatisfied:
             return _extract_plan(path)
     return None

@@ -291,12 +291,19 @@ def sample_buffer_pose(scene: Scene, obj: int, rng: random.Random) -> Optional[V
     current footprint, and overlap no goal footprint of an object that still
     has somewhere to be (parking on top of pending goals just creates new
     blockers).  Returns None after ``BUFFER_MAX_ATTEMPTS`` rejections.
+
+    Centers are drawn from the workspace shrunk by the half extents, but
+    ``x - a`` can round one ulp below the workspace edge when that edge is
+    not 0.  So each draw's footprint, computed as ``Scene.with_moved``
+    computes it, must also pass the workspace containment test; a draw
+    that fails it is rejected like any other.
     """
     half = scene.objects[obj].half
     a, b = half.a, half.b
     w = scene.workspace
-    xlo, xhi = w.lo.x + a, w.hi.x - a
-    ylo, yhi = w.lo.y + b, w.hi.y - b
+    wlx, wly, whx, why = w.lo.x, w.lo.y, w.hi.x, w.hi.y
+    xlo, xhi = wlx + a, whx - a
+    ylo, yhi = wly + b, why - b
     if xlo > xhi or ylo > yhi:
         return None
     # A pose is rejected when its footprint's interior meets an obstacle,
@@ -311,6 +318,9 @@ def sample_buffer_pose(scene: Scene, obj: int, rng: random.Random) -> Optional[V
         x = xlo + width * draw()
         y = ylo + depth * draw()
         lx, hx, ly, hy = x - a, x + a, y - b, y + b
+        # ``contains(workspace, footprint)``, on floats.
+        if not (wlx <= lx and wly <= ly and hx <= whx and hy <= why):
+            continue
         for olx, oly, ohx, ohy in obstacles:
             if lx < ohx and olx < hx and ly < ohy and oly < hy:
                 break

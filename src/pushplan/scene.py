@@ -35,9 +35,6 @@ if TYPE_CHECKING:
 # and between the pre-push pose and the first blocker.  Meters.
 DEFAULT_CLEARANCE = 0.005
 
-# Sets a field of a frozen dataclass.
-_set = object.__setattr__
-
 # Default goal tolerance (meters): an object is at its goal when its center
 # lies within this distance of the goal center.
 DEFAULT_TOLERANCE = 0.005
@@ -202,14 +199,17 @@ class Scene:
         each is inserted into or removed from this scene's ascending ids.
         """
         poses = list(self.current)
-        rects = list(self.bounds())
+        cached = self._footprints
+        rects = list(_all_bounds(self.current, self.objects) if cached is None else cached)
         objects = self.objects
         for i, pose in moves:
             poses[i] = pose
             # bounds_from_center, inlined: this runs for every successor made.
             half = objects[i].half
             rects[i] = (pose.x - half.a, pose.y - half.b, pose.x + half.a, pose.y + half.b)
-        goal_rects = tuple(self.goal_bounds())
+        goal_rects = self._goal_footprints
+        if goal_rects is None:
+            goal_rects = tuple(_all_bounds(self.goal, objects))
         # Bypass __post_init__: the checks below establish its invariant.
         out = _unchecked(
             self.workspace, objects, tuple(poses), self.goal, self.tolerance, tuple(rects), goal_rects
@@ -230,8 +230,21 @@ class Scene:
                         del pending[k]
                 elif not listed:
                     pending.insert(k, i)
-        _set(out, "_unsatisfied", tuple(pending))
+        _SET_UNSATISFIED(out, tuple(pending))
         return out
+
+
+# Each slot's own setter, for ``_unchecked`` and ``with_moved``: a new scene's
+# fields are set through them, not through the frozen ``__setattr__``.
+_new = object.__new__
+_SET_WORKSPACE = Scene.workspace.__set__
+_SET_OBJECTS = Scene.objects.__set__
+_SET_CURRENT = Scene.current.__set__
+_SET_GOAL = Scene.goal.__set__
+_SET_TOLERANCE = Scene.tolerance.__set__
+_SET_FOOTPRINTS = Scene._footprints.__set__
+_SET_GOAL_FOOTPRINTS = Scene._goal_footprints.__set__
+_SET_UNSATISFIED = Scene._unsatisfied.__set__
 
 
 def _all_bounds(poses: Arrangement, objects: tuple[ObjectSpec, ...]) -> list[Bounds]:
@@ -250,18 +263,20 @@ def _unchecked(
 ) -> Scene:
     """A Scene of these fields, built without ``__post_init__``'s checks.
 
-    Its unsatisfied ids are None until the caller sets them.  The fields are
-    set one by one, not in a loop: this runs once per search expansion.
+    Its unsatisfied ids are None until the caller sets them.  Each field is
+    set through its slot's descriptor (``_SET_*``), which skips the frozen
+    ``__setattr__`` and its attribute lookup by name: this runs once per
+    search expansion.
     """
-    out = object.__new__(Scene)
-    _set(out, "workspace", workspace)
-    _set(out, "objects", objects)
-    _set(out, "current", current)
-    _set(out, "goal", goal)
-    _set(out, "tolerance", tolerance)
-    _set(out, "_footprints", footprints)
-    _set(out, "_goal_footprints", goal_footprints)
-    _set(out, "_unsatisfied", None)
+    out = _new(Scene)
+    _SET_WORKSPACE(out, workspace)
+    _SET_OBJECTS(out, objects)
+    _SET_CURRENT(out, current)
+    _SET_GOAL(out, goal)
+    _SET_TOLERANCE(out, tolerance)
+    _SET_FOOTPRINTS(out, footprints)
+    _SET_GOAL_FOOTPRINTS(out, goal_footprints)
+    _SET_UNSATISFIED(out, None)
     return out
 
 
@@ -288,11 +303,11 @@ def blockers_of(scene: Scene, target: int) -> tuple[int, ...]:
     """Ascending ids of objects whose current footprint overlaps ``target``'s goal footprint."""
     glx, gly, ghx, ghy = scene.goal_bounds()[target]
     # ``overlaps(footprint(j), goal_footprint(target))``, on floats.
-    return tuple(
+    return tuple([
         j
         for j, (lx, ly, hx, hy) in enumerate(scene.bounds())
         if lx < ghx and glx < hx and ly < ghy and gly < hy and j != target
-    )
+    ])
 
 
 def placement_conflict(scene: Scene, obj: int, b: Bounds) -> Optional[str]:
@@ -309,7 +324,10 @@ def placement_conflict(scene: Scene, obj: int, b: Bounds) -> Optional[str]:
     # runs for every moved object.
     if not (w.lo.x <= lx and w.lo.y <= ly and hx <= w.hi.x and hy <= w.hi.y):
         return "leaves the workspace"
-    for j, (olx, oly, ohx, ohy) in enumerate(scene.bounds()):
+    rects = scene._footprints
+    if rects is None:
+        rects = _all_bounds(scene.current, scene.objects)
+    for j, (olx, oly, ohx, ohy) in enumerate(rects):
         if lx < ohx and olx < hx and ly < ohy and oly < hy and j != obj:
             return f"overlaps object {j}"
     return None

@@ -126,6 +126,11 @@ def corners(r: Rect) -> tuple[float, float, float, float]:
     return (r.lo.x, r.lo.y, r.hi.x, r.hi.y)
 
 
+def cost_bits(costs) -> list[tuple[str, ...]]:
+    """Every field of each ``CostBreakdown`` in ``costs`` as its exact hex form."""
+    return [tuple(v.hex() for v in (c.approach, c.pick, c.transfer, c.lam)) for c in costs]
+
+
 def assert_cache_exact(scene: Scene) -> None:
     """Every cached float tuple is ``rect_from_center``'s corners, exactly,
     and so is every ``Rect`` built from it; the unsatisfied ids are a plain

@@ -11,7 +11,8 @@ Rects are (lox, loy, hix, hiy) tuples.  The push axis is handled in signed
 coordinates: sc = sign * coord, so "forward" is always increasing sc.
 
 ``oracle_buffer_pose`` is the original, loop-based buffer sampler, kept as
-written: one ``Rect`` and one ``overlaps`` call per obstacle and draw.
+written: one ``Rect`` and one ``overlaps`` call per obstacle and draw.  It
+also rejects a draw whose ``Rect`` the workspace does not ``contains``.
 ``placement_free`` is the original placement rule, the reference every
 caller of ``scene.placement_conflict`` is held to.
 ``replace_successor`` is the original transition model, which rebuilds the
@@ -33,9 +34,17 @@ kept as written: a ``Rect`` per candidate pose and per placed object, and one
 ``overlaps`` call per pair.  It reads ``bench.PLACEMENT_ATTEMPTS`` at call
 time, as the library does.  ``object_validate_scene`` is the original body of
 ``Scene.__post_init__``: ``contains`` and ``overlaps`` on ``Rect`` footprints.
+``reference_plan`` is the search as first written: it tests "solved" with
+``satisfied_count``, counts its expansion budget down in a closure, samples
+from an ``unsatisfied_ids`` list, and costs the plan by chaining
+``travel_cost`` through ``EEState``.  It proposes and applies moves with the
+library's ``recommend_action`` and ``transition``, so ``plan`` is held to it
+action for action and cost for cost.
 """
 
+import math
 import random
+import time
 from collections.abc import Sequence
 from dataclasses import replace
 from typing import Optional
@@ -53,6 +62,8 @@ from pushplan.geometry import (
     overlaps,
     rect_from_center,
 )
+from pushplan.metrics import EEState, travel_cost
+from pushplan.planner import EXPLORATION_C, Plan, PlannerConfig, recommend_action
 from pushplan.primitives import PushProposal, PushStats
 from pushplan.scene import (
     DEFAULT_CLEARANCE,
@@ -62,6 +73,8 @@ from pushplan.scene import (
     ObjectSpec,
     PickPlace,
     Scene,
+    satisfied_count,
+    transition,
     unsatisfied_ids,
     validate_action,
 )
@@ -237,6 +250,8 @@ def oracle_buffer_pose(
     for _ in range(max_attempts):
         pose = Vec2(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
         r = rect_from_center(pose, half)
+        if not contains(w, r):
+            continue
         if any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj):
             continue
         if any(overlaps(r, scene.goal_footprint(j)) for j in pending):
@@ -466,3 +481,98 @@ def object_validate_scene(
             for j in range(i + 1, n):
                 if overlaps(rects[i], rects[j]):
                     raise InvalidSceneError(f"{label} footprints of objects {i} and {j} overlap")
+
+
+class _ReferenceNode:
+    __slots__ = ("state", "action", "children", "visits", "reward_sum")
+
+    def __init__(self, state: Scene, action: Optional[Action]) -> None:
+        self.state = state
+        self.action = action
+        self.children: list[_ReferenceNode] = []
+        self.visits = 0
+        self.reward_sum = 0.0
+
+
+def _reference_backprop(path: list, reward: float) -> None:
+    for node in path:
+        node.visits += 1
+        node.reward_sum += reward
+
+
+def _reference_step(root: _ReferenceNode, cfg: PlannerConfig, rng: random.Random) -> Optional[list]:
+    """``planner.tree_search_step`` as first written."""
+    n = root.state.n
+    depth_cap = 4 * n
+    node = root
+    path = [root]
+    while True:
+        can_widen = len(path) <= depth_cap and len(node.children) < max(1, math.isqrt(node.visits))
+        if can_widen:
+            break
+        if not node.children:
+            _reference_backprop(path, float(satisfied_count(node.state)))
+            return None
+        log_visits = math.log(node.visits)
+        best, best_score = node, -math.inf
+        for child in node.children:
+            visits = child.visits
+            score = (child.reward_sum / visits) / n + EXPLORATION_C * math.sqrt(log_visits / visits) / n
+            if score > best_score:
+                best, best_score = child, score
+        node = best
+        path.append(node)
+
+    ids = unsatisfied_ids(node.state)
+    obj = ids[rng.randrange(len(ids))]
+    rec = recommend_action(node.state, obj, cfg, rng)
+    if rec is None:
+        _reference_backprop(path, float(satisfied_count(node.state)))
+        return None
+    action, new_state = transition(node.state, rec)
+    child = _ReferenceNode(new_state, action)
+    node.children.append(child)
+    path.append(child)
+    _reference_backprop(path, float(satisfied_count(new_state)))
+    return path
+
+
+def _reference_extract(path: list) -> Plan:
+    """The actions along ``path``, each costed by ``travel_cost`` with the
+    end-effector state chained from the workspace center."""
+    actions, costs = [], []
+    center = path[0].state.workspace.center
+    ee = EEState(center, center)
+    for parent, child in zip(path, path[1:]):
+        bd, ee = travel_cost(parent.state, child.action, ee)
+        actions.append(child.action)
+        costs.append(bd)
+    return Plan(tuple(actions), tuple(costs))
+
+
+def reference_plan(scene: Scene, cfg: PlannerConfig) -> Optional[Plan]:
+    """``planner.plan`` as first written."""
+    if satisfied_count(scene) == scene.n:
+        return Plan((), ())
+    rng = random.Random(cfg.seed)
+    root = _ReferenceNode(scene.with_footprints(), None)
+
+    if cfg.max_expansions is not None:
+        remaining = cfg.max_expansions
+
+        def budget_left() -> bool:
+            nonlocal remaining
+            remaining -= 1
+            return remaining >= 0
+
+    else:
+        deadline = time.monotonic() + cfg.time_budget_s
+
+        def budget_left() -> bool:
+            return time.monotonic() < deadline
+
+    while budget_left():
+        path = _reference_step(root, cfg, rng)
+        if path is not None and satisfied_count(path[-1].state) == scene.n:
+            return _reference_extract(path)
+    return None

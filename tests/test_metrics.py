@@ -1,5 +1,7 @@
 """Travel-cost model: per-action breakdowns, plan replay, reductions."""
 
+import random
+
 import pytest
 
 from pushplan import (
@@ -16,9 +18,21 @@ from pushplan import (
     percent_reduction,
     plan_cost,
 )
+from conftest import cost_bits
+from pushplan.bench import generate_scene
 from pushplan.io import plan_from_dict
-from pushplan.metrics import PICK_TRAVEL, CostBreakdown, EEState, action_cost, total_cost
-from pushplan.scene import satisfied_count
+from pushplan.metrics import (
+    PICK_TRAVEL,
+    CostBreakdown,
+    EEState,
+    action_cost,
+    path_costs,
+    total_cost,
+    travel_cost,
+)
+from pushplan.planner import PlannerConfig, recommend_action, sample_unsatisfied_object
+from pushplan.scene import satisfied_count, transition
+from pushplan.seeding import derive_seed
 
 
 def _swap_push_plan():
@@ -122,6 +136,69 @@ class TestPlanCost:
 
     def test_empty_plan_is_free(self, swap_scene):
         assert plan_cost([], swap_scene) == 0.0
+
+
+def vec_travel_cost(scene, action, ee):
+    """``travel_cost`` as first written: each leg a ``Vec2`` difference's ``norm``."""
+    start = scene.current[action.object]
+    approach = (start - ee.pose).norm()
+    if isinstance(action, PickPlace):
+        final = action.destination
+        transfer = (final - start).norm()
+    else:
+        final = scene.goal[action.object]
+        transfer = (action.pre_push - start).norm() + (final - action.pre_push).norm()
+    return CostBreakdown(approach, PICK_TRAVEL, transfer), EEState(final, ee.home)
+
+
+def recommended_walk(n, sizes, workspace, k):
+    """The (scene, action) steps of a walk of recommended moves on a generated
+    scene; pushes are enabled on even ``k`` only, so odd walks park more."""
+    scene = generate_scene(n, derive_seed("path-costs", n, k), workspace, sizes).with_footprints()
+    cfg = PlannerConfig(max_expansions=1, push_enabled=k % 2 == 0)
+    rng = random.Random(k)
+    steps = []
+    for _ in range(3 * n):
+        if not scene._unsatisfied:
+            break
+        rec = recommend_action(scene, sample_unsatisfied_object(scene, rng), cfg, rng)
+        if rec is None:
+            continue
+        action, successor = transition(scene, rec)
+        steps.append((scene, action))
+        scene = successor
+    return steps
+
+
+class TestPathCosts:
+    """``path_costs`` gives, bit for bit, what ``travel_cost`` gives chained
+    through ``EEState``, and what the ``Vec2`` formula gives."""
+
+    @pytest.mark.parametrize(
+        "workspace", [None, Rect(Vec2(-0.7, 0.3), Vec2(0.45, 1.5))], ids=["unit", "offset"]
+    )
+    def test_equals_chained_travel_cost_on_walks(self, workspace):
+        kinds = {"push": 0, "buffer": 0, "goal": 0}
+        for n, sizes in ((6, (0.03, 0.07)), (8, (0.03, 0.07)), (14, (0.05, 0.079))):
+            for k in range(12):
+                steps = recommended_walk(n, sizes, workspace, k)
+                if not steps:
+                    continue
+                center = steps[0][0].workspace.center
+                chained, by_vec = [], []
+                ee = vec_ee = EEState(center, center)
+                for scene, action in steps:
+                    bd, ee = travel_cost(scene, action, ee)
+                    chained.append(bd)
+                    bd, vec_ee = vec_travel_cost(scene, action, vec_ee)
+                    by_vec.append(bd)
+                    if isinstance(action, PushPlace):
+                        kinds["push"] += 1
+                    else:
+                        kinds["goal" if action.destination == scene.goal[action.object] else "buffer"] += 1
+                got = path_costs(steps)
+                assert cost_bits(got) == cost_bits(chained) == cost_bits(by_vec)
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestTotalCost:

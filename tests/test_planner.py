@@ -28,7 +28,7 @@ from pushplan import (
     plan,
     plan_cost,
 )
-from conftest import make_swap_scene
+from conftest import cost_bits, make_swap_scene
 from pushplan.io import SceneFormatError, plan_from_dict, plan_to_dict
 from pushplan.metrics import EEState, action_cost
 import pushplan.planner as planner_mod
@@ -37,6 +37,7 @@ from pushplan.primitives import PushProposal, select_push
 from pushplan.scene import InfeasibleActionError, blockers_of, satisfied_count
 from pushplan.bench import generate_scene
 from pushplan.seeding import derive_seed
+from oracles import reference_plan
 
 DENSE_SIZES = (0.05, 0.079)
 
@@ -303,6 +304,47 @@ class TestDeterminism:
                 differs = True
                 break
         assert differs
+
+
+class TestMatchesReference:
+    """``plan`` is the search as first written (``oracles.reference_plan``):
+    the same actions, and every cost field bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, sizes, scenes",
+        [(4, (0.03, 0.07), 20), (6, (0.03, 0.07), 20), (8, (0.03, 0.07), 20), (14, DENSE_SIZES, 10)],
+        ids=["4-default", "6-default", "8-default", "14-large"],
+    )
+    def test_same_plans(self, n, sizes, scenes):
+        found = {True: 0, False: 0}
+        for k in range(scenes):
+            scene = generate_scene(n, derive_seed("planner-reference", n, k), size_range=sizes)
+            for push in (True, False):
+                for seed in (k, k + 100, k + 200):
+                    cfg = PlannerConfig(max_expansions=1500, push_enabled=push, seed=seed)
+                    got, want = plan(scene, cfg), reference_plan(scene, cfg)
+                    assert (got is None) == (want is None)
+                    if got is None:
+                        continue
+                    assert got.actions == want.actions
+                    assert cost_bits(got.costs) == cost_bits(want.costs)
+                    found[push] += 1
+        assert min(found.values()) >= scenes, found
+
+    def test_exhausted_budget_and_solved_start(self, swap_scene):
+        found = set()
+        for budget in range(4):
+            cfg = PlannerConfig(max_expansions=budget, seed=1)
+            got = plan(swap_scene, cfg)
+            assert got == reference_plan(swap_scene, cfg)
+            found.add(got is None)
+        assert found == {True, False}
+        solved = swap_scene.with_moved(((0, swap_scene.goal[0]), (1, Vec2(0.5, 0.2)))).with_moved(
+            ((1, swap_scene.goal[1]),)
+        )
+        for start in (solved, solved.without_cache()):
+            cfg = PlannerConfig(max_expansions=10)
+            assert plan(start, cfg) == reference_plan(start, cfg) == Plan((), ())
 
 
 class TestEdgeCases:

@@ -425,6 +425,37 @@ class TestBufferSamplingMatchesLoopOracle:
             assert sample_buffer_pose(s, 0, random.Random(5)) is None
 
 
+class ZeroRandom(random.Random):
+    """``random()`` always returns 0.0: every draw is the lowest center."""
+
+    def random(self):
+        return 0.0
+
+
+class TestBufferPoseOnOffsetWorkspaces:
+    def test_lowest_draw_stays_on_the_table(self):
+        # On [lo, lo + 1]², the lowest center ``(lo + a) + width * 0.0`` can
+        # give ``x - a`` one ulp below ``lo``.  Such a draw must be rejected:
+        # every pose returned must be a legal move for ``Scene.with_moved``.
+        cases = random.Random(2024)
+        returned = rejected = 0
+        for _ in range(2000):
+            lo = cases.uniform(0.05, 0.5)
+            a, b = cases.uniform(0.01, 0.05), cases.uniform(0.01, 0.05)
+            ws = Rect(Vec2(lo, lo), Vec2(lo + 1.0, lo + 1.0))
+            center = Vec2(lo + 0.5, lo + 0.5)
+            scene = Scene(ws, (ObjectSpec(0, HalfDims(a, b)),), (center,), (center,))
+            pose = sample_buffer_pose(scene, 0, ZeroRandom())
+            assert pose == oracle_buffer_pose(scene, 0, ZeroRandom())
+            if pose is None:
+                rejected += 1
+                continue
+            returned += 1
+            assert placement_free(scene, 0, pose)
+            assert scene.with_footprints().with_moved(((0, pose),)).current[0] == pose
+        assert returned and rejected, (returned, rejected)
+
+
 class TestBlockersMatchOracle:
     @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
     def test_random_scenes(self, n, sizes):
