@@ -33,7 +33,6 @@ from .simulator import (
     NoiseConfig,
     SimEvent,
     SimEventKind,
-    SimulationError,
     push_forward,
     simulate,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "Side",
     "SimEvent",
     "SimEventKind",
-    "SimulationError",
     "StepRecord",
     "TerminationReason",
     "Vec2",

@@ -25,7 +25,7 @@ from .metrics import set_down_pose
 from .planner import DEFAULT_TIME_BUDGET_S, PlannerConfig, plan
 from .render import RenderStyle, render_scene
 from .scene import InfeasibleActionError, apply_action
-from .simulator import NO_NOISE, NoiseConfig, SimulationError
+from .simulator import NO_NOISE, NoiseConfig
 
 
 def _resolve_seed(cli_seed: Optional[int], config_seed: Optional[int]) -> int:
@@ -107,8 +107,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     if args.frames:
         frames = [(scene, "step 0", None)]
         for i, step in enumerate(report.steps, 1):
-            gripper = set_down_pose(step.pre_scene, step.executed_action) if step.executed_action else None
-            frames.append((step.post_scene, f"step {i}{' (skipped)' if step.skipped else ''}", gripper))
+            frames.append((step.post_scene, f"step {i}", set_down_pose(step.pre_scene, step.executed_action)))
         _write_frames(args.frames, RenderStyle(), frames)
     status = report.terminated_by.value
     print(f"execution: {report.total_actions} actions, {report.plan_rounds} plan rounds, "
@@ -241,9 +240,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise
         print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
-    except SimulationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

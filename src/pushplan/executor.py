@@ -48,10 +48,6 @@ ACTION_OVERHEAD_S = 2.0
 # Executed actions allowed per trial unless the caller sets another budget.
 DEFAULT_STEP_BUDGET = 15
 
-# A skip means the simulator rejected an action the model accepted; after
-# this many consecutive skips the trial is abandoned.
-MAX_CONSECUTIVE_SKIPS = 3
-
 
 class TerminationReason(Enum):
     ALL_AT_GOAL = "all_at_goal"
@@ -63,12 +59,13 @@ class TerminationReason(Enum):
 @dataclass(frozen=True, slots=True)
 class StepRecord:
     planned_plan_length: int
-    executed_action: Optional[Action]
+    executed_action: Action
     sim_events: tuple[SimEvent, ...]
     pre_scene: Scene
     post_scene: Scene
+    # Always False: every step executes its action.  Kept only because
+    # perfbench's report check and tracer still read it.
     skipped: bool = False
-    note: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,8 +126,12 @@ def execute(
     ``step_budget`` caps executed actions.  Each planning round uses a seed
     derived from the trial seed and the round index, so a whole trial is a
     deterministic function of (scene, planner_cfg, noise, rng state).  A new
-    plan is made at the start, after a skip, and whenever the current plan's
-    tail fails ``rederive_tail`` from the observed state.
+    plan is made at the start and whenever the current plan's tail fails
+    ``rederive_tail`` from the observed state.
+
+    Every executed action was admitted by ``transition`` in the scene it is
+    simulated in, so ``simulate`` accepts it; an error it raises is a fault
+    and propagates.
     """
     if rng is None:
         rng = random.Random(0)
@@ -143,7 +144,6 @@ def execute(
     pending: list[Action] = []
     total_actions = 0
     plan_rounds = 0
-    skips_in_row = 0
     terminated: Optional[TerminationReason] = None
 
     while True:
@@ -167,29 +167,7 @@ def execute(
 
         action = pending[0]
         sim_rng = random.Random(derive_seed(trial_seed, "sim", len(steps)))
-        try:
-            nxt, events = simulate(current, action, noise, sim_rng)
-        except InfeasibleActionError as e:
-            # The simulator rejected an action the model accepted; replan.
-            steps.append(
-                StepRecord(
-                    planned_plan_length=len(pending),
-                    executed_action=None,
-                    sim_events=(),
-                    skipped=True,
-                    note=str(e),
-                    pre_scene=observed,
-                    post_scene=observed,
-                )
-            )
-            pending = []
-            skips_in_row += 1
-            if skips_in_row >= MAX_CONSECUTIVE_SKIPS:
-                terminated = TerminationReason.PLANNING_FAILURE
-                break
-            continue
-
-        skips_in_row = 0
+        nxt, events = simulate(current, action, noise, sim_rng)
         pending = pending[1:]
         total_actions += 1
         pre, observed = observed, nxt.without_cache()
@@ -209,7 +187,7 @@ def execute(
 
     # ``transition`` admitted each executed action in its pre-scene, in the
     # search or in ``rederive_tail``, so the travel is costed unvalidated.
-    travel = total_cost(path_costs([(s.pre_scene, s.executed_action) for s in steps if not s.skipped]))
+    travel = total_cost(path_costs([(s.pre_scene, s.executed_action) for s in steps]))
     return ExecutionReport(
         steps=tuple(steps),
         total_actions=total_actions,

@@ -320,12 +320,10 @@ def report_to_dict(report: ExecutionReport) -> dict:
     for s in report.steps:
         steps.append({
             "planned_plan_length": s.planned_plan_length,
-            "executed_action": action_to_dict(s.executed_action) if s.executed_action else None,
+            "executed_action": action_to_dict(s.executed_action),
             "sim_events": [{"kind": ev.kind.value, "object": ev.object, "detail": ev.detail} for ev in s.sim_events],
             "post_state_summary": {"satisfied": satisfied_count(s.post_scene), "total": s.post_scene.n},
         })
-        if s.skipped:
-            steps[-1].update(skipped=True, note=s.note)
     return {
         "steps": steps,
         "total_actions": report.total_actions,

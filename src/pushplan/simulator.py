@@ -1,12 +1,14 @@
-"""Quasi-static forward simulation of planned actions.
+"""Quasi-static forward simulation of admitted actions.
 
 Motion is axis-aligned and translation-only: the pusher's leading face
 carries whatever it meets, contact propagates transitively down the line,
 and nothing ever moves against the push direction during the sweep itself.
-Failures of unsafe maneuvers are reported as events, not exceptions, so the
-planner's admissibility checks can be audited against what the physics
-actually does.  Optional placement noise models imprecise dropping and the
-slight wobble of pushed objects.
+The contact chain is physics independent of the transition model, so its
+events audit the model: ``simulate`` runs exactly the actions
+``validate_action`` admits and refuses any other, and on an admitted push
+every carried object should be a blocker the target carries itself.
+Optional placement noise models imprecise dropping and the slight wobble of
+pushed objects; a drift that reaches the table edge is clamped inside it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .geometry import Bounds, Rect, Side, Vec2, axis_coord, axis_extent, bounds_extent, bounds_from_center, perp_coord
+from .geometry import Bounds, Rect, Side, Vec2, bounds_extent, bounds_from_center, perp_coord
 # ``overlaps`` and ``rect_from_center`` are not called here: the simulator
 # reads footprints as ``Bounds``.  Both stay bound because perfbench's tracer
 # and its tests look them up in this module.
@@ -29,7 +31,6 @@ from .scene import (
     InvalidSceneError,
     PickPlace,
     Scene,
-    placement_conflict,
     validate_action,
 )
 
@@ -37,14 +38,11 @@ from .scene import (
 EDGE_REST_INSET = 0.001
 
 
-class SimulationError(RuntimeError):
-    """The simulated state could not be resolved into a valid scene."""
-
-
 class SimEventKind(Enum):
     """A swept object's kind is its place in the contact chain, blocker or not:
     PUSHED when the target carries it, SECONDARY_CONTACT when another carried
-    object does.  LEFT_TABLE: an object clamped back inside the table edge."""
+    object does.  LEFT_TABLE: a pushed object whose noise drift reached the
+    table edge, clamped back inside it."""
 
     PUSHED = "pushed"
     SECONDARY_CONTACT = "secondary_contact"
@@ -179,81 +177,6 @@ def _clamp_pose(scene: Scene, obj: int, pose: Vec2, box: Rect) -> tuple[Vec2, bo
     return Vec2(x, y), clipped
 
 
-def _relax_off_table(
-    scene: Scene, poses: list[Vec2], moved: list[int], side: Side, target: int
-) -> list[SimEvent]:
-    """Pull anything driven past the table edge back inside, propagating down
-    the chain so no overlap is introduced.  Emits LeftTable per clamped object."""
-    wall = axis_extent(scene.workspace, side)[1] - EDGE_REST_INSET
-    clamped: set[int] = set()
-    for _ in range(4 * max(1, len(moved))):
-        changed = False
-        for j in sorted(moved, key=lambda j: -bounds_extent(_bounds_at(scene, poses, j), side)[0]):
-            r = _bounds_at(scene, poses, j)
-            near, far = bounds_extent(r, side)
-            jlo, jhi = _lat_interval(r, side)
-            limit = wall
-            for k in range(scene.n):
-                if k == j or k == target:
-                    continue
-                rk = _bounds_at(scene, poses, k)
-                knear = bounds_extent(rk, side)[0]
-                klo, khi = _lat_interval(rk, side)
-                if klo < jhi and jlo < khi and knear >= near:
-                    limit = min(limit, knear)
-            if far > limit + 1e-12:
-                poses[j] = poses[j] + side.unit * (limit - far)
-                clamped.add(j)
-                changed = True
-        if not changed:
-            break
-    return [
-        SimEvent(SimEventKind.LEFT_TABLE, j, "driven past the table edge; clamped inside")
-        for j in sorted(clamped)
-    ]
-
-
-def _resolve_residual_overlaps(scene: Scene, poses: list[Vec2], moved: list[int], side: Side) -> None:
-    """Last-resort lateral slide for objects squeezed between the edge clamp
-    and something immovable.  Unreachable for admissible pushes."""
-    for _ in range(len(moved) + 1):
-        conflict = None
-        for j in moved:
-            rj = _bounds_at(scene, poses, j)
-            for k in range(scene.n):
-                if k != j and _overlap(rj, _bounds_at(scene, poses, k)):
-                    conflict = j
-                    break
-            if conflict is not None:
-                break
-        if conflict is None:
-            return
-        j = conflict
-        half = scene.objects[j].half
-        hw = half.b if side.horizontal else half.a
-        cur = perp_coord(poses[j], side)
-        candidates: list[float] = []
-        for k in range(scene.n):
-            if k == j:
-                continue
-            klo, khi = _lat_interval(_bounds_at(scene, poses, k), side)
-            candidates.extend((khi + hw, klo - hw))
-        box = _clamp_box(scene)
-        blo, bhi = _lat_interval(box.bounds, side)
-        ok = []
-        for c in sorted(candidates, key=lambda c: abs(c - cur)):
-            if not (blo + hw <= c <= bhi - hw):
-                continue
-            pose = Vec2(poses[j].x, c) if side.horizontal else Vec2(c, poses[j].y)
-            r = bounds_from_center(pose, half)
-            if not any(_overlap(r, _bounds_at(scene, poses, k)) for k in range(scene.n) if k != j):
-                ok.append(pose)
-                break
-        if not ok:
-            raise SimulationError(f"object {j} is squeezed off the table with no free slot")
-        poses[j] = ok[0]
-
-
 def _settle_with_noise(
     scene: Scene,
     poses: list[Vec2],
@@ -302,28 +225,23 @@ def simulate(
 ) -> tuple[Scene, list[SimEvent]]:
     """Physics-level outcome of one action, plus what happened along the way.
 
-    With noise disabled this agrees with ``scene.apply_action`` exactly (to
-    float noise) for any admissible push.  Unsafe pushes are simulated, not
-    rejected: the contact events are ``push_forward``'s, unchanged (see
-    ``SimEventKind``), and anything driven off the table is clamped just
-    inside the edge with a LeftTable event.  The returned scene is always
-    valid: only the objects whose pose changed are checked, and one that
-    fails raises InvalidSceneError.  It carries a cache (``Scene.with_moved``);
-    so does the scene the physics reads, since a scene without one is given
-    it first (``Scene.with_footprints``).
-
-    Raises InfeasibleActionError for a pre-push pose whose footprint collides
-    or hangs off the table, and for an occupied PickPlace destination.
+    The actions simulated are exactly those ``validate_action`` admits; any
+    other raises its InfeasibleActionError (an unknown object, an occupied
+    PickPlace destination, a push off its canonical pre-push pose or one the
+    model refuses).  With noise disabled the outcome agrees with
+    ``scene.apply_action`` (to float noise), and the contact events are
+    ``push_forward``'s, unchanged (see ``SimEventKind``).  The returned scene
+    is always valid: only the objects whose pose changed are checked, and one
+    that fails raises InvalidSceneError.  It carries a cache
+    (``Scene.with_moved``); so does the scene the physics reads, since a
+    scene without one is given it first (``Scene.with_footprints``).
     """
     if noise.enabled and rng is None:
         raise ValueError("noise is enabled but no rng was provided")
-    if not (0 <= action.object < scene.n):
-        raise InfeasibleActionError(f"action references unknown object {action.object}")
     scene = scene.with_footprints()
-    box = _clamp_box(scene)
+    validate_action(scene, action)
 
     if isinstance(action, PickPlace):
-        validate_action(scene, action)
         poses = list(scene.current)
         poses[action.object] = action.destination
         if noise.enabled:
@@ -338,33 +256,17 @@ def simulate(
     target = action.object
     side = action.side
     goal = scene.goal[target]
-    p0 = action.pre_push
-    if abs(perp_coord(p0, side) - perp_coord(goal, side)) > 1e-9:
-        raise InfeasibleActionError(
-            f"pre-push pose of object {target} is not aligned with its goal across side '{side.value}'"
-        )
-    if axis_coord(goal, side) < axis_coord(p0, side):
-        raise InfeasibleActionError(
-            f"pre-push pose of object {target} lies beyond its goal along side '{side.value}'"
-        )
-    why = placement_conflict(scene, target, bounds_from_center(p0, scene.objects[target].half))
-    if why:
-        raise InfeasibleActionError(f"pre-push footprint of object {target} {why}")
-
     # Sweep one clearance past the goal so every carried object ends clear of
     # the goal region with a visible gap, then set the grasped target down on
     # the goal itself.
     sweep_end = goal + side.unit * DEFAULT_CLEARANCE
-    raw_poses, events = push_forward(scene, target, side, p0, sweep_end)
+    raw_poses, events = push_forward(scene, target, side, action.pre_push, sweep_end)
     poses = list(raw_poses)
     poses[target] = goal
-    moved = [ev.object for ev in events]
-
-    events.extend(_relax_off_table(scene, poses, moved, side, target))
-    _resolve_residual_overlaps(scene, poses, moved, side)
 
     if noise.enabled:
-        for j in sorted(moved):
+        box = _clamp_box(scene)
+        for j in sorted(ev.object for ev in events):
             depth = rng.uniform(-noise.depth_sigma, noise.depth_sigma)
             lat = rng.uniform(-noise.lateral_sigma, noise.lateral_sigma)
             u = side.unit

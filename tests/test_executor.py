@@ -1,5 +1,5 @@
 """Closed-loop executor tests: zero-noise behaviour, noisy determinism,
-termination reasons, skip bookkeeping, and keeping the plan tail."""
+termination reasons, refusals propagating, and keeping the plan tail."""
 
 import random
 from dataclasses import replace
@@ -25,11 +25,7 @@ from pushplan import (
     plan,
     validate_action,
 )
-from pushplan.executor import (
-    ACTION_OVERHEAD_S,
-    MAX_CONSECUTIVE_SKIPS,
-    rederive_tail,
-)
+from pushplan.executor import ACTION_OVERHEAD_S, rederive_tail
 from pushplan.io import report_to_dict
 from pushplan.primitives import push_on_side
 from pushplan.scene import InfeasibleActionError, blockers_of, satisfied_count
@@ -116,9 +112,8 @@ class TestZeroNoise:
         ee = EEState(scene.workspace.center, scene.workspace.center)
         travel = 0.0
         for step in noisy.steps:
-            if not step.skipped:
-                bd, ee = action_cost(step.pre_scene, step.executed_action, ee)
-                travel += bd.approach + bd.pick + bd.transfer
+            bd, ee = action_cost(step.pre_scene, step.executed_action, ee)
+            travel += bd.approach + bd.pick + bd.transfer
         assert noisy.total_actions >= 8
         assert noisy.robot_time_proxy == pytest.approx(
             travel + ACTION_OVERHEAD_S * noisy.total_actions, abs=1e-9
@@ -196,36 +191,33 @@ class TestNoisy:
         assert lost.success_rate < 1.0
 
 
-class TestSkips:
-    def test_single_skip_replans_and_recovers(self, swap_scene, monkeypatch):
-        real = executor_mod.simulate
-        state = {"failed": False}
+class TestSimulatorAcceptsExecutedActions:
+    """Every executed action was admitted by ``transition`` in the scene it is
+    simulated in, so ``simulate`` accepts it; a refusal is a fault, not a
+    step to skip."""
 
-        def flaky(scene, action, noise, rng):
-            if not state["failed"]:
-                state["failed"] = True
-                raise InfeasibleActionError("injected transient failure")
-            return real(scene, action, noise, rng)
+    def test_a_refusal_propagates(self, swap_scene, monkeypatch):
+        def refuses(scene, action, noise, rng):
+            raise InfeasibleActionError("injected refusal")
 
-        monkeypatch.setattr(executor_mod, "simulate", flaky)
-        report = execute(swap_scene, CFG)
-        assert report.terminated_by is TerminationReason.ALL_AT_GOAL
-        assert report.steps[0].skipped
-        assert report.steps[0].executed_action is None
-        assert "injected" in report.steps[0].note
-        # skipped cycles do not consume the step budget
-        assert report.total_actions == sum(1 for s in report.steps if not s.skipped)
+        monkeypatch.setattr(executor_mod, "simulate", refuses)
+        with pytest.raises(InfeasibleActionError, match="injected refusal"):
+            execute(swap_scene, CFG)
 
-    def test_persistent_skips_abort_the_trial(self, swap_scene, monkeypatch):
-        def always_fails(scene, action, noise, rng):
-            raise InfeasibleActionError("injected permanent failure")
-
-        monkeypatch.setattr(executor_mod, "simulate", always_fails)
-        report = execute(swap_scene, CFG)
-        assert report.terminated_by is TerminationReason.PLANNING_FAILURE
-        assert report.total_actions == 0
-        assert len(report.steps) == MAX_CONSECUTIVE_SKIPS
-        assert all(s.skipped for s in report.steps)
+    @pytest.mark.parametrize("scale", [1, 3, 10], ids=["x1", "x3", "x10"])
+    @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, (0.05, 0.079))], ids=["n8", "n14-dense"])
+    def test_noisy_executions_never_raise(self, n, sizes, scale):
+        # 12 scenes per case, both variants: 144 trials in all.
+        noise = NoiseConfig(lateral_sigma=0.003 * scale, depth_sigma=0.002 * scale, enabled=True)
+        pushes = 0
+        for k in range(12):
+            scene = generate_scene(n, derive_seed("no-refusal", n, scale, k), size_range=sizes)
+            for push_enabled in (False, True):
+                cfg = replace(CFG, push_enabled=push_enabled)
+                report = execute(scene, cfg, noise, step_budget=2 * n, rng=random.Random(k))
+                assert not any(s.skipped for s in report.steps)
+                pushes += sum(isinstance(s.executed_action, PushPlace) for s in report.steps)
+        assert pushes
 
 
 class TestReportDict:
@@ -246,15 +238,6 @@ class TestReportDict:
         assert first["executed_action"]["type"] in ("pick_place", "push_place")
         for ev in first["sim_events"]:
             assert set(ev) == {"kind", "object", "detail"}
-
-    def test_skipped_steps_carry_their_note(self, swap_scene, monkeypatch):
-        def always_fails(scene, action, noise, rng):
-            raise InfeasibleActionError("injected permanent failure")
-
-        monkeypatch.setattr(executor_mod, "simulate", always_fails)
-        doc = report_to_dict(execute(swap_scene, CFG))
-        assert all(s["skipped"] and "injected" in s["note"] for s in doc["steps"])
-        assert all(s["executed_action"] is None for s in doc["steps"])
 
 
 def _validated_replay(scene, actions):

@@ -59,7 +59,7 @@ from pushplan.scene import (
     validate_action,
 )
 from pushplan.seeding import derive_seed
-from pushplan.simulator import SimulationError, simulate
+from pushplan.simulator import simulate
 
 WS = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
 DENSE_SIZES = (0.05, 0.079)
@@ -505,17 +505,21 @@ class TestSideScanMatchesObjectOracle:
         assert all(outcomes.values()), outcomes
 
 
-def accepted(prefix: str, call, *args) -> bool:
-    """Whether ``call(*args)`` passes its placement check, whose rejection
-    message starts with ``prefix``."""
+def refusal(call, *args) -> Optional[str]:
+    """The message of the InfeasibleActionError ``call(*args)`` raises, or None."""
     try:
         call(*args)
     except InfeasibleActionError as e:
-        assert str(e).startswith(prefix), e
-        return False
-    except SimulationError:
-        pass  # simulate's sweep failed after its pre-push check passed
-    return True
+        return str(e)
+    return None
+
+
+def accepted(prefix: str, call, *args) -> bool:
+    """Whether ``call(*args)`` passes its placement check, whose rejection
+    message starts with ``prefix``."""
+    why = refusal(call, *args)
+    assert why is None or why.startswith(prefix), why
+    return why is None
 
 
 def push_validation_accepts(scene: Scene, obj: int, side: Side) -> Optional[bool]:
@@ -577,11 +581,15 @@ class TestPlacementMatchesOracle:
             assert accepted(f"moved object {obj} ", scene.with_moved, ((obj, pose),)) == want, (obj, pose)
             seen["free"][want] += 1
         for d in back:
-            # ``d`` behind the goal along ``side``: aligned, so only the placement rule can reject it
+            # ``d`` behind the goal along ``side``: ``simulate`` refuses the
+            # push exactly when ``validate_action`` does, with its message,
+            # and admits it only from a free pre-push footprint.
             pose = scene.goal[obj] - side.unit * d
+            action = PushPlace(obj, side, pose)
+            verdict = refusal(validate_action, scene, action)
+            assert refusal(simulate, scene, action) == verdict, (obj, side, pose)
             want = placement_free(scene, obj, pose)
-            assert accepted(f"pre-push footprint of object {obj} ", simulate,
-                            scene, PushPlace(obj, side, pose)) == want, (obj, side, pose)
+            assert verdict is not None or want, (obj, side, pose)
             seen["pre-push"][want] += 1
 
     @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
@@ -597,6 +605,9 @@ class TestPlacementMatchesOracle:
                 if not blockers_of(scene, obj):
                     continue
                 for side in Side:
+                    # The canonical pre-push pose: the one aligned pose ``simulate`` can admit.
+                    p0 = oracle_p0(scene, obj, side)
+                    self.check(scene, obj, [], side, [(scene.goal[obj] - p0).dot(side.unit)], seen)
                     got = push_validation_accepts(scene, obj, side)
                     if got is not None:
                         assert got == placement_free(scene, obj, oracle_p0(scene, obj, side)), (obj, side)

@@ -1,12 +1,13 @@
-"""Simulator tests: chain propagation, edge handling, noise, and the
-zero-noise fidelity guarantee against scene.apply_action."""
+"""Simulator tests: chain propagation, noise and its edge clamp, the
+zero-noise fidelity guarantee against scene.apply_action, and refusal of
+every action validate_action refuses."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from pushplan import (
-    EDGE_REST_INSET,
     InfeasibleActionError,
     NoiseConfig,
     ObjectSpec,
@@ -15,13 +16,14 @@ from pushplan import (
     Scene,
     Side,
     SimEventKind,
-    SimulationError,
     Vec2,
     apply_action,
     blockers_of,
     push_forward,
     rect_from_center,
+    select_push,
     simulate,
+    validate_action,
 )
 from pushplan.geometry import HalfDims, Rect, axis_coord, overlaps, perp_coord
 from pushplan.scene import DEFAULT_CLEARANCE
@@ -87,6 +89,38 @@ class TestPushForward:
         assert "0.150000" in events[1].detail
         assert "by object 1" in events[1].detail
 
+    def test_chained_contact_emits_secondary(self, chained_push_scene):
+        # The model refuses this push (object 1's corridor holds object 4),
+        # and the chain shows why: object 1 carries object 4 along.
+        scene = chained_push_scene
+        pre_push = Vec2(0.5, 0.395)
+        sweep_end = scene.goal[0] + Side.UP.unit * DEFAULT_CLEARANCE
+        with pytest.raises(InfeasibleActionError, match="corridor of blocker 1"):
+            simulate(scene, PushPlace(0, Side.UP, pre_push))
+        poses, events = push_forward(scene, 0, Side.UP, pre_push, sweep_end)
+        assert poses[0] == sweep_end
+        assert abs(poses[1].y - 0.605) < 1e-12
+        assert abs(poses[4].y - 0.705) < 1e-12
+        # side neighbours are out of the swept band and stay put
+        assert poses[2] == scene.current[2]
+        assert poses[3] == scene.current[3]
+        kinds = [(e.kind, e.object) for e in events]
+        assert kinds == [(SimEventKind.PUSHED, 1), (SimEventKind.SECONDARY_CONTACT, 4)]
+        assert "by object 1" in events[1].detail
+
+    def test_contact_kind_is_the_chain_position_not_blocker_status(self):
+        # Objects 1 and 2 both block the target's goal, but only object 1 is
+        # carried by the target; object 2 is carried by object 1.
+        scene = _row_scene([0.15, 0.43, 0.54], Vec2(0.5, 0.5))
+        assert blockers_of(scene, 0) == (1, 2)
+        sweep_end = scene.goal[0] + Side.RIGHT.unit * DEFAULT_CLEARANCE
+        _, events = push_forward(scene, 0, Side.RIGHT, Vec2(0.27, 0.5), sweep_end)
+        assert [(e.kind, e.object) for e in events] == [
+            (SimEventKind.PUSHED, 1),
+            (SimEventKind.SECONDARY_CONTACT, 2),
+        ]
+        assert events[1].detail == "contact chain: pushed 0.165000 m by object 1"
+
     def test_lateral_miss_is_untouched(self):
         # blocker offset sideways past the swept band never moves
         scene = _row_scene([0.2, 0.5], Vec2(0.45, 0.5))
@@ -142,75 +176,6 @@ class TestZeroNoiseFidelity:
         before = scene.current
         simulate(scene, PickPlace(1, Vec2(0.8, 0.2)))
         assert scene.current == before
-
-
-class TestForcedPushes:
-    """Pushes that select_push would refuse still simulate cleanly."""
-
-    def test_chained_contact_emits_secondary(self, chained_push_scene):
-        scene = chained_push_scene
-        action = PushPlace(0, Side.UP, Vec2(0.5, 0.395))
-        out, events = simulate(scene, action)
-        assert out.current[0] == Vec2(0.5, 0.5)
-        assert abs(out.current[1].y - 0.605) < 1e-12
-        assert abs(out.current[4].y - 0.705) < 1e-12
-        # side neighbours are out of the swept band and stay put
-        assert out.current[2] == scene.current[2]
-        assert out.current[3] == scene.current[3]
-        kinds = [(e.kind, e.object) for e in events]
-        assert (SimEventKind.PUSHED, 1) in kinds
-        assert (SimEventKind.SECONDARY_CONTACT, 4) in kinds
-        sec = next(e for e in events if e.kind is SimEventKind.SECONDARY_CONTACT)
-        assert "by object 1" in sec.detail
-
-    def test_contact_kind_is_the_chain_position_not_blocker_status(self):
-        # Objects 1 and 2 both block the target's goal, but only object 1 is
-        # carried by the target; object 2 is carried by object 1.
-        scene = _row_scene([0.15, 0.43, 0.54], Vec2(0.5, 0.5))
-        assert blockers_of(scene, 0) == (1, 2)
-        action = PushPlace(0, Side.RIGHT, Vec2(0.27, 0.5))
-        sweep_end = scene.goal[0] + Side.RIGHT.unit * DEFAULT_CLEARANCE
-        _, expected = push_forward(scene, 0, Side.RIGHT, action.pre_push, sweep_end)
-        _, events = simulate(scene, action)
-        assert events == expected
-        assert [(e.kind, e.object) for e in events] == [
-            (SimEventKind.PUSHED, 1),
-            (SimEventKind.SECONDARY_CONTACT, 2),
-        ]
-        assert events[1].detail == "contact chain: pushed 0.165000 m by object 1"
-
-    def test_edge_push_clamps_and_slides(self):
-        # blocker driven past the right wall: clamped to rest just inside,
-        # then slid sideways out of the target's footprint
-        scene = _row_scene([0.2, 0.93], Vec2(0.89, 0.5))
-        action = PushPlace(0, Side.RIGHT, Vec2(0.825, 0.5))
-        out, events = simulate(scene, action)
-        assert out.current[0] == Vec2(0.89, 0.5)
-        b = out.current[1]
-        assert abs(b.x - (1.0 - EDGE_REST_INSET - 0.05)) < 1e-12
-        assert abs(b.y - 0.4) < 1e-12
-        kinds = [(e.kind, e.object) for e in events]
-        assert kinds == [
-            (SimEventKind.PUSHED, 1),
-            (SimEventKind.LEFT_TABLE, 1),
-        ]
-        # result is a valid scene: on the table, no overlap
-        for i in range(out.n):
-            assert out.footprint(i).hi.x <= 1.0 and out.footprint(i).lo.x >= 0.0
-
-    def test_impossible_squeeze_raises(self):
-        # narrow strip: the clamped blocker has no lateral slot to slide into
-        ws = Rect(Vec2(0, 0.3), Vec2(1, 0.7))
-        half = HalfDims(0.05, 0.05)
-        objs = tuple(ObjectSpec(i, half) for i in range(4))
-        scene = Scene(
-            workspace=ws,
-            objects=objs,
-            current=(Vec2(0.2, 0.5), Vec2(0.93, 0.5), Vec2(0.94, 0.62), Vec2(0.94, 0.38)),
-            goal=(Vec2(0.89, 0.5), Vec2(0.2, 0.4), Vec2(0.2, 0.6), Vec2(0.5, 0.4)),
-        )
-        with pytest.raises(SimulationError, match="squeezed"):
-            simulate(scene, PushPlace(0, Side.RIGHT, Vec2(0.825, 0.5)))
 
 
 class TestMotionStructure:
@@ -295,7 +260,7 @@ class TestNoise:
 
     def test_noise_actually_perturbs(self):
         scene = _row_scene([0.2, 0.5], Vec2(0.45, 0.5))
-        action = PushPlace(0, Side.RIGHT, Vec2(0.345, 0.5))
+        action = select_push(scene, 0).as_action()
         clean, _ = simulate(scene, action)
         noisy, _ = simulate(
             scene, action, noise=NoiseConfig(enabled=True), rng=random.Random(3)
@@ -367,36 +332,51 @@ class TestNoise:
         assert seen, "no clipped drift in 30 seeded trials"
 
 
+def assert_refused_as_validated(scene, action, match):
+    """``simulate`` refuses ``action`` with ``validate_action``'s error, whose
+    message matches ``match``."""
+    with pytest.raises(InfeasibleActionError, match=match) as want:
+        validate_action(scene, action)
+    with pytest.raises(InfeasibleActionError) as got:
+        simulate(scene, action)
+    assert str(got.value) == str(want.value)
+
+
 class TestValidationErrors:
     def test_unknown_object(self, swap_scene):
-        with pytest.raises(InfeasibleActionError, match="unknown object 5"):
-            simulate(swap_scene, PickPlace(5, Vec2(0.5, 0.2)))
+        assert_refused_as_validated(swap_scene, PickPlace(5, Vec2(0.5, 0.2)), "unknown object 5")
 
+    # The admissible pre-push pose for this side is (0.545, 0.5); each pose
+    # below misses it, so the push is refused before any sweep.
     def test_misaligned_pre_push(self, swap_scene):
-        with pytest.raises(InfeasibleActionError, match="not aligned"):
-            simulate(swap_scene, PushPlace(0, Side.RIGHT, Vec2(0.345, 0.51)))
+        assert_refused_as_validated(
+            swap_scene, PushPlace(0, Side.RIGHT, Vec2(0.345, 0.51)), "does not match the admissible pose"
+        )
 
     def test_pre_push_beyond_goal(self, swap_scene):
-        with pytest.raises(InfeasibleActionError, match="beyond its goal"):
-            simulate(swap_scene, PushPlace(0, Side.RIGHT, Vec2(0.8, 0.5)))
+        assert_refused_as_validated(
+            swap_scene, PushPlace(0, Side.RIGHT, Vec2(0.8, 0.5)), "does not match the admissible pose"
+        )
 
     def test_pre_push_off_table(self, swap_scene):
-        with pytest.raises(InfeasibleActionError, match="leaves the workspace"):
-            simulate(swap_scene, PushPlace(0, Side.RIGHT, Vec2(0.03, 0.5)))
+        assert_refused_as_validated(
+            swap_scene, PushPlace(0, Side.RIGHT, Vec2(0.03, 0.5)), "does not match the admissible pose"
+        )
 
-    def test_pre_push_overlap_names_object(self, swap_scene):
+    def test_pre_push_overlap(self, swap_scene):
         # pose 0.60 overlaps object 1 at 0.65
-        with pytest.raises(InfeasibleActionError, match="overlaps object 1"):
-            simulate(swap_scene, PushPlace(0, Side.RIGHT, Vec2(0.6, 0.5)))
+        assert_refused_as_validated(
+            swap_scene, PushPlace(0, Side.RIGHT, Vec2(0.6, 0.5)), "does not match the admissible pose"
+        )
 
     def test_occupied_pick_place_destination(self, swap_scene):
-        with pytest.raises(InfeasibleActionError):
-            simulate(swap_scene, PickPlace(0, Vec2(0.66, 0.5)))
+        assert_refused_as_validated(swap_scene, PickPlace(0, Vec2(0.66, 0.5)), "overlaps object 1")
 
-    def test_lenient_about_admissibility(self, swap_scene):
-        # simulate accepts a push that the planner-level validator refuses
-        # (here: blocker would rest fine, but pose isn't canonical p0)
+    def test_non_canonical_push_is_refused(self, swap_scene):
+        # The blocker would rest fine, but the pose is not the canonical one;
+        # from the canonical pose the same push is simulated.
         action = PushPlace(0, Side.RIGHT, Vec2(0.5, 0.5))
-        out, events = simulate(swap_scene, action)
+        assert_refused_as_validated(swap_scene, action, "does not match the admissible pose")
+        out, events = simulate(swap_scene, replace(action, pre_push=Vec2(0.545, 0.5)))
         assert out.current[0] == Vec2(0.65, 0.5)
         assert [e.kind for e in events] == [SimEventKind.PUSHED]

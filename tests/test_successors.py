@@ -21,26 +21,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_cache_exact, has_cache, plain_twin
+from conftest import assert_cache_exact, has_cache, make_swap_scene, plain_twin
 from oracles import placement_free, replace_moved, replace_successor
 from pushplan.bench import generate_scene
 from pushplan.executor import execute
-from pushplan.geometry import HalfDims, Rect, Side, Vec2
+from pushplan.geometry import Vec2
 from pushplan.planner import Plan, PlannerConfig, recommend_action
-from pushplan.primitives import PushProposal
+from pushplan.primitives import PushProposal, select_push
 from pushplan.scene import (
     InfeasibleActionError,
     InvalidSceneError,
-    ObjectSpec,
     PushPlace,
     Scene,
     _unchecked,
     apply_action,
     transition,
     unsatisfied_ids,
+    validate_action,
 )
 from pushplan.seeding import derive_seed
-from pushplan.simulator import NO_NOISE, NoiseConfig, SimEventKind, simulate
+from pushplan.simulator import NO_NOISE, NoiseConfig, simulate
 
 import pushplan.executor as executor_mod
 import pushplan.simulator as simulator_mod
@@ -216,35 +216,25 @@ class TestWithMoved:
             assert out._goal_footprints is parent._goal_footprints
 
 
-def _edge_push() -> tuple[Scene, PushPlace]:
-    """A push that drives the blocker past the right wall; clamped back, it
-    lands on the target, and only the lateral slide of
-    ``_resolve_residual_overlaps`` frees it."""
-    half = HalfDims(0.05, 0.05)
-    scene = Scene(
-        workspace=Rect(Vec2(0, 0), Vec2(1, 1)),
-        objects=(ObjectSpec(0, half), ObjectSpec(1, half)),
-        current=(Vec2(0.2, 0.5), Vec2(0.93, 0.5)),
-        goal=(Vec2(0.89, 0.5), Vec2(0.25, 0.85)),
-    )
-    return scene, PushPlace(0, Side.RIGHT, Vec2(0.825, 0.5))
+def _stuck_blocker(monkeypatch) -> tuple[Scene, PushPlace]:
+    """An admissible push whose physics is patched to leave the blocker on
+    the target's goal: only the target moves, onto object 1."""
+    scene = make_swap_scene()
+    action = select_push(scene, 0).as_action()
+    monkeypatch.setattr(simulator_mod, "push_forward", lambda s, target, side, start, end: (s.current, []))
+    return scene, action
 
 
 class TestInvalidOutcome:
     def test_unresolved_overlap_raises_invalid_scene(self, monkeypatch):
-        scene, action = _edge_push()
-        out, events = simulate(scene, action)
-        assert out.current[1].y != scene.current[1].y
-        assert SimEventKind.LEFT_TABLE in {ev.kind for ev in events}
-        monkeypatch.setattr(simulator_mod, "_resolve_residual_overlaps", lambda *args: None)
+        scene, action = _stuck_blocker(monkeypatch)
+        validate_action(scene, action)  # admitted: the fault is the physics'
         for s in (scene, scene.with_footprints()):
             with pytest.raises(InvalidSceneError, match="object 0 overlaps object 1"):
                 simulate(s, action)
 
     def test_execute_lets_it_propagate(self, monkeypatch):
-        # An InfeasibleActionError would be swallowed as a skipped step.
-        scene, action = _edge_push()
-        monkeypatch.setattr(simulator_mod, "_resolve_residual_overlaps", lambda *args: None)
+        scene, action = _stuck_blocker(monkeypatch)
         monkeypatch.setattr(executor_mod, "plan", lambda s, cfg: Plan((action,), ()))
         with pytest.raises(InvalidSceneError):
             execute(scene, PlannerConfig(max_expansions=10))
