@@ -2,15 +2,16 @@
 
 All objects on the table are axis-aligned rectangles that never rotate, so
 every geometric question reduces to interval arithmetic on the two axes.
-Lengths are meters.  Two conventions matter and are relied on everywhere:
+Lengths are meters.  Footprints are ``Bounds``, plain float tuples
+(lo.x, lo.y, hi.x, hi.y); ``Rect`` is the workspace's type.  Two conventions
+matter and are relied on everywhere:
 
-* ``overlaps`` tests *interior* intersection: rectangles that merely share
+* ``overlaps`` tests *interior* intersection: footprints that merely share
   an edge or a corner do not overlap.
-* ``contains`` is closed: an inner rectangle may touch the outer boundary.
+* ``contains`` is closed: an inner footprint may touch the outer boundary.
 
-The search tests footprints by the hundred thousand, so it reads them as
-``Bounds``, plain float tuples (lo.x, lo.y, hi.x, hi.y), and writes these two
-tests out on floats.  ``Rect`` is the type everything else uses.
+The search tests footprints by the hundred thousand, so its scans write
+these two tests out inline, with the same comparisons.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class Vec2:
         return Vec2(self.x * k, self.y * k)
 
     __rmul__ = __mul__
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -134,44 +132,15 @@ def bounds_from_center(center: Vec2, half: HalfDims) -> Bounds:
     return (center.x - half.a, center.y - half.b, center.x + half.a, center.y + half.b)
 
 
-def translate(r: Rect, v: Vec2) -> Rect:
-    return Rect(r.lo + v, r.hi + v)
+def overlaps(b1: Bounds, b2: Bounds) -> bool:
+    """True iff the interiors of footprints ``b1`` and ``b2`` intersect
+    (touching is not overlap)."""
+    return b1[0] < b2[2] and b2[0] < b1[2] and b1[1] < b2[3] and b2[1] < b1[3]
 
 
-def overlaps(r1: Rect, r2: Rect) -> bool:
-    """True iff the rectangle interiors intersect (touching is not overlap)."""
-    return (
-        r1.lo.x < r2.hi.x
-        and r2.lo.x < r1.hi.x
-        and r1.lo.y < r2.hi.y
-        and r2.lo.y < r1.hi.y
-    )
-
-
-def contains(outer: Rect, inner: Rect) -> bool:
+def contains(outer: Bounds, inner: Bounds) -> bool:
     """True iff ``inner`` lies within ``outer``; boundary contact allowed."""
-    return (
-        outer.lo.x <= inner.lo.x
-        and outer.lo.y <= inner.lo.y
-        and inner.hi.x <= outer.hi.x
-        and inner.hi.y <= outer.hi.y
-    )
-
-
-def sweep(r: Rect, side: Side, distance: float) -> Rect:
-    """Region ``r`` covers while translated along ``side`` by up to ``distance``.
-
-    Because motion is axis-aligned, the region is the union of the start and
-    end footprints, a rectangle.  The push scan builds the same union from
-    the end footprint ``transition`` gives a pushed object.
-    """
-    if distance < 0.0:
-        raise ValueError(f"sweep distance must be non-negative, got {distance}")
-    end = translate(r, side.unit * distance)
-    return Rect(
-        Vec2(min(r.lo.x, end.lo.x), min(r.lo.y, end.lo.y)),
-        Vec2(max(r.hi.x, end.hi.x), max(r.hi.y, end.hi.y)),
-    )
+    return outer[0] <= inner[0] and outer[1] <= inner[1] and inner[2] <= outer[2] and inner[3] <= outer[3]
 
 
 def axis_coord(p: Vec2, side: Side) -> float:
@@ -185,17 +154,12 @@ def perp_coord(p: Vec2, side: Side) -> float:
     return p.y if side.horizontal else p.x
 
 
-def axis_extent(r: Rect, side: Side) -> tuple[float, float]:
-    """Projection (near, far) of ``r`` onto the travel axis of ``side``.
+def bounds_extent(b: Bounds, side: Side) -> tuple[float, float]:
+    """Projection (near, far) of footprint ``b`` onto the travel axis of ``side``.
 
     Oriented so that far > near in the direction of travel; hence
-    ``axis_extent(r, s)[1] == -axis_extent(r, s.opposite)[0]``.
+    ``bounds_extent(b, s)[1] == -bounds_extent(b, s.opposite)[0]``.
     """
-    return bounds_extent(r.bounds, side)
-
-
-def bounds_extent(b: Bounds, side: Side) -> tuple[float, float]:
-    """``axis_extent`` of the rectangle with bounds ``b``."""
     u = side.unit
     c1 = b[0] * u.x + b[1] * u.y
     c2 = b[2] * u.x + b[3] * u.y

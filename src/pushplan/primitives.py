@@ -89,7 +89,7 @@ def _first_overlap(
 ) -> Optional[int]:
     """The lowest j, neither ``own`` nor in ``skip``, whose bounds in ``rects``
     overlap the union of footprints ``start`` and ``end``, the region swept
-    between them on one axis (``geometry.sweep``); None if none do."""
+    between them on one axis; None if none do."""
     slx, sly, shx, shy = start
     elx, ely, ehx, ehy = end
     lx = elx if elx < slx else slx
@@ -150,7 +150,7 @@ def _evaluate_side(
     u = side.unit
     ux, uy = u.x, u.y
     goal_pose = scene.goal[target]
-    # ``axis_extent(goal_footprint(target), side)[1]``, on floats.
+    # ``bounds_extent(goal_bounds()[target], side)[1]``, inlined.
     glx, gly, ghx, ghy = scene.goal_bounds()[target]
     c1 = glx * ux + gly * uy
     c2 = ghx * ux + ghy * uy
@@ -160,7 +160,7 @@ def _evaluate_side(
     moves: list[tuple[int, float]] = []
     min_near = math.inf
     for b in blockers:
-        # ``axis_extent(rects[b], side)[0]``, inlined: the blocker's face
+        # ``bounds_extent(rects[b], side)[0]``, inlined: the blocker's face
         # nearest the approach.
         lx, ly, hx, hy = rects[b]
         c1 = lx * ux + ly * uy

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Rect, Vec2, rect_from_center
+from .geometry import Bounds, Vec2
 from .scene import Scene
 
 PALETTE = (
@@ -63,19 +63,21 @@ def render_scene(
     ``gripper`` is given, a cross where the gripper set its object down."""
     if style is None:
         style = RenderStyle()
-    ws = scene.workspace
+    ws = scene.workspace.bounds
+    wlx, wly, whx, why = ws
     scale = style.scale
-    width = ws.width * scale + 2.0 * _MARGIN
-    height = ws.height * scale + 2.0 * _MARGIN
+    width = (whx - wlx) * scale + 2.0 * _MARGIN
+    height = (why - wly) * scale + 2.0 * _MARGIN
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        return _MARGIN + (x - ws.lo.x) * scale, _MARGIN + (ws.hi.y - y) * scale
+        return _MARGIN + (x - wlx) * scale, _MARGIN + (why - y) * scale
 
-    def rect_attrs(r: Rect) -> str:
-        x, y = to_px(r.lo.x, r.hi.y)
+    def rect_attrs(b: Bounds) -> str:
+        lx, ly, hx, hy = b
+        x, y = to_px(lx, hy)
         return (
             f'x="{_fmt(x)}" y="{_fmt(y)}" '
-            f'width="{_fmt(r.width * scale)}" height="{_fmt(r.height * scale)}"'
+            f'width="{_fmt((hx - lx) * scale)}" height="{_fmt((hy - ly) * scale)}"'
         )
 
     parts = [
@@ -85,15 +87,14 @@ def render_scene(
     ]
     colors = [_escape(object_color(scene, i)).replace('"', "&quot;") for i in range(scene.n)]
     if style.show_goals:
-        for i in range(scene.n):
-            goal = rect_from_center(scene.goal[i], scene.objects[i].half)
+        for i, goal in enumerate(scene.goal_bounds()):
             parts.append(
                 f'<rect {rect_attrs(goal)} fill="none" stroke="{colors[i]}" '
                 f'stroke-width="1" stroke-dasharray="4 3"/>'
             )
-    for i in range(scene.n):
+    for i, foot in enumerate(scene.bounds()):
         parts.append(
-            f'<rect {rect_attrs(scene.footprint(i))} fill="{colors[i]}" fill-opacity="0.85" '
+            f'<rect {rect_attrs(foot)} fill="{colors[i]}" fill-opacity="0.85" '
             f'stroke="#000000" stroke-width="1"/>'
         )
         cx, cy = to_px(scene.current[i].x, scene.current[i].y)

@@ -14,19 +14,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .geometry import (
-    Bounds,
-    HalfDims,
-    Rect,
-    Side,
-    Vec2,
-    bounds_from_center,
-    rect_from_center,
-)
-# ``overlaps`` is not called here: every footprint test reads ``Bounds``.  It
-# stays bound because perfbench's tracer and its tests look it up in this
-# module.
-from .geometry import overlaps  # noqa: F401
+from .geometry import Bounds, HalfDims, Rect, Side, Vec2, bounds_from_center, contains
+# ``overlaps`` and ``rect_from_center`` are not called here: the pair and
+# placement scans test ``Bounds`` inline.  Both stay bound because
+# perfbench's tracer and its tests look them up in this module.
+from .geometry import overlaps, rect_from_center  # noqa: F401
 
 if TYPE_CHECKING:
     from .primitives import PushProposal
@@ -101,9 +93,8 @@ class Scene:
 
     The footprints are cached as ``Bounds``, plain float tuples
     (lo.x, lo.y, hi.x, hi.y) computed as ``rect_from_center`` computes its
-    corners.  The search's scans read them through ``bounds`` and
-    ``goal_bounds``, which build the same tuples for a scene without a
-    cache.  ``footprint`` and ``goal_footprint`` build a ``Rect`` on demand.
+    corners.  Every reader takes them from ``bounds`` and ``goal_bounds``,
+    which build the same tuples for a scene without a cache.
     """
 
     workspace: Rect
@@ -127,15 +118,14 @@ class Scene:
         for i, spec in enumerate(self.objects):
             if spec.id != i:
                 raise InvalidSceneError(f"object ids must be dense 0..n-1; index {i} has id {spec.id}")
-        w = self.workspace
-        wlx, wly, whx, why = w.lo.x, w.lo.y, w.hi.x, w.hi.y
+        w = self.workspace.bounds
         for label, poses in (("current", self.current), ("goal", self.goal)):
             rects = _all_bounds(poses, self.objects)
-            # ``contains(workspace, footprint)``, then ``overlaps`` of each
-            # pair in ascending (i, j) order, on floats.
-            for i, (lx, ly, hx, hy) in enumerate(rects):
-                if not (wlx <= lx and wly <= ly and hx <= whx and hy <= why):
+            for i, r in enumerate(rects):
+                if not contains(w, r):
                     raise InvalidSceneError(f"{label} footprint of object {i} leaves the workspace")
+            # ``overlaps`` of each pair in ascending (i, j) order, inlined:
+            # this runs for every scene built by the constructor.
             for i, (lx, ly, hx, hy) in enumerate(rects):
                 for j in range(i + 1, n):
                     olx, oly, ohx, ohy = rects[j]
@@ -145,18 +135,6 @@ class Scene:
     @property
     def n(self) -> int:
         return len(self.objects)
-
-    def footprint(self, i: int) -> Rect:
-        if self._footprints is not None:
-            lx, ly, hx, hy = self._footprints[i]
-            return Rect(Vec2(lx, ly), Vec2(hx, hy))
-        return rect_from_center(self.current[i], self.objects[i].half)
-
-    def goal_footprint(self, i: int) -> Rect:
-        if self._goal_footprints is not None:
-            lx, ly, hx, hy = self._goal_footprints[i]
-            return Rect(Vec2(lx, ly), Vec2(hx, hy))
-        return rect_from_center(self.goal[i], self.objects[i].half)
 
     def bounds(self) -> Sequence[Bounds]:
         """Every current footprint as ``Bounds``, indexed by object id."""
@@ -302,7 +280,7 @@ def unsatisfied_ids(scene: Scene) -> list[int]:
 def blockers_of(scene: Scene, target: int) -> tuple[int, ...]:
     """Ascending ids of objects whose current footprint overlaps ``target``'s goal footprint."""
     glx, gly, ghx, ghy = scene.goal_bounds()[target]
-    # ``overlaps(footprint(j), goal_footprint(target))``, on floats.
+    # ``overlaps(bounds()[j], goal_bounds()[target])``, inlined.
     return tuple([
         j
         for j, (lx, ly, hx, hy) in enumerate(scene.bounds())
@@ -320,7 +298,7 @@ def placement_conflict(scene: Scene, obj: int, b: Bounds) -> Optional[str]:
     """
     lx, ly, hx, hy = b
     w = scene.workspace
-    # ``contains(w, r)`` and ``overlaps(r, footprint(j))``, on floats: this
+    # ``contains(w.bounds, b)`` and ``overlaps(b, rects[j])``, inlined: this
     # runs for every moved object.
     if not (w.lo.x <= lx and w.lo.y <= ly and hx <= w.hi.x and hy <= w.hi.y):
         return "leaves the workspace"

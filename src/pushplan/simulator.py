@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .geometry import Bounds, Rect, Side, Vec2, bounds_extent, bounds_from_center, perp_coord
-# ``overlaps`` and ``rect_from_center`` are not called here: the simulator
-# reads footprints as ``Bounds``.  Both stay bound because perfbench's tracer
-# and its tests look them up in this module.
-from .geometry import overlaps, rect_from_center  # noqa: F401
+from .geometry import Bounds, Rect, Side, Vec2, bounds_extent, bounds_from_center, overlaps, perp_coord
+# ``rect_from_center`` is not called here: the simulator reads footprints as
+# ``Bounds``.  It stays bound because perfbench's tracer and its tests look
+# it up in this module.
+from .geometry import rect_from_center  # noqa: F401
 from .scene import (
     DEFAULT_CLEARANCE,
     Action,
@@ -70,11 +70,6 @@ NO_NOISE = NoiseConfig(enabled=False)
 
 def _lat_interval(b: Bounds, side: Side) -> tuple[float, float]:
     return (b[1], b[3]) if side.horizontal else (b[0], b[2])
-
-
-def _overlap(b1: Bounds, b2: Bounds) -> bool:
-    """``overlaps`` of the rectangles with bounds ``b1`` and ``b2``."""
-    return b1[0] < b2[2] and b2[0] < b1[2] and b1[1] < b2[3] and b2[1] < b1[3]
 
 
 def _bounds_at(scene: Scene, poses: list[Vec2], k: int) -> Bounds:
@@ -195,7 +190,7 @@ def _settle_with_noise(
     while True:
         cand, clipped = _clamp_pose(scene, obj, base + drift * t, box)
         r = bounds_from_center(cand, scene.objects[obj].half)
-        free = not any(_overlap(r, _bounds_at(scene, poses, k)) for k in range(scene.n) if k != obj)
+        free = not any(overlaps(r, _bounds_at(scene, poses, k)) for k in range(scene.n) if k != obj)
         if free:
             poses[obj] = cand
             return clipped

@@ -133,8 +133,8 @@ def cost_bits(costs) -> list[tuple[str, ...]]:
 
 def assert_cache_exact(scene: Scene) -> None:
     """Every cached float tuple is ``rect_from_center``'s corners, exactly,
-    and so is every ``Rect`` built from it; the unsatisfied ids are a plain
-    scene's."""
+    and ``bounds`` and ``goal_bounds`` return the cached tuples; the
+    unsatisfied ids are a plain scene's."""
     assert scene._footprints is not None and scene._goal_footprints is not None
     assert len(scene._footprints) == len(scene._goal_footprints) == scene.n
     for i in range(scene.n):
@@ -142,8 +142,8 @@ def assert_cache_exact(scene: Scene) -> None:
         want_goal = rect_from_center(scene.goal[i], scene.objects[i].half)
         assert scene._footprints[i] == corners(want)
         assert scene._goal_footprints[i] == corners(want_goal)
-        assert scene.footprint(i) == want
-        assert scene.goal_footprint(i) == want_goal
+        assert scene.bounds()[i] is scene._footprints[i]
+        assert scene.goal_bounds()[i] is scene._goal_footprints[i]
     twin = plain_twin(scene)
     assert scene._unsatisfied == tuple(unsatisfied_ids(twin))
     assert satisfied_count(scene) == satisfied_count(twin)

@@ -34,6 +34,10 @@ kept as written: a ``Rect`` per candidate pose and per placed object, and one
 ``overlaps`` call per pair.  It reads ``bench.PLACEMENT_ATTEMPTS`` at call
 time, as the library does.  ``object_validate_scene`` is the original body of
 ``Scene.__post_init__``: ``contains`` and ``overlaps`` on ``Rect`` footprints.
+``overlaps``, ``contains``, ``translate``, ``sweep`` and ``axis_extent``
+are the ``Rect`` forms of the footprint rules, and ``footprint`` and
+``goal_footprint`` build an object's ``Rect``; every object-based reference
+here is written on them.
 ``reference_plan`` is the search as first written: it tests "solved" with
 ``satisfied_count``, counts its expansion budget down in a closure, samples
 from an ``unsatisfied_ids`` list, and costs the plan by chaining
@@ -51,17 +55,7 @@ from typing import Optional
 
 import pushplan.bench as bench
 from pushplan.bench import MAX_AREA_FRACTION, BenchError
-from pushplan.geometry import (
-    HalfDims,
-    Rect,
-    Side,
-    Vec2,
-    axis_coord,
-    axis_extent,
-    contains,
-    overlaps,
-    rect_from_center,
-)
+from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, rect_from_center
 from pushplan.metrics import EEState, travel_cost
 from pushplan.planner import EXPLORATION_C, Plan, PlannerConfig, recommend_action
 from pushplan.primitives import PushProposal, PushStats
@@ -84,6 +78,56 @@ MARGIN = 0.01
 CLEARANCE = 0.005
 
 _AXES = {"left": (0, -1.0), "right": (0, 1.0), "up": (1, 1.0), "down": (1, -1.0)}
+
+
+def overlaps(r1: Rect, r2: Rect) -> bool:
+    """True iff the rectangle interiors intersect (touching is not overlap)."""
+    return r1.lo.x < r2.hi.x and r2.lo.x < r1.hi.x and r1.lo.y < r2.hi.y and r2.lo.y < r1.hi.y
+
+
+def contains(outer: Rect, inner: Rect) -> bool:
+    """True iff ``inner`` lies within ``outer``; boundary contact allowed."""
+    return (
+        outer.lo.x <= inner.lo.x
+        and outer.lo.y <= inner.lo.y
+        and inner.hi.x <= outer.hi.x
+        and inner.hi.y <= outer.hi.y
+    )
+
+
+def translate(r: Rect, v: Vec2) -> Rect:
+    return Rect(r.lo + v, r.hi + v)
+
+
+def sweep(r: Rect, side: Side, distance: float) -> Rect:
+    """Region ``r`` covers while translated along ``side`` by up to ``distance``:
+    the union of the start and end footprints, a rectangle."""
+    if distance < 0.0:
+        raise ValueError(f"sweep distance must be non-negative, got {distance}")
+    end = translate(r, side.unit * distance)
+    return Rect(
+        Vec2(min(r.lo.x, end.lo.x), min(r.lo.y, end.lo.y)),
+        Vec2(max(r.hi.x, end.hi.x), max(r.hi.y, end.hi.y)),
+    )
+
+
+def axis_extent(r: Rect, side: Side) -> tuple[float, float]:
+    """Projection (near, far) of ``r`` onto the travel axis of ``side``,
+    oriented so that far > near in the direction of travel."""
+    u = side.unit
+    c1 = r.lo.x * u.x + r.lo.y * u.y
+    c2 = r.hi.x * u.x + r.hi.y * u.y
+    return (c1, c2) if c1 <= c2 else (c2, c1)
+
+
+def footprint(scene: Scene, i: int) -> Rect:
+    """Object ``i``'s current footprint as a ``Rect``."""
+    return rect_from_center(scene.current[i], scene.objects[i].half)
+
+
+def goal_footprint(scene: Scene, i: int) -> Rect:
+    """Object ``i``'s goal footprint as a ``Rect``."""
+    return rect_from_center(scene.goal[i], scene.objects[i].half)
 
 
 def _foot(scene: Scene, i: int, pose: Optional[Vec2] = None) -> tuple:
@@ -252,9 +296,9 @@ def oracle_buffer_pose(
         r = rect_from_center(pose, half)
         if not contains(w, r):
             continue
-        if any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj):
+        if any(overlaps(r, footprint(scene, j)) for j in range(scene.n) if j != obj):
             continue
-        if any(overlaps(r, scene.goal_footprint(j)) for j in pending):
+        if any(overlaps(r, goal_footprint(scene, j)) for j in pending):
             continue
         return pose
     return None
@@ -269,7 +313,7 @@ def placement_free(scene: Scene, obj: int, dest: Vec2) -> bool:
     r = rect_from_center(dest, scene.objects[obj].half)
     if not contains(scene.workspace, r):
         return False
-    return not any(overlaps(r, scene.footprint(j)) for j in range(scene.n) if j != obj)
+    return not any(overlaps(r, footprint(scene, j)) for j in range(scene.n) if j != obj)
 
 
 def replace_moved(scene: Scene, moves) -> Scene:
@@ -313,11 +357,11 @@ def _object_landing(scene: Scene, blocker: int, side: Side, displacement: float)
 
 
 def _object_corridor_clear(scene: Scene, blocker: int, side: Side, displacement: float, exclude) -> bool:
-    region = _object_union(scene.footprint(blocker), _object_landing(scene, blocker, side, displacement))
+    region = _object_union(footprint(scene, blocker), _object_landing(scene, blocker, side, displacement))
     for j in range(scene.n):
         if j == blocker or j in exclude:
             continue
-        if overlaps(region, scene.footprint(j)):
+        if overlaps(region, footprint(scene, j)):
             return False
     return True
 
@@ -339,7 +383,7 @@ def _object_placement_conflict(scene: Scene, obj: int, r: Rect) -> Optional[str]
     if not contains(scene.workspace, r):
         return "leaves the workspace"
     for j in range(scene.n):
-        if j != obj and overlaps(r, scene.footprint(j)):
+        if j != obj and overlaps(r, footprint(scene, j)):
             return f"overlaps object {j}"
     return None
 
@@ -356,12 +400,12 @@ def object_evaluate_side(
     if stats is not None:
         stats.sides_evaluated += 1
     goal_pose = scene.goal[target]
-    goal_far = axis_extent(scene.goal_footprint(target), side)[1]
+    goal_far = axis_extent(goal_footprint(scene, target), side)[1]
     grasped = frozenset((target,))
 
     moves: list[tuple[int, float]] = []
     for b in blockers:
-        near = axis_extent(scene.footprint(b), side)[0]
+        near = axis_extent(footprint(scene, b), side)[0]
         d = goal_far - near + DEFAULT_CLEARANCE
         if stats is not None:
             stats.pair_checks += 1
@@ -371,7 +415,7 @@ def object_evaluate_side(
             return None, f"push corridor of blocker {b} is not empty"
         moves.append((b, d))
 
-    min_near = min(axis_extent(scene.footprint(b), side)[0] for b, _ in moves)
+    min_near = min(axis_extent(footprint(scene, b), side)[0] for b, _ in moves)
     half = scene.objects[target].half
     h = half.a if side.horizontal else half.b
     p0_axis = (min_near - DEFAULT_CLEARANCE) - h
@@ -391,7 +435,7 @@ def object_evaluate_side(
     for j in range(scene.n):
         if j == target or j in blocker_set:
             continue
-        if overlaps(approach, scene.footprint(j)):
+        if overlaps(approach, footprint(scene, j)):
             return None, f"approach corridor is blocked by non-blocker object {j}"
 
     return PushProposal(target, side, p0, tuple(moves)), ""

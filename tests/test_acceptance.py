@@ -24,14 +24,14 @@ from pushplan import (
     simulate,
 )
 from pushplan.bench import BenchConfig, generate_scene, records_to_csv, run_benchmark, aggregate
-from pushplan.geometry import Rect, Vec2, overlaps, sweep, translate
+from pushplan.geometry import Rect, Vec2, overlaps
 from pushplan.primitives import PushStats, select_push
 from pushplan.scene import unsatisfied_ids
 from pushplan.seeding import derive_seed
 from pushplan.simulator import SimEventKind
 
 from conftest import make_swap_scene, take_proposals
-from oracles import check_push, side_fails
+from oracles import check_push, side_fails, sweep, translate
 
 BENCH_MASTER_SEED = 0
 EXEC_MASTER_SEED = 2026
@@ -242,7 +242,7 @@ def test_criterion_8_invariant_bundle(mined_proposals):
         a, b = rect(), rect()
         w = min(a.hi.x, b.hi.x) - max(a.lo.x, b.lo.x)
         h = min(a.hi.y, b.hi.y) - max(a.lo.y, b.lo.y)
-        assert overlaps(a, b) == (w > 0 and h > 0)
+        assert overlaps(a.bounds, b.bounds) == (w > 0 and h > 0)
         overlap_cases += 1
 
     # every intermediate translate of a swept rect stays inside the sweep

@@ -31,11 +31,10 @@ from pushplan.bench import (
     write_benchmark_outputs,
 )
 from pushplan.cli import main
-from pushplan.geometry import contains, overlaps
 from pushplan.scene import Scene
 
 from conftest import make_swap_scene
-from oracles import object_generate_scene
+from oracles import contains, footprint, object_generate_scene, overlaps
 
 HERE = Path(__file__).parent
 
@@ -66,9 +65,9 @@ class TestGenerateScene:
                 half = scene.objects[i].half
                 assert 0.03 <= half.a <= 0.07
                 assert 0.03 <= half.b <= 0.07
-                assert contains(scene.workspace, scene.footprint(i))
+                assert contains(scene.workspace, footprint(scene, i))
                 for j in range(i + 1, n):
-                    assert not overlaps(scene.footprint(i), scene.footprint(j))
+                    assert not overlaps(footprint(scene, i), footprint(scene, j))
 
     def test_single_object(self):
         scene = generate_scene(1, 99)

@@ -263,6 +263,16 @@ class TestRenderCommand:
         assert rc == 0
         assert out.read_bytes() == (GOLDEN / "swap_scene.svg").read_bytes()
 
+    def test_golden_plan_render_svg(self, tmp_path):
+        # The replayed scene carries a footprint cache (``apply_action``),
+        # unlike the loaded scene ``swap_scene.svg`` draws.
+        out = tmp_path / "plan.svg"
+        rc = main([
+            "render", str(FIXTURES / "swap.json"), "--plan", str(GOLDEN / "plan_swap.json"), "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_bytes() == (GOLDEN / "plan_swap_render.svg").read_bytes()
+
     def test_text_and_colors_are_escaped(self, tmp_path, capsys):
         swap = make_swap_scene()
         injected = 'red" onload="alert(1)'

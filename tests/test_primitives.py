@@ -14,9 +14,13 @@ from oracles import (
     object_evaluate_side,
     oracle_blockers,
     oracle_buffer_pose,
+    footprint,
+    goal_footprint,
     oracle_p0,
+    overlaps,
     placement_free,
     side_fails,
+    translate,
 )
 from pushplan import primitives
 from pushplan.bench import generate_scene
@@ -27,9 +31,7 @@ from pushplan.geometry import (
     Vec2,
     axis_coord,
     bounds_from_center,
-    overlaps,
     perp_coord,
-    translate,
 )
 from pushplan.planner import PlannerConfig, recommend_action, sample_unsatisfied_object
 from pushplan.primitives import (
@@ -71,8 +73,8 @@ def square(i: int, half: float = 0.05) -> ObjectSpec:
 
 def bisect_displacement(scene: Scene, blocker: int, target: int, side: Side) -> float:
     """Oracle: smallest travel that clears the goal region, found by bisection."""
-    goal = scene.goal_footprint(target)
-    foot = scene.footprint(blocker)
+    goal = goal_footprint(scene, target)
+    foot = footprint(scene, blocker)
     lo, hi = 0.0, 5.0
     assert overlaps(foot, goal)
     assert not overlaps(translate(foot, side.unit * hi), goal)
@@ -242,7 +244,7 @@ class TestProposalPostconditions:
                         if prop is None:
                             continue
                         _, nxt = transition(scene, prop)
-                        post = [nxt.footprint(b) for b, _ in prop.blocker_moves]
+                        post = [footprint(nxt, b) for b, _ in prop.blocker_moves]
                         for i in range(len(post)):
                             for j in range(i + 1, len(post)):
                                 assert not overlaps(post[i], post[j]), (k, target, side, margin)
@@ -308,7 +310,7 @@ class TestBufferSampling:
 
             r = rect_from_center(pose, swap_scene.objects[0].half)
             for j in (0, 1):
-                assert not overlaps(r, swap_scene.goal_footprint(j))
+                assert not overlaps(r, goal_footprint(swap_scene, j))
 
     def test_deterministic_under_seed(self, swap_scene):
         a = sample_buffer_pose(swap_scene, 0, random.Random(7))
@@ -542,7 +544,7 @@ def placement_cases(scene: Scene, obj: int, rng: random.Random) -> list[Vec2]:
         Vec2(rng.uniform(w.lo.x - half.a, w.hi.x + half.a), rng.uniform(w.lo.y - half.b, w.hi.y + half.b))
         for _ in range(4)
     ]
-    f = scene.footprint(rng.randrange(scene.n))
+    f = footprint(scene, rng.randrange(scene.n))
     y = rng.uniform(w.lo.y + half.b, w.hi.y - half.b)
     for eps in (0.0, 1e-9):
         poses += [
@@ -567,6 +569,43 @@ def column_cases(transpose: bool):
         cached = scene.with_footprints()
         for s in (scene, cached, cached.with_moved(((1, scene.current[1]),))):
             yield s, side, poses
+
+
+def pre_push_cases(transpose: bool):
+    """Scenes where object 0's push passes every check before the one on its
+    canonical pre-push footprint, so that check alone decides.
+
+    Object 1 blocks object 0's goal and lands edge-safe with an empty
+    corridor.  Then either object 2, a non-blocker, touches the pre-push
+    footprint behind it or beside it, or the table's trailing edge does;
+    each exactly, and 1e-9 into it.  The footprint is the library's own
+    (from the push validated with object 2 out of the way), and each touching
+    face is placed on it float for float.  ``transpose`` swaps x and y.
+    Yields (scene, side, pre_push), for each scene plain and cached.
+    """
+
+    def v(x: float, y: float) -> Vec2:
+        return Vec2(y, x) if transpose else Vec2(x, y)
+
+    side = Side.RIGHT if transpose else Side.UP
+    half = HalfDims(0.0625, 0.0625)
+    objs = tuple(ObjectSpec(i, half) for i in range(3))
+    goal = (v(0.25, 0.5), v(0.75, 0.75), v(0.75, 0.5))
+
+    def scene(neighbour: Vec2, trailing_edge: float = 0.0) -> Scene:
+        current = (v(0.75, 0.5), v(0.25, 0.53125), neighbour)
+        return Scene(Rect(v(0.0, trailing_edge), v(1.0, 1.0)), objs, current, goal)
+
+    away = v(0.75, 0.875)
+    p0 = validate_push_action(scene(away), PushPlace(0, side, oracle_p0(scene(away), 0, side))).pre_push
+    trailing = bounds_from_center(p0, half)[0 if transpose else 1]
+    # The center whose footprint's leading face is exactly ``trailing``.
+    behind = trailing - half.b
+    assert behind + half.b == trailing
+    for eps in (0.0, 1e-9):
+        for s in (scene(v(0.25, behind + eps)), scene(v(0.125 + eps, 0.34)), scene(away, trailing + eps)):
+            yield s, side, p0
+            yield s.with_footprints(), side, p0
 
 
 class TestPlacementMatchesOracle:
@@ -607,7 +646,7 @@ class TestPlacementMatchesOracle:
                 for side in Side:
                     # The canonical pre-push pose: the one aligned pose ``simulate`` can admit.
                     p0 = oracle_p0(scene, obj, side)
-                    self.check(scene, obj, [], side, [(scene.goal[obj] - p0).dot(side.unit)], seen)
+                    self.check(scene, obj, [], side, [axis_coord(scene.goal[obj] - p0, side)], seen)
                     got = push_validation_accepts(scene, obj, side)
                     if got is not None:
                         assert got == placement_free(scene, obj, oracle_p0(scene, obj, side)), (obj, side)
@@ -624,6 +663,22 @@ class TestPlacementMatchesOracle:
             for obj in (1, 2):
                 self.check(scene, obj, [scene.current[obj]], side, [], seen)
         assert all(all(counts) for counts in seen.values()), seen
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_pre_push_footprint_touching_and_1e_9(self, transpose):
+        seen = [0, 0]
+        for scene, side, p0 in pre_push_cases(transpose):
+            action = PushPlace(0, side, p0)
+            verdict = refusal(validate_action, scene, action)
+            want = placement_free(scene, 0, p0)
+            assert (verdict is None) == want, (side, verdict)
+            if verdict is not None:
+                assert verdict.startswith(
+                    f"push of object 0 along side '{side.value}' is inadmissible: pre-push footprint "
+                ), verdict
+            assert refusal(simulate, scene, action) == verdict
+            seen[want] += 1
+        assert seen == [6, 6], seen
 
 
 def walk_successors(n: int, sizes: tuple[float, float], walks: int, steps: int) -> list[Scene]:

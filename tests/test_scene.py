@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_swap_scene, take_proposals
-from oracles import object_validate_scene
+from oracles import contains, footprint, goal_footprint, object_validate_scene, overlaps
 from pushplan.bench import generate_scene
-from pushplan.geometry import HalfDims, Rect, Side, Vec2, contains, overlaps
+from pushplan.geometry import HalfDims, Rect, Side, Vec2
 from pushplan.scene import (
     DEFAULT_TOLERANCE,
     InfeasibleActionError,
@@ -229,7 +229,7 @@ class TestPredicates:
             for i in range(s.n):
                 expected = tuple(
                     j for j in range(s.n)
-                    if j != i and overlaps(s.goal_footprint(i), s.footprint(j))
+                    if j != i and overlaps(goal_footprint(s, i), footprint(s, j))
                 )
                 assert blockers_of(s, i) == expected
 
@@ -312,9 +312,9 @@ class TestPushPlaceTransition:
         for scene, prop in take_proposals("scene-valid", 400):
             nxt = apply_action(scene, prop.as_action())
             for i in range(nxt.n):
-                assert contains(nxt.workspace, nxt.footprint(i))
+                assert contains(nxt.workspace, footprint(nxt, i))
                 for j in range(i + 1, nxt.n):
-                    assert not overlaps(nxt.footprint(i), nxt.footprint(j))
+                    assert not overlaps(footprint(nxt, i), footprint(nxt, j))
             cases += 1
         assert cases == 400
 

@@ -25,10 +25,11 @@ from pushplan import (
     simulate,
     validate_action,
 )
-from pushplan.geometry import HalfDims, Rect, axis_coord, overlaps, perp_coord
+from pushplan.geometry import HalfDims, Rect, axis_coord, perp_coord
 from pushplan.scene import DEFAULT_CLEARANCE
 
 from conftest import take_proposals
+from oracles import axis_extent, footprint, overlaps
 
 
 def _poses_close(a, b, tol=1e-9):
@@ -207,8 +208,6 @@ class TestMotionStructure:
         # objects sharing a lateral band cannot pass through each other, so
         # their trailing-face order along the push axis never inverts
         # (objects in disjoint bands may slide past side by side)
-        from pushplan.geometry import axis_extent
-
         def lat(rect, side):
             if side in (Side.LEFT, Side.RIGHT):
                 return rect.lo.y, rect.hi.y
@@ -222,7 +221,7 @@ class TestMotionStructure:
             def rect_before(i):
                 if i == prop.target:
                     return rect_from_center(action.pre_push, scene.objects[i].half)
-                return scene.footprint(i)
+                return footprint(scene, i)
 
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
@@ -233,8 +232,8 @@ class TestMotionStructure:
                         continue
                     ni = axis_extent(rect_before(i), prop.side)[0]
                     nj = axis_extent(rect_before(j), prop.side)[0]
-                    mi = axis_extent(out.footprint(i), prop.side)[0]
-                    mj = axis_extent(out.footprint(j), prop.side)[0]
+                    mi = axis_extent(footprint(out, i), prop.side)[0]
+                    mj = axis_extent(footprint(out, j), prop.side)[0]
                     if ni < nj:
                         assert mi <= mj + 1e-12
                     elif nj < ni:
@@ -278,11 +277,11 @@ class TestNoise:
                     scene, prop.as_action(), noise=noisy, rng=random.Random(1000 * k + r)
                 )
                 for i in range(out.n):
-                    ri = out.footprint(i)
+                    ri = footprint(out, i)
                     assert ri.lo.x >= 0 and ri.lo.y >= 0
                     assert ri.hi.x <= 1 and ri.hi.y <= 1
                     for j in range(i + 1, out.n):
-                        assert not overlaps(ri, out.footprint(j))
+                        assert not overlaps(ri, footprint(out, j))
                 runs += 1
         assert runs == 1000
 
@@ -301,7 +300,7 @@ class TestNoise:
             out, events = simulate(
                 scene, PickPlace(0, Vec2(0.95, 0.95)), noise=noisy, rng=random.Random(seed)
             )
-            r = out.footprint(0)
+            r = footprint(out, 0)
             assert r.hi.x <= 1.0 and r.hi.y <= 1.0
             assert r.lo.x >= 0.0 and r.lo.y >= 0.0
             assert events == []
@@ -324,7 +323,7 @@ class TestNoise:
         for seed in range(30):
             out, events = simulate(scene, action, noise=noisy, rng=random.Random(seed))
             for i in range(out.n):
-                ri = out.footprint(i)
+                ri = footprint(out, i)
                 assert ri.hi.x <= 1.0 and ri.lo.x >= 0.0
             if any(e.kind is SimEventKind.LEFT_TABLE for e in events):
                 seen = True

@@ -214,7 +214,7 @@ class TestCacheScope:
             assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
             assert back._unsatisfied == s._unsatisfied == tuple(unsatisfied_ids(plain_twin(s)))
             for i in range(back.n):
-                assert back.footprint(i) == rect_from_center(back.current[i], back.objects[i].half)
+                assert back.bounds()[i] == rect_from_center(back.current[i], back.objects[i].half).bounds
 
 
 class TestSearchNeverRaises:
