@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import random
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,6 +34,10 @@ from .seeding import derive_seed
 MAX_AREA_FRACTION = 0.4
 
 PLACEMENT_ATTEMPTS = 10_000
+
+# The default table (a unit square) and range of object half extents, meters.
+DEFAULT_WORKSPACE = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
+DEFAULT_SIZE_RANGE = (0.03, 0.07)
 
 
 class BenchError(RuntimeError):
@@ -57,8 +60,8 @@ class BenchConfig:
     scenes_per_count: int = 100
     runs_per_scene: int = 3
     variants: tuple[BenchVariant, ...] = DEFAULT_VARIANTS
-    workspace: Rect = field(default_factory=lambda: Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)))
-    size_range: tuple[float, float] = (0.03, 0.07)
+    workspace: Rect = DEFAULT_WORKSPACE
+    size_range: tuple[float, float] = DEFAULT_SIZE_RANGE
     tolerance: float = DEFAULT_TOLERANCE
     max_expansions: Optional[int] = 1500
     time_budget_s: Optional[float] = None
@@ -79,8 +82,8 @@ class BenchRecord:
 def generate_scene(
     n: int,
     seed: int,
-    workspace: Optional[Rect] = None,
-    size_range: tuple[float, float] = (0.03, 0.07),
+    workspace: Rect = DEFAULT_WORKSPACE,
+    size_range: tuple[float, float] = DEFAULT_SIZE_RANGE,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Scene:
     """Sample a random scene with valid start and goal arrangements.
@@ -91,8 +94,6 @@ def generate_scene(
     it, separately in each arrangement.  An object wider or taller than the
     table raises BenchError before its first pose is drawn.
     """
-    if workspace is None:
-        workspace = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
     lo, hi = size_range
     if not 0.0 < lo <= hi:
         raise ValueError(f"invalid size range ({lo}, {hi})")
@@ -185,6 +186,9 @@ def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
     # ``jobs`` from asking the OS for that many processes.
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: a serial run need not pay for loading it.
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             records = pool.map(_run_task, tasks, chunksize=4)
     else:

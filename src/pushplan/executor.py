@@ -8,13 +8,8 @@ is kept when all of it is feasible and it still ends with every object
 within tolerance; otherwise a fresh plan is made from the observed state.
 Only the first action of whatever plan is current ever gets executed.
 
-The loop works on a cached scene (``Scene.with_footprints``): planning,
-simulation, the tail replay and the goal count all read its footprints and
-unsatisfied ids, and each successor updates them for the moved objects
-only.  The report holds plain copies instead (``Scene.without_cache``),
-which share every field with the working scenes but keep no footprints
-alive.  One copy is made per observed state: a step's ``post_scene`` is
-the next step's ``pre_scene``.
+The report holds the scenes the loop worked on: step 0's ``pre_scene`` is
+the input, and each step's ``post_scene`` is the next step's ``pre_scene``.
 """
 
 from __future__ import annotations
@@ -137,9 +132,7 @@ def execute(
         rng = random.Random(0)
     trial_seed = rng.getrandbits(63)
 
-    current = scene.with_footprints()
-    # The report's copy of ``current``.
-    observed = scene.without_cache()
+    current = scene
     steps: list[StepRecord] = []
     pending: list[Action] = []
     total_actions = 0
@@ -170,14 +163,13 @@ def execute(
         nxt, events = simulate(current, action, noise, sim_rng)
         pending = pending[1:]
         total_actions += 1
-        pre, observed = observed, nxt.without_cache()
         steps.append(
             StepRecord(
                 planned_plan_length=len(pending) + 1,
                 executed_action=action,
                 sim_events=tuple(events),
-                pre_scene=pre,
-                post_scene=observed,
+                pre_scene=current,
+                post_scene=nxt,
             )
         )
         current = nxt
@@ -195,6 +187,6 @@ def execute(
         success_rate=satisfied_count(current) / current.n if current.n else 1.0,
         robot_time_proxy=travel + ACTION_OVERHEAD_S * total_actions,
         terminated_by=terminated,
-        final_scene=observed,
+        final_scene=current,
         plan_rounds=plan_rounds,
     )

@@ -47,18 +47,9 @@ def action_cost(scene: Scene, action: Action, ee: EEState, lam: float = 1.0) -> 
     """Cost of one feasible action and the end-effector state after it.
 
     Raises InfeasibleActionError when ``action`` is infeasible in ``scene``.
-    """
-    validate_action(scene, action)
-    return travel_cost(scene, action, ee, lam)
-
-
-def travel_cost(
-    scene: Scene, action: Action, ee: EEState, lam: float = 1.0
-) -> tuple[CostBreakdown, EEState]:
-    """``action_cost`` for an action already known to be feasible: no validation.
-
     The legs are ``_legs``'s, the one cost formula ``path_costs`` uses too.
     """
+    validate_action(scene, action)
     approach, transfer, final = _legs(scene, action, ee.pose)
     return CostBreakdown(approach, PICK_TRAVEL, transfer, lam), EEState(final, ee.home)
 
@@ -93,7 +84,7 @@ def path_costs(steps: Iterable[tuple[Scene, Action]]) -> tuple[CostBreakdown, ..
     in its scene (unvalidated).  The end-effector starts at the workspace
     center and ends each step where its action set the object down.
 
-    Each entry equals ``travel_cost``'s along the same steps, bit for bit:
+    Each entry equals ``action_cost``'s along the same steps, bit for bit:
     both take their legs from ``_legs``.  Only the pose is carried from step
     to step, so no ``EEState`` is built.
     """

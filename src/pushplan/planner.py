@@ -31,7 +31,6 @@ from .scene import (
     blockers_of,
     satisfied_count,
     transition,
-    unsatisfied_ids,
 )
 
 DEFAULT_TIME_BUDGET_S = 2.0
@@ -96,8 +95,6 @@ class SearchNode:
 def sample_unsatisfied_object(scene: Scene, rng: random.Random) -> int:
     """Uniformly pick an object not yet at its goal."""
     ids = scene._unsatisfied
-    if ids is None:
-        ids = unsatisfied_ids(scene)
     if not ids:
         raise ValueError("all objects are satisfied; nothing to sample")
     return ids[rng.randrange(len(ids))]
@@ -199,15 +196,12 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
     Returns the first complete plan found within the budget, or None.  With
     an expansion budget the result is a pure function of (scene, cfg).
 
-    The search starts from ``scene.with_footprints()``, the scene with its
-    footprints and unsatisfied ids cached, and every scene in the tree caches
-    them too.  So "solved", for the start scene and for each new leaf, is a
-    read of those ids, not a distance test per object.  The expansion budget
-    runs a plain ``for`` loop; the wall-clock budget reads the clock before
-    each expansion.
+    Every scene caches its unsatisfied ids, so "solved", for the start scene
+    and for each new leaf, is a read of those ids, not a distance test per
+    object.  The expansion budget runs a plain ``for`` loop; the wall-clock
+    budget reads the clock before each expansion.
     """
-    # None of the search tree's scenes escapes.
-    root = SearchNode(scene.with_footprints(), None)
+    root = SearchNode(scene, None)
     if not root.state._unsatisfied:
         return Plan((), ())
     rng = random.Random(cfg.seed)

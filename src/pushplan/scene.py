@@ -84,17 +84,15 @@ class Scene:
     matching lengths, all footprints inside the workspace, and no two current
     (or two goal) footprints overlapping.  Touching footprints are legal.
 
-    Derived scenes also carry their current and goal footprints and the
-    ascending ids of the objects not at their goals (``with_footprints``,
-    ``with_moved``, and so ``apply_action``, ``simulate`` and the planner's
-    search tree).  The cache takes no part in equality, hashing or repr.
-    Scenes built by the constructor or by loading have none, and neither do
-    the scenes an execution report holds (``without_cache``).
+    Every scene carries its current and goal footprints and the ascending ids
+    of the objects not at their goals: construction stores the footprints it
+    validates, and ``with_moved`` (so ``apply_action``, ``simulate`` and the
+    planner's search tree) updates them for the moved objects only.  The
+    cache takes no part in equality, hashing or repr, and pickling keeps it.
 
     The footprints are cached as ``Bounds``, plain float tuples
     (lo.x, lo.y, hi.x, hi.y) computed as ``rect_from_center`` computes its
-    corners.  Every reader takes them from ``bounds`` and ``goal_bounds``,
-    which build the same tuples for a scene without a cache.
+    corners.  Every reader takes them from ``bounds`` and ``goal_bounds``.
     """
 
     workspace: Rect
@@ -102,9 +100,9 @@ class Scene:
     current: Arrangement
     goal: Arrangement
     tolerance: float = DEFAULT_TOLERANCE
-    _footprints: Optional[tuple[Bounds, ...]] = field(default=None, init=False, repr=False, compare=False)
-    _goal_footprints: Optional[tuple[Bounds, ...]] = field(default=None, init=False, repr=False, compare=False)
-    _unsatisfied: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _footprints: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
+    _goal_footprints: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
+    _unsatisfied: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.objects)
@@ -119,8 +117,9 @@ class Scene:
             if spec.id != i:
                 raise InvalidSceneError(f"object ids must be dense 0..n-1; index {i} has id {spec.id}")
         w = self.workspace.bounds
-        for label, poses in (("current", self.current), ("goal", self.goal)):
-            rects = _all_bounds(poses, self.objects)
+        footprints = tuple([bounds_from_center(p, spec.half) for p, spec in zip(self.current, self.objects)])
+        goal_footprints = tuple([bounds_from_center(p, spec.half) for p, spec in zip(self.goal, self.objects)])
+        for label, rects in (("current", footprints), ("goal", goal_footprints)):
             for i, r in enumerate(rects):
                 if not contains(w, r):
                     raise InvalidSceneError(f"{label} footprint of object {i} leaves the workspace")
@@ -131,6 +130,9 @@ class Scene:
                     olx, oly, ohx, ohy = rects[j]
                     if lx < ohx and olx < hx and ly < ohy and oly < hy:
                         raise InvalidSceneError(f"{label} footprints of objects {i} and {j} overlap")
+        _SET_FOOTPRINTS(self, footprints)
+        _SET_GOAL_FOOTPRINTS(self, goal_footprints)
+        _SET_UNSATISFIED(self, tuple([i for i in range(n) if not is_at_goal(self, i)]))
 
     @property
     def n(self) -> int:
@@ -138,81 +140,63 @@ class Scene:
 
     def bounds(self) -> Sequence[Bounds]:
         """Every current footprint as ``Bounds``, indexed by object id."""
-        return self._footprints or _all_bounds(self.current, self.objects)
+        return self._footprints
 
     def goal_bounds(self) -> Sequence[Bounds]:
         """Every goal footprint as ``Bounds``, indexed by object id."""
-        return self._goal_footprints or _all_bounds(self.goal, self.objects)
-
-    def with_footprints(self) -> "Scene":
-        """An equal scene whose footprints and unsatisfied ids are computed once.
-
-        A scene that already carries them is returned as it is.
-        """
-        if self._unsatisfied is not None:
-            return self
-        return self.with_moved(())
-
-    def without_cache(self) -> "Scene":
-        """An equal scene without a cache that shares every field with this one.
-
-        A scene without a cache is returned as it is.
-        """
-        if self._unsatisfied is None:
-            return self
-        return _unchecked(self.workspace, self.objects, self.current, self.goal, self.tolerance)
+        return self._goal_footprints
 
     def with_moved(self, moves: Sequence[tuple[int, Vec2]]) -> "Scene":
         """This scene with each ``(object, pose)`` of ``moves`` relocated.
 
-        The result caches its footprints and shares every unmoved object's
-        footprint, and all goal footprints, with this scene.  Only the moved
-        objects are checked, each by ``placement_conflict`` in the result.
-        Pairs of unmoved objects were checked when this scene was built, so
-        the result satisfies the same invariant as construction.  Raises
+        The result shares every unmoved object's footprint, and all goal
+        footprints, with this scene.  Only the moved objects are checked,
+        each by ``placement_conflict`` in the result.  Pairs of unmoved
+        objects were checked when this scene was built, so the result
+        satisfies the same invariant as construction.  Raises
         InfeasibleActionError otherwise.
 
-        The result also caches its unsatisfied ids.  When this scene has
-        them, only the moved objects are tested against their goals, and
-        each is inserted into or removed from this scene's ascending ids.
+        Only the moved objects are tested against their goals, and each is
+        inserted into or removed from this scene's ascending unsatisfied ids.
         """
         poses = list(self.current)
-        cached = self._footprints
-        rects = list(_all_bounds(self.current, self.objects) if cached is None else cached)
+        rects = list(self._footprints)
         objects = self.objects
         for i, pose in moves:
             poses[i] = pose
             # bounds_from_center, inlined: this runs for every successor made.
             half = objects[i].half
             rects[i] = (pose.x - half.a, pose.y - half.b, pose.x + half.a, pose.y + half.b)
-        goal_rects = self._goal_footprints
-        if goal_rects is None:
-            goal_rects = tuple(_all_bounds(self.goal, objects))
-        # Bypass __post_init__: the checks below establish its invariant.
-        out = _unchecked(
-            self.workspace, objects, tuple(poses), self.goal, self.tolerance, tuple(rects), goal_rects
-        )
+        # Bypass __post_init__: the checks below establish its invariant.  Each
+        # field is set through its slot's descriptor (``_SET_*``), which skips
+        # the frozen ``__setattr__`` and its attribute lookup by name: this
+        # runs once per search expansion.
+        out = _new(Scene)
+        _SET_WORKSPACE(out, self.workspace)
+        _SET_OBJECTS(out, objects)
+        _SET_CURRENT(out, tuple(poses))
+        _SET_GOAL(out, self.goal)
+        _SET_TOLERANCE(out, self.tolerance)
+        _SET_FOOTPRINTS(out, tuple(rects))
+        _SET_GOAL_FOOTPRINTS(out, self._goal_footprints)
         for i, _ in moves:
             why = placement_conflict(out, i, rects[i])
             if why:
                 raise InfeasibleActionError(f"moved object {i} {why}")
-        if self._unsatisfied is None:
-            pending = [i for i in range(self.n) if not is_at_goal(out, i)]
-        else:
-            pending = list(self._unsatisfied)
-            for i, _ in moves:
-                k = bisect_left(pending, i)
-                listed = k < len(pending) and pending[k] == i
-                if is_at_goal(out, i):
-                    if listed:
-                        del pending[k]
-                elif not listed:
-                    pending.insert(k, i)
+        pending = list(self._unsatisfied)
+        for i, _ in moves:
+            k = bisect_left(pending, i)
+            listed = k < len(pending) and pending[k] == i
+            if is_at_goal(out, i):
+                if listed:
+                    del pending[k]
+            elif not listed:
+                pending.insert(k, i)
         _SET_UNSATISFIED(out, tuple(pending))
         return out
 
 
-# Each slot's own setter, for ``_unchecked`` and ``with_moved``: a new scene's
+# Each slot's own setter, for ``__post_init__`` and ``with_moved``: a scene's
 # fields are set through them, not through the frozen ``__setattr__``.
 _new = object.__new__
 _SET_WORKSPACE = Scene.workspace.__set__
@@ -225,39 +209,6 @@ _SET_GOAL_FOOTPRINTS = Scene._goal_footprints.__set__
 _SET_UNSATISFIED = Scene._unsatisfied.__set__
 
 
-def _all_bounds(poses: Arrangement, objects: tuple[ObjectSpec, ...]) -> list[Bounds]:
-    """The footprints of ``objects`` at ``poses``, for a scene without a cache."""
-    return [bounds_from_center(p, objects[i].half) for i, p in enumerate(poses)]
-
-
-def _unchecked(
-    workspace: Rect,
-    objects: tuple[ObjectSpec, ...],
-    current: Arrangement,
-    goal: Arrangement,
-    tolerance: float,
-    footprints: Optional[tuple[Bounds, ...]] = None,
-    goal_footprints: Optional[tuple[Bounds, ...]] = None,
-) -> Scene:
-    """A Scene of these fields, built without ``__post_init__``'s checks.
-
-    Its unsatisfied ids are None until the caller sets them.  Each field is
-    set through its slot's descriptor (``_SET_*``), which skips the frozen
-    ``__setattr__`` and its attribute lookup by name: this runs once per
-    search expansion.
-    """
-    out = _new(Scene)
-    _SET_WORKSPACE(out, workspace)
-    _SET_OBJECTS(out, objects)
-    _SET_CURRENT(out, current)
-    _SET_GOAL(out, goal)
-    _SET_TOLERANCE(out, tolerance)
-    _SET_FOOTPRINTS(out, footprints)
-    _SET_GOAL_FOOTPRINTS(out, goal_footprints)
-    _SET_UNSATISFIED(out, None)
-    return out
-
-
 def is_at_goal(scene: Scene, i: int) -> bool:
     """True iff object ``i``'s center is within tolerance of its goal center."""
     p, g = scene.current[i], scene.goal[i]
@@ -265,16 +216,12 @@ def is_at_goal(scene: Scene, i: int) -> bool:
 
 
 def satisfied_count(scene: Scene) -> int:
-    if scene._unsatisfied is not None:
-        return scene.n - len(scene._unsatisfied)
-    return sum(1 for i in range(scene.n) if is_at_goal(scene, i))
+    return scene.n - len(scene._unsatisfied)
 
 
 def unsatisfied_ids(scene: Scene) -> list[int]:
     """Ascending ids of the objects not at their goals."""
-    if scene._unsatisfied is not None:
-        return list(scene._unsatisfied)
-    return [i for i in range(scene.n) if not is_at_goal(scene, i)]
+    return list(scene._unsatisfied)
 
 
 def blockers_of(scene: Scene, target: int) -> tuple[int, ...]:
@@ -302,10 +249,7 @@ def placement_conflict(scene: Scene, obj: int, b: Bounds) -> Optional[str]:
     # runs for every moved object.
     if not (w.lo.x <= lx and w.lo.y <= ly and hx <= w.hi.x and hy <= w.hi.y):
         return "leaves the workspace"
-    rects = scene._footprints
-    if rects is None:
-        rects = _all_bounds(scene.current, scene.objects)
-    for j, (olx, oly, ohx, ohy) in enumerate(rects):
+    for j, (olx, oly, ohx, ohy) in enumerate(scene._footprints):
         if lx < ohx and olx < hx and ly < ohy and oly < hy and j != obj:
             return f"overlaps object {j}"
     return None

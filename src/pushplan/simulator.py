@@ -227,13 +227,10 @@ def simulate(
     ``scene.apply_action`` (to float noise), and the contact events are
     ``push_forward``'s, unchanged (see ``SimEventKind``).  The returned scene
     is always valid: only the objects whose pose changed are checked, and one
-    that fails raises InvalidSceneError.  It carries a cache
-    (``Scene.with_moved``); so does the scene the physics reads, since a
-    scene without one is given it first (``Scene.with_footprints``).
+    that fails raises InvalidSceneError.
     """
     if noise.enabled and rng is None:
         raise ValueError("noise is enabled but no rng was provided")
-    scene = scene.with_footprints()
     validate_action(scene, action)
 
     if isinstance(action, PickPlace):

@@ -11,8 +11,13 @@ settings.load_profile("suite")
 from pushplan.bench import generate_scene
 from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
 from pushplan.primitives import select_push
-from pushplan.scene import ObjectSpec, Scene, blockers_of, satisfied_count, unsatisfied_ids
+from pushplan.scene import ObjectSpec, Scene, blockers_of, is_at_goal, satisfied_count, unsatisfied_ids
 from pushplan.seeding import derive_seed
+
+
+# An offset, non-square table (1.2 m x 0.9 m): no coordinate of its corners
+# or its center is 0 or 1, and its axes differ.
+OFFSET_TABLE = Rect(Vec2(-2.3, 1.7), Vec2(-1.1, 2.6))
 
 
 def make_swap_scene() -> Scene:
@@ -110,15 +115,8 @@ def take_proposals(tag: str, count: int):
     return list(itertools.islice(iter_admissible_proposals(tag), count))
 
 
-def has_cache(scene: Scene) -> bool:
-    return (
-        scene._footprints is not None
-        or scene._goal_footprints is not None
-        or scene._unsatisfied is not None
-    )
-
-
-def plain_twin(scene: Scene) -> Scene:
+def rebuilt(scene: Scene) -> Scene:
+    """The scene the constructor builds from ``scene``'s fields."""
     return Scene(scene.workspace, scene.objects, scene.current, scene.goal, scene.tolerance)
 
 
@@ -133,17 +131,16 @@ def cost_bits(costs) -> list[tuple[str, ...]]:
 
 def assert_cache_exact(scene: Scene) -> None:
     """Every cached float tuple is ``rect_from_center``'s corners, exactly,
-    and ``bounds`` and ``goal_bounds`` return the cached tuples; the
-    unsatisfied ids are a plain scene's."""
-    assert scene._footprints is not None and scene._goal_footprints is not None
+    ``bounds`` and ``goal_bounds`` return the cached tuples, and the
+    unsatisfied ids are those of the objects ``is_at_goal`` rejects, ascending."""
     assert len(scene._footprints) == len(scene._goal_footprints) == scene.n
+    assert scene.bounds() is scene._footprints and scene.goal_bounds() is scene._goal_footprints
     for i in range(scene.n):
         want = rect_from_center(scene.current[i], scene.objects[i].half)
         want_goal = rect_from_center(scene.goal[i], scene.objects[i].half)
         assert scene._footprints[i] == corners(want)
         assert scene._goal_footprints[i] == corners(want_goal)
-        assert scene.bounds()[i] is scene._footprints[i]
-        assert scene.goal_bounds()[i] is scene._goal_footprints[i]
-    twin = plain_twin(scene)
-    assert scene._unsatisfied == tuple(unsatisfied_ids(twin))
-    assert satisfied_count(scene) == satisfied_count(twin)
+    pending = [i for i in range(scene.n) if not is_at_goal(scene, i)]
+    assert scene._unsatisfied == tuple(pending)
+    assert unsatisfied_ids(scene) == pending
+    assert satisfied_count(scene) == scene.n - len(pending)

@@ -41,7 +41,7 @@ here is written on them.
 ``reference_plan`` is the search as first written: it tests "solved" with
 ``satisfied_count``, counts its expansion budget down in a closure, samples
 from an ``unsatisfied_ids`` list, and costs the plan by chaining
-``travel_cost`` through ``EEState``.  It proposes and applies moves with the
+``action_cost`` through ``EEState``.  It proposes and applies moves with the
 library's ``recommend_action`` and ``transition``, so ``plan`` is held to it
 action for action and cost for cost.
 """
@@ -56,7 +56,7 @@ from typing import Optional
 import pushplan.bench as bench
 from pushplan.bench import MAX_AREA_FRACTION, BenchError
 from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, rect_from_center
-from pushplan.metrics import EEState, travel_cost
+from pushplan.metrics import EEState, action_cost
 from pushplan.planner import EXPLORATION_C, Plan, PlannerConfig, recommend_action
 from pushplan.primitives import PushProposal, PushStats
 from pushplan.scene import (
@@ -582,13 +582,13 @@ def _reference_step(root: _ReferenceNode, cfg: PlannerConfig, rng: random.Random
 
 
 def _reference_extract(path: list) -> Plan:
-    """The actions along ``path``, each costed by ``travel_cost`` with the
+    """The actions along ``path``, each costed by ``action_cost`` with the
     end-effector state chained from the workspace center."""
     actions, costs = [], []
     center = path[0].state.workspace.center
     ee = EEState(center, center)
     for parent, child in zip(path, path[1:]):
-        bd, ee = travel_cost(parent.state, child.action, ee)
+        bd, ee = action_cost(parent.state, child.action, ee)
         actions.append(child.action)
         costs.append(bd)
     return Plan(tuple(actions), tuple(costs))
@@ -599,7 +599,7 @@ def reference_plan(scene: Scene, cfg: PlannerConfig) -> Optional[Plan]:
     if satisfied_count(scene) == scene.n:
         return Plan((), ())
     rng = random.Random(cfg.seed)
-    root = _ReferenceNode(scene.with_footprints(), None)
+    root = _ReferenceNode(scene, None)
 
     if cfg.max_expansions is not None:
         remaining = cfg.max_expansions

@@ -3,6 +3,7 @@
 outputs, and golden records."""
 
 import math
+import multiprocessing
 import random
 import re
 from pathlib import Path
@@ -231,7 +232,8 @@ class TestRunBenchmark:
             def map(self, fn, iterable, chunksize=1):
                 return [fn(task) for task in iterable]
 
-        monkeypatch.setattr(bench.multiprocessing, "Pool", RecordingPool)
+        # ``run_benchmark`` imports multiprocessing when it starts a pool.
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         cfg = BenchConfig(master_seed=3, object_counts=(3,), scenes_per_count=1,
                           runs_per_scene=2, max_expansions=300)
         records = run_benchmark(cfg, jobs=10_000)

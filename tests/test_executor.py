@@ -336,7 +336,7 @@ class TestPlanTail:
             p = plan(scene, CFG)
             if p is None:
                 continue
-            state = scene.with_footprints()
+            state = scene
             for j in range(1, len(p.actions)):
                 state = apply_action(state, p.actions[j - 1])
                 obj = p.actions[j - 1].object

@@ -19,7 +19,7 @@ from pushplan import (
     plan_cost,
 )
 from conftest import cost_bits
-from pushplan.bench import generate_scene
+from pushplan.bench import DEFAULT_WORKSPACE, generate_scene
 from pushplan.io import plan_from_dict
 from pushplan.metrics import (
     PICK_TRAVEL,
@@ -28,7 +28,6 @@ from pushplan.metrics import (
     action_cost,
     path_costs,
     total_cost,
-    travel_cost,
 )
 from pushplan.planner import PlannerConfig, recommend_action, sample_unsatisfied_object
 from pushplan.scene import satisfied_count, transition
@@ -138,8 +137,8 @@ class TestPlanCost:
         assert plan_cost([], swap_scene) == 0.0
 
 
-def vec_travel_cost(scene, action, ee):
-    """``travel_cost`` as first written: each leg a ``Vec2`` difference's ``norm``."""
+def vec_action_cost(scene, action, ee):
+    """``action_cost`` as first written: each leg a ``Vec2`` difference's ``norm``."""
     start = scene.current[action.object]
     approach = (start - ee.pose).norm()
     if isinstance(action, PickPlace):
@@ -154,7 +153,7 @@ def vec_travel_cost(scene, action, ee):
 def recommended_walk(n, sizes, workspace, k):
     """The (scene, action) steps of a walk of recommended moves on a generated
     scene; pushes are enabled on even ``k`` only, so odd walks park more."""
-    scene = generate_scene(n, derive_seed("path-costs", n, k), workspace, sizes).with_footprints()
+    scene = generate_scene(n, derive_seed("path-costs", n, k), workspace, sizes)
     cfg = PlannerConfig(max_expansions=1, push_enabled=k % 2 == 0)
     rng = random.Random(k)
     steps = []
@@ -171,11 +170,11 @@ def recommended_walk(n, sizes, workspace, k):
 
 
 class TestPathCosts:
-    """``path_costs`` gives, bit for bit, what ``travel_cost`` gives chained
+    """``path_costs`` gives, bit for bit, what ``action_cost`` gives chained
     through ``EEState``, and what the ``Vec2`` formula gives."""
 
     @pytest.mark.parametrize(
-        "workspace", [None, Rect(Vec2(-0.7, 0.3), Vec2(0.45, 1.5))], ids=["unit", "offset"]
+        "workspace", [DEFAULT_WORKSPACE, Rect(Vec2(-0.7, 0.3), Vec2(0.45, 1.5))], ids=["unit", "offset"]
     )
     def test_equals_chained_travel_cost_on_walks(self, workspace):
         kinds = {"push": 0, "buffer": 0, "goal": 0}
@@ -188,9 +187,9 @@ class TestPathCosts:
                 chained, by_vec = [], []
                 ee = vec_ee = EEState(center, center)
                 for scene, action in steps:
-                    bd, ee = travel_cost(scene, action, ee)
+                    bd, ee = action_cost(scene, action, ee)
                     chained.append(bd)
-                    bd, vec_ee = vec_travel_cost(scene, action, vec_ee)
+                    bd, vec_ee = vec_action_cost(scene, action, vec_ee)
                     by_vec.append(bd)
                     if isinstance(action, PushPlace):
                         kinds["push"] += 1

@@ -28,7 +28,7 @@ from pushplan import (
     plan,
     plan_cost,
 )
-from conftest import cost_bits, make_swap_scene
+from conftest import cost_bits, make_swap_scene, rebuilt
 from pushplan.io import SceneFormatError, plan_from_dict, plan_to_dict
 from pushplan.metrics import EEState, action_cost
 import pushplan.planner as planner_mod
@@ -190,7 +190,7 @@ class TestSelection:
 
     @given(st.data())
     def test_random_statistics(self, data):
-        scene = make_swap_scene().with_footprints()
+        scene = make_swap_scene()
         k = data.draw(st.integers(1, 6), label="children")
         stats = []
         for _ in range(k):
@@ -201,7 +201,7 @@ class TestSelection:
         assert got is expected
 
     def test_exact_tie_goes_to_the_first_child(self):
-        scene = make_swap_scene().with_footprints()
+        scene = make_swap_scene()
         stats = [(4, 3.0), (9, 16.0), (3, 1.0), (9, 16.0), (2, 0.0)]
         got, expected, children, scores = self.selected(scene, stats, 30)
         assert scores[1] == scores[3] > max(scores[0], scores[2], scores[4])
@@ -219,7 +219,7 @@ class TestUnexpandedStep:
         # as wide as its visits allow, so selection must descend to the leaf.
         solved_one = apply_action(swap_scene, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5)))
         assert satisfied_count(solved_one) == 1
-        path = [SearchNode(swap_scene.with_footprints(), None)]
+        path = [SearchNode(swap_scene, None)]
         for _ in range(4 * swap_scene.n):
             child = SearchNode(solved_one, None)
             path[-1].children.append(child)
@@ -239,7 +239,7 @@ class TestUnexpandedStep:
             raise InfeasibleActionError("rejected")
 
         monkeypatch.setattr(planner_mod, "transition", reject)
-        root = SearchNode(swap_scene.with_footprints(), None)
+        root = SearchNode(swap_scene, None)
         leaf = SearchNode(apply_action(swap_scene, PushPlace(0, Side.LEFT, Vec2(0.755, 0.5))), None)
         root.children.append(leaf)
         root.visits, leaf.visits = 2, 1
@@ -342,7 +342,7 @@ class TestMatchesReference:
         solved = swap_scene.with_moved(((0, swap_scene.goal[0]), (1, Vec2(0.5, 0.2)))).with_moved(
             ((1, swap_scene.goal[1]),)
         )
-        for start in (solved, solved.without_cache()):
+        for start in (solved, rebuilt(solved)):
             cfg = PlannerConfig(max_expansions=10)
             assert plan(start, cfg) == reference_plan(start, cfg) == Plan((), ())
 

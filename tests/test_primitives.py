@@ -8,7 +8,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import assert_cache_exact, make_chained_push_scene, make_swap_scene, take_proposals
+from conftest import OFFSET_TABLE, assert_cache_exact, make_chained_push_scene, make_swap_scene, take_proposals
 from oracles import (
     check_push,
     object_evaluate_side,
@@ -23,7 +23,7 @@ from oracles import (
     translate,
 )
 from pushplan import primitives
-from pushplan.bench import generate_scene
+from pushplan.bench import DEFAULT_SIZE_RANGE, DEFAULT_WORKSPACE, generate_scene
 from pushplan.geometry import (
     HalfDims,
     Rect,
@@ -33,6 +33,7 @@ from pushplan.geometry import (
     bounds_from_center,
     perp_coord,
 )
+from pushplan.io import scene_from_dict, scene_to_dict
 from pushplan.planner import PlannerConfig, recommend_action, sample_unsatisfied_object
 from pushplan.primitives import (
     DEFAULT_EDGE_MARGIN,
@@ -328,14 +329,12 @@ class TestBufferSampling:
         assert sample_buffer_pose(s, 0, random.Random(1)) is None
 
 
-def plain_and_cached_scenes(n: int, sizes: tuple[float, float], count: int):
-    """Random scenes, each followed by its cached copy and a few cached
-    descendants, whose unsatisfied ids were updated move by move."""
+def scenes_and_successors(n: int, sizes: tuple[float, float], count: int):
+    """Random scenes, each followed by a few descendants, whose unsatisfied
+    ids were updated move by move."""
     cfg = PlannerConfig(max_expansions=1)
     for k in range(count):
-        plain = generate_scene(n, derive_seed("loop-oracles", n, k), size_range=sizes)
-        yield plain
-        state = plain.with_footprints()
+        state = generate_scene(n, derive_seed("loop-oracles", n, k), size_range=sizes)
         yield state
         rng = random.Random(k)
         for _ in range(3):
@@ -403,7 +402,7 @@ class TestBufferSamplingMatchesLoopOracle:
     @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
     def test_same_pose_and_rng_state(self, n, sizes, monkeypatch):
         runs = ((0, 100), (1, 100), (2, 4), (3, 1))
-        assert_buffer_sampling_matches(plain_and_cached_scenes(n, sizes, 6), runs, monkeypatch)
+        assert_buffer_sampling_matches(scenes_and_successors(n, sizes, 6), runs, monkeypatch)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_pose_touching_obstacles_is_accepted(self, transpose):
@@ -412,19 +411,17 @@ class TestBufferSamplingMatchesLoopOracle:
         # overlaps object 1 and 0.375 touches.
         script = (0.1, 0.9, 0.5, 0.3) if transpose else (0.9, 0.1, 0.3, 0.5)
         want = Vec2(0.375, 0.125) if transpose else Vec2(0.125, 0.375)
-        for s in (scene, scene.with_footprints()):
-            assert sample_buffer_pose(s, 0, ScriptedRandom(script)) == want
-            assert oracle_buffer_pose(s, 0, ScriptedRandom(script)) == want
+        assert sample_buffer_pose(scene, 0, ScriptedRandom(script)) == want
+        assert oracle_buffer_pose(scene, 0, ScriptedRandom(script)) == want
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_pose_overlapping_by_1e_9_is_rejected(self, transpose, monkeypatch):
         scene = column_scene(0.625 - 1e-9, transpose)
-        for s in (scene, scene.with_footprints()):
-            monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 1)
-            assert sample_buffer_pose(s, 0, ScriptedRandom((0.5, 0.5))) is None
-            assert oracle_buffer_pose(s, 0, ScriptedRandom((0.5, 0.5)), max_attempts=1) is None
-            monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 100)
-            assert sample_buffer_pose(s, 0, random.Random(5)) is None
+        monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 1)
+        assert sample_buffer_pose(scene, 0, ScriptedRandom((0.5, 0.5))) is None
+        assert oracle_buffer_pose(scene, 0, ScriptedRandom((0.5, 0.5)), max_attempts=1) is None
+        monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 100)
+        assert sample_buffer_pose(scene, 0, random.Random(5)) is None
 
 
 class ZeroRandom(random.Random):
@@ -454,22 +451,22 @@ class TestBufferPoseOnOffsetWorkspaces:
                 continue
             returned += 1
             assert placement_free(scene, 0, pose)
-            assert scene.with_footprints().with_moved(((0, pose),)).current[0] == pose
+            assert scene.with_moved(((0, pose),)).current[0] == pose
         assert returned and rejected, (returned, rejected)
 
 
 class TestBlockersMatchOracle:
     @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
     def test_random_scenes(self, n, sizes):
-        for scene in plain_and_cached_scenes(n, sizes, 6):
+        for scene in scenes_and_successors(n, sizes, 6):
             for i in range(scene.n):
                 assert list(blockers_of(scene, i)) == oracle_blockers(scene, i)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_touching_edges_do_not_block(self, transpose):
         scene = column_scene(0.625, transpose)
-        child = scene.with_footprints().with_moved(((1, scene.current[1]),))
-        for s in (scene, scene.with_footprints(), child):
+        child = scene.with_moved(((1, scene.current[1]),))
+        for s in (scene, child):
             # object 2's goal [0, 0.125] touches object 1's footprint [0.125, 0.25]
             assert blockers_of(s, 2) == () and oracle_blockers(s, 2) == []
             assert blockers_of(s, 0) == (2,) and oracle_blockers(s, 0) == [2]
@@ -503,7 +500,7 @@ class TestSideScanMatchesObjectOracle:
     @pytest.mark.parametrize("n, sizes", [(8, (0.03, 0.07)), (14, DENSE_SIZES)])
     def test_every_blocked_target_side_and_margin(self, n, sizes):
         roots = (generate_scene(n, derive_seed("side-scan", n, k), size_range=sizes) for k in range(60))
-        outcomes = side_scan_outcomes(s for scene in roots for s in (scene, scene.with_footprints()))
+        outcomes = side_scan_outcomes(roots)
         assert all(outcomes.values()), outcomes
 
 
@@ -556,7 +553,7 @@ def placement_cases(scene: Scene, obj: int, rng: random.Random) -> list[Vec2]:
 
 
 def column_cases(transpose: bool):
-    """Column scenes, cached and a cached descendant, with poses of object 0
+    """Column scenes and a descendant of each, with poses of object 0
     touching both walls and both neighbours, and 1e-9 past each."""
 
     def v(x: float, y: float) -> Vec2:
@@ -566,8 +563,7 @@ def column_cases(transpose: bool):
     poses = [v(0.125, 0.375), v(0.125, 0.375 + 1e-9), v(0.125, 0.375 - 1e-9), v(0.125 + 1e-9, 0.375)]
     for goal_y in (0.625, 0.625 - 1e-9):
         scene = column_scene(goal_y, transpose)
-        cached = scene.with_footprints()
-        for s in (scene, cached, cached.with_moved(((1, scene.current[1]),))):
+        for s in (scene, scene.with_moved(((1, scene.current[1]),))):
             yield s, side, poses
 
 
@@ -581,7 +577,7 @@ def pre_push_cases(transpose: bool):
     each exactly, and 1e-9 into it.  The footprint is the library's own
     (from the push validated with object 2 out of the way), and each touching
     face is placed on it float for float.  ``transpose`` swaps x and y.
-    Yields (scene, side, pre_push), for each scene plain and cached.
+    Yields (scene, side, pre_push).
     """
 
     def v(x: float, y: float) -> Vec2:
@@ -605,7 +601,6 @@ def pre_push_cases(transpose: bool):
     for eps in (0.0, 1e-9):
         for s in (scene(v(0.25, behind + eps)), scene(v(0.125 + eps, 0.34)), scene(away, trailing + eps)):
             yield s, side, p0
-            yield s.with_footprints(), side, p0
 
 
 class TestPlacementMatchesOracle:
@@ -635,7 +630,7 @@ class TestPlacementMatchesOracle:
     def test_random_scenes(self, n, sizes):
         seen = {"free": [0, 0], "pre-push": [0, 0], "push": [0, 0]}
         rng = random.Random(n)
-        for scene in plain_and_cached_scenes(n, sizes, 4):
+        for scene in scenes_and_successors(n, sizes, 4):
             for obj in range(scene.n):
                 side = rng.choice(list(Side))
                 self.check(scene, obj, placement_cases(scene, obj, rng), side,
@@ -678,19 +673,27 @@ class TestPlacementMatchesOracle:
                 ), verdict
             assert refusal(simulate, scene, action) == verdict
             seen[want] += 1
-        assert seen == [6, 6], seen
+        assert seen == [3, 3], seen
 
 
-def walk_successors(n: int, sizes: tuple[float, float], walks: int, steps: int) -> list[Scene]:
+def walk_successors(
+    n: int, sizes: tuple[float, float], walks: int, steps: int, workspace: Rect = DEFAULT_WORKSPACE
+) -> list[Scene]:
     """Search successors: the scenes ``transition`` builds along seeded random
-    walks from cached roots.  Each step either applies the recommender's move
-    for a random pending object, as an expansion does, or parks a random
+    walks from generated roots.  Each step either applies the recommender's
+    move for a random pending object, as an expansion does, or parks a random
     object at a buffer pose, which can take an object off its goal again.
-    Every successor's cache is checked against ``rect_from_center``."""
+    Each walk starts from the root as the loader rebuilds it.  The cache of
+    every root, loaded root and successor is checked against
+    ``rect_from_center``."""
     cfg = PlannerConfig(max_expansions=1)
     out = []
     for k in range(walks):
-        state = generate_scene(n, derive_seed("successor-walk", n, k), size_range=sizes).with_footprints()
+        root = generate_scene(n, derive_seed("successor-walk", n, k), workspace, sizes)
+        state = scene_from_dict(scene_to_dict(root))
+        assert state == root
+        assert_cache_exact(root)
+        assert_cache_exact(state)
         rng = random.Random(derive_seed("successor-walk-rng", n, k))
         for _ in range(steps):
             if not unsatisfied_ids(state):
@@ -709,10 +712,15 @@ def walk_successors(n: int, sizes: tuple[float, float], walks: int, steps: int) 
     return out
 
 
-@pytest.fixture(scope="module", params=[(8, (0.03, 0.07)), (14, DENSE_SIZES)], ids=["8-default", "14-large"])
+@pytest.fixture(
+    scope="module",
+    params=[(8, DEFAULT_SIZE_RANGE, DEFAULT_WORKSPACE), (14, DENSE_SIZES, DEFAULT_WORKSPACE),
+            (12, DEFAULT_SIZE_RANGE, OFFSET_TABLE)],
+    ids=["8-default", "14-large", "12-offset"],
+)
 def successors(request) -> list[Scene]:
-    n, sizes = request.param
-    states = walk_successors(n, sizes, 16, 12)
+    n, sizes, workspace = request.param
+    states = walk_successors(n, sizes, 16, 12, workspace)
     assert len(states) >= 150
     return states
 

@@ -5,23 +5,25 @@ with ``Scene.with_moved``: only the objects whose pose changed are checked,
 and every other footprint is shared with the input.
 ``oracles.replace_successor`` rebuilds the successor through the
 constructor's check of every pair.  These tests hold the two to equal,
-hash-equal and repr-equal scenes with exact caches, on plain and cached
-inputs, with and without noise, along noisy executions (where the
-executor's tail replay calls ``transition``) and dense random walks.
-``Scene.with_moved`` itself is held to ``oracles.replace_moved`` and
-``oracles.placement_free`` on random move sets.  They also check that a
-physics outcome that fails the check still raises InvalidSceneError, and
-that execution reports keep one plain scene per observed state.
+hash-equal and repr-equal scenes with exact caches, on inputs whose cache
+the constructor built and on successors whose cache ``with_moved`` updated,
+with and without noise, along noisy executions (where the executor's tail
+replay calls ``transition``) and dense random walks.  ``Scene.with_moved``
+itself is held to ``oracles.replace_moved`` and ``oracles.placement_free``
+on random move sets.  They also check that a physics outcome that fails the
+check still raises InvalidSceneError, and that execution reports keep one
+scene, with an exact cache, per observed state.
 """
 
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_cache_exact, has_cache, make_swap_scene, plain_twin
+from conftest import assert_cache_exact, make_swap_scene, rebuilt
 from oracles import placement_free, replace_moved, replace_successor
 from pushplan.bench import generate_scene
 from pushplan.executor import execute
@@ -33,7 +35,6 @@ from pushplan.scene import (
     InvalidSceneError,
     PushPlace,
     Scene,
-    _unchecked,
     apply_action,
     transition,
     unsatisfied_ids,
@@ -56,34 +57,34 @@ def assert_same(got: Scene, ref: Scene) -> None:
 
 
 def check_apply(scene: Scene, action) -> Scene:
-    """``apply_action`` on the plain and the cached form of ``scene`` against the oracle.
+    """``apply_action`` on ``scene`` and on its ``rebuilt`` twin against the oracle.
 
     Returns the oracle's successor.
     """
-    plain = plain_twin(scene)
-    ref = replace_successor(plain, action)
-    for s in (plain, scene.with_footprints()):
+    twin = rebuilt(scene)
+    ref = replace_successor(twin, action)
+    for s in (twin, scene):
         assert_same(apply_action(s, action), ref)
     return ref
 
 
 def check_simulate(scene: Scene, action, noise: NoiseConfig, rng_state) -> Scene:
-    """``simulate`` on both forms of ``scene`` with the same draws.
+    """``simulate`` on ``scene`` and on its ``rebuilt`` twin with the same draws.
 
     Both give the same events and the scene the constructor builds from the
     outcome's poses.  Those poses are the oracle's to float noise, each moved
     at most one noise half-width along either axis.  Returns the outcome of
-    the cached form.
+    ``scene`` itself.
     """
-    plain = plain_twin(scene)
+    twin = rebuilt(scene)
     results = []
-    for s in (plain, scene.with_footprints()):
+    for s in (twin, scene):
         rng = random.Random()
         rng.setstate(rng_state)
         results.append(simulate(s, action, noise, rng))
-    ref = replace(plain, current=results[0][0].current)
+    ref = replace(twin, current=results[0][0].current)
     reach = max(noise.depth_sigma, noise.lateral_sigma) if noise.enabled else 0.0
-    for p, q in zip(ref.current, replace_successor(plain, action).current, strict=True):
+    for p, q in zip(ref.current, replace_successor(twin, action).current, strict=True):
         assert abs(p.x - q.x) <= reach + TOL and abs(p.y - q.y) <= reach + TOL
     for out, events in results:
         assert_same(out, ref)
@@ -96,8 +97,6 @@ class TestSuccessorsMatchTheOracle:
         seen = {"simulate": set(), "transition": set()}
 
         def checked_simulate(scene, action, noise, rng):
-            # The executor hands its cached working scene to the physics.
-            assert scene._unsatisfied is not None
             state = rng.getstate()
             out, events = simulate(scene, action, noise, rng)
             assert check_simulate(scene, action, noise, state) == out
@@ -106,7 +105,6 @@ class TestSuccessorsMatchTheOracle:
 
         def checked_transition(scene, move):
             # Each successor of a re-derived tail is the oracle's.
-            assert scene._unsatisfied is not None
             action, out = transition(scene, move)
             assert_same(out, check_apply(scene, action))
             seen["transition"].add(type(action).__name__)
@@ -124,8 +122,8 @@ class TestSuccessorsMatchTheOracle:
 
     @pytest.mark.parametrize("noise", [NO_NOISE, NOISE], ids=["exact", "noisy"])
     def test_every_step_of_dense_random_walks(self, noise):
-        # Each walk follows the cached outcomes of the physics, so successors
-        # of successors are covered; every step also starts once from a plain scene.
+        # Each walk follows the outcomes of the physics, so successors of
+        # successors are covered; every step also starts once from a rebuilt scene.
         cfg = PlannerConfig(max_expansions=1)
         kinds = {"PickPlace": 0, "PushPlace": 0}
         for k in range(14):
@@ -149,10 +147,10 @@ class TestSuccessorsMatchTheOracle:
 
 @st.composite
 def parents_and_moves(draw):
-    """A valid scene, plain or cached, and moves of distinct objects.
+    """A valid scene and moves of distinct objects.
 
-    A cached parent is either fresh from ``with_footprints`` or the
-    successor of up to three accepted moves to goals, so its unsatisfied
+    The parent is either generated, so the constructor built its cache, or
+    the successor of up to three accepted moves to goals, so its unsatisfied
     ids are the ones ``with_moved`` itself left, and some moves take an
     object off its goal.  Each move goes to the object's goal, a small
     nudge off its pose, another object's pose, or anywhere in a box a
@@ -161,10 +159,7 @@ def parents_and_moves(draw):
     n = draw(st.integers(2, 10))
     sizes = draw(st.sampled_from([(0.03, 0.07), DENSE_SIZES]))
     scene = generate_scene(n, draw(st.integers(0, 2**32 - 1)), size_range=sizes)
-    kind = draw(st.sampled_from(["plain", "cached", "successor"]))
-    if kind != "plain":
-        scene = scene.with_footprints()
-    if kind == "successor":
+    if draw(st.booleans()):
         left = draw(st.integers(1, 3))
         for i in draw(st.permutations(range(n))):
             try:
@@ -199,21 +194,21 @@ class TestWithMoved:
         for i, pose in moves:
             poses[i] = pose
         # The moved arrangement, unchecked, for the reference placement rule.
-        after = _unchecked(parent.workspace, parent.objects, tuple(poses), parent.goal, parent.tolerance)
+        after = SimpleNamespace(workspace=parent.workspace, objects=parent.objects, current=tuple(poses),
+                                n=parent.n)
         free = all(placement_free(after, i, pose) for i, pose in moves)
         try:
             out = parent.with_moved(moves)
         except InfeasibleActionError:
             assert not free
             with pytest.raises(InvalidSceneError):
-                replace_moved(plain_twin(parent), moves)
+                replace_moved(parent, moves)
             return
         assert free
-        assert_same(out, replace_moved(plain_twin(parent), moves))
-        if parent._footprints is not None:
-            moved = {i for i, _ in moves}
-            assert all(out._footprints[j] is parent._footprints[j] for j in range(parent.n) if j not in moved)
-            assert out._goal_footprints is parent._goal_footprints
+        assert_same(out, replace_moved(parent, moves))
+        moved = {i for i, _ in moves}
+        assert all(out._footprints[j] is parent._footprints[j] for j in range(parent.n) if j not in moved)
+        assert out._goal_footprints is parent._goal_footprints
 
 
 def _stuck_blocker(monkeypatch) -> tuple[Scene, PushPlace]:
@@ -229,9 +224,8 @@ class TestInvalidOutcome:
     def test_unresolved_overlap_raises_invalid_scene(self, monkeypatch):
         scene, action = _stuck_blocker(monkeypatch)
         validate_action(scene, action)  # admitted: the fault is the physics'
-        for s in (scene, scene.with_footprints()):
-            with pytest.raises(InvalidSceneError, match="object 0 overlaps object 1"):
-                simulate(s, action)
+        with pytest.raises(InvalidSceneError, match="object 0 overlaps object 1"):
+            simulate(scene, action)
 
     def test_execute_lets_it_propagate(self, monkeypatch):
         scene, action = _stuck_blocker(monkeypatch)
@@ -241,7 +235,7 @@ class TestInvalidOutcome:
 
 
 class TestReportScenes:
-    def test_one_plain_scene_per_observed_state(self):
+    def test_one_scene_per_observed_state(self):
         for k in range(6):
             scene = generate_scene(8, derive_seed("report-scenes", k))
             report = execute(scene, PlannerConfig(max_expansions=1500), NOISE, rng=random.Random(k))
@@ -250,12 +244,5 @@ class TestReportScenes:
             for a, b in zip(report.steps, report.steps[1:]):
                 assert a.post_scene is b.pre_scene
             assert report.final_scene is report.steps[-1].post_scene
-            assert not any(has_cache(s.post_scene) for s in report.steps)
-
-    def test_cached_input_is_reported_plain(self):
-        scene = generate_scene(6, derive_seed("report-scenes", "cached"))
-        cached = scene.with_footprints()
-        report = execute(cached, PlannerConfig(max_expansions=1500), NOISE, rng=random.Random(1))
-        first = report.steps[0].pre_scene
-        assert first == cached and not has_cache(first)
-        assert first.current is cached.current and first.objects is cached.objects
+            for step in report.steps:
+                assert_cache_exact(step.post_scene)

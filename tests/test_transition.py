@@ -3,20 +3,22 @@
 ``scene.transition`` trusts a fresh recommendation and checks only the
 objects it moves; ``apply_action`` validates the action first.  These
 tests hold the two to the same scenes, hold the cached unsatisfied ids to a
-plain recount, keep constructor, loader and report scenes plain, and keep
-the cache invisible to equality, hashing, repr and pickling.  Plan costs,
-made once from the solution path, are tested in ``test_planner.py``.
+recount, hold the cache of the scene from every entry point to the
+footprints and ids it stands for, and keep the cache invisible to equality,
+hashing and repr.  Plan costs, made once from the solution path, are tested
+in ``test_planner.py``.
 """
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import assert_cache_exact, has_cache, make_swap_scene, plain_twin, take_proposals
-from pushplan.bench import generate_scene
+from conftest import OFFSET_TABLE, assert_cache_exact, make_swap_scene, take_proposals
+from pushplan.bench import DEFAULT_SIZE_RANGE, DEFAULT_WORKSPACE, generate_scene
 from pushplan.executor import execute
-from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
+from pushplan.geometry import HalfDims, Rect, Vec2
 from pushplan.io import scene_from_dict, scene_to_dict
 from pushplan.planner import PlannerConfig, plan, recommend_action
 from pushplan.primitives import PushProposal, select_push
@@ -62,7 +64,7 @@ class TestEquivalence:
     def test_every_mined_proposal(self):
         cases = 0
         for scene, prop in take_proposals("transition", 400):
-            check_step(scene.with_footprints(), prop)
+            check_step(scene, prop)
             cases += 1
         assert cases == 400
 
@@ -77,7 +79,7 @@ class TestEquivalence:
         for k in range(12):
             scene = generate_scene(n, derive_seed("transition-walk", n, k), size_range=sizes)
             rng = random.Random(k)
-            state = scene.with_footprints()
+            state = scene
             assert_cache_exact(state)
             for _ in range(6):
                 steps = []
@@ -96,7 +98,7 @@ class TestEquivalence:
         assert all(count > 0 for count in kinds.values()), kinds
 
     def test_children_share_unmoved_footprints(self):
-        scene = make_swap_scene().with_footprints()
+        scene = make_swap_scene()
         child = scene.with_moved(((0, Vec2(0.2, 0.2)),))
         assert child._footprints[1] is scene._footprints[1]
         assert child._goal_footprints is scene._goal_footprints
@@ -110,7 +112,7 @@ class TestUnsatisfiedCache:
         objs = tuple(ObjectSpec(i, HalfDims(0.05, 0.05)) for i in range(3))
         current = (Vec2(0.2, 0.2), Vec2(0.5, 0.2), Vec2(0.8, 0.2))
         goal = (Vec2(0.2, 0.8), Vec2(0.5, 0.8), Vec2(0.8, 0.8))
-        root = Scene(Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)), objs, current, goal).with_footprints()
+        root = Scene(Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)), objs, current, goal)
         assert root._unsatisfied == (0, 1, 2)
         one = root.with_moved(((1, goal[1]),))
         assert one._unsatisfied == (0, 2)
@@ -127,21 +129,21 @@ class TestUnsatisfiedCache:
 
 class TestIncrementalCheck:
     def test_move_off_the_table_raises(self):
-        scene = make_swap_scene().with_footprints()
+        scene = make_swap_scene()
         with pytest.raises(InfeasibleActionError, match="object 0 leaves the workspace"):
             scene.with_moved(((0, Vec2(0.02, 0.5)),))
         with pytest.raises(InfeasibleActionError, match="leaves the workspace"):
             transition(scene, PickPlace(1, Vec2(0.5, 0.99)))
 
     def test_move_onto_another_object_raises(self):
-        scene = make_swap_scene().with_footprints()
+        scene = make_swap_scene()
         with pytest.raises(InfeasibleActionError, match="object 0 overlaps object 1"):
             scene.with_moved(((0, Vec2(0.6, 0.52)),))
         with pytest.raises(InfeasibleActionError, match="overlaps"):
             transition(scene, PickPlace(1, Vec2(0.4, 0.5)))
 
     def test_moved_objects_checked_against_each_other(self):
-        scene = make_swap_scene().with_footprints()
+        scene = make_swap_scene()
         with pytest.raises(InfeasibleActionError, match="overlaps"):
             scene.with_moved(((0, Vec2(0.2, 0.2)), (1, Vec2(0.25, 0.2))))
 
@@ -150,81 +152,93 @@ class TestIncrementalCheck:
         poses = (Vec2(0.25, 0.25), Vec2(0.75, 0.75))
         scene = Scene(Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)), objs, poses, poses)
         touching = (Vec2(0.5, 0.75), Vec2(0.75, 0.75))  # face contact at x = 0.625
-        child = scene.with_footprints().with_moved(((0, touching[0]),))
+        child = scene.with_moved(((0, touching[0]),))
         assert child == Scene(scene.workspace, objs, touching, poses)
 
 
 class TestCacheScope:
-    def test_public_entry_points_return_plain_scenes(self):
-        # Constructor and loader scenes are plain; successors carry exact caches.
+    def test_public_entry_points_carry_exact_caches(self):
+        # Constructor, loader, pickle, replace and successor scenes all carry exact caches.
         scene = make_swap_scene()
-        cached = scene.with_footprints()
         push = select_push(scene, 0).as_action()
-        assert not has_cache(scene)
-        assert not has_cache(scene_from_dict(scene_to_dict(cached)))
-        assert cached._unsatisfied == (0, 1)
-        for successor in (
-            apply_action(cached, push),
-            apply_action(scene, push),
-            simulate(cached, push)[0],
+        child = apply_action(scene, push)
+        noise = NoiseConfig(enabled=True)
+        entries = [
+            scene,
+            scene_from_dict(scene_to_dict(scene)),
+            pickle.loads(pickle.dumps(scene)),
+            pickle.loads(pickle.dumps(child)),
+            replace(scene),
+            replace(scene, current=scene.goal),
+            child,
             simulate(scene, push)[0],
-            simulate(cached, push, NoiseConfig(enabled=True), random.Random(3))[0],
-        ):
-            assert_cache_exact(successor)
+            simulate(scene, push, noise, random.Random(3))[0],
+        ]
+        for s in entries:
+            assert_cache_exact(s)
+        assert scene._unsatisfied == (0, 1) and entries[5]._unsatisfied == ()
 
-    def test_execution_reports_hold_plain_scenes(self):
+    def test_execution_reports_hold_cached_scenes(self):
         scene = generate_scene(6, derive_seed("cache-scope", "exec"))
         report = execute(scene, PlannerConfig(max_expansions=300), NoiseConfig(enabled=True),
                          rng=random.Random(1))
         assert report.steps
         for step in report.steps:
-            assert not has_cache(step.pre_scene) and not has_cache(step.post_scene)
-        assert not has_cache(report.final_scene)
+            assert_cache_exact(step.pre_scene)
+            assert_cache_exact(step.post_scene)
+        assert_cache_exact(report.final_scene)
 
     def test_cached_scene_is_indistinguishable(self):
+        # A cache ``with_moved`` built and one the constructor built: equal scenes.
         for k in range(20):
-            plain = generate_scene(3 + k % 10, derive_seed("cache-scope", k))
-            cached = plain.with_footprints()
-            assert cached._unsatisfied is not None
-            assert cached == plain and plain == cached
-            assert hash(cached) == hash(plain)
-            assert repr(cached) == repr(plain)
-            assert len({plain, cached}) == 1
+            built = generate_scene(3 + k % 10, derive_seed("cache-scope", k))
+            moved = built.with_moved(((0, built.current[0]),))
+            assert moved._footprints is not built._footprints
+            assert moved == built and built == moved
+            assert hash(moved) == hash(built)
+            assert repr(moved) == repr(built)
+            assert len({built, moved}) == 1
 
     def test_unsatisfied_field_takes_no_part_in_identity(self):
-        plain = generate_scene(6, derive_seed("cache-scope", "identity"))
-        cached = plain.with_footprints()
-        other = plain.with_footprints()
+        scene = generate_scene(6, derive_seed("cache-scope", "identity"))
+        other = replace(scene)
         object.__setattr__(other, "_unsatisfied", ())
-        for s in (cached, other):
-            assert s == plain and hash(s) == hash(plain) and repr(s) == repr(plain)
-            assert "_unsatisfied" not in repr(s)
+        assert other == scene and hash(other) == hash(scene) and repr(other) == repr(scene)
+        assert "_unsatisfied" not in repr(other)
 
     def test_cached_child_equals_validated_child(self):
         for scene, prop in take_proposals("cache-child", 50):
-            _, child = transition(scene.with_footprints(), prop)
+            _, child = transition(scene, prop)
             ref = apply_action(scene, prop.as_action())
             assert child == ref and hash(child) == hash(ref) and repr(child) == repr(ref)
 
     def test_pickle_round_trip(self):
         scene, prop = take_proposals("cache-pickle", 1)[0]
-        _, child = transition(scene.with_footprints(), prop)
-        for s in (scene.with_footprints(), child):
+        _, child = transition(scene, prop)
+        for s in (scene, child):
             back = pickle.loads(pickle.dumps(s))
             assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
-            assert back._unsatisfied == s._unsatisfied == tuple(unsatisfied_ids(plain_twin(s)))
-            for i in range(back.n):
-                assert back.bounds()[i] == rect_from_center(back.current[i], back.objects[i].half).bounds
+            assert back._unsatisfied == s._unsatisfied
+            assert_cache_exact(back)
 
 
 class TestSearchNeverRaises:
-    # (object count, size range, scenes): dense N = 14 as in sweep-dense, the
-    # default N = 8 grid cell, and crowded N = 10 scenes.
-    CORPUS = ((14, DENSE_SIZES, 40), (8, (0.03, 0.07), 60), (10, (0.05, 0.099), 30))
+    # (object count, size range, scenes, table): dense N = 14 as in
+    # sweep-dense, the default N = 8 grid cell, crowded N = 10 scenes, and
+    # N = 12 on an offset, non-square table.
+    CORPUS = (
+        (14, DENSE_SIZES, 40, DEFAULT_WORKSPACE),
+        (8, DEFAULT_SIZE_RANGE, 60, DEFAULT_WORKSPACE),
+        (10, (0.05, 0.099), 30, DEFAULT_WORKSPACE),
+        (12, DEFAULT_SIZE_RANGE, 30, OFFSET_TABLE),
+    )
 
     def test_no_recommended_move_is_infeasible(self, monkeypatch):
-        """``tree_search_step`` counts an InfeasibleActionError from ``transition``
-        as a wasted expansion; over this corpus that handler never runs."""
+        """``tree_search_step`` has no handler for an InfeasibleActionError
+        from ``transition``: one would end the search.  Over this corpus none
+        is raised.  The search reads the cache the constructor or the loader
+        built for its start scene, so each start scene's cache is checked
+        first."""
         calls, raised = 0, []
 
         def counted(scene, rec):
@@ -237,12 +251,14 @@ class TestSearchNeverRaises:
                 raise
 
         monkeypatch.setattr(planner_mod, "transition", counted)
-        for n, size_range, count in self.CORPUS:
+        for n, size_range, count, workspace in self.CORPUS:
             for k in range(count):
                 seed = derive_seed("search-never-raises", n, k)
-                scene = generate_scene(n, seed, size_range=size_range)
-                for push in (False, True):
+                scene = generate_scene(n, seed, workspace, size_range)
+                loaded = scene_from_dict(scene_to_dict(scene))
+                for push, start in ((False, scene), (True, loaded)):
+                    assert_cache_exact(start)
                     case = f"N={n} scene seed {seed} push={push}"
-                    plan(scene, PlannerConfig(max_expansions=1500, push_enabled=push, seed=seed))
+                    plan(start, PlannerConfig(max_expansions=1500, push_enabled=push, seed=seed))
         assert calls > 10_000
         assert raised == []
