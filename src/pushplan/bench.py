@@ -105,16 +105,16 @@ def generate_scene(
         )
     rng = random.Random(seed)
     objects = tuple(
-        ObjectSpec(i, HalfDims(rng.uniform(lo, hi), rng.uniform(lo, hi))) for i in range(n)
+        ObjectSpec(HalfDims(rng.uniform(lo, hi), rng.uniform(lo, hi))) for _ in range(n)
     )
     # Per object: its half extents and the ranges its center is drawn from.
     w = workspace
     ranges = []
-    for spec in objects:
+    for i, spec in enumerate(objects):
         a, b = spec.half.a, spec.half.b
         xlo, xhi, ylo, yhi = w.lo.x + a, w.hi.x - a, w.lo.y + b, w.hi.y - b
         if xlo > xhi or ylo > yhi:
-            raise BenchError(f"object {spec.id} with half extents ({a}, {b}) does not fit the workspace")
+            raise BenchError(f"object {i} with half extents ({a}, {b}) does not fit the workspace")
         ranges.append((a, b, xlo, xhi, ylo, yhi))
 
     def sample_arrangement(label: str) -> tuple[Vec2, ...]:

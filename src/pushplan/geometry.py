@@ -91,10 +91,9 @@ class Side(Enum):
 
     The value doubles as the serialized form.  ``unit`` is the direction the
     pusher (and anything it shoves) moves: LEFT travels in -x, RIGHT in +x,
-    UP in +y, DOWN in -y.  ``horizontal`` is True for LEFT and RIGHT, and
-    ``opposite`` is the side pushing the other way.  All three are plain
-    attributes of each member, set once below: the search reads them on
-    every push it scans.
+    UP in +y, DOWN in -y.  ``horizontal`` is True for LEFT and RIGHT.  Both
+    are plain attributes of each member, set once below: the search reads
+    them on every push it scans.
     """
 
     LEFT = "left"
@@ -104,19 +103,17 @@ class Side(Enum):
 
     unit: Vec2
     horizontal: bool
-    opposite: "Side"
 
 
-for _side, _unit, _opposite in (
-    (Side.LEFT, Vec2(-1.0, 0.0), Side.RIGHT),
-    (Side.RIGHT, Vec2(1.0, 0.0), Side.LEFT),
-    (Side.UP, Vec2(0.0, 1.0), Side.DOWN),
-    (Side.DOWN, Vec2(0.0, -1.0), Side.UP),
+for _side, _unit in (
+    (Side.LEFT, Vec2(-1.0, 0.0)),
+    (Side.RIGHT, Vec2(1.0, 0.0)),
+    (Side.UP, Vec2(0.0, 1.0)),
+    (Side.DOWN, Vec2(0.0, -1.0)),
 ):
     _side.unit = _unit
     _side.horizontal = _unit.y == 0.0
-    _side.opposite = _opposite
-del _side, _unit, _opposite
+del _side, _unit
 
 
 def rect_from_center(center: Vec2, half: HalfDims) -> Rect:
@@ -157,8 +154,9 @@ def perp_coord(p: Vec2, side: Side) -> float:
 def bounds_extent(b: Bounds, side: Side) -> tuple[float, float]:
     """Projection (near, far) of footprint ``b`` onto the travel axis of ``side``.
 
-    Oriented so that far > near in the direction of travel; hence
-    ``bounds_extent(b, s)[1] == -bounds_extent(b, s.opposite)[0]``.
+    Oriented so that far > near in the direction of travel; hence the far
+    end along one side is minus the near end along the side pushing the
+    other way.
     """
     u = side.unit
     c1 = b[0] * u.x + b[1] * u.y

@@ -240,7 +240,7 @@ def scene_from_dict(doc: Any) -> Scene:
     try:
         return Scene(
             Rect(Vec2(x0, y0), Vec2(x1, y1)),
-            tuple(ObjectSpec(i, half, color) for i, (half, color) in enumerate(specs)),
+            tuple(ObjectSpec(half, color) for half, color in specs),
             tuple(_list(_need(doc, "start", where), "start", _pose)),
             tuple(_list(_need(doc, "goal", where), "goal", _pose)),
             _positive(doc.get("epsilon", DEFAULT_TOLERANCE), "epsilon"),

@@ -94,7 +94,7 @@ class SearchNode:
 
 def sample_unsatisfied_object(scene: Scene, rng: random.Random) -> int:
     """Uniformly pick an object not yet at its goal."""
-    ids = scene._unsatisfied
+    ids = scene.unsatisfied
     if not ids:
         raise ValueError("all objects are satisfied; nothing to sample")
     return ids[rng.randrange(len(ids))]
@@ -196,24 +196,23 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
     Returns the first complete plan found within the budget, or None.  With
     an expansion budget the result is a pure function of (scene, cfg).
 
-    Every scene caches its unsatisfied ids, so "solved", for the start scene
-    and for each new leaf, is a read of those ids, not a distance test per
-    object.  The expansion budget runs a plain ``for`` loop; the wall-clock
+    "Solved", for the start scene and for each new leaf, is an empty
+    ``Scene.unsatisfied``, not a distance test per object.  The expansion budget runs a plain ``for`` loop; the wall-clock
     budget reads the clock before each expansion.
     """
     root = SearchNode(scene, None)
-    if not root.state._unsatisfied:
+    if not root.state.unsatisfied:
         return Plan((), ())
     rng = random.Random(cfg.seed)
     if cfg.max_expansions is not None:
         for _ in range(cfg.max_expansions):
             path = tree_search_step(root, cfg, rng)
-            if path is not None and not path[-1].state._unsatisfied:
+            if path is not None and not path[-1].state.unsatisfied:
                 return _extract_plan(path)
         return None
     deadline = time.monotonic() + cfg.time_budget_s
     while time.monotonic() < deadline:
         path = tree_search_step(root, cfg, rng)
-        if path is not None and not path[-1].state._unsatisfied:
+        if path is not None and not path[-1].state.unsatisfied:
             return _extract_plan(path)
     return None

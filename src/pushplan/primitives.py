@@ -19,8 +19,8 @@ for its |B| blockers among n objects: one corridor scan per blocker, plus
 the approach scan.
 
 Every scan here, buffer sampling included, reads footprints as ``Bounds``
-(plain floats lo.x, lo.y, hi.x, hi.y) from ``Scene.bounds`` and
-``Scene.goal_bounds``, and tests overlap inline on them, with the
+(plain floats lo.x, lo.y, hi.x, hi.y) from ``Scene.footprints`` and
+``Scene.goal_footprints``, and tests overlap inline on them, with the
 comparisons ``geometry.overlaps`` makes.  No ``Rect`` or ``Vec2`` is built
 per object scanned.
 """
@@ -45,7 +45,6 @@ from .scene import (
     Scene,
     blockers_of,
     placement_conflict,
-    unsatisfied_ids,
 )
 
 # The push geometry is fixed, not configured, so a plan replays as it was planned.
@@ -117,7 +116,7 @@ def corridor_clear(
     blockers are *not* excluded: a blocker in another's path is exactly the
     contact chain this check exists to reject.
     """
-    rects = scene.bounds()
+    rects = scene.footprints
     return _first_overlap(rects, rects[blocker], end, blocker, exclude) is None
 
 
@@ -145,13 +144,13 @@ def _evaluate_side(
     ``edge_margin`` from the table edges; return (proposal, "") or (None, reason)."""
     if stats is not None:
         stats.sides_evaluated += 1
-    rects = scene.bounds()
+    rects = scene.footprints
     current, objects = scene.current, scene.objects
     u = side.unit
     ux, uy = u.x, u.y
     goal_pose = scene.goal[target]
-    # ``bounds_extent(goal_bounds()[target], side)[1]``, inlined.
-    glx, gly, ghx, ghy = scene.goal_bounds()[target]
+    # ``bounds_extent(goal_footprints[target], side)[1]``, inlined.
+    glx, gly, ghx, ghy = scene.goal_footprints[target]
     c1 = glx * ux + gly * uy
     c2 = ghx * ux + ghy * uy
     goal_far = c2 if c1 <= c2 else c1
@@ -308,8 +307,8 @@ def sample_buffer_pose(scene: Scene, obj: int, rng: random.Random) -> Optional[V
         return None
     # A pose is rejected when its footprint's interior meets an obstacle,
     # exactly as ``overlaps`` decides.
-    current, goals = scene.bounds(), scene.goal_bounds()
-    obstacles = [*current[:obj], *current[obj + 1 :], *(goals[j] for j in unsatisfied_ids(scene))]
+    current, goals = scene.footprints, scene.goal_footprints
+    obstacles = [*current[:obj], *current[obj + 1 :], *(goals[j] for j in scene.unsatisfied)]
     # ``rng.uniform(xlo, xhi)``, written out as ``random.Random.uniform``
     # computes it: ``xlo + (xhi - xlo) * rng.random()``.
     draw = rng.random

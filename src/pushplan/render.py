@@ -87,12 +87,12 @@ def render_scene(
     ]
     colors = [_escape(object_color(scene, i)).replace('"', "&quot;") for i in range(scene.n)]
     if style.show_goals:
-        for i, goal in enumerate(scene.goal_bounds()):
+        for i, goal in enumerate(scene.goal_footprints):
             parts.append(
                 f'<rect {rect_attrs(goal)} fill="none" stroke="{colors[i]}" '
                 f'stroke-width="1" stroke-dasharray="4 3"/>'
             )
-    for i, foot in enumerate(scene.bounds()):
+    for i, foot in enumerate(scene.footprints):
         parts.append(
             f'<rect {rect_attrs(foot)} fill="{colors[i]}" fill-opacity="0.85" '
             f'stroke="#000000" stroke-width="1"/>'

@@ -42,9 +42,8 @@ class InfeasibleActionError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class ObjectSpec:
-    """Identity and fixed shape of one object."""
+    """Fixed shape of one object; its id is its index in ``Scene.objects``."""
 
-    id: int
     half: HalfDims
     color: Optional[str] = None
 
@@ -80,19 +79,19 @@ Action = PickPlace | PushPlace
 class Scene:
     """Workspace, object shapes, current poses, and goal poses.
 
-    Construction validates the invariants every scene must satisfy: dense ids,
-    matching lengths, all footprints inside the workspace, and no two current
-    (or two goal) footprints overlapping.  Touching footprints are legal.
+    An object's id is its index in ``objects``, ``current`` and ``goal``.
+    Construction validates the invariants every scene must satisfy: matching
+    lengths, all footprints inside the workspace, and no two current (or two
+    goal) footprints overlapping.  Touching footprints are legal.
 
-    Every scene carries its current and goal footprints and the ascending ids
-    of the objects not at their goals: construction stores the footprints it
-    validates, and ``with_moved`` (so ``apply_action``, ``simulate`` and the
-    planner's search tree) updates them for the moved objects only.  The
-    cache takes no part in equality, hashing or repr, and pickling keeps it.
-
-    The footprints are cached as ``Bounds``, plain float tuples
-    (lo.x, lo.y, hi.x, hi.y) computed as ``rect_from_center`` computes its
-    corners.  Every reader takes them from ``bounds`` and ``goal_bounds``.
+    Three read-only attributes cache what the scans read: ``footprints`` and
+    ``goal_footprints`` (each object's ``Bounds``, indexed by id, computed as
+    ``rect_from_center`` computes its corners) and ``unsatisfied`` (the
+    ascending ids of the objects not at their goals).  Construction stores
+    the footprints it validates; ``with_moved`` (so ``apply_action``,
+    ``simulate`` and the search tree) updates the cache for the moved objects
+    only.  The cache takes no part in equality, hashing or repr, and pickling
+    keeps it.
     """
 
     workspace: Rect
@@ -100,9 +99,9 @@ class Scene:
     current: Arrangement
     goal: Arrangement
     tolerance: float = DEFAULT_TOLERANCE
-    _footprints: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
-    _goal_footprints: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
-    _unsatisfied: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    footprints: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
+    goal_footprints: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
+    unsatisfied: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.objects)
@@ -113,9 +112,6 @@ class Scene:
             )
         if not self.tolerance > 0.0:
             raise InvalidSceneError(f"tolerance must be positive, got {self.tolerance}")
-        for i, spec in enumerate(self.objects):
-            if spec.id != i:
-                raise InvalidSceneError(f"object ids must be dense 0..n-1; index {i} has id {spec.id}")
         w = self.workspace.bounds
         footprints = tuple([bounds_from_center(p, spec.half) for p, spec in zip(self.current, self.objects)])
         goal_footprints = tuple([bounds_from_center(p, spec.half) for p, spec in zip(self.goal, self.objects)])
@@ -138,14 +134,6 @@ class Scene:
     def n(self) -> int:
         return len(self.objects)
 
-    def bounds(self) -> Sequence[Bounds]:
-        """Every current footprint as ``Bounds``, indexed by object id."""
-        return self._footprints
-
-    def goal_bounds(self) -> Sequence[Bounds]:
-        """Every goal footprint as ``Bounds``, indexed by object id."""
-        return self._goal_footprints
-
     def with_moved(self, moves: Sequence[tuple[int, Vec2]]) -> "Scene":
         """This scene with each ``(object, pose)`` of ``moves`` relocated.
 
@@ -157,10 +145,10 @@ class Scene:
         InfeasibleActionError otherwise.
 
         Only the moved objects are tested against their goals, and each is
-        inserted into or removed from this scene's ascending unsatisfied ids.
+        inserted into or removed from this scene's ``unsatisfied``.
         """
         poses = list(self.current)
-        rects = list(self._footprints)
+        rects = list(self.footprints)
         objects = self.objects
         for i, pose in moves:
             poses[i] = pose
@@ -178,12 +166,12 @@ class Scene:
         _SET_GOAL(out, self.goal)
         _SET_TOLERANCE(out, self.tolerance)
         _SET_FOOTPRINTS(out, tuple(rects))
-        _SET_GOAL_FOOTPRINTS(out, self._goal_footprints)
+        _SET_GOAL_FOOTPRINTS(out, self.goal_footprints)
         for i, _ in moves:
             why = placement_conflict(out, i, rects[i])
             if why:
                 raise InfeasibleActionError(f"moved object {i} {why}")
-        pending = list(self._unsatisfied)
+        pending = list(self.unsatisfied)
         for i, _ in moves:
             k = bisect_left(pending, i)
             listed = k < len(pending) and pending[k] == i
@@ -204,9 +192,9 @@ _SET_OBJECTS = Scene.objects.__set__
 _SET_CURRENT = Scene.current.__set__
 _SET_GOAL = Scene.goal.__set__
 _SET_TOLERANCE = Scene.tolerance.__set__
-_SET_FOOTPRINTS = Scene._footprints.__set__
-_SET_GOAL_FOOTPRINTS = Scene._goal_footprints.__set__
-_SET_UNSATISFIED = Scene._unsatisfied.__set__
+_SET_FOOTPRINTS = Scene.footprints.__set__
+_SET_GOAL_FOOTPRINTS = Scene.goal_footprints.__set__
+_SET_UNSATISFIED = Scene.unsatisfied.__set__
 
 
 def is_at_goal(scene: Scene, i: int) -> bool:
@@ -216,21 +204,16 @@ def is_at_goal(scene: Scene, i: int) -> bool:
 
 
 def satisfied_count(scene: Scene) -> int:
-    return scene.n - len(scene._unsatisfied)
-
-
-def unsatisfied_ids(scene: Scene) -> list[int]:
-    """Ascending ids of the objects not at their goals."""
-    return list(scene._unsatisfied)
+    return scene.n - len(scene.unsatisfied)
 
 
 def blockers_of(scene: Scene, target: int) -> tuple[int, ...]:
     """Ascending ids of objects whose current footprint overlaps ``target``'s goal footprint."""
-    glx, gly, ghx, ghy = scene.goal_bounds()[target]
-    # ``overlaps(bounds()[j], goal_bounds()[target])``, inlined.
+    glx, gly, ghx, ghy = scene.goal_footprints[target]
+    # ``overlaps(footprints[j], goal_footprints[target])``, inlined.
     return tuple([
         j
-        for j, (lx, ly, hx, hy) in enumerate(scene.bounds())
+        for j, (lx, ly, hx, hy) in enumerate(scene.footprints)
         if lx < ghx and glx < hx and ly < ghy and gly < hy and j != target
     ])
 
@@ -249,7 +232,7 @@ def placement_conflict(scene: Scene, obj: int, b: Bounds) -> Optional[str]:
     # runs for every moved object.
     if not (w.lo.x <= lx and w.lo.y <= ly and hx <= w.hi.x and hy <= w.hi.y):
         return "leaves the workspace"
-    for j, (olx, oly, ohx, ohy) in enumerate(scene._footprints):
+    for j, (olx, oly, ohx, ohy) in enumerate(scene.footprints):
         if lx < ohx and olx < hx and ly < ohy and oly < hy and j != obj:
             return f"overlaps object {j}"
     return None

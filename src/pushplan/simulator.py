@@ -75,7 +75,7 @@ def _lat_interval(b: Bounds, side: Side) -> tuple[float, float]:
 def _bounds_at(scene: Scene, poses: list[Vec2], k: int) -> Bounds:
     """Footprint bounds of object ``k`` at ``poses[k]``: the scene's own while it is unmoved."""
     if poses[k] is scene.current[k]:
-        return scene.bounds()[k]
+        return scene.footprints[k]
     return bounds_from_center(poses[k], scene.objects[k].half)
 
 
@@ -122,7 +122,7 @@ def push_forward(
     poses[target] = end
     events: list[SimEvent] = []
 
-    rects = scene.bounds()
+    rects = scene.footprints
     order = sorted(
         (j for j in range(scene.n) if j != target),
         key=lambda j: (bounds_extent(rects[j], side)[0], j),
@@ -163,11 +163,20 @@ def _clamp_box(scene: Scene) -> Rect:
     )
 
 
-def _clamp_pose(scene: Scene, obj: int, pose: Vec2, box: Rect) -> tuple[Vec2, bool]:
-    """Clamp the footprint of ``obj`` at ``pose`` into ``box``; flag if moved."""
+def _clamp(c: float, base: float, lo: float, hi: float) -> float:
+    return min(max(c, lo), hi) if lo <= hi else base
+
+
+def _clamp_pose(scene: Scene, obj: int, base: Vec2, pose: Vec2, box: Rect) -> tuple[Vec2, bool]:
+    """Clamp the footprint of ``obj`` at ``pose``, a drift from ``base``, into
+    ``box``; flag if moved.
+
+    Along an axis where the footprint is wider than ``box`` there is no room
+    to drift, so the object keeps ``base``'s coordinate there.
+    """
     half = scene.objects[obj].half
-    x = min(max(pose.x, box.lo.x + half.a), box.hi.x - half.a)
-    y = min(max(pose.y, box.lo.y + half.b), box.hi.y - half.b)
+    x = _clamp(pose.x, base.x, box.lo.x + half.a, box.hi.x - half.a)
+    y = _clamp(pose.y, base.y, box.lo.y + half.b, box.hi.y - half.b)
     clipped = (x != pose.x) or (y != pose.y)
     return Vec2(x, y), clipped
 
@@ -188,7 +197,7 @@ def _settle_with_noise(
     base = poses[obj]
     t = 1.0
     while True:
-        cand, clipped = _clamp_pose(scene, obj, base + drift * t, box)
+        cand, clipped = _clamp_pose(scene, obj, base, base + drift * t, box)
         r = bounds_from_center(cand, scene.objects[obj].half)
         free = not any(overlaps(r, _bounds_at(scene, poses, k)) for k in range(scene.n) if k != obj)
         if free:

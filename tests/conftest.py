@@ -11,7 +11,7 @@ settings.load_profile("suite")
 from pushplan.bench import generate_scene
 from pushplan.geometry import HalfDims, Rect, Vec2, rect_from_center
 from pushplan.primitives import select_push
-from pushplan.scene import ObjectSpec, Scene, blockers_of, is_at_goal, satisfied_count, unsatisfied_ids
+from pushplan.scene import ObjectSpec, Scene, blockers_of, is_at_goal, satisfied_count
 from pushplan.seeding import derive_seed
 
 
@@ -23,7 +23,7 @@ OFFSET_TABLE = Rect(Vec2(-2.3, 1.7), Vec2(-1.1, 2.6))
 def make_swap_scene() -> Scene:
     """Two equal cubes that must trade places; each goal is blocked by the other."""
     ws = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
-    objs = (ObjectSpec(0, HalfDims(0.05, 0.05)), ObjectSpec(1, HalfDims(0.05, 0.05)))
+    objs = (ObjectSpec(HalfDims(0.05, 0.05)), ObjectSpec(HalfDims(0.05, 0.05)))
     return Scene(
         workspace=ws,
         objects=objs,
@@ -41,7 +41,7 @@ def make_chained_push_scene() -> Scene:
     push of object 1 would shove object 2 too (a contact chain).
     """
     ws = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
-    objs = tuple(ObjectSpec(i, HalfDims(0.05, 0.05)) for i in range(5))
+    objs = tuple(ObjectSpec(HalfDims(0.05, 0.05)) for _ in range(5))
     current = (
         Vec2(0.2, 0.2),   # target, out of the way
         Vec2(0.5, 0.5),   # blocker on the goal
@@ -67,7 +67,7 @@ def make_edge_push_scene() -> Scene:
     inward directions are walled off by parked objects.
     """
     ws = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
-    objs = tuple(ObjectSpec(i, HalfDims(0.05, 0.05)) for i in range(4))
+    objs = tuple(ObjectSpec(HalfDims(0.05, 0.05)) for _ in range(4))
     current = (
         Vec2(0.5, 0.2),    # target, elsewhere
         Vec2(0.93, 0.93),  # blocker in the corner, on the goal
@@ -103,7 +103,7 @@ def iter_admissible_proposals(tag: str):
     for k in itertools.count():
         n = 3 + (k % 6)
         scene = generate_scene(n, derive_seed("proposal-stream", tag, k))
-        for target in unsatisfied_ids(scene):
+        for target in scene.unsatisfied:
             if not blockers_of(scene, target):
                 continue
             proposal = select_push(scene, target)
@@ -131,16 +131,14 @@ def cost_bits(costs) -> list[tuple[str, ...]]:
 
 def assert_cache_exact(scene: Scene) -> None:
     """Every cached float tuple is ``rect_from_center``'s corners, exactly,
-    ``bounds`` and ``goal_bounds`` return the cached tuples, and the
-    unsatisfied ids are those of the objects ``is_at_goal`` rejects, ascending."""
-    assert len(scene._footprints) == len(scene._goal_footprints) == scene.n
-    assert scene.bounds() is scene._footprints and scene.goal_bounds() is scene._goal_footprints
+    and ``unsatisfied`` holds the ids of the objects ``is_at_goal`` rejects,
+    ascending."""
+    assert len(scene.footprints) == len(scene.goal_footprints) == scene.n
     for i in range(scene.n):
         want = rect_from_center(scene.current[i], scene.objects[i].half)
         want_goal = rect_from_center(scene.goal[i], scene.objects[i].half)
-        assert scene._footprints[i] == corners(want)
-        assert scene._goal_footprints[i] == corners(want_goal)
-    pending = [i for i in range(scene.n) if not is_at_goal(scene, i)]
-    assert scene._unsatisfied == tuple(pending)
-    assert unsatisfied_ids(scene) == pending
+        assert scene.footprints[i] == corners(want)
+        assert scene.goal_footprints[i] == corners(want_goal)
+    pending = tuple(i for i in range(scene.n) if not is_at_goal(scene, i))
+    assert scene.unsatisfied == pending
     assert satisfied_count(scene) == scene.n - len(pending)

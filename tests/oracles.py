@@ -40,8 +40,8 @@ are the ``Rect`` forms of the footprint rules, and ``footprint`` and
 here is written on them.
 ``reference_plan`` is the search as first written: it tests "solved" with
 ``satisfied_count``, counts its expansion budget down in a closure, samples
-from an ``unsatisfied_ids`` list, and costs the plan by chaining
-``action_cost`` through ``EEState``.  It proposes and applies moves with the
+from a list of the objects ``is_at_goal`` rejects, and costs the plan by
+chaining ``action_cost`` through ``EEState``.  It proposes and applies moves with the
 library's ``recommend_action`` and ``transition``, so ``plan`` is held to it
 action for action and cost for cost.
 """
@@ -67,9 +67,9 @@ from pushplan.scene import (
     ObjectSpec,
     PickPlace,
     Scene,
+    is_at_goal,
     satisfied_count,
     transition,
-    unsatisfied_ids,
     validate_action,
 )
 
@@ -290,7 +290,7 @@ def oracle_buffer_pose(
     ylo, yhi = w.lo.y + half.b, w.hi.y - half.b
     if xlo > xhi or ylo > yhi:
         return None
-    pending = unsatisfied_ids(scene)
+    pending = scene.unsatisfied
     for _ in range(max_attempts):
         pose = Vec2(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
         r = rect_from_center(pose, half)
@@ -462,12 +462,12 @@ def object_generate_scene(
         )
     rng = random.Random(seed)
     objects = tuple(
-        ObjectSpec(i, HalfDims(rng.uniform(lo, hi), rng.uniform(lo, hi))) for i in range(n)
+        ObjectSpec(HalfDims(rng.uniform(lo, hi), rng.uniform(lo, hi))) for _ in range(n)
     )
 
     def sample_arrangement(label: str) -> tuple[Vec2, ...]:
         poses: list[Vec2] = []
-        for spec in objects:
+        for i, spec in enumerate(objects):
             a, b = spec.half.a, spec.half.b
             placed = None
             for _ in range(bench.PLACEMENT_ATTEMPTS):
@@ -485,7 +485,7 @@ def object_generate_scene(
                 break
             if placed is None:
                 raise BenchError(
-                    f"could not place object {spec.id} in the {label} arrangement "
+                    f"could not place object {i} in the {label} arrangement "
                     f"after {bench.PLACEMENT_ATTEMPTS} attempts (seed {seed})"
                 )
             poses.append(placed)
@@ -513,9 +513,6 @@ def object_validate_scene(
         )
     if not tolerance > 0.0:
         raise InvalidSceneError(f"tolerance must be positive, got {tolerance}")
-    for i, spec in enumerate(objects):
-        if spec.id != i:
-            raise InvalidSceneError(f"object ids must be dense 0..n-1; index {i} has id {spec.id}")
     for label, poses in (("current", current), ("goal", goal)):
         rects = [rect_from_center(poses[i], objects[i].half) for i in range(n)]
         for i, r in enumerate(rects):
@@ -567,7 +564,7 @@ def _reference_step(root: _ReferenceNode, cfg: PlannerConfig, rng: random.Random
         node = best
         path.append(node)
 
-    ids = unsatisfied_ids(node.state)
+    ids = [i for i in range(n) if not is_at_goal(node.state, i)]
     obj = ids[rng.randrange(len(ids))]
     rec = recommend_action(node.state, obj, cfg, rng)
     if rec is None:

@@ -26,7 +26,6 @@ from pushplan import (
 from pushplan.bench import BenchConfig, generate_scene, records_to_csv, run_benchmark, aggregate
 from pushplan.geometry import Rect, Vec2, overlaps
 from pushplan.primitives import PushStats, select_push
-from pushplan.scene import unsatisfied_ids
 from pushplan.seeding import derive_seed
 from pushplan.simulator import SimEventKind
 
@@ -106,7 +105,7 @@ def test_criterion_3_soundness_vs_oracle():
     for k in range(500):
         n = 3 + k % 6
         scene = generate_scene(n, derive_seed("acceptance-oracle", k))
-        for target in unsatisfied_ids(scene):
+        for target in scene.unsatisfied:
             if not blockers_of(scene, target):
                 continue
             prop = select_push(scene, target)
@@ -188,7 +187,7 @@ def test_criterion_6_admissibility_budget():
     for n in (4, 6, 8):
         for idx in range(100):
             scene = generate_scene(n, derive_seed(BENCH_MASTER_SEED, "scene", n, idx))
-            for target in unsatisfied_ids(scene):
+            for target in scene.unsatisfied:
                 blockers = blockers_of(scene, target)
                 if not blockers:
                     continue

@@ -1,19 +1,22 @@
 """CLI tests: exit codes, diagnostics, seed resolution, file outputs, and
 byte-stable rendering.  Commands run in-process through main()."""
 
+import contextlib
+import io
 import json
+import tempfile
 import xml.dom.minidom
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pushplan import Rect, Scene, Vec2, scene_to_json
 from pushplan import cli, render
-from pushplan.bench import BenchConfig, BenchVariant, run_benchmark, write_benchmark_outputs
+from pushplan.bench import BenchConfig, BenchError, BenchVariant, generate_scene, run_benchmark, write_benchmark_outputs
 from pushplan.cli import main
 
 from conftest import make_swap_scene
@@ -431,3 +434,46 @@ class TestSeedResolution:
         rc = main(["plan", swap_file, "--expansions", "100"])
         assert rc == 1
         assert "PPLAN_SEED" in capsys.readouterr().err
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr; stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestValidScenesEndToEnd:
+    @settings(max_examples=25)
+    @given(
+        corner=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        sides=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+        n=st.integers(1, 8),
+        halves=st.tuples(st.floats(0.01, 0.08), st.floats(0.01, 0.08)),
+        tolerance=st.floats(1e-4, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_plan_execute_and_render_exit_cleanly(self, corner, sides, n, halves, tolerance, seed):
+        """Every command on a valid scene, anywhere on a non-square table,
+        exits 0, or 2 when planning or execution fails, with no traceback;
+        every plan written renders."""
+        assume(sides[0] != sides[1])
+        (x0, y0), (w, h) = corner, sides
+        workspace = Rect(Vec2(x0, y0), Vec2(x0 + w, y0 + h))
+        try:
+            scene = generate_scene(n, seed, workspace, (min(halves), max(halves)), tolerance)
+        except BenchError:
+            assume(False)
+        with tempfile.TemporaryDirectory() as tmp:
+            scene_file = str(Path(tmp) / "scene.json")
+            Path(scene_file).write_text(scene_to_json(scene))
+            for i, flags in enumerate(([], ["--no-push"])):
+                plan_file = str(Path(tmp) / f"plan{i}.json")
+                rc, err = run_main(["plan", scene_file, "--expansions", "300", "--out", plan_file, *flags])
+                assert rc in (0, 2) and "Traceback" not in err, err
+                if rc == 0:
+                    rc, err = run_main(["render", scene_file, "--plan", plan_file, "--out", str(Path(tmp) / "p.svg")])
+                    assert rc == 0 and "Traceback" not in err, err
+            rc, err = run_main(["execute", scene_file, "--expansions", "300", "--noise"])
+            assert rc in (0, 2) and "Traceback" not in err, err

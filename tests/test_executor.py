@@ -56,7 +56,7 @@ class TestZeroNoise:
     def test_already_solved_scene_is_a_noop(self):
         scene = Scene(
             workspace=Rect(Vec2(0, 0), Vec2(1, 1)),
-            objects=(ObjectSpec(0, HalfDims(0.05, 0.05)),),
+            objects=(ObjectSpec(HalfDims(0.05, 0.05)),),
             current=(Vec2(0.3, 0.3),),
             goal=(Vec2(0.3, 0.3),),
         )
@@ -174,7 +174,7 @@ class TestNoisy:
         # will eventually clip a shoved object against the table edge
         scene = Scene(
             workspace=Rect(Vec2(0, 0), Vec2(1, 1)),
-            objects=(ObjectSpec(0, HalfDims(0.05, 0.05)), ObjectSpec(1, HalfDims(0.05, 0.05))),
+            objects=(ObjectSpec(HalfDims(0.05, 0.05)), ObjectSpec(HalfDims(0.05, 0.05))),
             current=(Vec2(0.2, 0.5), Vec2(0.9, 0.58)),
             goal=(Vec2(0.9, 0.5), Vec2(0.2, 0.85)),
         )
@@ -270,7 +270,7 @@ def _walled_swap_scene():
     pose that ends 5 mm short of the wall (object 3, at its goal); object 2
     only needs a placement.
     """
-    objs = tuple(ObjectSpec(i, HalfDims(0.05, 0.05)) for i in range(4))
+    objs = tuple(ObjectSpec(HalfDims(0.05, 0.05)) for _ in range(4))
     current = (Vec2(0.35, 0.5), Vec2(0.65, 0.5), Vec2(0.2, 0.2), Vec2(0.86, 0.5))
     goal = (Vec2(0.65, 0.5), Vec2(0.35, 0.5), Vec2(0.2, 0.8), Vec2(0.86, 0.5))
     return Scene(Rect(Vec2(0, 0), Vec2(1, 1)), objs, current, goal, 0.005)

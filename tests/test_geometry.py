@@ -85,6 +85,10 @@ class TestValidation:
             sweep(r, Side.LEFT, -0.1)
 
 
+# The side pushing the other way.
+OPPOSITE = {Side.LEFT: Side.RIGHT, Side.RIGHT: Side.LEFT, Side.UP: Side.DOWN, Side.DOWN: Side.UP}
+
+
 class TestSides:
     def test_direction_table(self):
         assert Side.LEFT.unit == Vec2(-1.0, 0.0)
@@ -92,17 +96,12 @@ class TestSides:
         assert Side.UP.unit == Vec2(0.0, 1.0)
         assert Side.DOWN.unit == Vec2(0.0, -1.0)
 
-    def test_opposites(self):
-        for s in Side:
-            assert s.opposite.opposite is s
-            assert s.opposite.unit == s.unit * -1.0
-
     def test_horizontal(self):
         assert Side.LEFT.horizontal and Side.RIGHT.horizontal
         assert not Side.UP.horizontal and not Side.DOWN.horizontal
 
     def test_member_attributes_match_the_tables_they_replace(self):
-        """``unit``, ``horizontal`` and ``opposite`` are plain attributes of each
+        """``unit`` and ``horizontal`` are plain attributes of each
         member, equal to the former lookup tables and the former
         ``self in (LEFT, RIGHT)`` rule; the serialized form is unchanged."""
         units = {
@@ -111,12 +110,10 @@ class TestSides:
             Side.UP: Vec2(0.0, 1.0),
             Side.DOWN: Vec2(0.0, -1.0),
         }
-        opposites = {Side.LEFT: Side.RIGHT, Side.RIGHT: Side.LEFT, Side.UP: Side.DOWN, Side.DOWN: Side.UP}
-        for name in ("unit", "horizontal", "opposite"):
+        for name in ("unit", "horizontal"):
             assert not isinstance(vars(Side).get(name), property), name
         for s in Side:
             assert vars(s)["unit"] == units[s]
-            assert vars(s)["opposite"] is opposites[s]
             assert vars(s)["horizontal"] is (s in (Side.LEFT, Side.RIGHT))
             assert Side(s.value) is s
         assert [s.value for s in Side] == ["left", "right", "up", "down"]
@@ -125,7 +122,7 @@ class TestSides:
     def test_axis_extent_flip(self, r, s):
         assert axis_extent(r, s) == bounds_extent(r.bounds, s)
         near, far = axis_extent(r, s)
-        o_near, o_far = axis_extent(r, s.opposite)
+        o_near, o_far = axis_extent(r, OPPOSITE[s])
         assert far == -o_near
         assert near == -o_far
         assert near < far

@@ -55,7 +55,7 @@ class TestActionCost:
     def test_zero_travel_costs_only_the_grasp(self):
         scene = Scene(
             workspace=Rect(Vec2(0, 0), Vec2(1, 1)),
-            objects=(ObjectSpec(0, HalfDims(0.05, 0.05)),),
+            objects=(ObjectSpec(HalfDims(0.05, 0.05)),),
             current=(Vec2(0.5, 0.5),),
             goal=(Vec2(0.8, 0.8),),
         )
@@ -158,7 +158,7 @@ def recommended_walk(n, sizes, workspace, k):
     rng = random.Random(k)
     steps = []
     for _ in range(3 * n):
-        if not scene._unsatisfied:
+        if not scene.unsatisfied:
             break
         rec = recommend_action(scene, sample_unsatisfied_object(scene, rng), cfg, rng)
         if rec is None:

@@ -58,7 +58,6 @@ from pushplan.scene import (
     placement_conflict,
     satisfied_count,
     transition,
-    unsatisfied_ids,
     validate_action,
 )
 from pushplan.seeding import derive_seed
@@ -68,8 +67,8 @@ WS = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
 DENSE_SIZES = (0.05, 0.079)
 
 
-def square(i: int, half: float = 0.05) -> ObjectSpec:
-    return ObjectSpec(i, HalfDims(half, half))
+def square(half: float = 0.05) -> ObjectSpec:
+    return ObjectSpec(HalfDims(half, half))
 
 
 def bisect_displacement(scene: Scene, blocker: int, target: int, side: Side) -> float:
@@ -109,7 +108,7 @@ class TestBlockerDisplacement:
     def test_partial_overlap_value(self):
         # blocker straddles the goal's right edge by 0.04, so a RIGHT push
         # needs that penetration plus the clearance
-        s = Scene(WS, (square(0), square(1)),
+        s = Scene(WS, (square(), square()),
                   (Vec2(0.2, 0.2), Vec2(0.56, 0.5)),
                   (Vec2(0.5, 0.5), Vec2(0.8, 0.8)))
         (_, d), = displacements(s, 0, Side.RIGHT)
@@ -142,7 +141,7 @@ class TestCorridorAndEdge:
         assert corridor_clear(opened, 1, landing_bounds(opened, 1, Side.LEFT, d), exclude=frozenset({0}))
 
     def test_edge_safe_boundary(self):
-        s = Scene(WS, (square(0), square(1)),
+        s = Scene(WS, (square(), square()),
                   (Vec2(0.2, 0.2), Vec2(0.8, 0.5)),
                   (Vec2(0.76, 0.5), Vec2(0.2, 0.8)))
         # a RIGHT displacement of 0.09 rests the blocker at x=0.89,
@@ -281,7 +280,7 @@ class TestValidatePushAction:
     def test_margin_zero_accepts_tight_pushes(self):
         # blocker rests 6 mm from the edge: planner rejects (10 mm margin),
         # but the action itself is legal physics and applies cleanly
-        s = Scene(WS, (square(0), square(1)),
+        s = Scene(WS, (square(), square()),
                   (Vec2(0.2, 0.5), Vec2(0.88, 0.5)),
                   (Vec2(0.835, 0.5), Vec2(0.2, 0.8)))
         assert select_push(s, 0) is None or select_push(s, 0).side not in (Side.RIGHT,)
@@ -322,7 +321,7 @@ class TestBufferSampling:
         # four big objects tile a small table; nothing else fits anywhere
         # (all coordinates picked binary-exact so the tiles touch, not overlap)
         ws = Rect(Vec2(0.0, 0.0), Vec2(0.5, 0.5))
-        objs = tuple(ObjectSpec(i, HalfDims(0.125, 0.125)) for i in range(4))
+        objs = tuple(ObjectSpec(HalfDims(0.125, 0.125)) for _ in range(4))
         poses = (Vec2(0.125, 0.125), Vec2(0.375, 0.125), Vec2(0.125, 0.375), Vec2(0.375, 0.375))
         s = Scene(ws, objs, poses, poses)
         monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 200)
@@ -338,7 +337,7 @@ def scenes_and_successors(n: int, sizes: tuple[float, float], count: int):
         yield state
         rng = random.Random(k)
         for _ in range(3):
-            if not unsatisfied_ids(state):
+            if not state.unsatisfied:
                 break
             rec = recommend_action(state, sample_unsatisfied_object(state, rng), cfg, rng)
             if rec is None:
@@ -364,7 +363,7 @@ def column_scene(goal_y: float, transpose: bool = False) -> Scene:
         return HalfDims(b, a) if transpose else HalfDims(a, b)
 
     ws = Rect(v(0.0, 0.0), v(0.25, 0.75))
-    objs = (ObjectSpec(0, h(0.125, 0.125)), ObjectSpec(1, h(0.125, 0.0625)), ObjectSpec(2, h(0.125, 0.0625)))
+    objs = (ObjectSpec(h(0.125, 0.125)), ObjectSpec(h(0.125, 0.0625)), ObjectSpec(h(0.125, 0.0625)))
     current = (v(0.125, 0.375), v(0.125, 0.1875), v(0.125, 0.5625))
     goal = (v(0.125, goal_y), v(0.125, 0.1875), v(0.125, 0.0625))
     return Scene(ws, objs, current, goal)
@@ -387,7 +386,7 @@ def assert_buffer_sampling_matches(scenes, runs, monkeypatch) -> None:
     ``runs``; both an accepted pose and an exhausted budget occur."""
     outcomes = {"accepted": 0, "exhausted": 0}
     for scene in scenes:
-        for obj in unsatisfied_ids(scene):
+        for obj in scene.unsatisfied:
             for seed, attempts in runs:
                 rng, ref_rng = random.Random(seed), random.Random(seed)
                 monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", attempts)
@@ -443,7 +442,7 @@ class TestBufferPoseOnOffsetWorkspaces:
             a, b = cases.uniform(0.01, 0.05), cases.uniform(0.01, 0.05)
             ws = Rect(Vec2(lo, lo), Vec2(lo + 1.0, lo + 1.0))
             center = Vec2(lo + 0.5, lo + 0.5)
-            scene = Scene(ws, (ObjectSpec(0, HalfDims(a, b)),), (center,), (center,))
+            scene = Scene(ws, (ObjectSpec(HalfDims(a, b)),), (center,), (center,))
             pose = sample_buffer_pose(scene, 0, ZeroRandom())
             assert pose == oracle_buffer_pose(scene, 0, ZeroRandom())
             if pose is None:
@@ -585,7 +584,7 @@ def pre_push_cases(transpose: bool):
 
     side = Side.RIGHT if transpose else Side.UP
     half = HalfDims(0.0625, 0.0625)
-    objs = tuple(ObjectSpec(i, half) for i in range(3))
+    objs = tuple(ObjectSpec(half) for _ in range(3))
     goal = (v(0.25, 0.5), v(0.75, 0.75), v(0.75, 0.5))
 
     def scene(neighbour: Vec2, trailing_edge: float = 0.0) -> Scene:
@@ -635,7 +634,7 @@ class TestPlacementMatchesOracle:
                 side = rng.choice(list(Side))
                 self.check(scene, obj, placement_cases(scene, obj, rng), side,
                            [rng.uniform(0.0, 0.4) for _ in range(3)], seen)
-            for obj in unsatisfied_ids(scene):
+            for obj in scene.unsatisfied:
                 if not blockers_of(scene, obj):
                     continue
                 for side in Side:
@@ -696,7 +695,7 @@ def walk_successors(
         assert_cache_exact(state)
         rng = random.Random(derive_seed("successor-walk-rng", n, k))
         for _ in range(steps):
-            if not unsatisfied_ids(state):
+            if not state.unsatisfied:
                 break
             if rng.random() < 0.25:
                 obj = rng.randrange(state.n)
@@ -779,7 +778,7 @@ def touching_neighbours(scene: Scene, side: Side, moves: tuple[tuple[int, float]
     axis = 0 if side.horizontal else 1
     sign = side.unit.x + side.unit.y
     half = HalfDims(NEIGHBOUR_HALF, NEIGHBOUR_HALF)
-    spec = ObjectSpec(scene.n, half)
+    spec = ObjectSpec(half)
     for b, d in moves:
         end = landing_bounds(scene, b, side, d)
         far = end[axis + 2] if sign > 0 else end[axis]
@@ -831,7 +830,7 @@ class TestAdmissionMatchesTransition:
             prop, reason = primitives._evaluate_side(scene, target, blockers, side, margin, None)
             if prop is not None:
                 _, nxt = transition(scene, prop)
-                assert [nxt._footprints[b] for b, _ in prop.blocker_moves] == tested
+                assert [nxt.footprints[b] for b, _ in prop.blocker_moves] == tested
                 seen["admitted"] += 1
             return prop, reason
 
@@ -849,7 +848,7 @@ class TestAdmissionMatchesTransition:
                 seen["recommended"] += 1
 
         for k, s in enumerate(successors):
-            for target in unsatisfied_ids(s):
+            for target in s.unsatisfied:
                 blockers = blockers_of(s, target)
                 if not blockers:
                     continue

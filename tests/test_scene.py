@@ -23,7 +23,6 @@ from pushplan.scene import (
     blockers_of,
     is_at_goal,
     satisfied_count,
-    unsatisfied_ids,
     validate_action,
 )
 from pushplan.io import (
@@ -39,41 +38,37 @@ from pushplan.io import (
 WS = Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0))
 
 
-def square(i: int, half: float = 0.05) -> ObjectSpec:
-    return ObjectSpec(i, HalfDims(half, half))
+def square(half: float = 0.05) -> ObjectSpec:
+    return ObjectSpec(HalfDims(half, half))
 
 
 class TestValidation:
     def test_pose_count_mismatch(self):
         with pytest.raises(InvalidSceneError, match="must match object count"):
-            Scene(WS, (square(0),), (Vec2(0.5, 0.5), Vec2(0.2, 0.2)), (Vec2(0.5, 0.5),))
-
-    def test_ids_must_be_dense(self):
-        with pytest.raises(InvalidSceneError, match="dense"):
-            Scene(WS, (square(1),), (Vec2(0.5, 0.5),), (Vec2(0.5, 0.5),))
+            Scene(WS, (square(),), (Vec2(0.5, 0.5), Vec2(0.2, 0.2)), (Vec2(0.5, 0.5),))
 
     def test_tolerance_positive(self):
         with pytest.raises(InvalidSceneError, match="tolerance"):
-            Scene(WS, (square(0),), (Vec2(0.5, 0.5),), (Vec2(0.5, 0.5),), 0.0)
+            Scene(WS, (square(),), (Vec2(0.5, 0.5),), (Vec2(0.5, 0.5),), 0.0)
 
     def test_footprint_outside_workspace(self):
         with pytest.raises(InvalidSceneError, match="current footprint of object 0"):
-            Scene(WS, (square(0),), (Vec2(0.02, 0.5),), (Vec2(0.5, 0.5),))
+            Scene(WS, (square(),), (Vec2(0.02, 0.5),), (Vec2(0.5, 0.5),))
         with pytest.raises(InvalidSceneError, match="goal footprint of object 0"):
-            Scene(WS, (square(0),), (Vec2(0.5, 0.5),), (Vec2(1.02, 0.5),))
+            Scene(WS, (square(),), (Vec2(0.5, 0.5),), (Vec2(1.02, 0.5),))
 
     def test_overlapping_footprints_rejected_per_arrangement(self):
         with pytest.raises(InvalidSceneError, match="current footprints of objects 0 and 1"):
-            Scene(WS, (square(0), square(1)),
+            Scene(WS, (square(), square()),
                   (Vec2(0.5, 0.5), Vec2(0.55, 0.5)),
                   (Vec2(0.2, 0.2), Vec2(0.8, 0.8)))
         with pytest.raises(InvalidSceneError, match="goal footprints of objects 0 and 1"):
-            Scene(WS, (square(0), square(1)),
+            Scene(WS, (square(), square()),
                   (Vec2(0.2, 0.2), Vec2(0.8, 0.8)),
                   (Vec2(0.5, 0.5), Vec2(0.55, 0.5)))
 
     def test_touching_footprints_are_legal(self):
-        s = Scene(WS, (square(0), square(1)),
+        s = Scene(WS, (square(), square()),
                   (Vec2(0.45, 0.5), Vec2(0.55, 0.5)),
                   (Vec2(0.2, 0.2), Vec2(0.8, 0.8)))
         assert s.n == 2
@@ -149,7 +144,7 @@ def perturb(fields, rng: random.Random):
 def eighths(*xs_ys):
     """Squares of half extent 1/8 m at the given centers (x, y).  At dyadic
     centers every footprint edge is exact."""
-    objects = tuple(ObjectSpec(i, HalfDims(0.125, 0.125)) for i in range(len(xs_ys)))
+    objects = tuple(ObjectSpec(HalfDims(0.125, 0.125)) for _ in range(len(xs_ys)))
     return objects, tuple(Vec2(x, y) for x, y in xs_ys)
 
 
@@ -210,18 +205,18 @@ class TestValidationMatchesObjectChecks:
 class TestPredicates:
     def test_at_goal_boundary_inclusive(self):
         # distances exactly representable in binary so the boundary is exact
-        base = Scene(WS, (square(0),), (Vec2(0.75, 0.5),), (Vec2(0.5, 0.5),), 0.25)
+        base = Scene(WS, (square(),), (Vec2(0.75, 0.5),), (Vec2(0.5, 0.5),), 0.25)
         assert is_at_goal(base, 0)
-        nudged = Scene(WS, (square(0),), (Vec2(0.8125, 0.5),), (Vec2(0.5, 0.5),), 0.25)
+        nudged = Scene(WS, (square(),), (Vec2(0.8125, 0.5),), (Vec2(0.5, 0.5),), 0.25)
         assert not is_at_goal(nudged, 0)
 
-    def test_satisfied_count_and_unsatisfied_ids(self):
+    def test_satisfied_count_and_unsatisfied(self):
         s = make_swap_scene()
         assert satisfied_count(s) == 0
-        assert unsatisfied_ids(s) == [0, 1]
+        assert s.unsatisfied == (0, 1)
         done = Scene(s.workspace, s.objects, s.goal, s.goal, s.tolerance)
         assert satisfied_count(done) == 2
-        assert unsatisfied_ids(done) == []
+        assert done.unsatisfied == ()
 
     def test_blockers_match_brute_force_oracle(self):
         for k in range(60):
@@ -343,7 +338,7 @@ class TestJsonFormat:
         assert scene_from_dict(doc).tolerance == 0.005
 
     def test_color_round_trips(self):
-        s = Scene(WS, (ObjectSpec(0, HalfDims(0.05, 0.05), "#ff0000"),),
+        s = Scene(WS, (ObjectSpec(HalfDims(0.05, 0.05), "#ff0000"),),
                   (Vec2(0.5, 0.5),), (Vec2(0.2, 0.2),))
         back = scene_from_dict(scene_to_dict(s))
         assert back.objects[0].color == "#ff0000"

@@ -41,7 +41,7 @@ def _poses_close(a, b, tol=1e-9):
 def _row_scene(xs, goal0, half=0.05):
     """Objects of equal size at y=0.5, target 0 with the given goal."""
     n = len(xs)
-    objs = tuple(ObjectSpec(i, HalfDims(half, half)) for i in range(n))
+    objs = tuple(ObjectSpec(HalfDims(half, half)) for _ in range(n))
     current = tuple(Vec2(x, 0.5) for x in xs)
     # park goals along the top edge so only the target's goal matters
     goals = [Vec2(0.1 + 0.15 * i, 0.85) for i in range(n)]
@@ -291,7 +291,7 @@ class TestNoise:
         ws = Rect(Vec2(0, 0), Vec2(1, 1))
         scene = Scene(
             workspace=ws,
-            objects=(ObjectSpec(0, HalfDims(0.05, 0.05)),),
+            objects=(ObjectSpec(HalfDims(0.05, 0.05)),),
             current=(Vec2(0.5, 0.5),),
             goal=(Vec2(0.95, 0.95),),
         )
@@ -329,6 +329,28 @@ class TestNoise:
                 seen = True
                 break
         assert seen, "no clipped drift in 30 seeded trials"
+
+    def test_full_width_blocker_stays_on_the_table(self):
+        # Blocker 1 is exactly as wide as the table, and validation's zero
+        # edge margin admits pushing it up the table.  It has no room to
+        # drift across the push, so its x stays put and its footprint stays
+        # on the table; its drift along the push is kept.
+        scene = Scene(
+            Rect(Vec2(0.0, 0.0), Vec2(0.1, 1.0)),
+            (ObjectSpec(HalfDims(0.04, 0.04)), ObjectSpec(HalfDims(0.05, 0.05))),
+            (Vec2(0.05, 0.2), Vec2(0.05, 0.5)),
+            (Vec2(0.05, 0.5), Vec2(0.05, 0.9)),
+        )
+        action = PushPlace(0, Side.UP, Vec2(0.05, 0.405))
+        validate_action(scene, action)
+        exact, _ = simulate(scene, action)
+        assert _poses_close(exact.current, apply_action(scene, action).current)
+        for seed in range(5):
+            out, events = simulate(scene, action, noise=NoiseConfig(enabled=True), rng=random.Random(seed))
+            assert out.current[1].x == 0.05 and out.current[1].y != exact.current[1].y
+            r = footprint(out, 1)
+            assert r.lo.x >= 0.0 and r.hi.x <= 0.1
+            assert [e.object for e in events if e.kind is SimEventKind.LEFT_TABLE] == [1]
 
 
 def assert_refused_as_validated(scene, action, match):

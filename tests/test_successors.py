@@ -37,7 +37,6 @@ from pushplan.scene import (
     Scene,
     apply_action,
     transition,
-    unsatisfied_ids,
     validate_action,
 )
 from pushplan.seeding import derive_seed
@@ -131,7 +130,7 @@ class TestSuccessorsMatchTheOracle:
             rng = random.Random(k)
             state = scene
             for _ in range(8):
-                ids = unsatisfied_ids(state)
+                ids = state.unsatisfied
                 if not ids:
                     break
                 rec = recommend_action(state, ids[rng.randrange(len(ids))], cfg, rng)
@@ -207,8 +206,8 @@ class TestWithMoved:
         assert free
         assert_same(out, replace_moved(parent, moves))
         moved = {i for i, _ in moves}
-        assert all(out._footprints[j] is parent._footprints[j] for j in range(parent.n) if j not in moved)
-        assert out._goal_footprints is parent._goal_footprints
+        assert all(out.footprints[j] is parent.footprints[j] for j in range(parent.n) if j not in moved)
+        assert out.goal_footprints is parent.goal_footprints
 
 
 def _stuck_blocker(monkeypatch) -> tuple[Scene, PushPlace]:

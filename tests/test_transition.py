@@ -30,7 +30,6 @@ from pushplan.scene import (
     apply_action,
     satisfied_count,
     transition,
-    unsatisfied_ids,
     validate_action,
 )
 from pushplan.seeding import derive_seed
@@ -83,7 +82,7 @@ class TestEquivalence:
             assert_cache_exact(state)
             for _ in range(6):
                 steps = []
-                for obj in unsatisfied_ids(state):
+                for obj in state.unsatisfied:
                     rec = recommend_action(state, obj, cfg, rng)
                     if rec is None:
                         continue
@@ -100,8 +99,8 @@ class TestEquivalence:
     def test_children_share_unmoved_footprints(self):
         scene = make_swap_scene()
         child = scene.with_moved(((0, Vec2(0.2, 0.2)),))
-        assert child._footprints[1] is scene._footprints[1]
-        assert child._goal_footprints is scene._goal_footprints
+        assert child.footprints[1] is scene.footprints[1]
+        assert child.goal_footprints is scene.goal_footprints
         assert_cache_exact(child)
 
 
@@ -109,20 +108,20 @@ class TestUnsatisfiedCache:
     def test_moves_update_only_the_moved_objects(self):
         # Three objects, each blocking nothing; moves in and out of goals keep
         # the ids ascending whichever object changes.
-        objs = tuple(ObjectSpec(i, HalfDims(0.05, 0.05)) for i in range(3))
+        objs = tuple(ObjectSpec(HalfDims(0.05, 0.05)) for _ in range(3))
         current = (Vec2(0.2, 0.2), Vec2(0.5, 0.2), Vec2(0.8, 0.2))
         goal = (Vec2(0.2, 0.8), Vec2(0.5, 0.8), Vec2(0.8, 0.8))
         root = Scene(Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)), objs, current, goal)
-        assert root._unsatisfied == (0, 1, 2)
+        assert root.unsatisfied == (0, 1, 2)
         one = root.with_moved(((1, goal[1]),))
-        assert one._unsatisfied == (0, 2)
+        assert one.unsatisfied == (0, 2)
         two = one.with_moved(((0, goal[0]), (2, goal[2])))
-        assert two._unsatisfied == ()
+        assert two.unsatisfied == ()
         back = two.with_moved(((1, Vec2(0.5, 0.5)),))
-        assert back._unsatisfied == (1,)
-        assert unsatisfied_ids(back) == [1] and satisfied_count(back) == 2
+        assert back.unsatisfied == (1,)
+        assert satisfied_count(back) == 2
         within = back.with_moved(((0, goal[0] + Vec2(0.004, 0.0)),))
-        assert within._unsatisfied == (1,)
+        assert within.unsatisfied == (1,)
         for s in (root, one, two, back, within):
             assert_cache_exact(s)
 
@@ -148,7 +147,7 @@ class TestIncrementalCheck:
             scene.with_moved(((0, Vec2(0.2, 0.2)), (1, Vec2(0.25, 0.2))))
 
     def test_touching_is_legal(self):
-        objs = tuple(ObjectSpec(i, HalfDims(0.125, 0.125)) for i in range(2))
+        objs = tuple(ObjectSpec(HalfDims(0.125, 0.125)) for _ in range(2))
         poses = (Vec2(0.25, 0.25), Vec2(0.75, 0.75))
         scene = Scene(Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)), objs, poses, poses)
         touching = (Vec2(0.5, 0.75), Vec2(0.75, 0.75))  # face contact at x = 0.625
@@ -176,7 +175,7 @@ class TestCacheScope:
         ]
         for s in entries:
             assert_cache_exact(s)
-        assert scene._unsatisfied == (0, 1) and entries[5]._unsatisfied == ()
+        assert scene.unsatisfied == (0, 1) and entries[5].unsatisfied == ()
 
     def test_execution_reports_hold_cached_scenes(self):
         scene = generate_scene(6, derive_seed("cache-scope", "exec"))
@@ -193,7 +192,7 @@ class TestCacheScope:
         for k in range(20):
             built = generate_scene(3 + k % 10, derive_seed("cache-scope", k))
             moved = built.with_moved(((0, built.current[0]),))
-            assert moved._footprints is not built._footprints
+            assert moved.footprints is not built.footprints
             assert moved == built and built == moved
             assert hash(moved) == hash(built)
             assert repr(moved) == repr(built)
@@ -202,9 +201,9 @@ class TestCacheScope:
     def test_unsatisfied_field_takes_no_part_in_identity(self):
         scene = generate_scene(6, derive_seed("cache-scope", "identity"))
         other = replace(scene)
-        object.__setattr__(other, "_unsatisfied", ())
+        object.__setattr__(other, "unsatisfied", ())
         assert other == scene and hash(other) == hash(scene) and repr(other) == repr(scene)
-        assert "_unsatisfied" not in repr(other)
+        assert "unsatisfied" not in repr(other)
 
     def test_cached_child_equals_validated_child(self):
         for scene, prop in take_proposals("cache-child", 50):
@@ -218,7 +217,7 @@ class TestCacheScope:
         for s in (scene, child):
             back = pickle.loads(pickle.dumps(s))
             assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
-            assert back._unsatisfied == s._unsatisfied
+            assert back.unsatisfied == s.unsatisfied
             assert_cache_exact(back)
 
 
