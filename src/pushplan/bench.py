@@ -146,8 +146,9 @@ def generate_scene(
     return Scene(workspace, objects, current, goal, tolerance)
 
 
-def run_single(scene: Scene, cfg: PlannerConfig) -> tuple[bool, Optional[int], Optional[float], float]:
-    """Plan ``scene`` under ``cfg`` as given; returns (found, actions, cost, ms)."""
+def run_single(scene: Scene, key: tuple[str, int, int, int], cfg: PlannerConfig) -> BenchRecord:
+    """Plan ``scene`` under ``cfg`` as given; the record of run ``key``, a
+    (variant, N, scene, run) tuple."""
     t0 = time.perf_counter()
     result = plan(scene, cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -155,14 +156,12 @@ def run_single(scene: Scene, cfg: PlannerConfig) -> tuple[bool, Optional[int], O
     # byte for byte; timing is only meaningful under a wall-clock budget.
     ms = 0.0 if cfg.max_expansions is not None else elapsed_ms
     if result is None:
-        return False, None, None, ms
-    return True, len(result.actions), result.total, ms
+        return BenchRecord(*key, False, None, None, ms)
+    return BenchRecord(*key, True, len(result.actions), result.total, ms)
 
 
-def _run_task(args: tuple) -> BenchRecord:
-    scene, variant, n, scene_idx, run_idx, planner_cfg = args
-    found, actions, cost, ms = run_single(scene, planner_cfg)
-    return BenchRecord(variant, n, scene_idx, run_idx, found, actions, cost, ms)
+def _run_task(task: tuple) -> BenchRecord:
+    return run_single(*task)
 
 
 def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
@@ -181,7 +180,7 @@ def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
                 for run_idx in range(cfg.runs_per_scene):
                     run_seed = derive_seed(cfg.master_seed, variant.name, n, scene_idx, run_idx)
                     planner_cfg = replace(base, push_enabled=variant.push_enabled, seed=run_seed)
-                    tasks.append((scene, variant.name, n, scene_idx, run_idx, planner_cfg))
+                    tasks.append((scene, (variant.name, n, scene_idx, run_idx), planner_cfg))
     # More workers than tasks would only idle; the cap also keeps a large
     # ``jobs`` from asking the OS for that many processes.
     workers = min(jobs, len(tasks))
@@ -318,24 +317,14 @@ def summary_to_csv(summary: dict, path: Path) -> None:
 
 def write_benchmark_outputs(cfg: BenchConfig, records: Sequence[BenchRecord], out_dir: Path) -> dict:
     """Write records.csv, summary.json, summary.csv, and charts.svg."""
+    from .io import bench_config_to_dict
     from .render import render_benchmark_charts
 
     summary = aggregate(records, [v.name for v in cfg.variants])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_to_csv(records, out_dir / "records.csv")
-    payload = {
-        "config": {
-            "master_seed": cfg.master_seed,
-            "object_counts": list(cfg.object_counts),
-            "scenes_per_count": cfg.scenes_per_count,
-            "runs_per_scene": cfg.runs_per_scene,
-            "variants": [v.name for v in cfg.variants],
-            "max_expansions": cfg.max_expansions,
-            "time_budget_s": cfg.time_budget_s,
-        },
-        **summary,
-    }
+    payload = {"config": bench_config_to_dict(cfg), **summary}
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
     summary_to_csv(summary, out_dir / "summary.csv")
     (out_dir / "charts.svg").write_text(render_benchmark_charts(summary))

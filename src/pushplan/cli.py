@@ -15,7 +15,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import io
 from .bench import BenchConfig, BenchError, run_benchmark, write_benchmark_outputs
@@ -24,7 +24,7 @@ from .io import SceneFormatError
 from .metrics import set_down_pose
 from .planner import DEFAULT_TIME_BUDGET_S, PlannerConfig, plan
 from .render import RenderStyle, render_scene
-from .scene import InfeasibleActionError, apply_action
+from .scene import Action, InfeasibleActionError, Scene, replay
 from .simulator import NO_NOISE, NoiseConfig
 
 
@@ -56,13 +56,17 @@ def _planner_config(args: argparse.Namespace) -> PlannerConfig:
     return PlannerConfig(**fields)
 
 
-def _add_planner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="planner configuration JSON")
+def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--expansions", type=int, metavar="N",
                         help="deterministic search budget in tree expansions")
     budget.add_argument("--time-budget", type=float, metavar="SECONDS",
-                        help=f"wall-clock search budget (default {DEFAULT_TIME_BUDGET_S})")
+                        help=f"wall-clock search budget (plan and execute default to {DEFAULT_TIME_BUDGET_S})")
+
+
+def _add_planner_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="planner configuration JSON")
+    _add_budget_flags(p)
     p.add_argument("--no-push", action="store_true",
                    help="disable the push primitive (pick-and-place only)")
     p.add_argument("--seed", type=int,
@@ -89,12 +93,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_frames(out_dir: str, style: RenderStyle, frames: list) -> None:
-    """Write ``(scene, title, gripper)`` frames as frame_000.svg, frame_001.svg, ..."""
+def _write_frames(out_dir: str, style: RenderStyle, states: list[Scene], actions: Sequence[Action]) -> None:
+    """Write frame_000.svg, frame_001.svg, ...: frame ``i`` draws ``states[i]``,
+    titled "step i", with a cross where ``actions[i - 1]`` set its object down."""
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    for i, (scene, title, gripper) in enumerate(frames):
-        (path / f"frame_{i:03d}.svg").write_text(render_scene(scene, style, title=title, gripper=gripper))
+    for i, state in enumerate(states):
+        gripper = set_down_pose(states[i - 1], actions[i - 1]) if i else None
+        (path / f"frame_{i:03d}.svg").write_text(render_scene(state, style, title=f"step {i}", gripper=gripper))
 
 
 def _cmd_execute(args: argparse.Namespace) -> int:
@@ -105,10 +111,8 @@ def _cmd_execute(args: argparse.Namespace) -> int:
                      rng=random.Random(cfg.seed))
     _write_or_print(json.dumps(io.report_to_dict(report), indent=2) + "\n", args.out)
     if args.frames:
-        frames = [(scene, "step 0", None)]
-        for i, step in enumerate(report.steps, 1):
-            frames.append((step.post_scene, f"step {i}", set_down_pose(step.pre_scene, step.executed_action)))
-        _write_frames(args.frames, RenderStyle(), frames)
+        _write_frames(args.frames, RenderStyle(), [scene] + [s.post_scene for s in report.steps],
+                      [s.executed_action for s in report.steps])
     status = report.terminated_by.value
     print(f"execution: {report.total_actions} actions, {report.plan_rounds} plan rounds, "
           f"{report.success_rate:.0%} at goal, terminated by {status}", file=sys.stderr)
@@ -148,17 +152,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
         _write_or_print(render_scene(scene, style, title=args.title), args.out)
         return 0
     result = io.load(args.plan, io.plan_from_dict)
-    states = [scene]
     try:
-        for action in result.actions:
-            states.append(apply_action(states[-1], action))
+        states = replay(scene, result.actions)
     except InfeasibleActionError as e:
         raise SceneFormatError(f"{args.plan}: plan does not replay on this scene: {e}") from e
     if args.frames:
-        _write_frames(args.frames, style, [
-            (state, f"step {i}", set_down_pose(states[i - 1], result.actions[i - 1]) if i else None)
-            for i, state in enumerate(states)
-        ])
+        _write_frames(args.frames, style, states, result.actions)
         print(f"wrote {len(states)} frames -> {args.frames}")
         return 0
     _write_or_print(render_scene(states[-1], style, title=args.title), args.out)
@@ -207,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, help="scenes per object count")
     p.add_argument("--runs", type=int, help="runs per scene")
     p.add_argument("--counts", help="comma-separated object counts, e.g. 4,6,8")
-    budget = p.add_mutually_exclusive_group()
-    budget.add_argument("--expansions", type=int, help="search budget in expansions")
-    budget.add_argument("--time-budget", type=float, help="search budget in seconds")
+    _add_budget_flags(p)
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=_cmd_bench)
 

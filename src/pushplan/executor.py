@@ -58,9 +58,9 @@ class StepRecord:
     sim_events: tuple[SimEvent, ...]
     pre_scene: Scene
     post_scene: Scene
-    # Always False: every step executes its action.  Kept only because
-    # perfbench's report check and tracer still read it.
-    skipped: bool = False
+    # Every step executes its action.  A constant, not a field, read only by
+    # perfbench's report check and tracer.
+    skipped = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +104,7 @@ def rederive_tail(scene: Scene, actions: Sequence[Action]) -> Optional[list[Acti
         except InfeasibleActionError:
             return None
         tail.append(action)
-    if not tail or satisfied_count(state) != state.n:
+    if not tail or state.unsatisfied:
         return None
     return tail
 
@@ -135,15 +135,14 @@ def execute(
     current = scene
     steps: list[StepRecord] = []
     pending: list[Action] = []
-    total_actions = 0
     plan_rounds = 0
     terminated: Optional[TerminationReason] = None
 
     while True:
-        if satisfied_count(current) == current.n:
+        if not current.unsatisfied:
             terminated = TerminationReason.ALL_AT_GOAL
             break
-        if total_actions >= step_budget:
+        if len(steps) >= step_budget:
             terminated = TerminationReason.STEP_BUDGET
             break
 
@@ -153,7 +152,7 @@ def execute(
             cfg = replace(planner_cfg, seed=derive_seed(trial_seed, "plan", plan_rounds))
             plan_rounds += 1
             result: Optional[Plan] = plan(current, cfg)
-            if result is None or not result.actions:
+            if result is None:
                 terminated = TerminationReason.PLANNING_FAILURE
                 break
             pending = list(result.actions)
@@ -162,7 +161,6 @@ def execute(
         sim_rng = random.Random(derive_seed(trial_seed, "sim", len(steps)))
         nxt, events = simulate(current, action, noise, sim_rng)
         pending = pending[1:]
-        total_actions += 1
         steps.append(
             StepRecord(
                 planned_plan_length=len(pending) + 1,
@@ -182,10 +180,10 @@ def execute(
     travel = total_cost(path_costs([(s.pre_scene, s.executed_action) for s in steps]))
     return ExecutionReport(
         steps=tuple(steps),
-        total_actions=total_actions,
+        total_actions=len(steps),
         # an empty scene is vacuously done
         success_rate=satisfied_count(current) / current.n if current.n else 1.0,
-        robot_time_proxy=travel + ACTION_OVERHEAD_S * total_actions,
+        robot_time_proxy=travel + ACTION_OVERHEAD_S * len(steps),
         terminated_by=terminated,
         final_scene=current,
         plan_rounds=plan_rounds,

@@ -13,8 +13,9 @@ import math
 from functools import partial
 from pathlib import Path
 from reprlib import repr as _short
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Container, Optional
 
+from .bench import BenchConfig
 from .executor import ExecutionReport
 from .geometry import HalfDims, Rect, Side, Vec2
 from .metrics import CostBreakdown
@@ -111,11 +112,17 @@ def _object(doc: Any, what: str) -> dict:
     return doc
 
 
+def _only(doc: dict, keys: Container[str], what: str, prefix: str = "") -> dict:
+    """``doc``, once each of its keys is found in ``keys``."""
+    for key in doc:
+        if key not in keys:
+            raise SceneFormatError(f"invalid {what}: unknown field '{prefix}{key}'")
+    return doc
+
+
 def _fields(doc: Any, table: dict, what: str, prefix: str = "") -> dict:
     """Parse the object ``doc`` with ``table``, which maps each accepted key to its reader."""
-    for key in _object(doc, what):
-        if key not in table:
-            raise SceneFormatError(f"invalid {what}: unknown field '{prefix}{key}'")
+    _only(_object(doc, what), table, what, prefix)
     try:
         return {key: table[key](value, prefix + key) for key, value in doc.items()}
     except SceneFormatError as e:
@@ -171,6 +178,12 @@ def bench_config_kwargs(doc: Any) -> dict:
     return fields
 
 
+def bench_config_to_dict(cfg: BenchConfig) -> dict:
+    """The bench config document of ``cfg``, which ``bench_config_kwargs`` reads
+    back; no document sets the variants or the workspace, so they are left out."""
+    return {key: getattr(cfg, key) for key in _BENCH_FIELDS}
+
+
 def _int_list(value: str, name: str) -> tuple[int, ...]:
     try:
         items = [int(c) for c in value.split(",")]
@@ -223,7 +236,8 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def _object_spec(value: Any, name: str) -> tuple[HalfDims, Optional[str]]:
     where = f"field '{name}'"
-    a, b = (_positive(_need(_object(value, where), key, where), f"{name}.{key}") for key in ("a", "b"))
+    _only(_object(value, where), ("a", "b", "color"), "scene document", f"{name}.")
+    a, b = (_positive(_need(value, key, where), f"{name}.{key}") for key in ("a", "b"))
     color = value.get("color")
     if color is not None and not isinstance(color, str):
         raise _bad(f"{name}.color", "a string", color)
@@ -232,7 +246,7 @@ def _object_spec(value: Any, name: str) -> tuple[HalfDims, Optional[str]]:
 
 def scene_from_dict(doc: Any) -> Scene:
     where = "scene document"
-    doc = _object(doc, where)
+    doc = _only(_object(doc, where), ("workspace", "objects", "start", "goal", "epsilon"), where)
     x0, y0, x1, y1 = _list(_need(doc, "workspace", where), "workspace", _finite, size=4)
     if x0 > x1 or y0 > y1:
         raise _bad("workspace", "[x0, y0, x1, y1] with x0 <= x1 and y0 <= y1", doc["workspace"])
@@ -268,12 +282,18 @@ def action_to_dict(action: Action) -> dict:
             "pre_push": [action.pre_push.x, action.pre_push.y]}
 
 
+# The keys of each action type's document.
+_ACTION_KEYS = {"pick_place": ("type", "object", "destination"),
+                "push_place": ("type", "object", "side", "pre_push")}
+
+
 def action_from_dict(doc: Any, name: str = "action") -> Action:
     if not isinstance(doc, dict):
         raise SceneFormatError(f"action document must be an object, got {type(doc).__name__} in '{name}'")
     kind = doc.get("type")
     if kind not in ("pick_place", "push_place"):
         raise _bad(f"{name}.type", "'pick_place' or 'push_place'", kind)
+    _only(doc, _ACTION_KEYS[kind], "action", f"{name}.")
     obj = _int(doc.get("object"), f"{name}.object", lo=0)
     if kind == "pick_place":
         return PickPlace(obj, _pose(doc.get("destination"), f"{name}.destination"))
@@ -296,14 +316,14 @@ def plan_to_dict(p: Plan) -> dict:
 def _cost(value: Any, name: str) -> CostBreakdown:
     """A cost entry.  Its ``lambda`` may be omitted but is otherwise 1: every
     cost pushplan computes is unscaled, and a stored total is never read."""
-    doc = _object(value, f"field '{name}'")
+    doc = _only(_object(value, f"field '{name}'"), _COST_KEYS + ("lambda", "total"), "cost entry", f"{name}.")
     if _finite(doc.get("lambda", 1.0), f"{name}.lambda") != 1.0:
         raise _bad(f"{name}.lambda", "1", doc["lambda"])
     return CostBreakdown(*(_finite(doc.get(key), f"{name}.{key}") for key in _COST_KEYS))
 
 
 def plan_from_dict(doc: Any) -> Plan:
-    doc = _object(doc, "plan document")
+    doc = _only(_object(doc, "plan document"), ("actions", "costs", "total"), "plan document")
     actions = tuple(_list(_need(doc, "actions", "plan document"), "actions", action_from_dict))
     # One cost entry per action, when there are costs at all.
     costs = tuple(_list(doc["costs"], "costs", _cost, size=len(actions))) if "costs" in doc else ()

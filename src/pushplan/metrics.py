@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .geometry import Vec2
-from .scene import Action, PickPlace, Scene, apply_action, validate_action
+from .scene import Action, PickPlace, Scene, replay, validate_action
 
 # Fixed travel charged for acquiring the grasp and lifting, meters.
 PICK_TRAVEL = 0.2
@@ -111,15 +111,11 @@ def plan_cost(plan: Union[Iterable[Action], "object"], start: Scene) -> float:
     """Total cost of a plan, recomputed by replaying it from ``start``.
 
     ``plan`` may be a Plan or any iterable of actions.  The path is replayed
-    with ``apply_action``, which raises if an action is infeasible at its
+    with ``scene.replay``, which raises if an action is infeasible at its
     point, and then costed (``path_costs``).
     """
-    steps = []
-    scene = start
-    for action in getattr(plan, "actions", plan):
-        steps.append((scene, action))
-        scene = apply_action(scene, action)
-    return total_cost(path_costs(steps))
+    actions = tuple(getattr(plan, "actions", plan))
+    return total_cost(path_costs(zip(replay(start, actions), actions)))
 
 
 def percent_reduction(baseline: float, candidate: float) -> float:

@@ -197,21 +197,19 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:
     an expansion budget the result is a pure function of (scene, cfg).
 
     "Solved", for the start scene and for each new leaf, is an empty
-    ``Scene.unsatisfied``, not a distance test per object.  The expansion budget runs a plain ``for`` loop; the wall-clock
-    budget reads the clock before each expansion.
+    ``Scene.unsatisfied``, not a distance test per object.  One loop runs
+    either budget: it counts expansions, or reads the clock before each one.
     """
     root = SearchNode(scene, None)
     if not root.state.unsatisfied:
         return Plan((), ())
     rng = random.Random(cfg.seed)
     if cfg.max_expansions is not None:
-        for _ in range(cfg.max_expansions):
-            path = tree_search_step(root, cfg, rng)
-            if path is not None and not path[-1].state.unsatisfied:
-                return _extract_plan(path)
-        return None
-    deadline = time.monotonic() + cfg.time_budget_s
-    while time.monotonic() < deadline:
+        budget = range(cfg.max_expansions)
+    else:
+        deadline = time.monotonic() + cfg.time_budget_s
+        budget = iter(lambda: time.monotonic() < deadline, False)
+    for _ in budget:
         path = tree_search_step(root, cfg, rng)
         if path is not None and not path[-1].state.unsatisfied:
             return _extract_plan(path)

@@ -291,3 +291,12 @@ def apply_action(scene: Scene, action: Action) -> Scene:
     checked again.
     """
     return transition(scene, validate_action(scene, action))[1]
+
+
+def replay(scene: Scene, actions: Sequence[Action]) -> list[Scene]:
+    """``scene`` and the successor after each action, by ``apply_action``,
+    which raises InfeasibleActionError at the first infeasible action."""
+    states = [scene]
+    for action in actions:
+        states.append(apply_action(states[-1], action))
+    return states

@@ -2,10 +2,12 @@
 (serial and parallel), the worker-pool bound, aggregation arithmetic, file
 outputs, and golden records."""
 
+import json
 import math
 import multiprocessing
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from pushplan.bench import (
     write_benchmark_outputs,
 )
 from pushplan.cli import main
+from pushplan.io import bench_config_kwargs
 from pushplan.scene import Scene
 
 from conftest import make_swap_scene
@@ -177,24 +180,26 @@ class TestGenerateSceneMatchesObjectLoop:
 class TestRunSingle:
     def test_swap_variants_disagree_on_action_count(self):
         scene = make_swap_scene()
-        found_p, actions_p, cost_p, _ = run_single(scene, PlannerConfig(max_expansions=3000, seed=0))
-        found_b, actions_b, cost_b, _ = run_single(
-            scene, PlannerConfig(max_expansions=3000, push_enabled=False, seed=0))
-        assert found_p and found_b
-        assert actions_p == 2
-        assert actions_b >= 3
-        assert cost_p < cost_b
+        push = run_single(scene, ("push", 2, 0, 1), PlannerConfig(max_expansions=3000, seed=0))
+        base = run_single(scene, ("baseline", 2, 0, 1),
+                          PlannerConfig(max_expansions=3000, push_enabled=False, seed=0))
+        assert (push.variant, push.n, push.scene, push.run) == ("push", 2, 0, 1)
+        assert (base.variant, base.n, base.scene, base.run) == ("baseline", 2, 0, 1)
+        assert push.plan_found and base.plan_found
+        assert push.actions == 2
+        assert base.actions >= 3
+        assert push.cost < base.cost
 
     def test_expansion_budget_zeroes_the_clock(self):
         scene = make_swap_scene()
-        _, _, _, ms = run_single(scene, PlannerConfig(max_expansions=500, seed=0))
-        assert ms == 0.0
+        record = run_single(scene, ("push", 2, 0, 0), PlannerConfig(max_expansions=500, seed=0))
+        assert record.planning_time_ms == 0.0
 
     def test_wall_clock_budget_reports_time(self):
         scene = make_swap_scene()
-        found, _, _, ms = run_single(scene, PlannerConfig(time_budget_s=0.5, seed=0))
-        assert found
-        assert ms > 0.0
+        record = run_single(scene, ("push", 2, 0, 0), PlannerConfig(time_budget_s=0.5, seed=0))
+        assert record.plan_found
+        assert record.planning_time_ms > 0.0
 
 
 class TestRunBenchmark:
@@ -375,11 +380,17 @@ class TestOutputs:
         assert svg.startswith("<svg")
         assert "mean plan cost" in svg
         assert "mean actions" in svg
-        import json
-
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["config"]["master_seed"] == SMALL.master_seed
         assert doc["cells"] == summary["cells"]
+
+    @pytest.mark.parametrize("budget", [{}, {"max_expansions": None, "time_budget_s": 0.01}])
+    def test_summary_config_is_the_bench_config_document(self, tmp_path, budget):
+        """``summary.json``'s ``config`` reads back as the config that wrote it."""
+        cfg = replace(SMALL, size_range=(0.05, 0.079), tolerance=0.01, **budget)
+        write_benchmark_outputs(cfg, run_benchmark(cfg), tmp_path)
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert BenchConfig(**bench_config_kwargs(doc["config"])) == cfg
 
     def test_reductions_recompute_from_records(self):
         records = run_benchmark(SMALL)

@@ -4,6 +4,7 @@ byte-stable rendering.  Commands run in-process through main()."""
 import contextlib
 import io
 import json
+import random
 import tempfile
 import xml.dom.minidom
 import xml.etree.ElementTree as ET
@@ -18,6 +19,13 @@ from pushplan import Rect, Scene, Vec2, scene_to_json
 from pushplan import cli, render
 from pushplan.bench import BenchConfig, BenchError, BenchVariant, generate_scene, run_benchmark, write_benchmark_outputs
 from pushplan.cli import main
+from pushplan.executor import execute
+from pushplan.io import load, plan_from_dict, report_to_dict
+from pushplan.metrics import set_down_pose
+from pushplan.planner import PlannerConfig
+from pushplan.render import RenderStyle, render_scene
+from pushplan.scene import apply_action
+from pushplan.simulator import NoiseConfig
 
 from conftest import make_swap_scene
 
@@ -50,6 +58,17 @@ def solved_file(tmp_path):
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("PPLAN_SEED", raising=False)
+
+
+def assert_frames(frames: Path, style: RenderStyle, states: list, actions: list) -> None:
+    """Frame ``i`` is ``render_scene`` of ``states[i]``, titled "step i", with
+    a cross where ``actions[i - 1]`` set its object down; frame 0 has none."""
+    assert sorted(p.name for p in frames.iterdir()) == [f"frame_{i:03d}.svg" for i in range(len(states))]
+    assert "<path" not in (frames / "frame_000.svg").read_text()
+    for i, state in enumerate(states):
+        gripper = set_down_pose(states[i - 1], actions[i - 1]) if i else None
+        want = render_scene(state, style, title=f"step {i}", gripper=gripper)
+        assert (frames / f"frame_{i:03d}.svg").read_text() == want, i
 
 
 class TestPlanCommand:
@@ -214,15 +233,17 @@ class TestExecuteCommand:
     def test_frames_written_with_gripper(self, swap_file, tmp_path, capsys):
         frames = tmp_path / "frames"
         rc = main([
-            "execute", swap_file, "--expansions", "3000",
+            "execute", swap_file, "--expansions", "2000", "--noise", "--seed", "9",
             "--frames", str(frames), "--out", str(tmp_path / "report.json"),
         ])
         assert rc == 0
-        files = sorted(p.name for p in frames.iterdir())
-        assert files == ["frame_000.svg", "frame_001.svg", "frame_002.svg"]
-        # set-down cross appears on executed frames, not the initial one
-        assert "<path" not in (frames / "frame_000.svg").read_text()
-        assert "<path" in (frames / "frame_001.svg").read_text()
+        # The same execution in-process, for the observed scenes the report file omits.
+        report = execute(make_swap_scene(), PlannerConfig(max_expansions=2000, seed=9),
+                         NoiseConfig(enabled=True), rng=random.Random(9))
+        assert report_to_dict(report) == json.loads((tmp_path / "report.json").read_text())
+        assert len(report.steps) == 2
+        assert_frames(frames, RenderStyle(), [make_swap_scene()] + [s.post_scene for s in report.steps],
+                      [s.executed_action for s in report.steps])
 
     def test_noisy_execution_is_seed_stable(self, swap_file, capsys):
         rc = main(["execute", swap_file, "--expansions", "2000", "--noise", "--seed", "9"])
@@ -307,11 +328,14 @@ class TestRenderCommand:
         assert main(["plan", swap_file, "--expansions", "3000", "--out", str(plan_file)]) == 0
         capsys.readouterr()
         frames = tmp_path / "frames"
-        rc = main(["render", swap_file, "--plan", str(plan_file), "--frames", str(frames)])
+        rc = main(["render", swap_file, "--plan", str(plan_file), "--frames", str(frames), "--no-goals"])
         assert rc == 0
-        files = sorted(p.name for p in frames.iterdir())
-        assert files == ["frame_000.svg", "frame_001.svg", "frame_002.svg"]
-        assert (frames / "frame_000.svg").read_text() != (frames / "frame_002.svg").read_text()
+        actions = load(str(plan_file), plan_from_dict).actions
+        states = [make_swap_scene()]
+        for action in actions:
+            states.append(apply_action(states[-1], action))
+        assert len(states) == 3
+        assert_frames(frames, RenderStyle(show_goals=False), states, actions)
 
     def test_plan_replay_final_state(self, swap_file, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"
@@ -444,6 +468,23 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
+def assert_commands_exit_cleanly(scene: Scene) -> None:
+    """Every command on ``scene`` exits 0, or 2 when planning or execution
+    fails, with no traceback; every plan written renders."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_file = str(Path(tmp) / "scene.json")
+        Path(scene_file).write_text(scene_to_json(scene))
+        for i, flags in enumerate(([], ["--no-push"])):
+            plan_file = str(Path(tmp) / f"plan{i}.json")
+            rc, err = run_main(["plan", scene_file, "--expansions", "300", "--out", plan_file, *flags])
+            assert rc in (0, 2) and "Traceback" not in err, err
+            if rc == 0:
+                rc, err = run_main(["render", scene_file, "--plan", plan_file, "--out", str(Path(tmp) / "p.svg")])
+                assert rc == 0 and "Traceback" not in err, err
+        rc, err = run_main(["execute", scene_file, "--expansions", "300", "--noise"])
+        assert rc in (0, 2) and "Traceback" not in err, err
+
+
 class TestValidScenesEndToEnd:
     @settings(max_examples=25)
     @given(
@@ -455,9 +496,7 @@ class TestValidScenesEndToEnd:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_plan_execute_and_render_exit_cleanly(self, corner, sides, n, halves, tolerance, seed):
-        """Every command on a valid scene, anywhere on a non-square table,
-        exits 0, or 2 when planning or execution fails, with no traceback;
-        every plan written renders."""
+        """Anywhere near the origin, on a non-square table."""
         assume(sides[0] != sides[1])
         (x0, y0), (w, h) = corner, sides
         workspace = Rect(Vec2(x0, y0), Vec2(x0 + w, y0 + h))
@@ -465,15 +504,13 @@ class TestValidScenesEndToEnd:
             scene = generate_scene(n, seed, workspace, (min(halves), max(halves)), tolerance)
         except BenchError:
             assume(False)
-        with tempfile.TemporaryDirectory() as tmp:
-            scene_file = str(Path(tmp) / "scene.json")
-            Path(scene_file).write_text(scene_to_json(scene))
-            for i, flags in enumerate(([], ["--no-push"])):
-                plan_file = str(Path(tmp) / f"plan{i}.json")
-                rc, err = run_main(["plan", scene_file, "--expansions", "300", "--out", plan_file, *flags])
-                assert rc in (0, 2) and "Traceback" not in err, err
-                if rc == 0:
-                    rc, err = run_main(["render", scene_file, "--plan", plan_file, "--out", str(Path(tmp) / "p.svg")])
-                    assert rc == 0 and "Traceback" not in err, err
-            rc, err = run_main(["execute", scene_file, "--expansions", "300", "--noise"])
-            assert rc in (0, 2) and "Traceback" not in err, err
+        assert_commands_exit_cleanly(scene)
+
+    @pytest.mark.parametrize("x0, y0", [
+        (sx * m, sy * m) for m in (1e6, 1e9, 1e12) for sx in (1, -1) for sy in (1, -1)
+    ])
+    def test_far_from_the_origin(self, x0, y0):
+        """Six large objects, whose push plan holds two pushes, on a table
+        whose lower corner is up to 1e12 m out, where an ulp is 1.2e-4 m."""
+        workspace = Rect(Vec2(x0, y0), Vec2(x0 + 1.2, y0 + 0.9))
+        assert_commands_exit_cleanly(generate_scene(6, 0, workspace, (0.05, 0.079)))

@@ -218,6 +218,15 @@ CASES = [
     # every cost is unscaled: a cost entry's lambda is 1 or absent
     ("plan", {"actions": [SWAP_PLAN_ACTION],
               "costs": [{"approach": 0.1, "pick": 0.2, "transfer": 0.3, "lambda": 2.0}]}, "'costs[0].lambda'"),
+    # every document rejects an unknown field, at any depth
+    ("scene", dict(SCENE_DOC, epsilom=0.5), "unknown field 'epsilom'"),
+    ("scene", dict(SCENE_DOC, objects=[dict(SCENE_DOC["objects"][0], colour="red"), SCENE_DOC["objects"][1]]),
+     "unknown field 'objects[0].colour'"),
+    ("plan", {"actions": [dict(SWAP_PLAN_ACTION, side="left")]}, "unknown field 'actions[0].side'"),
+    ("plan", {"actions": [SWAP_PLAN_ACTION], "cost": 1.0}, "unknown field 'cost'"),
+    ("plan", {"actions": [SWAP_PLAN_ACTION],
+              "costs": [{"approach": 0.1, "pick": 0.2, "transfer": 0.3, "lamda": 1.0}]},
+     "unknown field 'costs[0].lamda'"),
 ]
 
 
@@ -232,6 +241,7 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, monkeypatch,
         "planner": ["plan", str(scene), "--config", str(doc_file)],
         "bench": ["bench", "--config", str(doc_file), "--out", str(tmp_path / "out")],
         "plan": ["render", str(scene), "--plan", str(doc_file)],
+        "scene": ["render", str(doc_file)],
     }.get(kind) or [a.format(scene=scene, tmp=tmp_path / "out") for a in doc]
     rc = main(argv)
     err = capsys.readouterr().err
