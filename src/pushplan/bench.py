@@ -19,13 +19,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .geometry import Bounds, HalfDims, Rect, Vec2
+from .geometry import Bounds, HalfDims, Rect, Vec2, bounds_from_center
 # ``overlaps`` and ``rect_from_center`` are not called here: scene generation
 # tests ``Bounds``.  Both stay bound because perfbench's tracer and its tests
 # look them up in this module.
 from .geometry import overlaps, rect_from_center  # noqa: F401
 from .metrics import percent_reduction
 from .planner import PlannerConfig, plan
+from .primitives import free_pose
 from .scene import DEFAULT_TOLERANCE, ObjectSpec, Scene
 from .seeding import derive_seed
 
@@ -55,12 +56,16 @@ DEFAULT_VARIANTS = (BenchVariant("baseline", False), BenchVariant("push", True))
 
 @dataclass(frozen=True, slots=True)
 class BenchConfig:
+    """A whole sweep: a bench config document sets every field."""
+
+    # Every sweep compares the same two variants on the same table.
+    variants = DEFAULT_VARIANTS
+    workspace = DEFAULT_WORKSPACE
+
     master_seed: int = 0
     object_counts: tuple[int, ...] = (4, 6, 8)
     scenes_per_count: int = 100
     runs_per_scene: int = 3
-    variants: tuple[BenchVariant, ...] = DEFAULT_VARIANTS
-    workspace: Rect = DEFAULT_WORKSPACE
     size_range: tuple[float, float] = DEFAULT_SIZE_RANGE
     tolerance: float = DEFAULT_TOLERANCE
     max_expansions: Optional[int] = 1500
@@ -88,11 +93,10 @@ def generate_scene(
 ) -> Scene:
     """Sample a random scene with valid start and goal arrangements.
 
-    Half extents are uniform in ``size_range``.  Each center is drawn
-    uniformly from the centers that keep the footprint on the table, and
-    draws are rejected until the footprint overlaps no object placed before
-    it, separately in each arrangement.  An object wider or taller than the
-    table raises BenchError before its first pose is drawn.
+    Half extents are uniform in ``size_range``.  Each arrangement places the
+    objects in id order, each at ``primitives.free_pose`` among the objects
+    placed before it, with ``PLACEMENT_ATTEMPTS`` draws.  An object wider or
+    taller than the table raises BenchError before the first pose is drawn.
     """
     lo, hi = size_range
     if not 0.0 < lo <= hi:
@@ -107,38 +111,25 @@ def generate_scene(
     objects = tuple(
         ObjectSpec(HalfDims(rng.uniform(lo, hi), rng.uniform(lo, hi))) for _ in range(n)
     )
-    # Per object: its half extents and the ranges its center is drawn from.
     w = workspace
-    ranges = []
     for i, spec in enumerate(objects):
         a, b = spec.half.a, spec.half.b
-        xlo, xhi, ylo, yhi = w.lo.x + a, w.hi.x - a, w.lo.y + b, w.hi.y - b
-        if xlo > xhi or ylo > yhi:
+        if w.lo.x + a > w.hi.x - a or w.lo.y + b > w.hi.y - b:
             raise BenchError(f"object {i} with half extents ({a}, {b}) does not fit the workspace")
-        ranges.append((a, b, xlo, xhi, ylo, yhi))
 
     def sample_arrangement(label: str) -> tuple[Vec2, ...]:
         poses: list[Vec2] = []
         placed: list[Bounds] = []
-        for i, (a, b, xlo, xhi, ylo, yhi) in enumerate(ranges):
+        for i, spec in enumerate(objects):
             # Read at call time, so a caller may lower the module constant.
-            for _ in range(PLACEMENT_ATTEMPTS):
-                x = rng.uniform(xlo, xhi)
-                y = rng.uniform(ylo, yhi)
-                lx, ly, hx, hy = x - a, y - b, x + a, y + b
-                # ``overlaps`` with each placed footprint, on floats.
-                for plx, ply, phx, phy in placed:
-                    if lx < phx and plx < hx and ly < phy and ply < hy:
-                        break
-                else:  # no overlap: accept the draw
-                    poses.append(Vec2(x, y))
-                    placed.append((lx, ly, hx, hy))
-                    break
-            else:  # every draw was rejected
+            pose = free_pose(rng, spec.half, workspace, placed, PLACEMENT_ATTEMPTS)
+            if pose is None:
                 raise BenchError(
                     f"could not place object {i} in the {label} arrangement "
                     f"after {PLACEMENT_ATTEMPTS} attempts (seed {seed})"
                 )
+            poses.append(pose)
+            placed.append(bounds_from_center(pose, spec.half))
         return tuple(poses)
 
     current = sample_arrangement("start")
@@ -167,9 +158,6 @@ def _run_task(task: tuple) -> BenchRecord:
 def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
     """Plan every cell of the benchmark grid, in deterministic order.  A config
     that sets both budgets raises ValueError before any scene is generated."""
-    names = [v.name for v in cfg.variants]
-    if len(set(names)) != len(names):
-        raise BenchError(f"duplicate variant names: {names}")
     base = PlannerConfig(time_budget_s=cfg.time_budget_s, max_expansions=cfg.max_expansions)
     tasks = []
     for n in cfg.object_counts:
@@ -196,7 +184,7 @@ def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
     return records
 
 
-def aggregate(records: Sequence[BenchRecord], variants: Sequence[str] = ("baseline", "push")) -> dict:
+def aggregate(records: Sequence[BenchRecord]) -> dict:
     """Collapse run records into per-(variant, N) cells plus reductions.
 
     Within a scene, found runs are averaged first; cell statistics are the
@@ -211,7 +199,7 @@ def aggregate(records: Sequence[BenchRecord], variants: Sequence[str] = ("baseli
 
     cells = []
     scene_costs: dict[tuple[str, int], dict[int, float]] = {}
-    for variant in variants:
+    for variant in ("baseline", "push"):
         for n in sorted(counts):
             scenes = by_cell.get((variant, n))
             if not scenes:
@@ -249,26 +237,25 @@ def aggregate(records: Sequence[BenchRecord], variants: Sequence[str] = ("baseli
             )
 
     reductions = []
-    if "baseline" in variants and "push" in variants:
-        for n in sorted(counts):
-            base = scene_costs[("baseline", n)]
-            push = scene_costs[("push", n)]
-            paired = sorted(set(base) & set(push))
-            if not paired:
-                raise BenchError(f"no scene solved by both variants at N={n}")
-            b = statistics.fmean(base[s] for s in paired)
-            p = statistics.fmean(push[s] for s in paired)
-            if not b > 0.0:
-                raise BenchError(f"nothing to reduce at N={n}: every paired scene starts solved")
-            reductions.append(
-                {
-                    "n": n,
-                    "baseline_mean_cost": b,
-                    "push_mean_cost": p,
-                    "percent_reduction": percent_reduction(b, p),
-                    "paired_scenes": len(paired),
-                }
-            )
+    for n in sorted(counts):
+        base = scene_costs[("baseline", n)]
+        push = scene_costs[("push", n)]
+        paired = sorted(set(base) & set(push))
+        if not paired:
+            raise BenchError(f"no scene solved by both variants at N={n}")
+        b = statistics.fmean(base[s] for s in paired)
+        p = statistics.fmean(push[s] for s in paired)
+        if not b > 0.0:
+            raise BenchError(f"nothing to reduce at N={n}: every paired scene starts solved")
+        reductions.append(
+            {
+                "n": n,
+                "baseline_mean_cost": b,
+                "push_mean_cost": p,
+                "percent_reduction": percent_reduction(b, p),
+                "paired_scenes": len(paired),
+            }
+        )
     return {"cells": cells, "reductions": reductions}
 
 
@@ -320,7 +307,7 @@ def write_benchmark_outputs(cfg: BenchConfig, records: Sequence[BenchRecord], ou
     from .io import bench_config_to_dict
     from .render import render_benchmark_charts
 
-    summary = aggregate(records, [v.name for v in cfg.variants])
+    summary = aggregate(records)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_to_csv(records, out_dir / "records.csv")

@@ -179,8 +179,7 @@ def bench_config_kwargs(doc: Any) -> dict:
 
 
 def bench_config_to_dict(cfg: BenchConfig) -> dict:
-    """The bench config document of ``cfg``, which ``bench_config_kwargs`` reads
-    back; no document sets the variants or the workspace, so they are left out."""
+    """The bench config document of ``cfg``, which ``bench_config_kwargs`` reads back."""
     return {key: getattr(cfg, key) for key in _BENCH_FIELDS}
 
 
@@ -315,10 +314,11 @@ def plan_to_dict(p: Plan) -> dict:
 
 def _cost(value: Any, name: str) -> CostBreakdown:
     """A cost entry.  Its ``lambda`` may be omitted but is otherwise 1: every
-    cost pushplan computes is unscaled, and a stored total is never read."""
+    cost pushplan computes is unscaled.  A stored total is checked but never read."""
     doc = _only(_object(value, f"field '{name}'"), _COST_KEYS + ("lambda", "total"), "cost entry", f"{name}.")
     if _finite(doc.get("lambda", 1.0), f"{name}.lambda") != 1.0:
         raise _bad(f"{name}.lambda", "1", doc["lambda"])
+    _finite(doc.get("total", 0.0), f"{name}.total")
     return CostBreakdown(*(_finite(doc.get(key), f"{name}.{key}") for key in _COST_KEYS))
 
 

@@ -1,4 +1,4 @@
-"""Push-assisted placement: side selection, admissibility, and buffer poses.
+"""Push-assisted placement: side selection, admissibility, and free poses.
 
 A push proposal sweeps the grasped target in a straight line through its goal
 region, shoving every blocker ahead of its leading face until the region is
@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Bounds, Side, Vec2, axis_coord
+from .geometry import Bounds, HalfDims, Rect, Side, Vec2, axis_coord
 # ``overlaps`` and ``rect_from_center`` are not called here: the scans below
 # work on ``Bounds``.  Both stay bound because perfbench's tracer and its
 # tests look them up in this module.
@@ -283,46 +283,45 @@ def validate_push_action(scene: Scene, action: PushPlace) -> PushProposal:
     return proposal
 
 
-def sample_buffer_pose(scene: Scene, obj: int, rng: random.Random) -> Optional[Vec2]:
-    """Uniformly sample a parking pose for ``obj`` by rejection.
+def free_pose(rng: random.Random, half: HalfDims, workspace: Rect, obstacles: Sequence[Bounds],
+              attempts: int) -> Optional[Vec2]:
+    """A uniform center for a footprint of half extents ``half`` that lies in
+    ``workspace`` and overlaps no footprint of ``obstacles``, or None when it
+    cannot fit or all ``attempts`` draws are rejected.
 
-    The pose must keep the footprint on the table, overlap no other object's
-    current footprint, and overlap no goal footprint of an object that still
-    has somewhere to be (parking on top of pending goals just creates new
-    blockers).  Returns None after ``BUFFER_MAX_ATTEMPTS`` rejections.
-
-    Centers are drawn from the workspace shrunk by the half extents, but
-    ``x - a`` can round one ulp below the workspace edge when that edge is
-    not 0.  So each draw's footprint, computed as ``Scene.with_moved``
-    computes it, must also pass the workspace containment test; a draw
-    that fails it is rejected like any other.
+    Centers are drawn x then y as ``xlo + (xhi - xlo) * rng.random()`` (what
+    ``rng.uniform`` computes) over the workspace shrunk by ``half``.  ``x - a``
+    can round one ulp past an edge that is not 0, so each draw's footprint
+    ``(x - a, y - b, x + a, y + b)`` must also pass ``contains``.
     """
-    half = scene.objects[obj].half
     a, b = half.a, half.b
-    w = scene.workspace
-    wlx, wly, whx, why = w.lo.x, w.lo.y, w.hi.x, w.hi.y
-    xlo, xhi = wlx + a, whx - a
-    ylo, yhi = wly + b, why - b
+    wlx, wly, whx, why = workspace.bounds
+    xlo, xhi, ylo, yhi = wlx + a, whx - a, wly + b, why - b
     if xlo > xhi or ylo > yhi:
         return None
-    # A pose is rejected when its footprint's interior meets an obstacle,
-    # exactly as ``overlaps`` decides.
-    current, goals = scene.footprints, scene.goal_footprints
-    obstacles = [*current[:obj], *current[obj + 1 :], *(goals[j] for j in scene.unsatisfied)]
-    # ``rng.uniform(xlo, xhi)``, written out as ``random.Random.uniform``
-    # computes it: ``xlo + (xhi - xlo) * rng.random()``.
     draw = rng.random
     width, depth = xhi - xlo, yhi - ylo
-    for _ in range(BUFFER_MAX_ATTEMPTS):
+    for _ in range(attempts):
         x = xlo + width * draw()
         y = ylo + depth * draw()
-        lx, hx, ly, hy = x - a, x + a, y - b, y + b
-        # ``contains(workspace, footprint)``, on floats.
-        if not (wlx <= lx and wly <= ly and hx <= whx and hy <= why):
-            continue
+        lx, ly, hx, hy = x - a, y - b, x + a, y + b
         for olx, oly, ohx, ohy in obstacles:
             if lx < ohx and olx < hx and ly < ohy and oly < hy:
                 break
         else:
-            return Vec2(x, y)
+            if wlx <= lx and wly <= ly and hx <= whx and hy <= why:
+                return Vec2(x, y)
     return None
+
+
+def sample_buffer_pose(scene: Scene, obj: int, rng: random.Random) -> Optional[Vec2]:
+    """A parking pose for ``obj``: ``free_pose`` with ``BUFFER_MAX_ATTEMPTS``.
+
+    The pose must keep the footprint on the table, overlap no other object's
+    current footprint, and overlap no goal footprint of an object that still
+    has somewhere to be (parking on top of pending goals just creates new
+    blockers).
+    """
+    current, goals = scene.footprints, scene.goal_footprints
+    obstacles = [*current[:obj], *current[obj + 1 :], *(goals[j] for j in scene.unsatisfied)]
+    return free_pose(rng, scene.objects[obj].half, scene.workspace, obstacles, BUFFER_MAX_ATTEMPTS)

@@ -1,6 +1,7 @@
 """Shared fixtures: canonical layouts, random-proposal streams and cache checks."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import settings
@@ -18,6 +19,13 @@ from pushplan.seeding import derive_seed
 # An offset, non-square table (1.2 m x 0.9 m): no coordinate of its corners
 # or its center is 0 or 1, and its axes differ.
 OFFSET_TABLE = Rect(Vec2(-2.3, 1.7), Vec2(-1.1, 2.6))
+
+
+class ZeroRandom(random.Random):
+    """``random()`` always returns 0.0: every draw is the lowest center."""
+
+    def random(self):
+        return 0.0
 
 
 def make_swap_scene() -> Scene:

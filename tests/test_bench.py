@@ -15,7 +15,6 @@ import pytest
 from pushplan import (
     BenchConfig,
     BenchRecord,
-    BenchVariant,
     PlannerConfig,
     Rect,
     Vec2,
@@ -26,6 +25,7 @@ from pushplan import (
 import pushplan.bench as bench
 from pushplan.bench import (
     DEFAULT_VARIANTS,
+    DEFAULT_WORKSPACE,
     MAX_AREA_FRACTION,
     BenchError,
     records_to_csv,
@@ -37,7 +37,7 @@ from pushplan.cli import main
 from pushplan.io import bench_config_kwargs
 from pushplan.scene import Scene
 
-from conftest import make_swap_scene
+from conftest import ZeroRandom, make_swap_scene
 from oracles import contains, footprint, object_generate_scene, overlaps
 
 HERE = Path(__file__).parent
@@ -121,12 +121,12 @@ def assert_same_generation(*args, **kwargs):
 
 
 class GridRandom(random.Random):
-    """Draws from a 1/32 m grid over each range, so footprints touch exactly."""
+    """``random()`` is a multiple of 1/28.  Objects of half extent 1/16 m
+    draw their centers over ranges 7/8 m wide, so every center and edge is a
+    multiple of 1/32 m, exactly, and footprints touch exactly."""
 
-    STEP = 1 / 32
-
-    def uniform(self, a, b):
-        return a + self.STEP * self.randrange(int((b - a) / self.STEP) + 1)
+    def random(self):
+        return int(super().random() * 28) / 28
 
 
 class TestGenerateSceneMatchesObjectLoop:
@@ -150,12 +150,12 @@ class TestGenerateSceneMatchesObjectLoop:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_same_scene_when_draws_touch_exactly(self, monkeypatch, n):
-        # Every draw is a multiple of 1/32, so footprint edges are exact and
-        # candidates often touch a placed object: touching is not overlap.
+        # Every footprint edge is a multiple of 1/32 m, so candidates often
+        # touch a placed object exactly: touching is not overlap.
         monkeypatch.setattr(bench.random, "Random", GridRandom)
         touching = 0
         for seed in range(ORACLE_SEEDS):
-            got = assert_same_generation(n, seed, size_range=(0.0625, 0.125))
+            got = assert_same_generation(n, seed, size_range=(0.0625, 0.0625))
             assert isinstance(got, Scene), (seed, got)
             for poses in (got.current, got.goal):
                 rects = [(p.x - o.half.a, p.y - o.half.b, p.x + o.half.a, p.y + o.half.b)
@@ -175,6 +175,29 @@ class TestGenerateSceneMatchesObjectLoop:
                 assert m and int(m[3]) == seed, got
                 labels.add(m[2])
         assert labels == {"start", "goal"}
+
+
+class TestGenerateSceneOnOffsetWorkspaces:
+    def test_lowest_draw_stays_on_the_table(self, monkeypatch):
+        # On [lo, lo + 1]², the lowest center ``(lo + a) + width * 0.0`` can
+        # give ``x - a`` one ulp below ``lo``.  Such a draw must be rejected
+        # like an overlapping one, never handed to ``Scene`` to refuse.
+        cases = random.Random(2024)
+        monkeypatch.setattr(bench.random, "Random", ZeroRandom)
+        monkeypatch.setattr(bench, "PLACEMENT_ATTEMPTS", 3)
+        outcomes = {Scene: 0, BenchError: 0}
+        for k in range(500):
+            lo, a = cases.uniform(0.05, 0.5), cases.uniform(0.01, 0.05)
+            ws = Rect(Vec2(lo, lo), Vec2(lo + 1.0, lo + 1.0))
+            try:
+                scene = generate_scene(1, k, ws, (a, a + 0.01))
+            except BenchError as e:
+                assert "could not place object 0 in the start arrangement" in str(e)
+                outcomes[BenchError] += 1
+                continue
+            outcomes[Scene] += 1
+            assert contains(ws, footprint(scene, 0))
+        assert all(outcomes.values()), outcomes
 
 
 class TestRunSingle:
@@ -255,10 +278,12 @@ class TestRunBenchmark:
             run_benchmark(cfg)
         assert generated == []
 
-    def test_duplicate_variant_names_rejected(self):
-        cfg = BenchConfig(variants=(BenchVariant("x", True), BenchVariant("x", False)))
-        with pytest.raises(BenchError, match="duplicate"):
-            run_benchmark(cfg)
+    def test_variants_and_workspace_are_not_fields(self):
+        # A bench config document sets every field, so it is the whole sweep.
+        for name in ("variants", "workspace"):
+            with pytest.raises(TypeError):
+                BenchConfig(**{name: getattr(BenchConfig, name)})
+        assert (SMALL.variants, SMALL.workspace) == (DEFAULT_VARIANTS, DEFAULT_WORKSPACE)
 
     def test_default_variants(self):
         assert [v.name for v in DEFAULT_VARIANTS] == ["baseline", "push"]

@@ -137,7 +137,7 @@ class TestFuzz:
 class TestTables:
     def test_config_tables_cover_the_dataclasses(self):
         assert set(io._PLANNER_FIELDS) == {f.name for f in dataclasses.fields(PlannerConfig)}
-        assert set(io._BENCH_FIELDS) == {f.name for f in dataclasses.fields(BenchConfig)} - {"variants", "workspace"}
+        assert set(io._BENCH_FIELDS) == {f.name for f in dataclasses.fields(BenchConfig)}
 
     def test_valid_documents_keep_their_values(self):
         kwargs = io.planner_config_kwargs(PLANNER_DOC)
@@ -227,6 +227,9 @@ CASES = [
     ("plan", {"actions": [SWAP_PLAN_ACTION],
               "costs": [{"approach": 0.1, "pick": 0.2, "transfer": 0.3, "lamda": 1.0}]},
      "unknown field 'costs[0].lamda'"),
+    # a stored cost total is checked, as the plan's own total is, but not read
+    ("plan", {"actions": [SWAP_PLAN_ACTION],
+              "costs": [{"approach": 0.1, "pick": 0.2, "transfer": 0.3, "total": "abc"}]}, "'costs[0].total'"),
 ]
 
 

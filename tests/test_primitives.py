@@ -8,7 +8,14 @@ from typing import Optional
 
 import pytest
 
-from conftest import OFFSET_TABLE, assert_cache_exact, make_chained_push_scene, make_swap_scene, take_proposals
+from conftest import (
+    OFFSET_TABLE,
+    ZeroRandom,
+    assert_cache_exact,
+    make_chained_push_scene,
+    make_swap_scene,
+    take_proposals,
+)
 from oracles import (
     check_push,
     object_evaluate_side,
@@ -421,13 +428,6 @@ class TestBufferSamplingMatchesLoopOracle:
         assert oracle_buffer_pose(scene, 0, ScriptedRandom((0.5, 0.5)), max_attempts=1) is None
         monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 100)
         assert sample_buffer_pose(scene, 0, random.Random(5)) is None
-
-
-class ZeroRandom(random.Random):
-    """``random()`` always returns 0.0: every draw is the lowest center."""
-
-    def random(self):
-        return 0.0
 
 
 class TestBufferPoseOnOffsetWorkspaces:
