@@ -24,12 +24,16 @@ from enum import Enum
 Bounds = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vec2:
     """A point or displacement in the plane."""
 
     x: float
     y: float
+
+    def __init__(self, x: float, y: float) -> None:
+        _SET_X(self, x)
+        _SET_Y(self, y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -44,6 +48,14 @@ class Vec2:
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
+
+
+# Each slot's own setter, for ``Vec2.__init__``: it sets the fields through
+# them rather than through the frozen ``__setattr__`` a generated ``__init__``
+# calls, since the search builds points by the thousand.  ``PickPlace`` and
+# ``CostBreakdown`` are built the same way; the dataclass makes the rest.
+_SET_X = Vec2.x.__set__
+_SET_Y = Vec2.y.__set__
 
 
 @dataclass(frozen=True, slots=True)

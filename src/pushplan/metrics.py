@@ -31,16 +31,29 @@ class EEState:
     home: Vec2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CostBreakdown:
     approach: float
     pick: float
     transfer: float
     lam: float = 1.0
 
+    def __init__(self, approach: float, pick: float, transfer: float, lam: float = 1.0) -> None:
+        _SET_APPROACH(self, approach)
+        _SET_PICK(self, pick)
+        _SET_TRANSFER(self, transfer)
+        _SET_LAM(self, lam)
+
     @property
     def total(self) -> float:
         return self.lam * (self.approach + self.pick + self.transfer)
+
+
+# Built through its slots, as ``Vec2`` is: every plan costs each action.
+_SET_APPROACH = CostBreakdown.approach.__set__
+_SET_PICK = CostBreakdown.pick.__set__
+_SET_TRANSFER = CostBreakdown.transfer.__set__
+_SET_LAM = CostBreakdown.lam.__set__
 
 
 def action_cost(scene: Scene, action: Action, ee: EEState, lam: float = 1.0) -> tuple[CostBreakdown, EEState]:

@@ -29,7 +29,6 @@ from .scene import (
     Scene,
     apply_action,  # noqa: F401
     blockers_of,
-    satisfied_count,
     transition,
 )
 
@@ -97,7 +96,7 @@ def sample_unsatisfied_object(scene: Scene, rng: random.Random) -> int:
     ids = scene.unsatisfied
     if not ids:
         raise ValueError("all objects are satisfied; nothing to sample")
-    return ids[rng.randrange(len(ids))]
+    return rng.choice(ids)
 
 
 def recommend_action(
@@ -119,7 +118,7 @@ def recommend_action(
         proposal = select_push(scene, obj, blockers=blockers)
         if proposal is not None:
             return proposal
-    b = blockers[rng.randrange(len(blockers))]
+    b = rng.choice(blockers)
     if not blockers_of(scene, b):
         return PickPlace(b, scene.goal[b])
     buffer = sample_buffer_pose(scene, b, rng)
@@ -128,7 +127,7 @@ def recommend_action(
     return PickPlace(b, buffer)
 
 
-def _backprop(path: list[SearchNode], reward: float) -> None:
+def _backprop(path: list[SearchNode], reward: int) -> None:
     for node in path:
         node.visits += 1
         node.reward_sum += reward
@@ -147,12 +146,14 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
     node = root
     path = [root]
     while True:
-        # ``path`` runs from the root to ``node``, so ``node`` sits at depth len(path) - 1.
-        can_widen = len(path) <= depth_cap and len(node.children) < max(1, math.isqrt(node.visits))
-        if can_widen:
+        # ``path`` runs from the root to ``node``, so ``node`` sits at depth
+        # len(path) - 1.  Widen while ``c < max(1, isqrt(visits))``, tested
+        # in integers: ``c < isqrt(v)`` holds exactly when ``(c + 1)**2 <= v``.
+        c = len(node.children)
+        if len(path) <= depth_cap and (not c or (c + 1) * (c + 1) <= node.visits):
             break
-        if not node.children:
-            _backprop(path, float(satisfied_count(node.state)))
+        if not c:
+            _backprop(path, n - len(node.state.unsatisfied))
             return None
         # UCT: (reward_sum / visits) / N + C * sqrt(ln(parent visits) / visits) / N.
         # Both terms live on the per-object scale: satisfying one more object
@@ -174,13 +175,13 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
     obj = sample_unsatisfied_object(node.state, rng)
     rec = recommend_action(node.state, obj, cfg, rng)
     if rec is None:
-        _backprop(path, float(satisfied_count(node.state)))
+        _backprop(path, n - len(node.state.unsatisfied))
         return None
     action, new_state = transition(node.state, rec)
     child = SearchNode(new_state, action)
     node.children.append(child)
     path.append(child)
-    _backprop(path, float(satisfied_count(new_state)))
+    _backprop(path, n - len(new_state.unsatisfied))
     return path
 
 

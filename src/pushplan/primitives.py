@@ -323,5 +323,5 @@ def sample_buffer_pose(scene: Scene, obj: int, rng: random.Random) -> Optional[V
     blockers).
     """
     current, goals = scene.footprints, scene.goal_footprints
-    obstacles = [*current[:obj], *current[obj + 1 :], *(goals[j] for j in scene.unsatisfied)]
+    obstacles = [*current[:obj], *current[obj + 1 :], *[goals[j] for j in scene.unsatisfied]]
     return free_pose(rng, scene.objects[obj].half, scene.workspace, obstacles, BUFFER_MAX_ATTEMPTS)

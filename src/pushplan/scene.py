@@ -51,12 +51,21 @@ class ObjectSpec:
 Arrangement = tuple[Vec2, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PickPlace:
     """Grasp an object, lift it, and set it down at ``destination``."""
 
     object: int
     destination: Vec2
+
+    def __init__(self, object: int, destination: Vec2) -> None:
+        _SET_PICK_OBJECT(self, object)
+        _SET_PICK_DESTINATION(self, destination)
+
+
+# Built through its slots, as ``Vec2`` is: every expansion proposes one.
+_SET_PICK_OBJECT = PickPlace.object.__set__
+_SET_PICK_DESTINATION = PickPlace.destination.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -41,9 +41,12 @@ here is written on them.
 ``reference_plan`` is the search as first written: it tests "solved" with
 ``satisfied_count``, counts its expansion budget down in a closure, samples
 from a list of the objects ``is_at_goal`` rejects, and costs the plan by
-chaining ``action_cost`` through ``EEState``.  It proposes and applies moves with the
-library's ``recommend_action`` and ``transition``, so ``plan`` is held to it
-action for action and cost for cost.
+chaining ``action_cost`` through ``EEState``.  It proposes moves with
+``_reference_recommend``, the recommender as first written, which draws its
+blocker with ``randrange`` and calls the library's ``blockers_of``,
+``select_push`` and ``sample_buffer_pose``, and applies them with the
+library's ``transition``.  So ``plan`` is held to it draw for draw, action
+for action and cost for cost.
 """
 
 import math
@@ -57,8 +60,8 @@ import pushplan.bench as bench
 from pushplan.bench import MAX_AREA_FRACTION, BenchError
 from pushplan.geometry import HalfDims, Rect, Side, Vec2, axis_coord, rect_from_center
 from pushplan.metrics import EEState, action_cost
-from pushplan.planner import EXPLORATION_C, Plan, PlannerConfig, recommend_action
-from pushplan.primitives import PushProposal, PushStats
+from pushplan.planner import EXPLORATION_C, Plan, PlannerConfig
+from pushplan.primitives import PushProposal, PushStats, sample_buffer_pose, select_push
 from pushplan.scene import (
     DEFAULT_CLEARANCE,
     DEFAULT_TOLERANCE,
@@ -67,6 +70,7 @@ from pushplan.scene import (
     ObjectSpec,
     PickPlace,
     Scene,
+    blockers_of,
     is_at_goal,
     satisfied_count,
     transition,
@@ -541,6 +545,26 @@ def _reference_backprop(path: list, reward: float) -> None:
         node.reward_sum += reward
 
 
+def _reference_recommend(
+    scene: Scene, obj: int, cfg: PlannerConfig, rng: random.Random
+) -> Optional[PickPlace | PushProposal]:
+    """``planner.recommend_action`` as first written."""
+    blockers = blockers_of(scene, obj)
+    if not blockers:
+        return PickPlace(obj, scene.goal[obj])
+    if cfg.push_enabled:
+        proposal = select_push(scene, obj)
+        if proposal is not None:
+            return proposal
+    b = blockers[rng.randrange(len(blockers))]
+    if not blockers_of(scene, b):
+        return PickPlace(b, scene.goal[b])
+    buffer = sample_buffer_pose(scene, b, rng)
+    if buffer is None:
+        return None
+    return PickPlace(b, buffer)
+
+
 def _reference_step(root: _ReferenceNode, cfg: PlannerConfig, rng: random.Random) -> Optional[list]:
     """``planner.tree_search_step`` as first written."""
     n = root.state.n
@@ -566,7 +590,7 @@ def _reference_step(root: _ReferenceNode, cfg: PlannerConfig, rng: random.Random
 
     ids = [i for i in range(n) if not is_at_goal(node.state, i)]
     obj = ids[rng.randrange(len(ids))]
-    rec = recommend_action(node.state, obj, cfg, rng)
+    rec = _reference_recommend(node.state, obj, cfg, rng)
     if rec is None:
         _reference_backprop(path, float(satisfied_count(node.state)))
         return None

@@ -5,7 +5,10 @@ forms and ``translate``, ``sweep`` and ``axis_extent`` are the test suite's
 own references in ``oracles`` and are property-tested here too.
 """
 
+import dataclasses
+import inspect
 import math
+import pickle
 import random
 
 import pytest
@@ -26,6 +29,8 @@ from pushplan.geometry import (
     perp_coord,
     rect_from_center,
 )
+from pushplan.metrics import CostBreakdown
+from pushplan.scene import PickPlace
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 extents = st.floats(min_value=1e-3, max_value=3.0, allow_nan=False, allow_infinity=False)
@@ -57,6 +62,60 @@ class TestVec2:
     @given(coords, coords)
     def test_norm_matches_hypot(self, x, y):
         assert Vec2(x, y).norm() == math.hypot(x, y)
+
+
+def _generated_twin(cls):
+    """A dataclass with ``cls``'s name and fields whose ``__init__`` the
+    dataclass machinery generates."""
+    spec = [
+        (f.name, f.type) if f.default is dataclasses.MISSING else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True, slots=True)
+
+
+class TestSlotBuiltValueTypes:
+    """``Vec2``, ``PickPlace`` and ``CostBreakdown`` set their slots in a
+    hand-written ``__init__``.  Each still behaves as the same dataclass with
+    a generated one: equality, hash, repr, pickling, keyword construction,
+    ``dataclasses.replace``, signature and frozenness."""
+
+    CASES = [
+        (Vec2, (0.25, -1.5), {"y": 3.0}),
+        (PickPlace, (3, Vec2(0.5, 0.1)), {"destination": Vec2(0.2, 0.7)}),
+        (CostBreakdown, (0.1, 0.2, 0.3), {"lam": 2.5}),
+        (CostBreakdown, (0.1, 0.2, 0.3, 0.5), {"approach": 0.7}),
+    ]
+
+    @pytest.mark.parametrize("cls, args, change", CASES, ids=["Vec2", "PickPlace", "CostBreakdown", "CostBreakdown-lam"])
+    def test_behaves_like_a_generated_dataclass(self, cls, args, change):
+        twin = _generated_twin(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        obj, generated = cls(*args), twin(*args)
+        by_name = cls(**dict(zip(names, args)))
+        assert obj == by_name and hash(obj) == hash(by_name)
+        assert dataclasses.astuple(obj) == dataclasses.astuple(generated)
+        assert hash(obj) == hash(generated)
+        assert repr(obj) == repr(generated)
+        assert cls.__match_args__ == twin.__match_args__ == tuple(names)
+        assert not hasattr(obj, "__dict__")
+
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is cls and back == obj and hash(back) == hash(obj)
+
+        moved = dataclasses.replace(obj, **change)
+        assert type(moved) is cls and moved != obj
+        assert moved == cls(**{name: getattr(obj, name) for name in names} | change)
+
+        def params(c):
+            return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
+
+        assert params(cls) == params(twin)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 0)
+        with pytest.raises(TypeError):
+            cls(*args, *args)
 
 
 class TestValidation:

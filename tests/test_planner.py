@@ -208,6 +208,25 @@ class TestSelection:
         assert got is expected is children[1]
 
 
+class TestDrawForDraw:
+    """The search's widening test and its uniform picks are rewrites of the
+    expressions they replaced, and equal them for every input tried:
+    ``c < max(1, math.isqrt(visits))`` and ``seq[rng.randrange(len(seq))]``."""
+
+    def test_choice_is_randrange_indexing(self):
+        for seed in range(200):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for length in range(1, 41):
+                seq = tuple(range(100, 100 + length))
+                assert rng.choice(seq) == seq[twin.randrange(len(seq))]
+                assert rng.getstate() == twin.getstate()
+
+    def test_integer_widening_is_isqrt_widening(self):
+        for c in range(65):
+            got = [not c or (c + 1) * (c + 1) <= v for v in range(4201)]
+            assert got == [c < max(1, math.isqrt(v)) for v in range(4201)], c
+
+
 class TestUnexpandedStep:
     """The exit of ``tree_search_step`` that adds no child (a selected node
     past the depth cap) returns None and still counts the visit along the
