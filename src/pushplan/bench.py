@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 import statistics
 import time
@@ -151,10 +152,6 @@ def run_single(scene: Scene, key: tuple[str, int, int, int], cfg: PlannerConfig)
     return BenchRecord(*key, True, len(result.actions), result.total, ms)
 
 
-def _run_task(task: tuple) -> BenchRecord:
-    return run_single(*task)
-
-
 def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
     """Plan every cell of the benchmark grid, in deterministic order.  A config
     that sets both budgets raises ValueError before any scene is generated."""
@@ -169,17 +166,17 @@ def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
                     run_seed = derive_seed(cfg.master_seed, variant.name, n, scene_idx, run_idx)
                     planner_cfg = replace(base, push_enabled=variant.push_enabled, seed=run_seed)
                     tasks.append((scene, (variant.name, n, scene_idx, run_idx), planner_cfg))
-    # More workers than tasks would only idle; the cap also keeps a large
-    # ``jobs`` from asking the OS for that many processes.
-    workers = min(jobs, len(tasks))
+    # More workers than tasks or CPUs would only idle; the cap also keeps a
+    # large ``jobs`` from asking the OS for that many processes.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: a serial run need not pay for loading it.
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            records = pool.map(_run_task, tasks, chunksize=4)
+            records = pool.starmap(run_single, tasks, chunksize=4)
     else:
-        records = [_run_task(t) for t in tasks]
+        records = [run_single(*t) for t in tasks]
     records.sort(key=lambda r: (r.variant, r.n, r.scene, r.run))
     return records
 
@@ -191,53 +188,44 @@ def aggregate(records: Sequence[BenchRecord]) -> dict:
     mean and population standard deviation across scenes.  Cost reductions
     pair only scenes where both variants produced at least one plan.
     """
-    by_cell: dict[tuple[str, int], dict[int, list[BenchRecord]]] = {}
-    counts: set[int] = set()
+    # Each (variant, N) cell's runs, and its found runs by scene.
+    by_cell: dict[tuple[str, int], tuple[list[BenchRecord], dict[int, list[BenchRecord]]]] = {}
     for r in records:
-        counts.add(r.n)
-        by_cell.setdefault((r.variant, r.n), {}).setdefault(r.scene, []).append(r)
+        runs, found = by_cell.setdefault((r.variant, r.n), ([], {}))
+        runs.append(r)
+        if r.plan_found:
+            found.setdefault(r.scene, []).append(r)
+    counts = sorted({n for _, n in by_cell})
 
     cells = []
     scene_costs: dict[tuple[str, int], dict[int, float]] = {}
-    for variant in ("baseline", "push"):
-        for n in sorted(counts):
-            scenes = by_cell.get((variant, n))
-            if not scenes:
-                raise BenchError(f"no records for variant {variant!r} at N={n}")
-            total_runs = sum(len(v) for v in scenes.values())
-            found_runs = sum(1 for v in scenes.values() for r in v if r.plan_found)
-            per_scene_actions = []
-            per_scene_cost = []
-            costs_here: dict[int, float] = {}
-            for scene_idx in sorted(scenes):
-                found = [r for r in scenes[scene_idx] if r.plan_found]
-                if not found:
-                    continue
-                per_scene_actions.append(statistics.fmean(r.actions for r in found))
-                c = statistics.fmean(r.cost for r in found)
-                per_scene_cost.append(c)
-                costs_here[scene_idx] = c
-            if not per_scene_cost:
-                raise BenchError(f"no plans found for variant {variant!r} at N={n}")
-            scene_costs[(variant, n)] = costs_here
+    for variant in BenchConfig.variants:
+        for n in counts:
+            runs, found = by_cell.get((variant.name, n), ([], {}))
+            if not runs:
+                raise BenchError(f"no records for variant {variant.name!r} at N={n}")
+            if not found:
+                raise BenchError(f"no plans found for variant {variant.name!r} at N={n}")
+            scenes = sorted(found)
+            actions = [statistics.fmean(r.actions for r in found[s]) for s in scenes]
+            costs = {s: statistics.fmean(r.cost for r in found[s]) for s in scenes}
+            scene_costs[(variant.name, n)] = costs
             cells.append(
                 {
-                    "variant": variant,
+                    "variant": variant.name,
                     "n": n,
-                    "plan_rate": found_runs / total_runs,
-                    "scenes_with_plan": len(per_scene_cost),
-                    "mean_actions": statistics.fmean(per_scene_actions),
-                    "std_actions": statistics.pstdev(per_scene_actions),
-                    "mean_cost": statistics.fmean(per_scene_cost),
-                    "std_cost": statistics.pstdev(per_scene_cost),
-                    "mean_planning_time_ms": statistics.fmean(
-                        r.planning_time_ms for v in scenes.values() for r in v
-                    ),
+                    "plan_rate": sum(map(len, found.values())) / len(runs),
+                    "scenes_with_plan": len(scenes),
+                    "mean_actions": statistics.fmean(actions),
+                    "std_actions": statistics.pstdev(actions),
+                    "mean_cost": statistics.fmean(costs.values()),
+                    "std_cost": statistics.pstdev(costs.values()),
+                    "mean_planning_time_ms": statistics.fmean(r.planning_time_ms for r in runs),
                 }
             )
 
     reductions = []
-    for n in sorted(counts):
+    for n in counts:
         base = scene_costs[("baseline", n)]
         push = scene_costs[("push", n)]
         paired = sorted(set(base) & set(push))

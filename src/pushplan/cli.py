@@ -28,49 +28,50 @@ from .scene import Action, InfeasibleActionError, Scene, replay
 from .simulator import NO_NOISE, NoiseConfig
 
 
-def _resolve_seed(cli_seed: Optional[int], config_seed: Optional[int]) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    if config_seed is not None:
-        return config_seed
-    env = os.environ.get("PPLAN_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise SceneFormatError(f"PPLAN_SEED must be an integer, got {env!r}") from None
+# Flags that replace one config field each, by argparse destination.
+_FIELD_FLAGS = {"no_push": "push_enabled", "scenes": "scenes_per_count", "runs": "runs_per_scene",
+                "counts": "object_counts"}
 
 
-def _budget_flags(args: argparse.Namespace) -> dict:
-    """The budget flags as config fields; a flag replaces both budgets of a config."""
-    if args.expansions is None and args.time_budget is None:
-        return {}
-    return {"max_expansions": args.expansions, "time_budget_s": args.time_budget}
+def _config(args: argparse.Namespace, kind: type) -> PlannerConfig | BenchConfig:
+    """The ``PlannerConfig`` or ``BenchConfig`` (``kind``) of a command: the
+    ``--config`` document, then the command line over it.  The seed is
+    ``--seed``, else the document's, else ``PPLAN_SEED``, else 0; a budget
+    flag replaces both budgets; any other flag given replaces its field."""
+    bench = kind is BenchConfig
+    read = io.bench_config_kwargs if bench else io.planner_config_kwargs
+    fields = io.load(args.config, read) if args.config else {}
+    seed = "master_seed" if bench else "seed"
+    if args.seed is not None:
+        fields[seed] = args.seed
+    elif seed not in fields:
+        env = os.environ.get("PPLAN_SEED", "0")
+        try:
+            fields[seed] = int(env)
+        except ValueError:
+            raise SceneFormatError(f"PPLAN_SEED must be an integer, got {env!r}") from None
+    if args.expansions is not None or args.time_budget is not None:
+        fields.update(max_expansions=args.expansions, time_budget_s=args.time_budget)
+    for flag, key in _FIELD_FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            fields[key] = getattr(args, flag)
+    return kind(**fields)
 
 
-def _planner_config(args: argparse.Namespace) -> PlannerConfig:
-    fields = io.load(args.config, io.planner_config_kwargs) if args.config else {}
-    fields["seed"] = _resolve_seed(args.seed, fields.get("seed"))
-    fields.update(_budget_flags(args))
-    if args.no_push:
-        fields["push_enabled"] = False
-    return PlannerConfig(**fields)
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, kind: type) -> None:
+    """``--config``, ``--seed``, the budget flags and, for a ``PlannerConfig``, ``--no-push``."""
+    bench = kind is BenchConfig
+    p.add_argument("--config", help=f"{'benchmark' if bench else 'planner'} configuration JSON")
+    p.add_argument("--seed", type=int,
+                   help=f"{'master' if bench else 'random'} seed (overrides config and PPLAN_SEED)")
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--expansions", type=int, metavar="N",
                         help="deterministic search budget in tree expansions")
     budget.add_argument("--time-budget", type=float, metavar="SECONDS",
                         help=f"wall-clock search budget (plan and execute default to {DEFAULT_TIME_BUDGET_S})")
-
-
-def _add_planner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="planner configuration JSON")
-    _add_budget_flags(p)
-    p.add_argument("--no-push", action="store_true",
-                   help="disable the push primitive (pick-and-place only)")
-    p.add_argument("--seed", type=int,
-                   help="random seed (overrides config and PPLAN_SEED)")
+    if not bench:
+        p.add_argument("--no-push", action="store_const", const=False,
+                       help="disable the push primitive (pick-and-place only)")
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -82,7 +83,7 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     scene = io.load(args.scene, io.scene_from_dict)
-    cfg = _planner_config(args)
+    cfg = _config(args, PlannerConfig)
     result = plan(scene, cfg)
     if result is None:
         print("no plan found within the search budget", file=sys.stderr)
@@ -105,7 +106,7 @@ def _write_frames(out_dir: str, style: RenderStyle, states: list[Scene], actions
 
 def _cmd_execute(args: argparse.Namespace) -> int:
     scene = io.load(args.scene, io.scene_from_dict)
-    cfg = _planner_config(args)
+    cfg = _config(args, PlannerConfig)
     noise = NoiseConfig(args.lateral_sigma, args.depth_sigma, enabled=True) if args.noise else NO_NOISE
     report = execute(scene, cfg, noise, step_budget=args.step_budget,
                      rng=random.Random(cfg.seed))
@@ -120,14 +121,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    fields = io.load(args.config, io.bench_config_kwargs) if args.config else {}
-    fields["master_seed"] = _resolve_seed(args.seed, fields.get("master_seed"))
-    for flag, key in (("scenes", "scenes_per_count"), ("runs", "runs_per_scene"),
-                      ("counts", "object_counts")):
-        if getattr(args, flag) is not None:
-            fields[key] = getattr(args, flag)
-    fields.update(_budget_flags(args))
-    cfg = BenchConfig(**fields)
+    cfg = _config(args, BenchConfig)
     out = Path(args.out)
     # Fail before the sweep, not after it; the directory is still made only
     # once the records are aggregated.
@@ -181,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="plan a scene and print or save the plan JSON")
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--out", help="write the plan here instead of stdout")
-    _add_planner_flags(p)
+    _add_config_flags(p, PlannerConfig)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("execute", help="run the closed-loop executor on a scene")
@@ -196,18 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
                    help="maximum executed actions (default %(default)s)")
     p.add_argument("--frames", metavar="DIR", help="write one SVG per step into DIR")
-    _add_planner_flags(p)
+    _add_config_flags(p, PlannerConfig)
     p.set_defaults(func=_cmd_execute)
 
     p = sub.add_parser("bench", help="compare planner variants over random scenes")
-    p.add_argument("--config", help="benchmark configuration JSON")
     p.add_argument("--out", default="bench_out", help="output directory (default bench_out)")
-    p.add_argument("--seed", type=int, help="master seed (overrides config and PPLAN_SEED)")
+    _add_config_flags(p, BenchConfig)
     p.add_argument("--scenes", type=int, help="scenes per object count")
     p.add_argument("--runs", type=int, help="runs per scene")
     p.add_argument("--counts", help="comma-separated object counts, e.g. 4,6,8")
-    _add_budget_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU and one per plan")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("render", help="render a scene (or a plan's steps) to SVG")

@@ -19,7 +19,7 @@ from .bench import BenchConfig
 from .executor import ExecutionReport
 from .geometry import HalfDims, Rect, Side, Vec2
 from .metrics import CostBreakdown
-from .planner import Plan
+from .planner import Plan, PlannerConfig
 from .scene import (
     DEFAULT_TOLERANCE, Action, InvalidSceneError, ObjectSpec, PickPlace, PushPlace, Scene, satisfied_count,
 )
@@ -120,19 +120,13 @@ def _only(doc: dict, keys: Container[str], what: str, prefix: str = "") -> dict:
     return doc
 
 
-def _fields(doc: Any, table: dict, what: str, prefix: str = "") -> dict:
+def _fields(doc: Any, table: dict, what: str) -> dict:
     """Parse the object ``doc`` with ``table``, which maps each accepted key to its reader."""
-    _only(_object(doc, what), table, what, prefix)
+    _only(_object(doc, what), table, what)
     try:
-        return {key: table[key](value, prefix + key) for key, value in doc.items()}
+        return {key: table[key](value, key) for key, value in doc.items()}
     except SceneFormatError as e:
         raise SceneFormatError(f"invalid {what}: {e}") from None
-
-
-def _one_budget(fields: dict, what: str) -> dict:
-    if fields.get("max_expansions") is not None and fields.get("time_budget_s") is not None:
-        raise SceneFormatError(f"invalid {what}: set either 'max_expansions' or 'time_budget_s', not both")
-    return fields
 
 
 # --- config documents -----------------------------------------------------------
@@ -164,18 +158,26 @@ _BENCH_FIELDS = {
 }
 
 
+def _config_kwargs(doc: Any, table: dict, what: str, default_expansions: Optional[int]) -> dict:
+    """The fields a config document sets, under one budget rule: a ``time_budget_s`` replaces the
+    default expansion budget, and setting both budgets, or clearing the default one, is an error."""
+    fields = _fields(doc, table, what)
+    if fields.get("time_budget_s") is not None:
+        if fields.setdefault("max_expansions", None) is not None:
+            raise SceneFormatError(f"invalid {what}: set either 'max_expansions' or 'time_budget_s', not both")
+    elif default_expansions is not None and fields.get("max_expansions", default_expansions) is None:
+        raise SceneFormatError(f"invalid {what}: field 'max_expansions' is null and no 'time_budget_s' is set")
+    return fields
+
+
 def planner_config_kwargs(doc: Any) -> dict:
-    """``PlannerConfig`` keyword arguments for the fields a planner config document sets."""
-    return _one_budget(_fields(doc, _PLANNER_FIELDS, "planner config"), "planner config")
+    """``PlannerConfig`` keyword arguments; with neither budget set, the planner's 2 s default applies."""
+    return _config_kwargs(doc, _PLANNER_FIELDS, "planner config", PlannerConfig().max_expansions)
 
 
 def bench_config_kwargs(doc: Any) -> dict:
-    """``BenchConfig`` keyword arguments for the fields a bench config document sets;
-    a ``time_budget_s`` replaces the default expansion budget."""
-    fields = _one_budget(_fields(doc, _BENCH_FIELDS, "bench config"), "bench config")
-    if fields.get("time_budget_s") is not None:
-        fields["max_expansions"] = None
-    return fields
+    """``BenchConfig`` keyword arguments; the sweep keeps one budget set."""
+    return _config_kwargs(doc, _BENCH_FIELDS, "bench config", BenchConfig().max_expansions)
 
 
 def bench_config_to_dict(cfg: BenchConfig) -> dict:

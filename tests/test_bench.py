@@ -5,6 +5,7 @@ outputs, and golden records."""
 import json
 import math
 import multiprocessing
+import os
 import random
 import re
 from dataclasses import replace
@@ -225,6 +226,35 @@ class TestRunSingle:
         assert record.planning_time_ms > 0.0
 
 
+# Four runs: one scene, two variants, two runs each.
+FOUR_TASKS = BenchConfig(master_seed=3, object_counts=(3,), scenes_per_count=1, runs_per_scene=2,
+                         max_expansions=300)
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The sizes of the pools ``run_benchmark`` starts.  Each pool maps
+    in-process, so no worker is started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, iterable, chunksize=1):
+            return [fn(*task) for task in iterable]
+
+    # ``run_benchmark`` imports multiprocessing when it starts a pool.
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return sizes
+
+
 class TestRunBenchmark:
     def test_grid_cardinality_and_order(self):
         records = run_benchmark(SMALL)
@@ -242,32 +272,19 @@ class TestRunBenchmark:
         parallel = run_benchmark(SMALL, jobs=2)
         assert parallel == serial
 
-    def test_pool_is_capped_at_the_task_count(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Records its size and maps in-process: no worker is started."""
-
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return [fn(task) for task in iterable]
-
-        # ``run_benchmark`` imports multiprocessing when it starts a pool.
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        cfg = BenchConfig(master_seed=3, object_counts=(3,), scenes_per_count=1,
-                          runs_per_scene=2, max_expansions=300)
-        records = run_benchmark(cfg, jobs=10_000)
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        records = run_benchmark(FOUR_TASKS, jobs=10_000)
         assert len(records) == 4
-        assert sizes == [4]
-        assert records == run_benchmark(cfg)
+        assert pool_sizes == [4]
+        assert records == run_benchmark(FOUR_TASKS)
+
+    @pytest.mark.parametrize("cpus, sizes", [(3, [3]), (None, [])])
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, pool_sizes, cpus, sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        records = run_benchmark(FOUR_TASKS, jobs=10_000)
+        assert pool_sizes == sizes
+        assert records == run_benchmark(FOUR_TASKS, jobs=1)
 
     def test_both_budgets_rejected_before_any_scene_is_generated(self, monkeypatch):
         generated = []

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from pushplan import Rect, Scene, Vec2, scene_to_json
 from pushplan import cli, render
-from pushplan.bench import BenchError, generate_scene
+from pushplan.bench import BenchConfig, BenchError, generate_scene
 from pushplan.cli import main
 from pushplan.executor import execute
 from pushplan.io import load, plan_from_dict, report_to_dict
@@ -455,6 +455,51 @@ class TestSeedResolution:
         rc = main(["plan", swap_file, "--expansions", "100"])
         assert rc == 1
         assert "PPLAN_SEED" in capsys.readouterr().err
+
+
+class _Built(Exception):
+    """Raised with the config a command built, so the command stops there."""
+
+
+# (commands, PPLAN_SEED, --config document, flags, fields expected).  "seed"
+# stands for the seed field: ``seed`` of a planner config, ``master_seed`` of
+# a bench config.
+PLANNER, BENCH, ALL = ("plan", "execute"), ("bench",), ("plan", "execute", "bench")
+PRECEDENCE = [
+    (ALL, "9", {"seed": 7}, ["--seed", "5"], {"seed": 5}),
+    (ALL, "9", {"seed": 7}, [], {"seed": 7}),
+    (ALL, "9", None, [], {"seed": 9}),
+    (ALL, None, None, [], {"seed": 0}),
+    (ALL, "twelve", None, ["--seed", "5"], {"seed": 5}),
+    (ALL, "twelve", {"seed": 7}, [], {"seed": 7}),
+    (ALL, None, {"max_expansions": 500}, ["--time-budget", "0.25"], {"max_expansions": None, "time_budget_s": 0.25}),
+    (ALL, None, {"time_budget_s": 0.5}, ["--expansions", "300"], {"max_expansions": 300, "time_budget_s": None}),
+    (PLANNER, None, {"push_enabled": True}, ["--no-push"], {"push_enabled": False}),
+    (BENCH, None, {"scenes_per_count": 5}, ["--scenes", "2"], {"scenes_per_count": 2}),
+    (BENCH, None, {"runs_per_scene": 5}, ["--runs", "2"], {"runs_per_scene": 2}),
+    (BENCH, None, {"object_counts": [5]}, ["--counts", "3,4"], {"object_counts": (3, 4)}),
+]
+
+
+@pytest.mark.parametrize("command, env, doc, flags, want", [
+    (command, *case) for commands, *case in PRECEDENCE for command in commands])
+def test_command_line_over_config_over_env(swap_file, tmp_path, monkeypatch, command, env, doc, flags, want):
+    """Each of ``plan``, ``execute`` and ``bench`` builds its config with the same precedence."""
+    def built(*args, **kwargs):
+        raise _Built(next(a for a in args if isinstance(a, (PlannerConfig, BenchConfig))))
+
+    monkeypatch.setattr(cli, {"bench": "run_benchmark"}.get(command, command), built)
+    if env is not None:
+        monkeypatch.setenv("PPLAN_SEED", env)
+    seed = "master_seed" if command == "bench" else "seed"
+    argv = [command] + ([] if command == "bench" else [swap_file]) + ["--out", str(tmp_path / "out")] + flags
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({seed if k == "seed" else k: v for k, v in doc.items()}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    with pytest.raises(_Built) as e:
+        main(argv)
+    cfg = e.value.args[0]
+    assert {k: getattr(cfg, seed if k == "seed" else k) for k in want} == want
 
 
 def run_main(argv: list[str]) -> tuple[int, str]:

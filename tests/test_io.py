@@ -230,6 +230,9 @@ CASES = [
     # a stored cost total is checked, as the plan's own total is, but not read
     ("plan", {"actions": [SWAP_PLAN_ACTION],
               "costs": [{"approach": 0.1, "pick": 0.2, "transfer": 0.3, "total": "abc"}]}, "'costs[0].total'"),
+    # a sweep keeps one budget: clearing the expansion budget needs a time budget
+    ("bench", {"object_counts": [3], "scenes_per_count": 1, "runs_per_scene": 1, "max_expansions": None},
+     "'max_expansions'"),
 ]
 
 
