@@ -57,7 +57,8 @@ DEFAULT_VARIANTS = (BenchVariant("baseline", False), BenchVariant("push", True))
 
 @dataclass(frozen=True, slots=True)
 class BenchConfig:
-    """A whole sweep: a bench config document sets every field."""
+    """A whole sweep: a bench config document sets every field.  Exactly one
+    budget is set, so no default wall clock ever applies to a sweep."""
 
     # Every sweep compares the same two variants on the same table.
     variants = DEFAULT_VARIANTS
@@ -71,6 +72,10 @@ class BenchConfig:
     tolerance: float = DEFAULT_TOLERANCE
     max_expansions: Optional[int] = 1500
     time_budget_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if (self.max_expansions is None) == (self.time_budget_s is None):
+            raise ValueError("set exactly one of 'max_expansions' and 'time_budget_s'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,8 +158,7 @@ def run_single(scene: Scene, key: tuple[str, int, int, int], cfg: PlannerConfig)
 
 
 def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
-    """Plan every cell of the benchmark grid, in deterministic order.  A config
-    that sets both budgets raises ValueError before any scene is generated."""
+    """Plan every cell of the benchmark grid, in deterministic order."""
     base = PlannerConfig(time_budget_s=cfg.time_budget_s, max_expansions=cfg.max_expansions)
     tasks = []
     for n in cfg.object_counts:

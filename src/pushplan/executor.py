@@ -158,7 +158,8 @@ def execute(
             pending = list(result.actions)
 
         action = pending[0]
-        sim_rng = random.Random(derive_seed(trial_seed, "sim", len(steps)))
+        # ``simulate`` draws only under noise, so a noise-free step seeds nothing.
+        sim_rng = random.Random(derive_seed(trial_seed, "sim", len(steps))) if noise.enabled else None
         nxt, events = simulate(current, action, noise, sim_rng)
         pending = pending[1:]
         steps.append(

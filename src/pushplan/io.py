@@ -158,26 +158,27 @@ _BENCH_FIELDS = {
 }
 
 
-def _config_kwargs(doc: Any, table: dict, what: str, default_expansions: Optional[int]) -> dict:
-    """The fields a config document sets, under one budget rule: a ``time_budget_s`` replaces the
-    default expansion budget, and setting both budgets, or clearing the default one, is an error."""
+def _config_kwargs(doc: Any, table: dict, what: str, kind: type) -> dict:
+    """The fields a config document sets: a ``time_budget_s`` replaces the default expansion
+    budget, and ``kind`` (the config class) checks the budget rule on the result."""
     fields = _fields(doc, table, what)
     if fields.get("time_budget_s") is not None:
-        if fields.setdefault("max_expansions", None) is not None:
-            raise SceneFormatError(f"invalid {what}: set either 'max_expansions' or 'time_budget_s', not both")
-    elif default_expansions is not None and fields.get("max_expansions", default_expansions) is None:
-        raise SceneFormatError(f"invalid {what}: field 'max_expansions' is null and no 'time_budget_s' is set")
+        fields.setdefault("max_expansions", None)
+    try:
+        kind(**fields)
+    except ValueError as e:
+        raise SceneFormatError(f"invalid {what}: {e}") from None
     return fields
 
 
 def planner_config_kwargs(doc: Any) -> dict:
     """``PlannerConfig`` keyword arguments; with neither budget set, the planner's 2 s default applies."""
-    return _config_kwargs(doc, _PLANNER_FIELDS, "planner config", PlannerConfig().max_expansions)
+    return _config_kwargs(doc, _PLANNER_FIELDS, "planner config", PlannerConfig)
 
 
 def bench_config_kwargs(doc: Any) -> dict:
     """``BenchConfig`` keyword arguments; the sweep keeps one budget set."""
-    return _config_kwargs(doc, _BENCH_FIELDS, "bench config", BenchConfig().max_expansions)
+    return _config_kwargs(doc, _BENCH_FIELDS, "bench config", BenchConfig)
 
 
 def bench_config_to_dict(cfg: BenchConfig) -> dict:

@@ -56,7 +56,7 @@ class PlannerConfig:
 
     def __post_init__(self) -> None:
         if self.time_budget_s is not None and self.max_expansions is not None:
-            raise ValueError("set either time_budget_s or max_expansions, not both")
+            raise ValueError("set either 'time_budget_s' or 'max_expansions', not both")
         if self.time_budget_s is None and self.max_expansions is None:
             object.__setattr__(self, "time_budget_s", DEFAULT_TIME_BUDGET_S)
 

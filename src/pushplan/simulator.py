@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .geometry import Bounds, Rect, Side, Vec2, bounds_extent, bounds_from_center, overlaps, perp_coord
+from .geometry import Bounds, Side, Vec2, bounds_extent, bounds_from_center, overlaps, perp_coord
 # ``rect_from_center`` is not called here: the simulator reads footprints as
 # ``Bounds``.  It stays bound because perfbench's tracer and its tests look
 # it up in this module.
@@ -70,13 +70,6 @@ NO_NOISE = NoiseConfig(enabled=False)
 
 def _lat_interval(b: Bounds, side: Side) -> tuple[float, float]:
     return (b[1], b[3]) if side.horizontal else (b[0], b[2])
-
-
-def _bounds_at(scene: Scene, poses: list[Vec2], k: int) -> Bounds:
-    """Footprint bounds of object ``k`` at ``poses[k]``: the scene's own while it is unmoved."""
-    if poses[k] is scene.current[k]:
-        return scene.footprints[k]
-    return bounds_from_center(poses[k], scene.objects[k].half)
 
 
 @dataclass(slots=True)
@@ -155,54 +148,37 @@ def push_forward(
     return tuple(poses), events
 
 
-def _clamp_box(scene: Scene) -> Rect:
-    w = scene.workspace
-    return Rect(
-        Vec2(w.lo.x + EDGE_REST_INSET, w.lo.y + EDGE_REST_INSET),
-        Vec2(w.hi.x - EDGE_REST_INSET, w.hi.y - EDGE_REST_INSET),
-    )
-
-
-def _clamp(c: float, base: float, lo: float, hi: float) -> float:
-    return min(max(c, lo), hi) if lo <= hi else base
-
-
-def _clamp_pose(scene: Scene, obj: int, base: Vec2, pose: Vec2, box: Rect) -> tuple[Vec2, bool]:
-    """Clamp the footprint of ``obj`` at ``pose``, a drift from ``base``, into
-    ``box``; flag if moved.
-
-    Along an axis where the footprint is wider than ``box`` there is no room
-    to drift, so the object keeps ``base``'s coordinate there.
-    """
-    half = scene.objects[obj].half
-    x = _clamp(pose.x, base.x, box.lo.x + half.a, box.hi.x - half.a)
-    y = _clamp(pose.y, base.y, box.lo.y + half.b, box.hi.y - half.b)
-    clipped = (x != pose.x) or (y != pose.y)
-    return Vec2(x, y), clipped
-
-
-def _settle_with_noise(
-    scene: Scene,
-    poses: list[Vec2],
-    obj: int,
-    drift: Vec2,
-    box: Rect,
-) -> bool:
-    """Move ``obj`` by as much of ``drift`` as fits without creating overlap.
+def _settle_with_noise(scene: Scene, poses: list[Vec2], obj: int, drift: Vec2, inset: float) -> bool:
+    """Move ``obj`` by as much of ``drift`` as fits without creating overlap,
+    its footprint clamped ``inset`` inside the table edge.
 
     Halves the drift until the clamped pose is free.  Once the fraction of
     the drift falls below 1e-6 with no free pose found, ``obj`` keeps its
-    settled pose.  Returns True if the pose it moved to was clamped at an edge.
+    settled pose.  Along an axis where the footprint is wider than the table
+    less ``inset`` on each side there is no room to drift, so ``obj`` keeps
+    its coordinate from before the drift.  Returns True if the pose it moved
+    to was clamped at an edge.
     """
+    w = scene.workspace
+    half = scene.objects[obj].half
+    x_lo, x_hi = (w.lo.x + inset) + half.a, (w.hi.x - inset) - half.a
+    y_lo, y_hi = (w.lo.y + inset) + half.b, (w.hi.y - inset) - half.b
+    # The others hold still while ``obj`` settles; an unmoved one has the scene's own footprint.
+    others = [
+        scene.footprints[k] if poses[k] is scene.current[k] else bounds_from_center(poses[k], scene.objects[k].half)
+        for k in range(scene.n) if k != obj
+    ]
     base = poses[obj]
     t = 1.0
     while True:
-        cand, clipped = _clamp_pose(scene, obj, base, base + drift * t, box)
-        r = bounds_from_center(cand, scene.objects[obj].half)
-        free = not any(overlaps(r, _bounds_at(scene, poses, k)) for k in range(scene.n) if k != obj)
-        if free:
+        pose = base + drift * t
+        x = min(max(pose.x, x_lo), x_hi) if x_lo <= x_hi else base.x
+        y = min(max(pose.y, y_lo), y_hi) if y_lo <= y_hi else base.y
+        cand = Vec2(x, y)
+        r = bounds_from_center(cand, half)
+        if not any(overlaps(r, b) for b in others):
             poses[obj] = cand
-            return clipped
+            return x != pose.x or y != pose.y
         if t < 1e-6:
             return False
         t /= 2.0
@@ -251,7 +227,7 @@ def simulate(
                 rng.uniform(-noise.lateral_sigma, noise.lateral_sigma),
             )
             # Placement error stays on the table but may rest flush at the edge.
-            _settle_with_noise(scene, poses, action.object, drift, scene.workspace)
+            _settle_with_noise(scene, poses, action.object, drift, 0.0)
         return _outcome(scene, poses), []
 
     target = action.object
@@ -266,13 +242,12 @@ def simulate(
     poses[target] = goal
 
     if noise.enabled:
-        box = _clamp_box(scene)
         for j in sorted(ev.object for ev in events):
             depth = rng.uniform(-noise.depth_sigma, noise.depth_sigma)
             lat = rng.uniform(-noise.lateral_sigma, noise.lateral_sigma)
             u = side.unit
             drift = u * depth + Vec2(-u.y, u.x) * lat
-            if _settle_with_noise(scene, poses, j, drift, box):
+            if _settle_with_noise(scene, poses, j, drift, EDGE_REST_INSET):
                 events.append(
                     SimEvent(SimEventKind.LEFT_TABLE, j, "noise drift reached the table edge; clamped")
                 )

@@ -289,11 +289,21 @@ class TestRunBenchmark:
     def test_both_budgets_rejected_before_any_scene_is_generated(self, monkeypatch):
         generated = []
         monkeypatch.setattr(bench, "generate_scene", lambda *args: generated.append(args))
-        cfg = BenchConfig(object_counts=(3,), scenes_per_count=1, runs_per_scene=1, time_budget_s=0.05)
-        assert cfg.max_expansions is not None
-        with pytest.raises(ValueError, match="not both"):
-            run_benchmark(cfg)
+        with pytest.raises(ValueError, match="exactly one"):
+            run_benchmark(BenchConfig(object_counts=(3,), scenes_per_count=1, runs_per_scene=1, time_budget_s=0.05))
         assert generated == []
+
+    @pytest.mark.parametrize("budgets", [
+        {"max_expansions": None}, {"time_budget_s": 0.05}, {"max_expansions": None, "time_budget_s": None},
+    ])
+    def test_a_sweep_sets_exactly_one_budget(self, budgets):
+        # Neither budget would plan on the planner's wall-clock default.
+        with pytest.raises(ValueError, match="exactly one of 'max_expansions' and 'time_budget_s'"):
+            BenchConfig(**budgets)
+        with pytest.raises(ValueError, match="exactly one"):
+            replace(SMALL, **budgets)
+        timed = BenchConfig(max_expansions=None, time_budget_s=0.05)
+        assert (timed.max_expansions, timed.time_budget_s) == (None, 0.05)
 
     def test_variants_and_workspace_are_not_fields(self):
         # A bench config document sets every field, so it is the whole sweep.

@@ -191,6 +191,22 @@ class TestNoisy:
         assert lost.success_rate < 1.0
 
 
+    @pytest.mark.parametrize("noise", [NO_NOISE, NOISE])
+    def test_the_simulator_is_seeded_only_under_noise(self, swap_scene, monkeypatch, noise):
+        # A noise-free ``simulate`` draws nothing, so no step derives a "sim" seed for it.
+        labels = []
+
+        def recording(*parts):
+            labels.append(parts[1])
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(executor_mod, "derive_seed", recording)
+        report = execute(swap_scene, CFG, noise=noise, rng=random.Random(5))
+        assert report.total_actions > 0
+        assert labels.count("plan") == report.plan_rounds
+        assert labels.count("sim") == (report.total_actions if noise.enabled else 0)
+
+
 class TestSimulatorAcceptsExecutedActions:
     """Every executed action was admitted by ``transition`` in the scene it is
     simulated in, so ``simulate`` accepts it; a refusal is a fault, not a

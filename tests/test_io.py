@@ -233,6 +233,8 @@ CASES = [
     # a sweep keeps one budget: clearing the expansion budget needs a time budget
     ("bench", {"object_counts": [3], "scenes_per_count": 1, "runs_per_scene": 1, "max_expansions": None},
      "'max_expansions'"),
+    # the planner config's own budget rule, reported as a document error
+    ("planner", {"max_expansions": 100, "time_budget_s": 1.0}, "'time_budget_s'"),
 ]
 
 

@@ -27,6 +27,7 @@ from pushplan import (
 )
 from pushplan.geometry import HalfDims, Rect, axis_coord, perp_coord
 from pushplan.scene import DEFAULT_CLEARANCE
+from pushplan.simulator import EDGE_REST_INSET
 
 from conftest import take_proposals
 from oracles import axis_extent, footprint, overlaps
@@ -351,6 +352,67 @@ class TestNoise:
             r = footprint(out, 1)
             assert r.lo.x >= 0.0 and r.hi.x <= 0.1
             assert [e.object for e in events if e.kind is SimEventKind.LEFT_TABLE] == [1]
+
+    def test_placement_drifted_past_an_edge_rests_flush(self):
+        # A placement may rest flush at the edge: no inset.
+        scene = Scene(
+            Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)),
+            (ObjectSpec(HalfDims(0.0625, 0.0625)),),
+            (Vec2(0.5, 0.5),),
+            (Vec2(0.5, 0.25),),
+        )
+        noisy = NoiseConfig(lateral_sigma=0.0, depth_sigma=0.2, enabled=True)
+        flush = 0
+        for seed in range(20):
+            # The placement's drift along x is its first draw.
+            dx = random.Random(seed).uniform(-0.2, 0.2)
+            out, _ = simulate(scene, PickPlace(0, Vec2(0.9375, 0.5)), noise=noisy, rng=random.Random(seed))
+            if dx > 0.0:
+                assert footprint(out, 0).hi.x == 1.0
+                flush += 1
+            else:
+                assert out.current[0] == Vec2(0.9375 + dx, 0.5)
+        assert 0 < flush < 20
+
+    def test_pushed_object_drifted_past_an_edge_rests_inset(self):
+        # The blocker ends the push 0.001 m from the right wall; a pushed
+        # object clamped at an edge rests EDGE_REST_INSET inside it.
+        scene = Scene(
+            Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)),
+            (ObjectSpec(HalfDims(0.05, 0.05)), ObjectSpec(HalfDims(0.05, 0.05))),
+            (Vec2(0.2, 0.5), Vec2(0.949, 0.58)),
+            (Vec2(0.949, 0.5), Vec2(0.2, 0.85)),
+        )
+        action = PushPlace(0, Side.UP, Vec2(0.949, 0.475))
+        noisy = NoiseConfig(lateral_sigma=0.05, depth_sigma=0.0, enabled=True)
+        clamped = 0
+        for seed in range(20):
+            out, events = simulate(scene, action, noise=noisy, rng=random.Random(seed))
+            if any(e.kind is SimEventKind.LEFT_TABLE for e in events):
+                assert out.current[1].x == (1.0 - EDGE_REST_INSET) - 0.05
+                assert footprint(out, 1).hi.x == pytest.approx(1.0 - EDGE_REST_INSET, abs=1e-12)
+                clamped += 1
+            else:
+                assert footprint(out, 1).hi.x < 1.0 - EDGE_REST_INSET
+        assert 0 < clamped < 20
+
+    def test_noisy_push_on_a_table_narrower_than_two_insets(self):
+        # The table is 1.5 mm wide, less than EDGE_REST_INSET on each side
+        # plus the blocker's 1 mm width: the blocker has no room to drift
+        # across the push, so it keeps its x and stays on the table.
+        scene = Scene(
+            Rect(Vec2(0.0, 0.0), Vec2(0.0015, 1.0)),
+            (ObjectSpec(HalfDims(0.0005, 0.05)), ObjectSpec(HalfDims(0.0005, 0.05))),
+            (Vec2(0.00075, 0.2), Vec2(0.00075, 0.52)),
+            (Vec2(0.00075, 0.5), Vec2(0.00075, 0.9)),
+        )
+        action = PushPlace(0, Side.UP, Vec2(0.00075, 0.415))
+        out, _ = simulate(scene, action, noise=NoiseConfig(enabled=True), rng=random.Random(1))
+        assert [p.x for p in out.current] == [0.00075, 0.00075]
+        for i in range(out.n):
+            r = footprint(out, i)
+            assert r.lo.x >= 0.0 and r.hi.x <= 0.0015 and r.lo.y >= 0.0 and r.hi.y <= 1.0
+        assert not overlaps(footprint(out, 0), footprint(out, 1))
 
 
 def assert_refused_as_validated(scene, action, match):
