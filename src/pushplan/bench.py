@@ -3,7 +3,7 @@
 The harness plans every (variant, object count, scene, run) combination and
 writes four files into the output directory: ``records.csv`` with one row per
 run, ``summary.json`` and ``summary.csv`` with aggregated cells, and
-``charts.svg`` with cost and reduction panels.  All randomness flows from one
+``charts.svg`` with cost and action panels.  All randomness flows from one
 master seed through named seed derivations, so two invocations with the same
 configuration produce byte-identical records.
 """
@@ -58,7 +58,7 @@ DEFAULT_VARIANTS = (BenchVariant("baseline", False), BenchVariant("push", True))
 @dataclass(frozen=True, slots=True)
 class BenchConfig:
     """A whole sweep: a bench config document sets every field.  Exactly one
-    budget is set, so no default wall clock ever applies to a sweep."""
+    budget is set (no default wall clock applies) and no object count repeats."""
 
     # Every sweep compares the same two variants on the same table.
     variants = DEFAULT_VARIANTS
@@ -76,6 +76,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if (self.max_expansions is None) == (self.time_budget_s is None):
             raise ValueError("set exactly one of 'max_expansions' and 'time_budget_s'")
+        if len(set(self.object_counts)) != len(self.object_counts):
+            raise ValueError(f"'object_counts' must not repeat a count, got {list(self.object_counts)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +160,7 @@ def run_single(scene: Scene, key: tuple[str, int, int, int], cfg: PlannerConfig)
 
 
 def run_benchmark(cfg: BenchConfig, jobs: int = 1) -> list[BenchRecord]:
-    """Plan every cell of the benchmark grid, in deterministic order."""
+    """Plan every cell of the benchmark grid, in deterministic order, whatever ``jobs``."""
     base = PlannerConfig(time_budget_s=cfg.time_budget_s, max_expansions=cfg.max_expansions)
     tasks = []
     for n in cfg.object_counts:

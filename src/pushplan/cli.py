@@ -55,7 +55,10 @@ def _config(args: argparse.Namespace, kind: type) -> PlannerConfig | BenchConfig
     for flag, key in _FIELD_FLAGS.items():
         if getattr(args, flag, None) is not None:
             fields[key] = getattr(args, flag)
-    return kind(**fields)
+    try:
+        return kind(**fields)
+    except ValueError as e:  # a flag breaks the config's own rule, e.g. ``--counts 4,4``
+        raise SceneFormatError(f"invalid {'bench' if bench else 'planner'} config: {e}") from None
 
 
 def _add_config_flags(p: argparse.ArgumentParser, kind: type) -> None:
@@ -123,10 +126,12 @@ def _cmd_execute(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _config(args, BenchConfig)
     out = Path(args.out)
-    # Fail before the sweep, not after it; the directory is still made only
-    # once the records are aggregated.
-    if out.exists() and not out.is_dir():
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+    # Fail before the sweep, not after it, when ``out`` or its nearest existing
+    # ancestor is a file; the directory is still made only once the records
+    # are aggregated.
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(existing))
     records = run_benchmark(cfg, jobs=args.jobs)
     summary = write_benchmark_outputs(cfg, records, out)
     for row in summary["reductions"]:

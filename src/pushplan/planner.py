@@ -7,6 +7,7 @@ of their goals, so no rollouts are needed, and the search stops at the first
 node where everything is satisfied.  The tree widens progressively: a node
 gains a new child only while its child count is below the square root of its
 visit count, otherwise selection descends through the best child by UCT.
+Each uniform pick, ``rng.choice(seq)``, is ``seq[rng.randrange(len(seq))]`` draw for draw.
 """
 
 from __future__ import annotations

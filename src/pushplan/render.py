@@ -2,13 +2,14 @@
 
 Output is plain text built from sorted inputs with every coordinate printed
 at six decimal places, so the same scene always yields byte-identical SVG.
-A scene's title, its object colors and chart variant names are XML-escaped.
+A scene's title, its object colors and chart variant names are XML-escaped (``_escape``).
 World coordinates have y up; SVG has y down, so the vertical axis is flipped
 around the workspace top edge.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,11 +42,16 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
+# Every character outside XML 1.0's ``Char`` production: most C0 controls,
+# lone surrogates, U+FFFE and U+FFFF.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _escape(text: str) -> str:
-    """``text`` with ``&``, ``<`` and ``>`` as entities, as ``xml.sax.saxutils.escape``
-    gives it.  That module is not used because it imports ``urllib.request``:
-    about 40 ms and 7 MB for every command or benchmark pass that renders."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """``text`` with U+FFFD for each character XML 1.0 cannot hold, then ``&``, ``<`` and
+    ``>`` as entities, as ``xml.sax.saxutils.escape`` gives them.  That module is not used:
+    it imports ``urllib.request``, about 40 ms and 7 MB for every command that renders."""
+    return _NOT_XML_CHAR.sub("\ufffd", text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def object_color(scene: Scene, i: int) -> str:

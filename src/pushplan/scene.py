@@ -89,9 +89,10 @@ class Scene:
     """Workspace, object shapes, current poses, and goal poses.
 
     An object's id is its index in ``objects``, ``current`` and ``goal``.
-    Construction validates the invariants every scene must satisfy: matching
-    lengths, all footprints inside the workspace, and no two current (or two
-    goal) footprints overlapping.  Touching footprints are legal.
+    Construction reports the first invariant that fails, in this order: pose
+    counts match, tolerance > 0, then the current and then the goal footprints,
+    each inside the workspace (by id) and no pair ``(i, j)`` overlapping
+    (ascending).  Touching footprints are legal.
 
     Three read-only attributes cache what the scans read: ``footprints`` and
     ``goal_footprints`` (each object's ``Bounds``, indexed by id, computed as

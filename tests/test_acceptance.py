@@ -2,7 +2,7 @@
 
 Each test prints one summary line (criterion k: PASS/FAIL with the measured
 numbers); run with ``pytest tests/test_acceptance.py -v -s`` to see them all.
-Criteria 4, 5 and 7 run full benchmark sweeps and dominate the runtime.
+Criteria 4, 5 and 7 run full benchmark sweeps, each in under a second.
 """
 
 import multiprocessing

@@ -312,11 +312,38 @@ class TestRenderCommand:
         assert [el.get("fill") for el in filled] == [injected, injected]
         assert [el.text for el in elements if el.text and "<" in el.text] == ["a < b & c"]
 
-    @given(st.text())
+    @given(st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs", "Cc"])))
     def test_escape_matches_saxutils(self, text):
+        """``saxutils.escape`` of the text with each character outside XML 1.0's
+        ``Char`` production (#x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD]
+        | [#x10000-#x10FFFF]) replaced by U+FFFD."""
         from xml.sax.saxutils import escape
 
-        assert render._escape(text) == escape(text)
+        def xml_char(c):
+            o = ord(c)
+            return o in (0x9, 0xA, 0xD) or 0x20 <= o <= 0xD7FF or 0xE000 <= o <= 0xFFFD or 0x10000 <= o
+        assert render._escape(text) == escape("".join(c if xml_char(c) else "\ufffd" for c in text))
+
+    @pytest.mark.parametrize("color, drawn, title", [
+        ("red\x01", "red\ufffd", "a\x01b"), ("\ud800", "\ufffd", "a\udcffb")])
+    def test_text_xml_cannot_hold_is_replaced(self, color, drawn, title):
+        """A control character or a lone surrogate in a color or a title is
+        drawn as U+FFFD, so the SVG parses and encodes as UTF-8."""
+        swap = make_swap_scene()
+        scene = replace(swap, objects=tuple(replace(spec, color=color) for spec in swap.objects))
+        svg = render_scene(scene, title=title)
+        doc = xml.dom.minidom.parseString(svg.encode("utf-8"))
+        fills = [r.getAttribute("fill") for r in doc.getElementsByTagName("rect") if r.hasAttribute("fill-opacity")]
+        assert fills == [drawn, drawn]
+        assert doc.getElementsByTagName("text")[-1].firstChild.data == "a\ufffdb"
+
+    @pytest.mark.parametrize("title", ["a\x01b", "a\udcffb"])
+    def test_title_xml_cannot_hold_renders_to_a_file(self, swap_file, tmp_path, title):
+        # ``a\udcffb`` is how Python decodes the non-UTF-8 argument b"a\xffb".
+        out = tmp_path / "title.svg"
+        assert main(["render", swap_file, "--title", title, "--out", str(out)]) == 0
+        doc = xml.dom.minidom.parse(str(out))
+        assert doc.getElementsByTagName("text")[-1].firstChild.data == "a\ufffdb"
 
     def test_frames_require_plan(self, swap_file, tmp_path, capsys):
         rc = main(["render", swap_file, "--frames", str(tmp_path / "f")])
@@ -389,17 +416,20 @@ class TestBenchCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_existing_file_as_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        """``--out`` naming a file, or a path under one, exits 1 naming the file
+        before any run is planned."""
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before --out was checked")
 
         monkeypatch.setattr(cli, "run_benchmark", no_sweep)
-        out = tmp_path / "taken"
-        out.write_text("keep")
-        rc = main(self.ARGS + ["--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert f"{out}: File exists" in err and "Traceback" not in err
-        assert out.read_text() == "keep"
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for out in (taken, taken / "sub"):
+            rc = main(self.ARGS + ["--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 1, out
+            assert f"{taken}: File exists" in err and "Traceback" not in err
+            assert taken.read_text() == "keep"
 
     def test_variant_names_are_escaped_in_charts(self):
         summary = {"cells": [{"variant": "a<b", "n": 3, "mean_cost": 1.5, "mean_actions": 2.0}]}

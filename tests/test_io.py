@@ -235,6 +235,9 @@ CASES = [
      "'max_expansions'"),
     # the planner config's own budget rule, reported as a document error
     ("planner", {"max_expansions": 100, "time_budget_s": 1.0}, "'time_budget_s'"),
+    # a repeated object count would plan every run of that count twice
+    ("bench", {"object_counts": [4, 4]}, "'object_counts'"),
+    ("flags", ["bench", "--out", "{tmp}", "--counts", "4,4"], "'object_counts'"),
 ]
 
 
