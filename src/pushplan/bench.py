@@ -192,8 +192,11 @@ def aggregate(records: Sequence[BenchRecord]) -> dict:
 
     Within a scene, found runs are averaged first; cell statistics are the
     mean and population standard deviation across scenes.  Cost reductions
-    pair only scenes where both variants produced at least one plan.
+    pair only scenes where both variants produced at least one plan.  A sweep
+    with no records (no counts, scenes or runs) raises ``BenchError``.
     """
+    if not records:
+        raise BenchError("no records to aggregate: the sweep planned nothing")
     # Each (variant, N) cell's runs, and its found runs by scene.
     by_cell: dict[tuple[str, int], tuple[list[BenchRecord], dict[int, list[BenchRecord]]]] = {}
     for r in records:

@@ -110,7 +110,10 @@ def _write_frames(out_dir: str, style: RenderStyle, states: list[Scene], actions
 def _cmd_execute(args: argparse.Namespace) -> int:
     scene = io.load(args.scene, io.scene_from_dict)
     cfg = _config(args, PlannerConfig)
-    noise = NoiseConfig(args.lateral_sigma, args.depth_sigma, enabled=True) if args.noise else NO_NOISE
+    try:
+        noise = NoiseConfig(args.lateral_sigma, args.depth_sigma, enabled=True) if args.noise else NO_NOISE
+    except ValueError as e:  # a sigma whose drift draw would overflow
+        raise SceneFormatError(f"invalid noise: {e}") from None
     report = execute(scene, cfg, noise, step_budget=args.step_budget,
                      rng=random.Random(cfg.seed))
     _write_or_print(json.dumps(io.report_to_dict(report), indent=2) + "\n", args.out)

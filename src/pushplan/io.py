@@ -2,8 +2,10 @@
 reports, the planner and bench configs, and the CLI's numeric flags.
 
 Typed readers take a raw value and its field name, and return the parsed
-value or raise a ``SceneFormatError`` naming the field.  A config is a table
-from each accepted key to its reader, so known fields and range checks agree.
+value or raise a ``SceneFormatError`` naming the field.  Every JSON object, a
+whole document or an entry, is read by a ``_document`` reader over a table of
+each key's reader, so unknown, missing and malformed fields are reported by
+one rule under their full path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from functools import partial
 from pathlib import Path
 from reprlib import repr as _short
-from typing import Any, Callable, Container, Optional
+from typing import Any, Callable, Optional
 
 from .bench import BenchConfig
 from .executor import ExecutionReport
@@ -21,7 +23,7 @@ from .geometry import HalfDims, Rect, Side, Vec2
 from .metrics import CostBreakdown
 from .planner import Plan, PlannerConfig
 from .scene import (
-    DEFAULT_TOLERANCE, Action, InvalidSceneError, ObjectSpec, PickPlace, PushPlace, Scene, satisfied_count,
+    DEFAULT_TOLERANCE, Action, ObjectSpec, PickPlace, PushPlace, Scene, satisfied_count,
 )
 
 
@@ -69,7 +71,13 @@ def _bool(value: Any, name: str) -> bool:
     return value
 
 
-def _list(value: Any, name: str, read: Callable, size: Optional[int] = None, nonempty: bool = False) -> list:
+def _str(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise _bad(name, "a string", value)
+    return value
+
+
+def _list(value: Any, name: str, read: Callable, size: Optional[int] = None, nonempty: bool = False) -> tuple:
     """A list whose entries are parsed by ``read`` under the names ``name[i]``."""
     if not isinstance(value, (list, tuple)):
         raise _bad(name, "a list", value)
@@ -77,7 +85,7 @@ def _list(value: Any, name: str, read: Callable, size: Optional[int] = None, non
         raise _bad(name, f"a list of {size}", value)
     if nonempty and not value:
         raise _bad(name, "a non-empty list", value)
-    return [read(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return tuple(read(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
 def _pose(value: Any, name: str) -> Vec2:
@@ -100,33 +108,35 @@ _positive = partial(_finite, lo=0.0, strict=True)
 _count = partial(_int, lo=1)
 
 
-def _need(doc: dict, key: str, where: str) -> Any:
-    if key not in doc:
-        raise SceneFormatError(f"{where} is invalid: missing field '{key}'")
-    return doc[key]
+def _document(what: str, table: dict, build: Callable, required: tuple = ()) -> Callable:
+    """The reader of one kind of JSON object, whole document or entry: ``table`` maps each accepted
+    key to its reader, each key in ``required`` must be present, and ``build`` makes the value from
+    the fields read.  Unknown keys are rejected first, then each field is read in table order under
+    its full path (``name.key``).  A whole document (path ``name`` "") reports every ``ValueError``,
+    ``build``'s included (a config class's rules, ``Scene``'s checks), prefixed with ``invalid <what>:``."""
 
+    def read(doc: Any, name: str = "") -> Any:
+        if not isinstance(doc, dict):
+            where = name and f" in '{name}'"
+            raise SceneFormatError(f"{what} must be an object, got {type(doc).__name__}{where}")
+        path = (lambda key: f"{name}.{key}") if name else str
+        try:
+            for key in doc:
+                if key not in table:
+                    raise SceneFormatError(f"unknown field '{path(key)}'")
+            fields = {}
+            for key, read_field in table.items():
+                if key in doc:
+                    fields[key] = read_field(doc[key], path(key))
+                elif key in required:
+                    raise SceneFormatError(f"missing field '{path(key)}'")
+            return build(**fields)
+        except ValueError as e:
+            if name:
+                raise
+            raise SceneFormatError(f"invalid {what}: {e}") from None
 
-def _object(doc: Any, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise SceneFormatError(f"{what} must be an object, got {type(doc).__name__}")
-    return doc
-
-
-def _only(doc: dict, keys: Container[str], what: str, prefix: str = "") -> dict:
-    """``doc``, once each of its keys is found in ``keys``."""
-    for key in doc:
-        if key not in keys:
-            raise SceneFormatError(f"invalid {what}: unknown field '{prefix}{key}'")
-    return doc
-
-
-def _fields(doc: Any, table: dict, what: str) -> dict:
-    """Parse the object ``doc`` with ``table``, which maps each accepted key to its reader."""
-    _only(_object(doc, what), table, what)
-    try:
-        return {key: table[key](value, key) for key, value in doc.items()}
-    except SceneFormatError as e:
-        raise SceneFormatError(f"invalid {what}: {e}") from None
+    return read
 
 
 # --- config documents -----------------------------------------------------------
@@ -148,7 +158,7 @@ def _size_range(value: Any, name: str) -> tuple[float, float]:
 
 _BENCH_FIELDS = {
     "master_seed": _int,
-    "object_counts": lambda v, name: tuple(_list(v, name, _count, nonempty=True)),
+    "object_counts": partial(_list, read=_count, nonempty=True),
     "scenes_per_count": _count,
     "runs_per_scene": _count,
     "max_expansions": _optional(_count),
@@ -158,27 +168,23 @@ _BENCH_FIELDS = {
 }
 
 
-def _config_kwargs(doc: Any, table: dict, what: str, kind: type) -> dict:
+def _config(kind: type, **fields: Any) -> dict:
     """The fields a config document sets: a ``time_budget_s`` replaces the default expansion
     budget, and ``kind`` (the config class) checks the budget rule on the result."""
-    fields = _fields(doc, table, what)
     if fields.get("time_budget_s") is not None:
         fields.setdefault("max_expansions", None)
-    try:
-        kind(**fields)
-    except ValueError as e:
-        raise SceneFormatError(f"invalid {what}: {e}") from None
+    kind(**fields)
     return fields
 
 
 def planner_config_kwargs(doc: Any) -> dict:
     """``PlannerConfig`` keyword arguments; with neither budget set, the planner's 2 s default applies."""
-    return _config_kwargs(doc, _PLANNER_FIELDS, "planner config", PlannerConfig)
+    return _document("planner config", _PLANNER_FIELDS, partial(_config, PlannerConfig))(doc)
 
 
 def bench_config_kwargs(doc: Any) -> dict:
     """``BenchConfig`` keyword arguments; the sweep keeps one budget set."""
-    return _config_kwargs(doc, _BENCH_FIELDS, "bench config", BenchConfig)
+    return _document("bench config", _BENCH_FIELDS, partial(_config, BenchConfig))(doc)
 
 
 def bench_config_to_dict(cfg: BenchConfig) -> dict:
@@ -191,7 +197,7 @@ def _int_list(value: str, name: str) -> tuple[int, ...]:
         items = [int(c) for c in value.split(",")]
     except ValueError:
         raise _bad(name, "comma-separated integers", value) from None
-    return tuple(_list(items, name, _count))
+    return _list(items, name, _count)
 
 
 # Numeric command-line flags, by argparse destination.
@@ -236,33 +242,25 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def _object_spec(value: Any, name: str) -> tuple[HalfDims, Optional[str]]:
-    where = f"field '{name}'"
-    _only(_object(value, where), ("a", "b", "color"), "scene document", f"{name}.")
-    a, b = (_positive(_need(value, key, where), f"{name}.{key}") for key in ("a", "b"))
-    color = value.get("color")
-    if color is not None and not isinstance(color, str):
-        raise _bad(f"{name}.color", "a string", color)
-    return HalfDims(a, b), color
+def _workspace(value: Any, name: str) -> Rect:
+    x0, y0, x1, y1 = _list(value, name, _finite, size=4)
+    if x0 > x1 or y0 > y1:
+        raise _bad(name, "[x0, y0, x1, y1] with x0 <= x1 and y0 <= y1", value)
+    return Rect(Vec2(x0, y0), Vec2(x1, y1))
+
+
+_OBJECT = _document("object entry", {"a": _positive, "b": _positive, "color": _optional(_str)},
+                    lambda a, b, color=None: ObjectSpec(HalfDims(a, b), color), ("a", "b"))
+
+_poses = partial(_list, read=_pose)
+_SCENE = _document("scene document", {"workspace": _workspace, "objects": partial(_list, read=_OBJECT),
+                                      "start": _poses, "goal": _poses, "epsilon": _positive},
+                   lambda start, epsilon=DEFAULT_TOLERANCE, **f: Scene(current=start, tolerance=epsilon, **f),
+                   ("workspace", "objects", "start", "goal"))
 
 
 def scene_from_dict(doc: Any) -> Scene:
-    where = "scene document"
-    doc = _only(_object(doc, where), ("workspace", "objects", "start", "goal", "epsilon"), where)
-    x0, y0, x1, y1 = _list(_need(doc, "workspace", where), "workspace", _finite, size=4)
-    if x0 > x1 or y0 > y1:
-        raise _bad("workspace", "[x0, y0, x1, y1] with x0 <= x1 and y0 <= y1", doc["workspace"])
-    specs = _list(_need(doc, "objects", where), "objects", _object_spec)
-    try:
-        return Scene(
-            Rect(Vec2(x0, y0), Vec2(x1, y1)),
-            tuple(ObjectSpec(half, color) for half, color in specs),
-            tuple(_list(_need(doc, "start", where), "start", _pose)),
-            tuple(_list(_need(doc, "goal", where), "goal", _pose)),
-            _positive(doc.get("epsilon", DEFAULT_TOLERANCE), "epsilon"),
-        )
-    except InvalidSceneError as e:
-        raise SceneFormatError(str(e)) from e
+    return _SCENE(doc)
 
 
 def scene_to_json(scene: Scene) -> str:
@@ -284,26 +282,22 @@ def action_to_dict(action: Action) -> dict:
             "pre_push": [action.pre_push.x, action.pre_push.y]}
 
 
-# The keys of each action type's document.
-_ACTION_KEYS = {"pick_place": ("type", "object", "destination"),
-                "push_place": ("type", "object", "side", "pre_push")}
+def _action_type(value: Any, name: str) -> str:
+    if value not in ("pick_place", "push_place"):  # a tuple: ``value`` may be unhashable
+        raise _bad(name, "'pick_place' or 'push_place'", value)
+    return value
 
 
-def action_from_dict(doc: Any, name: str = "action") -> Action:
-    if not isinstance(doc, dict):
-        raise SceneFormatError(f"action document must be an object, got {type(doc).__name__} in '{name}'")
-    kind = doc.get("type")
-    if kind not in ("pick_place", "push_place"):
-        raise _bad(f"{name}.type", "'pick_place' or 'push_place'", kind)
-    _only(doc, _ACTION_KEYS[kind], "action", f"{name}.")
-    obj = _int(doc.get("object"), f"{name}.object", lo=0)
-    if kind == "pick_place":
-        return PickPlace(obj, _pose(doc.get("destination"), f"{name}.destination"))
-    return PushPlace(obj, _side(doc.get("side"), f"{name}.side"), _pose(doc.get("pre_push"), f"{name}.pre_push"))
+_object_id = partial(_int, lo=0)
+_PICK = _document("action document", {"type": _action_type, "object": _object_id, "destination": _pose},
+                  lambda type, **f: PickPlace(**f), ("type", "object", "destination"))
+_PUSH = _document("action document", {"type": _action_type, "object": _object_id, "side": _side, "pre_push": _pose},
+                  lambda type, **f: PushPlace(**f), ("type", "object", "side", "pre_push"))
 
 
-# A cost entry's travel keys, in the order of CostBreakdown's fields.
-_COST_KEYS = ("approach", "pick", "transfer")
+def action_from_dict(doc: Any, name: str = "") -> Action:
+    """An action document, or the action entry at path ``name``: its ``type`` picks the table of its fields."""
+    return (_PUSH if isinstance(doc, dict) and doc.get("type") == "push_place" else _PICK)(doc, name)
 
 
 def plan_to_dict(p: Plan) -> dict:
@@ -315,24 +309,33 @@ def plan_to_dict(p: Plan) -> dict:
     }
 
 
-def _cost(value: Any, name: str) -> CostBreakdown:
-    """A cost entry.  Its ``lambda`` may be omitted but is otherwise 1: every
-    cost pushplan computes is unscaled.  A stored total is checked but never read."""
-    doc = _only(_object(value, f"field '{name}'"), _COST_KEYS + ("lambda", "total"), "cost entry", f"{name}.")
-    if _finite(doc.get("lambda", 1.0), f"{name}.lambda") != 1.0:
-        raise _bad(f"{name}.lambda", "1", doc["lambda"])
-    _finite(doc.get("total", 0.0), f"{name}.total")
-    return CostBreakdown(*(_finite(doc.get(key), f"{name}.{key}") for key in _COST_KEYS))
+def _unscaled(value: Any, name: str) -> float:
+    if _finite(value, name) != 1.0:
+        raise _bad(name, "1", value)
+    return 1.0
+
+
+# Every cost pushplan computes is unscaled, so ``lambda`` is 1 or absent; a stored total is checked but never read.
+_COST = _document("cost entry", {"approach": _finite, "pick": _finite, "transfer": _finite, "lambda": _unscaled,
+                                 "total": _finite},
+                  lambda approach, pick, transfer, **_: CostBreakdown(approach, pick, transfer),
+                  ("approach", "pick", "transfer"))
+
+
+def _plan(actions: tuple, costs: Optional[tuple] = None, total: float = 0.0) -> Plan:
+    """One cost entry per action, when there are costs at all.  A stored total is
+    checked but not read: ``Plan.total`` is derived from the costs."""
+    if costs is not None and len(costs) != len(actions):
+        raise SceneFormatError(f"field 'costs' must be a list of {len(actions)}, one per action, got {len(costs)}")
+    return Plan(actions, costs or ())
+
+
+_PLAN = _document("plan document", {"actions": partial(_list, read=action_from_dict),
+                                    "costs": partial(_list, read=_COST), "total": _finite}, _plan, ("actions",))
 
 
 def plan_from_dict(doc: Any) -> Plan:
-    doc = _only(_object(doc, "plan document"), ("actions", "costs", "total"), "plan document")
-    actions = tuple(_list(_need(doc, "actions", "plan document"), "actions", action_from_dict))
-    # One cost entry per action, when there are costs at all.
-    costs = tuple(_list(doc["costs"], "costs", _cost, size=len(actions))) if "costs" in doc else ()
-    # A stored total is checked but not read: ``Plan.total`` is derived from the costs.
-    _finite(doc.get("total", 0.0), "total")
-    return Plan(actions, costs)
+    return _PLAN(doc)
 
 
 # --- execution reports ----------------------------------------------------------------

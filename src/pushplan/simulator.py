@@ -14,6 +14,7 @@ pushed objects; a drift that reaches the table edge is clamped inside it.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -37,6 +38,10 @@ from .scene import (
 # Clamped objects come to rest this far inside the table edge.  Meters.
 EDGE_REST_INSET = 0.001
 
+# The largest noise sigma: ``rng.uniform(-s, s)`` computes ``2 * s``, which
+# overflows past half the largest float.
+_MAX_SIGMA = sys.float_info.max / 2
+
 
 class SimEventKind(Enum):
     """A swept object's kind is its place in the contact chain, blocker or not:
@@ -58,11 +63,17 @@ class SimEvent:
 
 @dataclass(frozen=True, slots=True)
 class NoiseConfig:
-    """Uniform placement disturbances.  Sigmas are half-widths in meters."""
+    """Uniform placement disturbances.  Sigmas are half-widths in meters, from
+    0 to half the largest float (a NaN sigma raises ``ValueError`` too)."""
 
     lateral_sigma: float = 0.003
     depth_sigma: float = 0.002
     enabled: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("lateral_sigma", "depth_sigma"):
+            if not 0.0 <= getattr(self, name) <= _MAX_SIGMA:
+                raise ValueError(f"'{name}' must be in [0, {_MAX_SIGMA!r}], got {getattr(self, name)!r}")
 
 
 NO_NOISE = NoiseConfig(enabled=False)

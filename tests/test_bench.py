@@ -402,6 +402,16 @@ class TestAggregate:
 
 
 class TestOutputs:
+    @pytest.mark.parametrize("cfg", [
+        BenchConfig(object_counts=(4,), scenes_per_count=0),
+        BenchConfig(object_counts=(4,), scenes_per_count=1, runs_per_scene=0),
+        BenchConfig(object_counts=()),
+    ])
+    def test_an_empty_sweep_fails_before_any_file_is_written(self, tmp_path, cfg):
+        with pytest.raises(BenchError, match="no records"):
+            write_benchmark_outputs(cfg, run_benchmark(cfg), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_records_csv_format(self, tmp_path):
         records = [
             _rec("baseline", 3, 0, 0, True, 3, 2.5, 0.0),

@@ -238,6 +238,16 @@ CASES = [
     # a repeated object count would plan every run of that count twice
     ("bench", {"object_counts": [4, 4]}, "'object_counts'"),
     ("flags", ["bench", "--out", "{tmp}", "--counts", "4,4"], "'object_counts'"),
+    # a missing required field is named by its full path, at any depth
+    ("scene", {key: value for key, value in SCENE_DOC.items() if key != "goal"}, "missing field 'goal'"),
+    ("scene", dict(SCENE_DOC, objects=[{"a": 0.05}, SCENE_DOC["objects"][1]]), "missing field 'objects[0].b'"),
+    ("plan", {"actions": [{"type": "pick_place", "object": 0}]}, "missing field 'actions[0].destination'"),
+    ("plan", {"actions": [{"type": "push_place", "object": 0, "pre_push": [0.2, 0.5]}]},
+     "missing field 'actions[0].side'"),
+    ("plan", {"actions": [SWAP_PLAN_ACTION], "costs": [{"pick": 0.2, "transfer": 0.3}]},
+     "missing field 'costs[0].approach'"),
+    # a noise sigma whose drift draw would overflow a float
+    ("flags", ["execute", "{scene}", "--expansions", "200", "--noise", "--depth-sigma", "9e307"], "'depth_sigma'"),
 ]
 
 

@@ -2,7 +2,9 @@
 zero-noise fidelity guarantee against scene.apply_action, and refusal of
 every action validate_action refuses."""
 
+import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -413,6 +415,24 @@ class TestNoise:
             r = footprint(out, i)
             assert r.lo.x >= 0.0 and r.hi.x <= 0.0015 and r.lo.y >= 0.0 and r.hi.y <= 1.0
         assert not overlaps(footprint(out, 0), footprint(out, 1))
+
+    @pytest.mark.parametrize("sigma", [9e307, math.inf, math.nan, -0.001])
+    @pytest.mark.parametrize("field", ["lateral_sigma", "depth_sigma"])
+    def test_a_sigma_outside_zero_to_half_the_largest_float_is_rejected(self, field, sigma):
+        # ``rng.uniform(-s, s)`` overflows past half the largest float, and a
+        # push drift of ``0 * inf`` was a NaN pose.
+        with pytest.raises(ValueError, match=f"'{field}' must be in"):
+            NoiseConfig(**{field: sigma}, enabled=True)
+
+    def test_the_largest_sigma_still_settles_on_the_table(self):
+        big = sys.float_info.max / 2
+        noisy = NoiseConfig(lateral_sigma=big, depth_sigma=big, enabled=True)
+        scene = _row_scene([0.2, 0.5], Vec2(0.45, 0.5))
+        for action in (select_push(scene, 0).as_action(), PickPlace(1, Vec2(0.8, 0.2))):
+            out, _ = simulate(scene, action, noise=noisy, rng=random.Random(3))
+            for i in range(out.n):
+                r = footprint(out, i)
+                assert 0.0 <= r.lo.x and r.hi.x <= 1.0 and 0.0 <= r.lo.y and r.hi.y <= 1.0
 
 
 def assert_refused_as_validated(scene, action, match):
