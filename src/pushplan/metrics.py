@@ -73,14 +73,16 @@ def _legs(scene: Scene, action: Action, pose: Vec2) -> tuple[float, float, Vec2]
     Each leg from ``a`` to ``b`` is ``math.hypot(b.x - a.x, b.y - a.y)``,
     the value ``(b - a).norm()`` gives, without building the difference.  A
     placement's transfer runs from the object to its destination; a push's
-    runs from the object to the pre-push pose and on to ``set_down_pose``.
+    runs from the object to the pre-push pose and on to its goal.  The
+    set-down pose is ``set_down_pose``'s, read here without the call.
     """
     start = scene.current[action.object]
     sx, sy = start.x, start.y
     approach = math.hypot(sx - pose.x, sy - pose.y)
-    final = set_down_pose(scene, action)
     if isinstance(action, PickPlace):
+        final = action.destination
         return approach, math.hypot(final.x - sx, final.y - sy), final
+    final = scene.goal[action.object]
     pre = action.pre_push
     px, py = pre.x, pre.y
     return approach, math.hypot(px - sx, py - sy) + math.hypot(final.x - px, final.y - py), final

@@ -7,7 +7,9 @@ of their goals, so no rollouts are needed, and the search stops at the first
 node where everything is satisfied.  The tree widens progressively: a node
 gains a new child only while its child count is below the square root of its
 visit count, otherwise selection descends through the best child by UCT.
-Each uniform pick, ``rng.choice(seq)``, is ``seq[rng.randrange(len(seq))]`` draw for draw.
+Each uniform pick of an index below ``len(seq)`` draws ``rng.getrandbits(k)``,
+with ``k = len(seq).bit_length()``, until the draw is below ``len(seq)``: the
+draw ``rng.choice(seq)`` makes on CPython 3.10 to 3.13, value and state alike.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +50,9 @@ class PlannerConfig:
 
     Exactly one budget applies: a wall-clock duration (the default, not
     reproducible) or a maximum number of expansions (fully deterministic
-    under ``seed``).  Setting both is an error.
+    under ``seed``).  Setting both is an error, and so is a budget that
+    allows no expansion: ``max_expansions`` must be an int (not a bool) of
+    at least 1, ``time_budget_s`` finite and positive.
     """
 
     time_budget_s: Optional[float] = None
@@ -56,13 +61,19 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.time_budget_s is not None and self.max_expansions is not None:
+        seconds, expansions = self.time_budget_s, self.max_expansions
+        if seconds is not None and expansions is not None:
             raise ValueError("set either 'time_budget_s' or 'max_expansions', not both")
-        if self.time_budget_s is None and self.max_expansions is None:
+        if expansions is not None:
+            if isinstance(expansions, bool) or not isinstance(expansions, int) or expansions < 1:
+                raise ValueError(f"'max_expansions' must be an integer of at least 1, got {expansions!r}")
+        elif seconds is None:
             object.__setattr__(self, "time_budget_s", DEFAULT_TIME_BUDGET_S)
+        elif not 0.0 < seconds < math.inf:
+            raise ValueError(f"'time_budget_s' must be finite and positive, got {seconds!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Plan:
     """An action sequence and each action's cost.  ``total`` is derived from
     ``costs`` on every read, so the two cannot disagree."""
@@ -70,9 +81,18 @@ class Plan:
     actions: tuple[Action, ...]
     costs: tuple[CostBreakdown, ...]
 
+    def __init__(self, actions: tuple[Action, ...], costs: tuple[CostBreakdown, ...]) -> None:
+        _SET_ACTIONS(self, actions)
+        _SET_COSTS(self, costs)
+
     @property
     def total(self) -> float:
         return total_cost(self.costs)
+
+
+# Built through its slots, as ``PickPlace`` and ``Vec2`` are: every solved search builds one.
+_SET_ACTIONS = Plan.actions.__set__
+_SET_COSTS = Plan.costs.__set__
 
 
 class SearchNode:
@@ -92,12 +112,22 @@ class SearchNode:
         self.reward_sum = 0.0
 
 
+def _pick(seq: Sequence[int], rng: random.Random) -> int:
+    """A uniform pick from the non-empty ``seq``, drawn as ``rng.choice(seq)`` draws it."""
+    n = len(seq)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
+
+
 def sample_unsatisfied_object(scene: Scene, rng: random.Random) -> int:
     """Uniformly pick an object not yet at its goal."""
     ids = scene.unsatisfied
     if not ids:
         raise ValueError("all objects are satisfied; nothing to sample")
-    return rng.choice(ids)
+    return _pick(ids, rng)
 
 
 def recommend_action(
@@ -119,19 +149,13 @@ def recommend_action(
         proposal = select_push(scene, obj, blockers=blockers)
         if proposal is not None:
             return proposal
-    b = rng.choice(blockers)
+    b = _pick(blockers, rng)
     if not blockers_of(scene, b):
         return PickPlace(b, scene.goal[b])
     buffer = sample_buffer_pose(scene, b, rng)
     if buffer is None:
         return None
     return PickPlace(b, buffer)
-
-
-def _backprop(path: list[SearchNode], reward: int) -> None:
-    for node in path:
-        node.visits += 1
-        node.reward_sum += reward
 
 
 def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -> Optional[list[SearchNode]]:
@@ -141,6 +165,14 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
     Returns None when the selected node could not be expanded (depth cap or
     buffer exhaustion); the visit still counts so selection moves on.  The
     recommender's moves are feasible: ``transition`` raises on none.
+
+    Selection scores no more than UCT's argmax needs, and picks the child
+    ``max`` would.  Every child has been visited, so every score is finite:
+    an only child is the argmax without being scored.  A child's exploration
+    bonus depends only on its parent's visits and its own, so siblings with
+    equal visit counts get the same bonus; it is computed once per run of
+    such siblings, from the same operands, and each score, compared in the
+    same order, is the same float.
     """
     n = root.state.n
     depth_cap = 4 * n
@@ -150,46 +182,53 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
         # ``path`` runs from the root to ``node``, so ``node`` sits at depth
         # len(path) - 1.  Widen while ``c < max(1, isqrt(visits))``, tested
         # in integers: ``c < isqrt(v)`` holds exactly when ``(c + 1)**2 <= v``.
-        c = len(node.children)
-        if len(path) <= depth_cap and (not c or (c + 1) * (c + 1) <= node.visits):
+        # A leaf past the depth cap ends selection unexpanded.
+        children = node.children
+        c = len(children)
+        if not c or (len(path) <= depth_cap and (c + 1) * (c + 1) <= node.visits):
             break
-        if not c:
-            _backprop(path, n - len(node.state.unsatisfied))
-            return None
-        # UCT: (reward_sum / visits) / N + C * sqrt(ln(parent visits) / visits) / N.
-        # Both terms live on the per-object scale: satisfying one more object
-        # moves the mean reward by 1/N, so a bonus on the raw [0, 1] scale
-        # would drown the heuristic and flatten the search into breadth-first,
-        # which cannot reach solution depth for N >= 6 under any sane budget.
-        # Every child has been visited, so each score is finite and the first
-        # maximum wins, as with ``max``.
-        log_visits = _log(node.visits)
-        best, best_score = node, -math.inf
-        for child in node.children:
-            visits = child.visits
-            score = (child.reward_sum / visits) / n + EXPLORATION_C * _sqrt(log_visits / visits) / n
-            if score > best_score:
-                best, best_score = child, score
-        node = best
+        if c == 1:
+            node = children[0]
+        else:
+            # UCT: (reward_sum / visits) / N + C * sqrt(ln(parent visits) / visits) / N.
+            # Both terms live on the per-object scale: satisfying one more object
+            # moves the mean reward by 1/N, so a bonus on the raw [0, 1] scale
+            # would drown the heuristic and flatten the search into breadth-first,
+            # which cannot reach solution depth for N >= 6 under any sane budget.
+            # The first maximum wins, as with ``max``.
+            log_visits = _log(node.visits)
+            best_score = -math.inf
+            bonus_visits = 0
+            for child in children:
+                visits = child.visits
+                if visits != bonus_visits:
+                    bonus_visits = visits
+                    bonus = EXPLORATION_C * _sqrt(log_visits / visits) / n
+                score = (child.reward_sum / visits) / n + bonus
+                if score > best_score:
+                    node, best_score = child, score
         path.append(node)
 
-    obj = sample_unsatisfied_object(node.state, rng)
-    rec = recommend_action(node.state, obj, cfg, rng)
-    if rec is None:
-        _backprop(path, n - len(node.state.unsatisfied))
-        return None
-    action, new_state = transition(node.state, rec)
-    child = SearchNode(new_state, action)
-    node.children.append(child)
-    path.append(child)
-    _backprop(path, n - len(new_state.unsatisfied))
-    return path
+    state = node.state
+    rec = None
+    if len(path) <= depth_cap:
+        rec = recommend_action(state, sample_unsatisfied_object(state, rng), cfg, rng)
+        if rec is not None:
+            action, state = transition(state, rec)
+            child = SearchNode(state, action)
+            node.children.append(child)
+            path.append(child)
+    reward = n - len(state.unsatisfied)
+    for visited in path:
+        visited.visits += 1
+        visited.reward_sum += reward
+    return None if rec is None else path
 
 
 def _extract_plan(path: list[SearchNode]) -> Plan:
     """The actions along ``path``, from the root, costed once along it."""
-    steps = [(parent.state, child.action) for parent, child in zip(path, path[1:])]
-    return Plan(tuple(action for _, action in steps), path_costs(steps))
+    actions = tuple([node.action for node in path[1:]])
+    return Plan(actions, path_costs(zip([node.state for node in path], actions)))
 
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig()) -> Optional[Plan]:

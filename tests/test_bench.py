@@ -305,6 +305,20 @@ class TestRunBenchmark:
         timed = BenchConfig(max_expansions=None, time_budget_s=0.05)
         assert (timed.max_expansions, timed.time_budget_s) == (None, 0.05)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"object_counts": ()}, "object_counts"),
+        ({"object_counts": (0,)}, "object_counts"),
+        ({"object_counts": (3, -1)}, "object_counts"),
+        ({"scenes_per_count": 0}, "scenes_per_count"),
+        ({"scenes_per_count": -1}, "scenes_per_count"),
+        ({"runs_per_scene": 0}, "runs_per_scene"),
+    ])
+    def test_a_sweep_with_nothing_to_plan_is_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            BenchConfig(**fields)
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            replace(SMALL, **fields)
+
     def test_variants_and_workspace_are_not_fields(self):
         # A bench config document sets every field, so it is the whole sweep.
         for name in ("variants", "workspace"):
@@ -402,14 +416,12 @@ class TestAggregate:
 
 
 class TestOutputs:
-    @pytest.mark.parametrize("cfg", [
-        BenchConfig(object_counts=(4,), scenes_per_count=0),
-        BenchConfig(object_counts=(4,), scenes_per_count=1, runs_per_scene=0),
-        BenchConfig(object_counts=()),
-    ])
-    def test_an_empty_sweep_fails_before_any_file_is_written(self, tmp_path, cfg):
+    def test_no_records_fail_before_any_file_is_written(self, tmp_path):
+        # A BenchConfig cannot describe an empty sweep, so the records are given directly.
         with pytest.raises(BenchError, match="no records"):
-            write_benchmark_outputs(cfg, run_benchmark(cfg), tmp_path / "out")
+            aggregate([])
+        with pytest.raises(BenchError, match="no records"):
+            write_benchmark_outputs(SMALL, [], tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_records_csv_format(self, tmp_path):

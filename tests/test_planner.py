@@ -188,13 +188,15 @@ class TestSelection:
         assert len(visited) == 1
         return visited[0], expected, root.children, scores
 
-    @given(st.data())
-    def test_random_statistics(self, data):
+    # Visits drawn from 1..3 make siblings share counts, in runs and apart.
+    @pytest.mark.parametrize("max_visits", [3, 60])
+    @given(data=st.data())
+    def test_random_statistics(self, max_visits, data):
         scene = make_swap_scene()
         k = data.draw(st.integers(1, 6), label="children")
         stats = []
         for _ in range(k):
-            visits = data.draw(st.integers(1, 60))
+            visits = data.draw(st.integers(1, max_visits))
             stats.append((visits, float(data.draw(st.integers(0, visits * scene.n)))))
         root_visits = data.draw(st.integers(1, (k + 1) ** 2 - 1))
         got, expected, _, _ = self.selected(scene, stats, root_visits)
@@ -207,18 +209,59 @@ class TestSelection:
         assert scores[1] == scores[3] > max(scores[0], scores[2], scores[4])
         assert got is expected is children[1]
 
+    @pytest.mark.parametrize("stats, winner", [
+        # Equal counts apart, with different rewards; the tied maximum comes first at 2.
+        ([(4, 3.0), (9, 8.0), (4, 7.0), (3, 1.0), (4, 7.0), (9, 8.0)], 2),
+        # The same counts in runs of three and two.
+        ([(4, 3.0), (4, 7.0), (4, 7.0), (9, 8.0), (9, 8.0), (3, 1.0)], 1),
+    ])
+    def test_siblings_sharing_a_visit_count(self, stats, winner):
+        scene = make_swap_scene()
+        got, expected, children, scores = self.selected(scene, stats, 40)
+        assert scores[winner] == max(scores) and scores.index(max(scores)) == winner
+        assert scores.count(max(scores)) == 2
+        assert got is expected is children[winner]
+
+    def test_a_one_child_level_below_the_root_is_crossed_unscored(self, monkeypatch):
+        # root (5 children, full) -> only child (visits 3, so no widening)
+        # -> a full level of 2 -> a leaf, which the step expands.
+        scene = make_swap_scene()
+
+        def node(visits, reward_sum, children=()):
+            made = SearchNode(scene, None)
+            made.visits, made.reward_sum = visits, reward_sum
+            made.children.extend(children)
+            return made
+
+        leaves = [node(2, 1.0), node(1, 2.0)]
+        lone = node(3, 3.0, [node(8, 10.0, leaves)])
+        root = node(25, 20.0, [node(6, 3.0), lone, node(6, 8.0), node(5, 2.0), node(4, 1.0)])
+        expected, at = [root], root
+        while at.children and len(at.children) >= max(1, math.isqrt(at.visits)):
+            at = max(at.children, key=lambda ch: _uct_reference(ch, expected[-1].visits, scene.n))
+            expected.append(at)
+        assert expected[1:] == [lone, lone.children[0], leaves[1]]
+        before = {id(n): n.visits for n in expected}
+        logged = []
+        monkeypatch.setattr(planner_mod, "_log", lambda x: logged.append(x) or math.log(x))
+        path = tree_search_step(root, PlannerConfig(max_expansions=1), random.Random(0))
+        assert logged == [25, 8]
+        assert path[:-1] == expected and path[-1] in leaves[1].children
+        assert all(n.visits == before[id(n)] + 1 for n in expected)
+        assert [n.visits for n in root.children if n is not lone] == [6, 6, 5, 4]
+
 
 class TestDrawForDraw:
     """The search's widening test and its uniform picks are rewrites of the
     expressions they replaced, and equal them for every input tried:
-    ``c < max(1, math.isqrt(visits))`` and ``seq[rng.randrange(len(seq))]``."""
+    ``c < max(1, math.isqrt(visits))`` and ``rng.choice(seq)``."""
 
-    def test_choice_is_randrange_indexing(self):
-        for seed in range(200):
+    def test_pick_is_choice(self):
+        for seed in range(120):
             rng, twin = random.Random(seed), random.Random(seed)
-            for length in range(1, 41):
+            for length in range(1, 71):
                 seq = tuple(range(100, 100 + length))
-                assert rng.choice(seq) == seq[twin.randrange(len(seq))]
+                assert planner_mod._pick(seq, rng) == twin.choice(seq)
                 assert rng.getstate() == twin.getstate()
 
     def test_integer_widening_is_isqrt_widening(self):
@@ -352,7 +395,7 @@ class TestMatchesReference:
 
     def test_exhausted_budget_and_solved_start(self, swap_scene):
         found = set()
-        for budget in range(4):
+        for budget in range(1, 4):
             cfg = PlannerConfig(max_expansions=budget, seed=1)
             got = plan(swap_scene, cfg)
             assert got == reference_plan(swap_scene, cfg)
@@ -386,6 +429,15 @@ class TestEdgeCases:
     def test_budget_exclusivity(self):
         with pytest.raises(ValueError, match="not both"):
             PlannerConfig(time_budget_s=1.0, max_expansions=100)
+
+    @pytest.mark.parametrize("budget", [
+        {"max_expansions": 0}, {"max_expansions": -3}, {"max_expansions": 1.5}, {"max_expansions": True},
+        {"time_budget_s": 0.0}, {"time_budget_s": -1.0}, {"time_budget_s": math.nan}, {"time_budget_s": math.inf},
+    ])
+    def test_a_budget_that_allows_no_search_is_rejected(self, budget):
+        (name, value), = budget.items()
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            PlannerConfig(**budget)
 
     def test_default_budget_is_wall_clock(self):
         cfg = PlannerConfig()
