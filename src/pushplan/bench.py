@@ -58,9 +58,9 @@ DEFAULT_VARIANTS = (BenchVariant("baseline", False), BenchVariant("push", True))
 @dataclass(frozen=True, slots=True)
 class BenchConfig:
     """A whole sweep: a bench config document sets every field.  Exactly one
-    budget is set (no default wall clock applies); ``object_counts`` is
-    non-empty, each count at least 1 and none repeated; ``scenes_per_count``
-    and ``runs_per_scene`` are at least 1."""
+    budget is set (no default wall clock applies), in ``PlannerConfig``'s
+    range; ``object_counts`` is non-empty, each count at least 1 and none
+    repeated; ``scenes_per_count`` and ``runs_per_scene`` are at least 1."""
 
     # Every sweep compares the same two variants on the same table.
     variants = DEFAULT_VARIANTS
@@ -78,6 +78,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if (self.max_expansions is None) == (self.time_budget_s is None):
             raise ValueError("set exactly one of 'max_expansions' and 'time_budget_s'")
+        # The planner's config checks the budget's range.
+        PlannerConfig(time_budget_s=self.time_budget_s, max_expansions=self.max_expansions)
         if not self.object_counts or min(self.object_counts) < 1:
             raise ValueError(f"'object_counts' must be counts of at least 1, got {list(self.object_counts)}")
         if len(set(self.object_counts)) != len(self.object_counts):

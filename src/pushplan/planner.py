@@ -39,7 +39,7 @@ from .scene import (
 DEFAULT_TIME_BUDGET_S = 2.0
 # UCB1's exploration constant, as in UCT (Kocsis & Szepesvari, ECML 2006).
 EXPLORATION_C = math.sqrt(2.0)
-# Read once per child scored by UCT, so bound here rather than looked up on ``math``.
+# Read on every level UCT scores, so bound here rather than looked up on ``math``.
 _log = math.log
 _sqrt = math.sqrt
 
@@ -171,8 +171,8 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
     an only child is the argmax without being scored.  A child's exploration
     bonus depends only on its parent's visits and its own, so siblings with
     equal visit counts get the same bonus; it is computed once per run of
-    such siblings, from the same operands, and each score, compared in the
-    same order, is the same float.
+    such siblings, from the same operands, so each score is the same float,
+    compared in the same order, and a tie still goes to the first maximum.
     """
     n = root.state.n
     depth_cap = 4 * n
@@ -218,6 +218,7 @@ def tree_search_step(root: SearchNode, cfg: PlannerConfig, rng: random.Random) -
             child = SearchNode(state, action)
             node.children.append(child)
             path.append(child)
+    # ``state`` is the new child's when one was added, else the selected node's.
     reward = n - len(state.unsatisfied)
     for visited in path:
         visited.visits += 1

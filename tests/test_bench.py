@@ -312,6 +312,8 @@ class TestRunBenchmark:
         ({"scenes_per_count": 0}, "scenes_per_count"),
         ({"scenes_per_count": -1}, "scenes_per_count"),
         ({"runs_per_scene": 0}, "runs_per_scene"),
+        ({"max_expansions": 0}, "max_expansions"),
+        ({"max_expansions": None, "time_budget_s": -1.0}, "time_budget_s"),
     ])
     def test_a_sweep_with_nothing_to_plan_is_rejected(self, fields, name):
         with pytest.raises(ValueError, match=f"'{name}' must be"):

@@ -188,10 +188,7 @@ class TestSelection:
         assert len(visited) == 1
         return visited[0], expected, root.children, scores
 
-    # Visits drawn from 1..3 make siblings share counts, in runs and apart.
-    @pytest.mark.parametrize("max_visits", [3, 60])
-    @given(data=st.data())
-    def test_random_statistics(self, max_visits, data):
+    def random_case(self, data, max_visits):
         scene = make_swap_scene()
         k = data.draw(st.integers(1, 6), label="children")
         stats = []
@@ -201,6 +198,15 @@ class TestSelection:
         root_visits = data.draw(st.integers(1, (k + 1) ** 2 - 1))
         got, expected, _, _ = self.selected(scene, stats, root_visits)
         assert got is expected
+
+    @given(st.data())
+    def test_random_statistics(self, data):
+        self.random_case(data, 60)
+
+    @given(st.data())
+    def test_random_statistics_sharing_visit_counts(self, data):
+        # Visits of 1 to 3 make siblings share counts, in runs and apart.
+        self.random_case(data, 3)
 
     def test_exact_tie_goes_to_the_first_child(self):
         scene = make_swap_scene()
