@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import random
 import statistics
@@ -20,6 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .checks import real, require
 from .geometry import Bounds, HalfDims, Rect, Vec2, bounds_from_center
 # ``overlaps`` and ``rect_from_center`` are not called here: scene generation
 # tests ``Bounds``.  Both stay bound because perfbench's tracer and its tests
@@ -57,10 +59,13 @@ DEFAULT_VARIANTS = (BenchVariant("baseline", False), BenchVariant("push", True))
 
 @dataclass(frozen=True, slots=True)
 class BenchConfig:
-    """A whole sweep: a bench config document sets every field.  Exactly one
-    budget is set (no default wall clock applies), in ``PlannerConfig``'s
-    range; ``object_counts`` is non-empty, each count at least 1 and none
-    repeated; ``scenes_per_count`` and ``runs_per_scene`` are at least 1."""
+    """A whole sweep: a bench config document sets every field.  A broken rule
+    raises a ``ValueError`` quoting its field: exactly one budget, in
+    ``PlannerConfig``'s range (no default wall clock); ``master_seed`` an int;
+    ``object_counts`` a non-empty tuple of ints of at least 1, none repeated;
+    ``scenes_per_count``, ``runs_per_scene`` ints of at least 1; ``size_range`` a
+    ``(low, high)`` tuple, ``0 < low <= high``; ``tolerance`` finite and positive.
+    Numbers are stored as floats, so a ``summary.json`` config reads back equal."""
 
     # Every sweep compares the same two variants on the same table.
     variants = DEFAULT_VARIANTS
@@ -80,13 +85,20 @@ class BenchConfig:
             raise ValueError("set exactly one of 'max_expansions' and 'time_budget_s'")
         # The planner's config checks the budget's range.
         PlannerConfig(time_budget_s=self.time_budget_s, max_expansions=self.max_expansions)
-        if not self.object_counts or min(self.object_counts) < 1:
-            raise ValueError(f"'object_counts' must be counts of at least 1, got {list(self.object_counts)}")
-        if len(set(self.object_counts)) != len(self.object_counts):
-            raise ValueError(f"'object_counts' must not repeat a count, got {list(self.object_counts)}")
-        for name in ("scenes_per_count", "runs_per_scene"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"'{name}' must be at least 1, got {getattr(self, name)}")
+        require(not math.isnan(real(self.master_seed, int)), "master_seed", "be an integer", self.master_seed)
+        counts, sizes = self.object_counts, self.size_range
+        require(isinstance(counts, tuple) and len(counts) > 0 and all(real(n, int) >= 1 for n in counts),
+                "object_counts", "be a non-empty tuple of integers of at least 1", counts)
+        require(len(set(counts)) == len(counts), "object_counts", "not repeat a count", counts)
+        for name, value in (("scenes_per_count", self.scenes_per_count), ("runs_per_scene", self.runs_per_scene)):
+            require(real(value, int) >= 1, name, "be an integer of at least 1", value)
+        require(isinstance(sizes, tuple) and len(sizes) == 2 and 0.0 < real(sizes[0]) <= real(sizes[1]),
+                "size_range", "be a (low, high) tuple with 0 < low <= high", sizes)
+        require(real(self.tolerance) > 0.0, "tolerance", "be finite and positive", self.tolerance)
+        object.__setattr__(self, "size_range", (float(sizes[0]), float(sizes[1])))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        if self.time_budget_s is not None:
+            object.__setattr__(self, "time_budget_s", float(self.time_budget_s))
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,8 +213,8 @@ def aggregate(records: Sequence[BenchRecord]) -> dict:
 
     Within a scene, found runs are averaged first; cell statistics are the
     mean and population standard deviation across scenes.  Cost reductions
-    pair only scenes where both variants produced at least one plan.  A sweep
-    with no records (no counts, scenes or runs) raises ``BenchError``.
+    pair only scenes where both variants produced at least one plan.  No
+    records raise ``BenchError``.
     """
     if not records:
         raise BenchError("no records to aggregate: the sweep planned nothing")

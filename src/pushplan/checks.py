@@ -1,0 +1,19 @@
+"""The number test and the message rule that every config class's ``__post_init__`` shares."""
+
+import math
+import sys
+from reprlib import repr as _short
+from typing import Any
+
+
+def real(value: Any, kind: type | tuple = (int, float)) -> float:
+    """``float(value)`` when ``value`` is a ``kind`` (never a bool) whose float is finite, else NaN,
+    which fails every range test.  Ints are compared, not converted, so a huge one cannot overflow."""
+    ok = isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return float(value) if ok else math.nan
+
+
+def require(ok: bool, name: str, rule: str, value: Any) -> None:
+    """Raise ``ValueError("'<name>' must <rule>, got <value>")`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"'{name}' must {rule}, got {_short(value)}")

@@ -33,15 +33,22 @@ _FIELD_FLAGS = {"no_push": "push_enabled", "scenes": "scenes_per_count", "runs":
                 "counts": "object_counts"}
 
 
+def _build(what: str, kind: type, *args, **fields):
+    """``kind(*args, **fields)``, with a config class's broken rule reported as bad input."""
+    try:
+        return kind(*args, **fields)
+    except ValueError as e:
+        raise SceneFormatError(f"invalid {what}: {e}") from None
+
+
 def _config(args: argparse.Namespace, kind: type) -> PlannerConfig | BenchConfig:
     """The ``PlannerConfig`` or ``BenchConfig`` (``kind``) of a command: the
     ``--config`` document, then the command line over it.  The seed is
     ``--seed``, else the document's, else ``PPLAN_SEED``, else 0; a budget
     flag replaces both budgets; any other flag given replaces its field."""
     bench = kind is BenchConfig
-    read = io.bench_config_kwargs if bench else io.planner_config_kwargs
+    read, seed = (io.bench_config_kwargs, "master_seed") if bench else (io.planner_config_kwargs, "seed")
     fields = io.load(args.config, read) if args.config else {}
-    seed = "master_seed" if bench else "seed"
     if args.seed is not None:
         fields[seed] = args.seed
     elif seed not in fields:
@@ -55,10 +62,7 @@ def _config(args: argparse.Namespace, kind: type) -> PlannerConfig | BenchConfig
     for flag, key in _FIELD_FLAGS.items():
         if getattr(args, flag, None) is not None:
             fields[key] = getattr(args, flag)
-    try:
-        return kind(**fields)
-    except ValueError as e:  # a flag breaks the config's own rule, e.g. ``--counts 4,4``
-        raise SceneFormatError(f"invalid {'bench' if bench else 'planner'} config: {e}") from None
+    return _build(f"{'bench' if bench else 'planner'} config", kind, **fields)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, kind: type) -> None:
@@ -110,12 +114,9 @@ def _write_frames(out_dir: str, style: RenderStyle, states: list[Scene], actions
 def _cmd_execute(args: argparse.Namespace) -> int:
     scene = io.load(args.scene, io.scene_from_dict)
     cfg = _config(args, PlannerConfig)
-    try:
-        noise = NoiseConfig(args.lateral_sigma, args.depth_sigma, enabled=True) if args.noise else NO_NOISE
-    except ValueError as e:  # a sigma whose drift draw would overflow
-        raise SceneFormatError(f"invalid noise: {e}") from None
-    report = execute(scene, cfg, noise, step_budget=args.step_budget,
-                     rng=random.Random(cfg.seed))
+    noise = (_build("noise", NoiseConfig, args.lateral_sigma, args.depth_sigma, enabled=True)
+             if args.noise else NO_NOISE)
+    report = execute(scene, cfg, noise, step_budget=args.step_budget, rng=random.Random(cfg.seed))
     _write_or_print(json.dumps(io.report_to_dict(report), indent=2) + "\n", args.out)
     if args.frames:
         _write_frames(args.frames, RenderStyle(), [scene] + [s.post_scene for s in report.steps],

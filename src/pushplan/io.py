@@ -5,7 +5,8 @@ Typed readers take a raw value and its field name, and return the parsed
 value or raise a ``SceneFormatError`` naming the field.  Every JSON object, a
 whole document or an entry, is read by a ``_document`` reader over a table of
 each key's reader, so unknown, missing and malformed fields are reported by
-one rule under their full path.
+one rule under their full path.  The planner and bench config tables read
+JSON shape only; each config class checks every field's range itself.
 """
 
 from __future__ import annotations
@@ -77,14 +78,12 @@ def _str(value: Any, name: str) -> str:
     return value
 
 
-def _list(value: Any, name: str, read: Callable, size: Optional[int] = None, nonempty: bool = False) -> tuple:
+def _list(value: Any, name: str, read: Callable, size: Optional[int] = None) -> tuple:
     """A list whose entries are parsed by ``read`` under the names ``name[i]``."""
     if not isinstance(value, (list, tuple)):
         raise _bad(name, "a list", value)
     if size is not None and len(value) != size:
         raise _bad(name, f"a list of {size}", value)
-    if nonempty and not value:
-        raise _bad(name, "a non-empty list", value)
     return tuple(read(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
@@ -142,35 +141,27 @@ def _document(what: str, table: dict, build: Callable, required: tuple = ()) -> 
 # --- config documents -----------------------------------------------------------
 
 _PLANNER_FIELDS = {
-    "time_budget_s": _optional(_positive),
-    "max_expansions": _optional(_count),
+    "time_budget_s": _optional(_finite),
+    "max_expansions": _optional(_int),
     "push_enabled": _bool,
     "seed": _int,
 }
 
-
-def _size_range(value: Any, name: str) -> tuple[float, float]:
-    lo, hi = _list(value, name, _positive, size=2)
-    if lo > hi:
-        raise _bad(name, "[low, high] with low <= high", value)
-    return lo, hi
-
-
 _BENCH_FIELDS = {
     "master_seed": _int,
-    "object_counts": partial(_list, read=_count, nonempty=True),
-    "scenes_per_count": _count,
-    "runs_per_scene": _count,
-    "max_expansions": _optional(_count),
-    "time_budget_s": _optional(_positive),
-    "size_range": _size_range,
-    "tolerance": _positive,
+    "object_counts": partial(_list, read=_int),
+    "scenes_per_count": _int,
+    "runs_per_scene": _int,
+    "max_expansions": _optional(_int),
+    "time_budget_s": _optional(_finite),
+    "size_range": partial(_list, read=_finite),
+    "tolerance": _finite,
 }
 
 
 def _config(kind: type, **fields: Any) -> dict:
-    """The fields a config document sets: a ``time_budget_s`` replaces the default expansion
-    budget, and ``kind`` (the config class) checks the budget rule on the result."""
+    """The fields a config document sets, read for shape only: a ``time_budget_s`` replaces the
+    default expansion budget, and ``kind`` (the config class) checks every field's rule on the result."""
     if fields.get("time_budget_s") is not None:
         fields.setdefault("max_expansions", None)
     kind(**fields)

@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+from .checks import real, require
 # ``apply_action`` and ``action_cost`` are the validated path that ``transition``
 # and the plan's costs must agree with.  The search does not call them, but
 # they stay bound here because perfbench's tracer and its tests look them up
@@ -50,9 +51,10 @@ class PlannerConfig:
 
     Exactly one budget applies: a wall-clock duration (the default, not
     reproducible) or a maximum number of expansions (fully deterministic
-    under ``seed``).  Setting both is an error, and so is a budget that
-    allows no expansion: ``max_expansions`` must be an int (not a bool) of
-    at least 1, ``time_budget_s`` finite and positive.
+    under ``seed``).  Setting both is an error.  A broken rule raises a
+    ``ValueError`` quoting its field: ``max_expansions`` an int (never a
+    bool) of at least 1, ``time_budget_s`` finite and positive (either may
+    be None), ``push_enabled`` a bool, ``seed`` an int (never None).
     """
 
     time_budget_s: Optional[float] = None
@@ -65,12 +67,13 @@ class PlannerConfig:
         if seconds is not None and expansions is not None:
             raise ValueError("set either 'time_budget_s' or 'max_expansions', not both")
         if expansions is not None:
-            if isinstance(expansions, bool) or not isinstance(expansions, int) or expansions < 1:
-                raise ValueError(f"'max_expansions' must be an integer of at least 1, got {expansions!r}")
+            require(real(expansions, int) >= 1, "max_expansions", "be an integer of at least 1", expansions)
         elif seconds is None:
             object.__setattr__(self, "time_budget_s", DEFAULT_TIME_BUDGET_S)
-        elif not 0.0 < seconds < math.inf:
-            raise ValueError(f"'time_budget_s' must be finite and positive, got {seconds!r}")
+        else:
+            require(real(seconds) > 0.0, "time_budget_s", "be finite and positive", seconds)
+        require(isinstance(self.push_enabled, bool), "push_enabled", "be True or False", self.push_enabled)
+        require(not math.isnan(real(self.seed, int)), "seed", "be an integer", self.seed)
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .checks import real, require
 from .geometry import Bounds, Vec2
 from .scene import Scene
 
@@ -28,12 +29,15 @@ _CHART_WIDTH, _CHART_HEIGHT = 840.0, 340.0
 
 @dataclass(frozen=True, slots=True)
 class RenderStyle:
-    show_goals: bool = True
-    scale: float = 560.0  # pixels per meter
+    """Goal outlines on or off, and pixels per meter: ``show_goals`` a bool and ``scale`` finite and
+    positive; a ``ValueError`` quotes the field that breaks its rule."""
 
-    def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+    show_goals: bool = True
+    scale: float = 560.0
+
+    def __post_init__(self) -> None:
+        require(isinstance(self.show_goals, bool), "show_goals", "be True or False", self.show_goals)
+        require(real(self.scale) > 0.0, "scale", "be finite and positive", self.scale)
 
 
 def _fmt(x: float) -> str:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .checks import real, require
 from .geometry import Bounds, Side, Vec2, bounds_extent, bounds_from_center, overlaps, perp_coord
 # ``rect_from_center`` is not called here: the simulator reads footprints as
 # ``Bounds``.  It stays bound because perfbench's tracer and its tests look
@@ -63,17 +64,17 @@ class SimEvent:
 
 @dataclass(frozen=True, slots=True)
 class NoiseConfig:
-    """Uniform placement disturbances.  Sigmas are half-widths in meters, from
-    0 to half the largest float (a NaN sigma raises ``ValueError`` too)."""
+    """Uniform placement disturbances: each sigma a half-width in meters, from 0 to half the largest
+    float (not NaN), and ``enabled`` a bool; a ``ValueError`` quotes the field that breaks its rule."""
 
     lateral_sigma: float = 0.003
     depth_sigma: float = 0.002
     enabled: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("lateral_sigma", "depth_sigma"):
-            if not 0.0 <= getattr(self, name) <= _MAX_SIGMA:
-                raise ValueError(f"'{name}' must be in [0, {_MAX_SIGMA!r}], got {getattr(self, name)!r}")
+        for name, sigma in (("lateral_sigma", self.lateral_sigma), ("depth_sigma", self.depth_sigma)):
+            require(0.0 <= real(sigma) <= _MAX_SIGMA, name, f"be in [0, {_MAX_SIGMA!r}]", sigma)
+        require(isinstance(self.enabled, bool), "enabled", "be True or False", self.enabled)
 
 
 NO_NOISE = NoiseConfig(enabled=False)

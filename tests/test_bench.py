@@ -314,8 +314,30 @@ class TestRunBenchmark:
         ({"runs_per_scene": 0}, "runs_per_scene"),
         ({"max_expansions": 0}, "max_expansions"),
         ({"max_expansions": None, "time_budget_s": -1.0}, "time_budget_s"),
+        # a count, scene or run number is an int, never a bool, a float or a string
+        ({"scenes_per_count": True}, "scenes_per_count"),
+        ({"scenes_per_count": "3"}, "scenes_per_count"),
+        ({"runs_per_scene": 2.0}, "runs_per_scene"),
+        ({"object_counts": (4.5,)}, "object_counts"),
     ])
     def test_a_sweep_with_nothing_to_plan_is_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            BenchConfig(**fields)
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            replace(SMALL, **fields)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"size_range": (0.1, 0.05)}, "size_range"),
+        ({"size_range": [0.03, 0.07]}, "size_range"),
+        ({"size_range": (0.0, 0.05)}, "size_range"),
+        ({"tolerance": math.nan}, "tolerance"),
+        ({"tolerance": -1.0}, "tolerance"),
+        ({"master_seed": None}, "master_seed"),
+        ({"object_counts": [4, 6]}, "object_counts"),
+    ])
+    def test_a_field_outside_its_rule_is_rejected(self, fields, name):
+        # Each built, then failed only inside ``run_benchmark`` or wrote a
+        # summary.json config that ``bench --config`` rejects.
         with pytest.raises(ValueError, match=f"'{name}' must be"):
             BenchConfig(**fields)
         with pytest.raises(ValueError, match=f"'{name}' must be"):

@@ -255,6 +255,13 @@ class TestExecuteCommand:
 
 
 class TestRenderCommand:
+    @pytest.mark.parametrize("fields, name", [
+        ({"scale": float("inf")}, "scale"), ({"scale": "x"}, "scale"), ({"show_goals": "no"}, "show_goals"),
+    ])
+    def test_a_style_field_outside_its_rule_is_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            RenderStyle(**fields)
+
     def test_empty_scene_renders_border_only(self, tmp_path, capsys):
         empty = Scene(workspace=Rect(Vec2(0, 0), Vec2(1, 1)), objects=(), current=(), goal=())
         path = tmp_path / "empty.json"

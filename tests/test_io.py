@@ -17,7 +17,9 @@ from pushplan.cli import main
 from pushplan.io import SceneFormatError
 from pushplan.metrics import total_cost
 from pushplan.planner import Plan, PlannerConfig, plan
+from pushplan.render import RenderStyle
 from pushplan.scene import Scene
+from pushplan.simulator import NoiseConfig
 
 SCENE_DOC = io.scene_to_dict(make_swap_scene())
 PLAN_DOC = io.plan_to_dict(plan(make_swap_scene(), PlannerConfig(max_expansions=3000, seed=0)))
@@ -134,6 +136,56 @@ class TestFuzz:
             pass
 
 
+CONFIG_FIELDS = [(kind, f.name) for kind in (PlannerConfig, BenchConfig, NoiseConfig, RenderStyle)
+                 for f in dataclasses.fields(kind)]
+
+
+def _numbers(value):
+    """The numbers in a field's value: the value itself, or a tuple's entries."""
+    return [v for v in (value if isinstance(value, tuple) else (value,)) if not isinstance(v, (bool, type(None)))]
+
+
+# Positive numbers, ints among them, a few too large for a float.
+POSITIVE = st.floats(min_value=0.0, exclude_min=True) | st.integers(1, 10**400)
+
+
+class TestConfigClasses:
+    @given(value=json_values, as_tuple=st.booleans())
+    def test_any_field_value_builds_or_raises_value_error(self, value, as_tuple):
+        """A config class either builds, with every number convertible to a finite float, or raises
+        ``ValueError`` quoting the field: never ``TypeError`` or ``OverflowError``.  A list is also
+        tried as a tuple."""
+        if as_tuple and isinstance(value, list):
+            value = tuple(value)
+        for kind, field in CONFIG_FIELDS:
+            try:
+                cfg = kind(**{field: value})
+            except ValueError as e:
+                assert f"'{field}'" in str(e)
+                continue
+            for f in dataclasses.fields(cfg):
+                assert all(math.isfinite(float(v)) for v in _numbers(getattr(cfg, f.name))), (kind, field, value)
+
+    @given(fields=st.fixed_dictionaries({}, optional={
+        "master_seed": st.none() | st.integers(-(10**400), 10**400),
+        "object_counts": st.lists(st.integers(1, 10**20), min_size=1, max_size=3, unique=True).map(tuple),
+        "scenes_per_count": st.integers(1, 10**20),
+        "runs_per_scene": st.integers(1, 10**20),
+        "size_range": st.tuples(POSITIVE, POSITIVE),
+        "tolerance": POSITIVE,
+    }), budget=st.fixed_dictionaries({"max_expansions": st.integers(1, 10**400)})
+       | st.fixed_dictionaries({"max_expansions": st.none(), "time_budget_s": POSITIVE}))
+    def test_any_bench_config_reads_back_from_its_summary_document(self, fields, budget):
+        """The contract a ``bench --config`` rerun of ``summary.json``'s config relies on: any
+        ``BenchConfig`` that builds reads back equal from its document, through JSON text."""
+        try:
+            cfg = BenchConfig(**fields, **budget)
+        except ValueError:
+            return
+        doc = json.loads(json.dumps(io.bench_config_to_dict(cfg)))
+        assert BenchConfig(**io.bench_config_kwargs(doc)) == cfg
+
+
 class TestTables:
     def test_config_tables_cover_the_dataclasses(self):
         assert set(io._PLANNER_FIELDS) == {f.name for f in dataclasses.fields(PlannerConfig)}
@@ -248,6 +300,14 @@ CASES = [
      "missing field 'costs[0].approach'"),
     # a noise sigma whose drift draw would overflow a float
     ("flags", ["execute", "{scene}", "--expansions", "200", "--noise", "--depth-sigma", "9e307"], "'depth_sigma'"),
+    # a value the config class rejects when built in Python, as a document
+    ("planner", {"max_expansions": 1500, "seed": None}, "'seed'"),
+    ("planner", {"time_budget_s": 10**400}, "'time_budget_s'"),
+    ("bench", {"size_range": [0.1, 0.05]}, "'size_range'"),
+    ("bench", {"tolerance": math.nan}, "'tolerance'"),
+    ("bench", {"master_seed": None}, "'master_seed'"),
+    ("bench", {"scenes_per_count": True}, "'scenes_per_count'"),
+    ("bench", {"object_counts": [4.5]}, "'object_counts"),
 ]
 
 

@@ -445,6 +445,16 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match=f"'{name}' must be"):
             PlannerConfig(**budget)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"max_expansions": 1500, "seed": None}, "seed"),  # seeded from the OS: not reproducible
+        ({"seed": 1.5}, "seed"),
+        ({"push_enabled": "no"}, "push_enabled"),  # truthy: pushes were on
+        ({"time_budget_s": 10**400}, "time_budget_s"),  # ``plan`` died with OverflowError
+    ])
+    def test_a_field_outside_its_rule_is_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            PlannerConfig(**fields)
+
     def test_default_budget_is_wall_clock(self):
         cfg = PlannerConfig()
         assert cfg.time_budget_s is not None

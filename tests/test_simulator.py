@@ -424,6 +424,11 @@ class TestNoise:
         with pytest.raises(ValueError, match=f"'{field}' must be in"):
             NoiseConfig(**{field: sigma}, enabled=True)
 
+    @pytest.mark.parametrize("fields, name", [({"enabled": "no"}, "enabled"), ({"lateral_sigma": "x"}, "lateral_sigma")])
+    def test_a_field_outside_its_rule_is_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"'{name}' must be"):
+            NoiseConfig(**fields)
+
     def test_the_largest_sigma_still_settles_on_the_table(self):
         big = sys.float_info.max / 2
         noisy = NoiseConfig(lateral_sigma=big, depth_sigma=big, enabled=True)
