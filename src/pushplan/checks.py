@@ -1,9 +1,22 @@
 """The number test and the message rule that every config class's ``__post_init__`` shares."""
 
 import math
+import reprlib
 import sys
-from reprlib import repr as _short
 from typing import Any
+
+
+# ``reprlib.repr``, except that an int over CPython's limit on the digits it converts to text
+# (4300 by default), which ``repr`` refuses with a ``ValueError``, is shown by its bit length.
+class _Short(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_short = _Short().repr
 
 
 def real(value: Any, kind: type | tuple = (int, float)) -> float:

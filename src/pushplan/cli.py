@@ -25,7 +25,7 @@ from .metrics import set_down_pose
 from .planner import DEFAULT_TIME_BUDGET_S, PlannerConfig, plan
 from .render import RenderStyle, render_scene
 from .scene import Action, InfeasibleActionError, Scene, replay
-from .simulator import NO_NOISE, NoiseConfig
+from .simulator import NoiseConfig
 
 
 # Flags that replace one config field each, by argparse destination.
@@ -114,8 +114,7 @@ def _write_frames(out_dir: str, style: RenderStyle, states: list[Scene], actions
 def _cmd_execute(args: argparse.Namespace) -> int:
     scene = io.load(args.scene, io.scene_from_dict)
     cfg = _config(args, PlannerConfig)
-    noise = (_build("noise", NoiseConfig, args.lateral_sigma, args.depth_sigma, enabled=True)
-             if args.noise else NO_NOISE)
+    noise = _build("noise", NoiseConfig, args.lateral_sigma, args.depth_sigma, enabled=args.noise)
     report = execute(scene, cfg, noise, step_budget=args.step_budget, rng=random.Random(cfg.seed))
     _write_or_print(json.dumps(io.report_to_dict(report), indent=2) + "\n", args.out)
     if args.frames:
@@ -148,7 +147,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     scene = io.load(args.scene, io.scene_from_dict)
-    style = RenderStyle(show_goals=not args.no_goals, scale=args.scale)
+    style = _build("render style", RenderStyle, show_goals=not args.no_goals, scale=args.scale)
     if args.frames and not args.plan:
         raise SceneFormatError("--frames requires --plan (per-step frames follow a plan)")
     if not args.plan:

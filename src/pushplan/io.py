@@ -1,5 +1,5 @@
 """Every document pushplan reads or writes: scenes, actions, plans, execution
-reports, the planner and bench configs, and the CLI's numeric flags.
+reports, the planner and bench configs, and the numeric flags no class holds.
 
 Typed readers take a raw value and its field name, and return the parsed
 value or raise a ``SceneFormatError`` naming the field.  Every JSON object, a
@@ -102,7 +102,6 @@ def _optional(read: Callable) -> Callable:
     return lambda value, name: None if value is None else read(value, name)
 
 
-_nonneg = partial(_finite, lo=0.0)
 _positive = partial(_finite, lo=0.0, strict=True)
 _count = partial(_int, lo=1)
 
@@ -185,25 +184,14 @@ def bench_config_to_dict(cfg: BenchConfig) -> dict:
 
 def _int_list(value: str, name: str) -> tuple[int, ...]:
     try:
-        items = [int(c) for c in value.split(",")]
+        return tuple(int(c) for c in value.split(","))
     except ValueError:
         raise _bad(name, "comma-separated integers", value) from None
-    return _list(items, name, _count)
 
 
-# Numeric command-line flags, by argparse destination.
-_FLAGS = {
-    "expansions": _count,
-    "time_budget": _positive,
-    "step_budget": _count,
-    "lateral_sigma": _nonneg,
-    "depth_sigma": _nonneg,
-    "scale": _positive,
-    "scenes": _count,
-    "runs": _count,
-    "jobs": _count,
-    "counts": _int_list,
-}
+# The numeric flags that no class holds, by argparse destination.  The class that holds the field a
+# flag sets checks that flag: ``--expansions`` and ``--time-budget``, the sigmas, ``--scale``, ...
+_FLAGS = {"step_budget": _count, "jobs": _count, "counts": _int_list}
 
 
 def check_flags(args: Any) -> None:

@@ -334,6 +334,7 @@ class TestRunBenchmark:
         ({"tolerance": -1.0}, "tolerance"),
         ({"master_seed": None}, "master_seed"),
         ({"object_counts": [4, 6]}, "object_counts"),
+        ({"master_seed": 10**5000}, "master_seed"),  # too long for ``repr``: the message named no field
     ])
     def test_a_field_outside_its_rule_is_rejected(self, fields, name):
         # Each built, then failed only inside ``run_benchmark`` or wrote a

@@ -222,6 +222,13 @@ class TestTables:
 
 SWAP_PLAN_ACTION = {"type": "pick_place", "object": 0, "destination": [0.2, 0.2]}
 
+
+def _field_flag(i: int, argv: list, field: str):
+    """The ``CASES`` entry at index ``i``: a flag (``argv[-2]``) that sets ``field``, which the error
+    quotes.  Its id, in pytest's ``<kind>-doc<i>-`` form, names the flag under test, not the field."""
+    return pytest.param("flags", argv, field, id=f"flags-doc{i}-{argv[-2]}")
+
+
 CASES = [
     # planner config
     *[("planner", {"max_expansions": v}, "'max_expansions'") for v in ("many", True, 1.5, -5)],
@@ -249,12 +256,14 @@ CASES = [
        "'actions[0].destination[0]'") for v in (float("nan"), float("inf"))],
     ("plan", {"actions": [SWAP_PLAN_ACTION], "costs": [{"approach": "x", "pick": 0.2, "transfer": 0.3}],
               "total": 1.0}, "'costs[0].approach'"),
-    # flags
-    *[("flags", ["render", "{scene}", "--scale", v], "--scale") for v in ("0", "nan")],
-    *[("flags", ["bench", "--out", "{tmp}", flag, "0"], flag) for flag in ("--runs", "--scenes")],
-    *[("flags", ["execute", "{scene}", "--noise", flag, v], flag)
-      for flag in ("--lateral-sigma", "--depth-sigma") for v in ("nan", "inf")],
-    ("flags", ["plan", "{scene}", "--expansions", "-3"], "--expansions"),
+    # flags: one that sets a config field is checked by the class that holds the field, which quotes it
+    *[_field_flag(i, ["render", "{scene}", "--scale", v], "'scale'") for i, v in ((31, "0"), (32, "nan"))],
+    _field_flag(33, ["bench", "--out", "{tmp}", "--runs", "0"], "'runs_per_scene'"),
+    _field_flag(34, ["bench", "--out", "{tmp}", "--scenes", "0"], "'scenes_per_count'"),
+    *[_field_flag(i, ["execute", "{scene}", "--noise", flag, v], field) for i, flag, v, field in (
+        (35, "--lateral-sigma", "nan", "'lateral_sigma'"), (36, "--lateral-sigma", "inf", "'lateral_sigma'"),
+        (37, "--depth-sigma", "nan", "'depth_sigma'"), (38, "--depth-sigma", "inf", "'depth_sigma'"))],
+    _field_flag(39, ["plan", "{scene}", "--expansions", "-3"], "'max_expansions'"),
     ("flags", ["plan", "{scene}", "--expansions", "abc"], "--expansions"),
     *[("flags", ["bench", "--out", "{tmp}", "--jobs", v], "--jobs") for v in ("0", "-1")],
     # every field in range, but every scene starts solved: no cost to reduce
@@ -308,12 +317,14 @@ CASES = [
     ("bench", {"master_seed": None}, "'master_seed'"),
     ("bench", {"scenes_per_count": True}, "'scenes_per_count'"),
     ("bench", {"object_counts": [4.5]}, "'object_counts"),
+    # a sigma is checked by ``NoiseConfig`` with noise off too
+    ("flags", ["execute", "{scene}", "--expansions", "200", "--depth-sigma", "nan"], "'depth_sigma'"),
 ]
 
 
-@pytest.mark.parametrize("kind, doc, named", CASES)
-def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, monkeypatch, kind, doc, named):
-    monkeypatch.delenv("PPLAN_SEED", raising=False)
+def _run(tmp_path, capsys, kind, doc) -> tuple[int, str]:
+    """``main``'s exit code and stderr on a ``kind`` document ``doc``, or on the command line ``doc``
+    (kind "flags", where ``{scene}`` is a swap scene and ``{tmp}`` the output path)."""
     scene = tmp_path / "swap.json"
     scene.write_text(io.scene_to_json(make_swap_scene()))
     doc_file = tmp_path / "doc.json"
@@ -325,11 +336,36 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, monkeypatch,
         "scene": ["render", str(doc_file)],
     }.get(kind) or [a.format(scene=scene, tmp=tmp_path / "out") for a in doc]
     rc = main(argv)
-    err = capsys.readouterr().err
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, doc, named", CASES)
+def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, monkeypatch, kind, doc, named):
+    monkeypatch.delenv("PPLAN_SEED", raising=False)
+    rc, err = _run(tmp_path, capsys, kind, doc)
     assert rc == 1, err
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, kind, doc", [
+    (["plan", "{scene}", "--expansions", "0"], "planner", {"max_expansions": 0}),
+    (["bench", "--out", "{tmp}", "--scenes", "0"], "bench", {"scenes_per_count": 0}),
+    (["bench", "--out", "{tmp}", "--runs", "0"], "bench", {"runs_per_scene": 0}),
+    (["bench", "--out", "{tmp}", "--counts", "0"], "bench", {"object_counts": [0]}),
+])
+def test_a_flag_and_the_field_it_sets_break_one_rule(tmp_path, capsys, monkeypatch, flags, kind, doc):
+    """The class that holds a field is its one owner: a flag that sets it and a config document
+    that sets it are rejected by the same rule, in the same words."""
+    monkeypatch.delenv("PPLAN_SEED", raising=False)
+    (field,) = doc
+    rule = f"'{field}' must "
+    errors = [_run(tmp_path, capsys, "flags", flags), _run(tmp_path, capsys, kind, doc)]
+    for rc, err in errors:
+        assert rc == 1 and rule in err, err
+    by_flag, by_document = (err[err.index(rule):] for _, err in errors)
+    assert by_flag == by_document
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -450,6 +450,9 @@ class TestEdgeCases:
         ({"seed": 1.5}, "seed"),
         ({"push_enabled": "no"}, "push_enabled"),  # truthy: pushes were on
         ({"time_budget_s": 10**400}, "time_budget_s"),  # ``plan`` died with OverflowError
+        # too long for ``repr``: the message gave CPython's digit limit, not the field
+        ({"seed": 10**5000}, "seed"),
+        ({"max_expansions": 10**5000}, "max_expansions"),
     ])
     def test_a_field_outside_its_rule_is_rejected(self, fields, name):
         with pytest.raises(ValueError, match=f"'{name}' must be"):
