@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .checks import real, require
+from .checks import INTEGER, real, require
 from .geometry import Bounds, HalfDims, Rect, Vec2, bounds_from_center
 # ``overlaps`` and ``rect_from_center`` are not called here: scene generation
 # tests ``Bounds``.  Both stay bound because perfbench's tracer and its tests
@@ -61,10 +61,11 @@ DEFAULT_VARIANTS = (BenchVariant("baseline", False), BenchVariant("push", True))
 class BenchConfig:
     """A whole sweep: a bench config document sets every field.  A broken rule
     raises a ``ValueError`` quoting its field: exactly one budget, in
-    ``PlannerConfig``'s range (no default wall clock); ``master_seed`` an int;
-    ``object_counts`` a non-empty tuple of ints of at least 1, none repeated;
-    ``scenes_per_count``, ``runs_per_scene`` ints of at least 1; ``size_range`` a
-    ``(low, high)`` tuple, ``0 < low <= high``; ``tolerance`` finite and positive.
+    ``PlannerConfig``'s range (no default wall clock); ``master_seed`` an int
+    in the float range; ``object_counts`` a non-empty tuple of ints of at least
+    1, none repeated; ``scenes_per_count``, ``runs_per_scene`` ints of at least
+    1; ``size_range`` a ``(low, high)`` tuple, ``0 < low <= high``;
+    ``tolerance`` finite and positive.
     Numbers are stored as floats, so a ``summary.json`` config reads back equal."""
 
     # Every sweep compares the same two variants on the same table.
@@ -85,7 +86,7 @@ class BenchConfig:
             raise ValueError("set exactly one of 'max_expansions' and 'time_budget_s'")
         # The planner's config checks the budget's range.
         PlannerConfig(time_budget_s=self.time_budget_s, max_expansions=self.max_expansions)
-        require(not math.isnan(real(self.master_seed, int)), "master_seed", "be an integer", self.master_seed)
+        require(not math.isnan(real(self.master_seed, int)), "master_seed", INTEGER, self.master_seed)
         counts, sizes = self.object_counts, self.size_range
         require(isinstance(counts, tuple) and len(counts) > 0 and all(real(n, int) >= 1 for n in counts),
                 "object_counts", "be a non-empty tuple of integers of at least 1", counts)

@@ -18,6 +18,9 @@ class _Short(reprlib.Repr):
 
 _short = _Short().repr
 
+# The rule ``not math.isnan(real(value, int))`` enforces: an int whose float is finite.
+INTEGER = f"be an integer in [{-sys.float_info.max!r}, {sys.float_info.max!r}]"
+
 
 def real(value: Any, kind: type | tuple = (int, float)) -> float:
     """``float(value)`` when ``value`` is a ``kind`` (never a bool) whose float is finite, else NaN,

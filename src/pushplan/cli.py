@@ -1,14 +1,14 @@
-"""Command-line interface.
-
-Subcommands: ``plan`` (one-shot planning), ``execute`` (closed-loop run with
-optional noise), ``bench`` (variant comparison over random scenes), and
-``render`` (scene or plan to SVG).  Exit codes: 0 on success, 1 for bad
-input or an output that cannot be written, 2 when planning or execution fails.
+"""Command-line interface: ``plan`` (one-shot planning), ``execute`` (closed-loop
+run with optional noise), ``bench`` (variant comparison over random scenes) and
+``render`` (scene or plan to SVG).  argparse parses every flag; the class that
+holds the config field a flag sets checks it.  Exit codes: 0 on success, 1 for
+bad input or an output that cannot be written, 2 when planning or execution fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -31,6 +31,21 @@ from .simulator import NoiseConfig
 # Flags that replace one config field each, by argparse destination.
 _FIELD_FLAGS = {"no_push": "push_enabled", "scenes": "scenes_per_count", "runs": "runs_per_scene",
                 "counts": "object_counts"}
+
+
+# The argparse ``type``s no config class holds a rule for.  Each raises ``ArgumentTypeError``, so
+# ``_Parser.error`` reports ``argument --flag: must be <rule>, got <text>``.
+def _at_least_1(text: str) -> int:
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+
+
+def _comma_ints(text: str) -> tuple[int, ...]:
+    with contextlib.suppress(ValueError):
+        return tuple(int(c) for c in text.split(","))
+    raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
 
 
 def _build(what: str, kind: type, *args, **fields):
@@ -195,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise drift bound across the motion (m, default %(default)s)")
     p.add_argument("--depth-sigma", type=float, default=noise.depth_sigma,
                    help="noise drift bound along the motion (m, default %(default)s)")
-    p.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
+    p.add_argument("--step-budget", type=_at_least_1, default=DEFAULT_STEP_BUDGET,
                    help="maximum executed actions (default %(default)s)")
     p.add_argument("--frames", metavar="DIR", help="write one SVG per step into DIR")
     _add_config_flags(p, PlannerConfig)
@@ -206,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, BenchConfig)
     p.add_argument("--scenes", type=int, help="scenes per object count")
     p.add_argument("--runs", type=int, help="runs per scene")
-    p.add_argument("--counts", help="comma-separated object counts, e.g. 4,6,8")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU and one per plan")
+    p.add_argument("--counts", type=_comma_ints, help="comma-separated object counts, e.g. 4,6,8")
+    p.add_argument("--jobs", type=_at_least_1, default=1, help="worker processes, at most one per CPU and one per plan")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("render", help="render a scene (or a plan's steps) to SVG")
@@ -226,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        io.check_flags(args)
         return args.func(args)
     except (SceneFormatError, BenchError) as e:
         print(f"error: {e}", file=sys.stderr)

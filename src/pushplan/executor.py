@@ -118,8 +118,9 @@ def execute(
 ) -> ExecutionReport:
     """Run the plan-act-observe loop until done, stuck, or out of budget.
 
-    ``step_budget`` caps executed actions.  Each planning round uses a seed
-    derived from the trial seed and the round index, so a whole trial is a
+    ``step_budget`` caps executed actions.  ``planner_cfg.seed`` is never
+    read: each planning round's seed derives from the trial seed, which is
+    drawn from ``rng``, and the round index, so a whole trial is a
     deterministic function of (scene, planner_cfg, noise, rng state).  A new
     plan is made at the start and whenever the current plan's tail fails
     ``rederive_tail`` from the observed state.

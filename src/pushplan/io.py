@@ -1,5 +1,5 @@
-"""Every document pushplan reads or writes: scenes, actions, plans, execution
-reports, the planner and bench configs, and the numeric flags no class holds.
+"""Every document pushplan reads or writes, and nothing else: scenes, actions,
+plans, execution reports, and the planner and bench configs.
 
 Typed readers take a raw value and its field name, and return the parsed
 value or raise a ``SceneFormatError`` naming the field.  Every JSON object, a
@@ -36,8 +36,7 @@ class SceneFormatError(ValueError):
 
 
 def _bad(name: str, what: str, value: Any) -> SceneFormatError:
-    label = name if name.startswith("-") else f"field '{name}'"
-    return SceneFormatError(f"{label} must be {what}, got {_short(value)}")
+    return SceneFormatError(f"field '{name}' must be {what}, got {_short(value)}")
 
 
 def _finite(value: Any, name: str, lo: float = -math.inf, strict: bool = False) -> float:
@@ -103,7 +102,6 @@ def _optional(read: Callable) -> Callable:
 
 
 _positive = partial(_finite, lo=0.0, strict=True)
-_count = partial(_int, lo=1)
 
 
 def _document(what: str, table: dict, build: Callable, required: tuple = ()) -> Callable:
@@ -180,26 +178,6 @@ def bench_config_kwargs(doc: Any) -> dict:
 def bench_config_to_dict(cfg: BenchConfig) -> dict:
     """The bench config document of ``cfg``, which ``bench_config_kwargs`` reads back."""
     return {key: getattr(cfg, key) for key in _BENCH_FIELDS}
-
-
-def _int_list(value: str, name: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(c) for c in value.split(","))
-    except ValueError:
-        raise _bad(name, "comma-separated integers", value) from None
-
-
-# The numeric flags that no class holds, by argparse destination.  The class that holds the field a
-# flag sets checks that flag: ``--expansions`` and ``--time-budget``, the sigmas, ``--scale``, ...
-_FLAGS = {"step_budget": _count, "jobs": _count, "counts": _int_list}
-
-
-def check_flags(args: Any) -> None:
-    """Parse, in place, the numeric flags present on an argparse namespace."""
-    for dest, read in _FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            setattr(args, dest, read(value, "--" + dest.replace("_", "-")))
 
 
 # --- scenes -----------------------------------------------------------------------

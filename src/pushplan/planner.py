@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .checks import real, require
+from .checks import INTEGER, real, require
 # ``apply_action`` and ``action_cost`` are the validated path that ``transition``
 # and the plan's costs must agree with.  The search does not call them, but
 # they stay bound here because perfbench's tracer and its tests look them up
@@ -54,7 +54,7 @@ class PlannerConfig:
     under ``seed``).  Setting both is an error.  A broken rule raises a
     ``ValueError`` quoting its field: ``max_expansions`` an int (never a
     bool) of at least 1, ``time_budget_s`` finite and positive (either may
-    be None), ``push_enabled`` a bool, ``seed`` an int (never None).
+    be None), ``push_enabled`` a bool, ``seed`` an int in the float range.
     """
 
     time_budget_s: Optional[float] = None
@@ -73,7 +73,7 @@ class PlannerConfig:
         else:
             require(real(seconds) > 0.0, "time_budget_s", "be finite and positive", seconds)
         require(isinstance(self.push_enabled, bool), "push_enabled", "be True or False", self.push_enabled)
-        require(not math.isnan(real(self.seed, int)), "seed", "be an integer", self.seed)
+        require(not math.isnan(real(self.seed, int)), "seed", INTEGER, self.seed)
 
 
 @dataclass(frozen=True, slots=True, init=False)

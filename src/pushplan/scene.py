@@ -90,9 +90,9 @@ class Scene:
 
     An object's id is its index in ``objects``, ``current`` and ``goal``.
     Construction reports the first invariant that fails, in this order: pose
-    counts match, tolerance > 0, then the current and then the goal footprints,
-    each inside the workspace (by id) and no pair ``(i, j)`` overlapping
-    (ascending).  Touching footprints are legal.
+    counts match, tolerance finite and > 0, then the current and then the
+    goal footprints, each inside the workspace (by id) and no pair ``(i, j)``
+    overlapping (ascending).  Touching footprints are legal.
 
     Three read-only attributes cache what the scans read: ``footprints`` and
     ``goal_footprints`` (each object's ``Bounds``, indexed by id, computed as
@@ -120,8 +120,8 @@ class Scene:
                 f"pose counts (current={len(self.current)}, goal={len(self.goal)}) "
                 f"must match object count {n}"
             )
-        if not self.tolerance > 0.0:
-            raise InvalidSceneError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidSceneError(f"tolerance must be finite and positive, got {self.tolerance}")
         w = self.workspace.bounds
         footprints = tuple([bounds_from_center(p, spec.half) for p, spec in zip(self.current, self.objects)])
         goal_footprints = tuple([bounds_from_center(p, spec.half) for p, spec in zip(self.goal, self.objects)])

@@ -515,8 +515,8 @@ def object_validate_scene(
             f"pose counts (current={len(current)}, goal={len(goal)}) "
             f"must match object count {n}"
         )
-    if not tolerance > 0.0:
-        raise InvalidSceneError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < math.inf:
+        raise InvalidSceneError(f"tolerance must be finite and positive, got {tolerance}")
     for label, poses in (("current", current), ("goal", goal)):
         rects = [rect_from_center(poses[i], objects[i].half) for i in range(n)]
         for i, r in enumerate(rects):

@@ -219,6 +219,14 @@ class TestRunSingle:
         record = run_single(scene, ("push", 2, 0, 0), PlannerConfig(max_expansions=500, seed=0))
         assert record.planning_time_ms == 0.0
 
+    def test_an_unsolved_plan_is_recorded_blank(self, tmp_path):
+        # One expansion cannot solve the swap: the record has no actions and no cost, and
+        # records.csv leaves both cells blank.
+        record = run_single(make_swap_scene(), ("push", 2, 0, 0), PlannerConfig(max_expansions=1, seed=0))
+        assert record == BenchRecord("push", 2, 0, 0, False, None, None, 0.0)
+        records_to_csv([record], tmp_path / "records.csv")
+        assert (tmp_path / "records.csv").read_text().splitlines()[1] == "push,2,0,0,0,,,0.0"
+
     def test_wall_clock_budget_reports_time(self):
         scene = make_swap_scene()
         record = run_single(scene, ("push", 2, 0, 0), PlannerConfig(time_budget_s=0.5, seed=0))
@@ -335,14 +343,17 @@ class TestRunBenchmark:
         ({"master_seed": None}, "master_seed"),
         ({"object_counts": [4, 6]}, "object_counts"),
         ({"master_seed": 10**5000}, "master_seed"),  # too long for ``repr``: the message named no field
+        ({"master_seed": 2**1100}, "master_seed"),  # beyond the float range: said "must be an integer"
     ])
     def test_a_field_outside_its_rule_is_rejected(self, fields, name):
         # Each built, then failed only inside ``run_benchmark`` or wrote a
         # summary.json config that ``bench --config`` rejects.
         with pytest.raises(ValueError, match=f"'{name}' must be"):
             BenchConfig(**fields)
-        with pytest.raises(ValueError, match=f"'{name}' must be"):
+        with pytest.raises(ValueError, match=f"'{name}' must be") as e:
             replace(SMALL, **fields)
+        if name == "master_seed":
+            assert "must be an integer in [-1.7976931348623157e+308, 1.7976931348623157e+308]" in str(e.value)
 
     def test_variants_and_workspace_are_not_fields(self):
         # A bench config document sets every field, so it is the whole sweep.

@@ -319,6 +319,12 @@ CASES = [
     ("bench", {"object_counts": [4.5]}, "'object_counts"),
     # a sigma is checked by ``NoiseConfig`` with noise off too
     ("flags", ["execute", "{scene}", "--expansions", "200", "--depth-sigma", "nan"], "'depth_sigma'"),
+    # argparse parses the flags no class holds: a non-integer breaks the flag's rule, it is not an "invalid value"
+    ("flags", ["bench", "--out", "{tmp}", "--jobs", "x"], "argument --jobs: must be an integer of at least 1"),
+    ("flags", ["execute", "{scene}", "--step-budget", "1.5"],
+     "argument --step-budget: must be an integer of at least 1"),
+    # a seed beyond the float range is an integer: the message states the range
+    ("flags", ["plan", "{scene}", "--expansions", "10", "--seed", "1" + "0" * 400], "'seed' must be an integer in"),
 ]
 
 

@@ -453,10 +453,15 @@ class TestEdgeCases:
         # too long for ``repr``: the message gave CPython's digit limit, not the field
         ({"seed": 10**5000}, "seed"),
         ({"max_expansions": 10**5000}, "max_expansions"),
+        # beyond the float range ``checks.real`` tests: the message said "must be an integer"
+        ({"seed": 2**1100}, "seed"),
+        ({"seed": 10**400}, "seed"),  # ``plan --seed`` 1 followed by 400 zeros
     ])
     def test_a_field_outside_its_rule_is_rejected(self, fields, name):
-        with pytest.raises(ValueError, match=f"'{name}' must be"):
+        with pytest.raises(ValueError, match=f"'{name}' must be") as e:
             PlannerConfig(**fields)
+        if name == "seed":
+            assert "must be an integer in [-1.7976931348623157e+308, 1.7976931348623157e+308]" in str(e.value)
 
     def test_default_budget_is_wall_clock(self):
         cfg = PlannerConfig()

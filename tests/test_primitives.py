@@ -47,6 +47,7 @@ from pushplan.primitives import (
     PushStats,
     corridor_clear,
     edge_safe,
+    free_pose,
     sample_buffer_pose,
     select_push,
     validate_push_action,
@@ -333,6 +334,16 @@ class TestBufferSampling:
         s = Scene(ws, objs, poses, poses)
         monkeypatch.setattr(primitives, "BUFFER_MAX_ATTEMPTS", 200)
         assert sample_buffer_pose(s, 0, random.Random(1)) is None
+
+    def test_free_pose_gives_up(self):
+        ws = Rect(Vec2(0.0, 0.0), Vec2(0.5, 0.5))
+        # Wider than the table: no center keeps the footprint on it, so no value is drawn.
+        rng = ScriptedRandom(())
+        assert free_pose(rng, HalfDims(0.3, 0.1), ws, (), 10) is None
+        # Every draw overlaps the obstacle that covers the table: ``attempts`` draws of two values, then None.
+        rng = ScriptedRandom([0.5] * 6)
+        assert free_pose(rng, HalfDims(0.1, 0.1), ws, [(0.0, 0.0, 0.5, 0.5)], 3) is None
+        assert rng.values == []
 
 
 def scenes_and_successors(n: int, sizes: tuple[float, float], count: int):

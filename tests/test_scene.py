@@ -51,6 +51,13 @@ class TestValidation:
         with pytest.raises(InvalidSceneError, match="tolerance"):
             Scene(WS, (square(),), (Vec2(0.5, 0.5),), (Vec2(0.5, 0.5),), 0.0)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_is_finite_and_positive(self, tolerance):
+        # An infinite tolerance built a scene whose every object read as at its goal, so ``plan``
+        # returned an empty plan; the scene document reader already rejected it.
+        fields = (WS, (square(),), (Vec2(0.5, 0.5),), (Vec2(0.2, 0.2),), tolerance)
+        assert assert_same_validation(fields) == f"tolerance must be finite and positive, got {tolerance}"
+
     def test_footprint_outside_workspace(self):
         with pytest.raises(InvalidSceneError, match="current footprint of object 0"):
             Scene(WS, (square(),), (Vec2(0.02, 0.5),), (Vec2(0.5, 0.5),))

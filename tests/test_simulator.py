@@ -308,6 +308,21 @@ class TestNoise:
             assert r.lo.x >= 0.0 and r.lo.y >= 0.0
             assert events == []
 
+    def test_a_drift_into_a_neighbour_keeps_the_settled_pose(self):
+        # The destination is flush against object 1, and every draw is the top of its range, so the
+        # drift points into object 1: no fraction of it is free, and object 0 keeps the destination.
+        class TopOfRange:
+            def uniform(self, lo, hi):
+                return hi
+
+        half = HalfDims(0.0625, 0.0625)
+        scene = Scene(Rect(Vec2(0.0, 0.0), Vec2(1.0, 1.0)), (ObjectSpec(half), ObjectSpec(half)),
+                      (Vec2(0.25, 0.25), Vec2(0.5, 0.5)), (Vec2(0.75, 0.75), Vec2(0.5, 0.5)))
+        action = PickPlace(0, Vec2(0.375, 0.5))
+        out, events = simulate(scene, action, noise=NoiseConfig(enabled=True), rng=TopOfRange())
+        assert out.current == (Vec2(0.375, 0.5), Vec2(0.5, 0.5))
+        assert events == []
+
     def test_push_noise_at_edge_emits_left_table(self):
         # target set down touching the right wall; large lateral drift along
         # x must clip and be reported
