@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .checks import INTEGER, real, require
+from .checks import COUNT, COUNTS, INTEGER, real, require
 from .geometry import Bounds, HalfDims, Rect, Vec2, bounds_from_center
 # ``overlaps`` and ``rect_from_center`` are not called here: scene generation
 # tests ``Bounds``.  Both stay bound because perfbench's tracer and its tests
@@ -63,8 +63,8 @@ class BenchConfig:
     raises a ``ValueError`` quoting its field: exactly one budget, in
     ``PlannerConfig``'s range (no default wall clock); ``master_seed`` an int
     in the float range; ``object_counts`` a non-empty tuple of ints of at least
-    1, none repeated; ``scenes_per_count``, ``runs_per_scene`` ints of at least
-    1; ``size_range`` a ``(low, high)`` tuple, ``0 < low <= high``;
+    1 in the float range, none repeated; ``scenes_per_count``, ``runs_per_scene``
+    ints of at least 1 in the float range; ``size_range`` a ``(low, high)`` tuple, ``0 < low <= high``;
     ``tolerance`` finite and positive.
     Numbers are stored as floats, so a ``summary.json`` config reads back equal."""
 
@@ -89,10 +89,10 @@ class BenchConfig:
         require(not math.isnan(real(self.master_seed, int)), "master_seed", INTEGER, self.master_seed)
         counts, sizes = self.object_counts, self.size_range
         require(isinstance(counts, tuple) and len(counts) > 0 and all(real(n, int) >= 1 for n in counts),
-                "object_counts", "be a non-empty tuple of integers of at least 1", counts)
+                "object_counts", COUNTS, counts)
         require(len(set(counts)) == len(counts), "object_counts", "not repeat a count", counts)
         for name, value in (("scenes_per_count", self.scenes_per_count), ("runs_per_scene", self.runs_per_scene)):
-            require(real(value, int) >= 1, name, "be an integer of at least 1", value)
+            require(real(value, int) >= 1, name, COUNT, value)
         require(isinstance(sizes, tuple) and len(sizes) == 2 and 0.0 < real(sizes[0]) <= real(sizes[1]),
                 "size_range", "be a (low, high) tuple with 0 < low <= high", sizes)
         require(real(self.tolerance) > 0.0, "tolerance", "be finite and positive", self.tolerance)

@@ -18,8 +18,11 @@ class _Short(reprlib.Repr):
 
 _short = _Short().repr
 
-# The rule ``not math.isnan(real(value, int))`` enforces: an int whose float is finite.
+# The rules ``not math.isnan(real(value, int))`` and ``real(value, int) >= 1`` enforce: an int
+# whose float is finite (a seed), and such an int of at least 1 (a count, or each of a tuple's).
 INTEGER = f"be an integer in [{-sys.float_info.max!r}, {sys.float_info.max!r}]"
+COUNT = f"be an integer of at least 1, at most {sys.float_info.max!r}"
+COUNTS = f"be a non-empty tuple of integers of at least 1, at most {sys.float_info.max!r}"
 
 
 def real(value: Any, kind: type | tuple = (int, float)) -> float:

@@ -14,11 +14,14 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
+from reprlib import repr as _short
 from typing import Optional, Sequence
 
 from . import io
 from .bench import BenchConfig, BenchError, run_benchmark, write_benchmark_outputs
+from .checks import COUNT, real
 from .executor import DEFAULT_STEP_BUDGET, TerminationReason, execute
 from .io import SceneFormatError
 from .metrics import set_down_pose
@@ -35,17 +38,18 @@ _FIELD_FLAGS = {"no_push": "push_enabled", "scenes": "scenes_per_count", "runs":
 
 # The argparse ``type``s no config class holds a rule for.  Each raises ``ArgumentTypeError``, so
 # ``_Parser.error`` reports ``argument --flag: must be <rule>, got <text>``.
-def _at_least_1(text: str) -> int:
+def _count(text: str) -> int:
+    """An int by ``checks.COUNT``'s rule; a text over CPython's digit limit is beyond its range too."""
     with contextlib.suppress(ValueError):
-        if (value := int(text)) >= 1:
+        if real(value := int(text), int) >= 1:
             return value
-    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must {COUNT}, got {_short(text)}")
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
     with contextlib.suppress(ValueError):
         return tuple(int(c) for c in text.split(","))
-    raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {_short(text)}")
 
 
 def _build(what: str, kind: type, *args, **fields):
@@ -57,35 +61,24 @@ def _build(what: str, kind: type, *args, **fields):
 
 
 def _config(args: argparse.Namespace, kind: type) -> PlannerConfig | BenchConfig:
-    """The ``PlannerConfig`` or ``BenchConfig`` (``kind``) of a command: the
-    ``--config`` document, then the command line over it.  The seed is
-    ``--seed``, else the document's, else ``PPLAN_SEED``, else 0; a budget
-    flag replaces both budgets; any other flag given replaces its field."""
+    """The ``PlannerConfig`` or ``BenchConfig`` (``kind``) of a command: the ``--config`` document's
+    (``io.planner_config_from_dict``, ``io.bench_config_from_dict``), else ``kind()``, with each flag given
+    replacing its field (a budget flag, both budgets).  So the seed is ``--seed``, else the document's, else 0."""
     bench = kind is BenchConfig
-    read, seed = (io.bench_config_kwargs, "master_seed") if bench else (io.planner_config_kwargs, "seed")
-    fields = io.load(args.config, read) if args.config else {}
-    if args.seed is not None:
-        fields[seed] = args.seed
-    elif seed not in fields:
-        env = os.environ.get("PPLAN_SEED", "0")
-        try:
-            fields[seed] = int(env)
-        except ValueError:
-            raise SceneFormatError(f"PPLAN_SEED must be an integer, got {env!r}") from None
+    read = io.bench_config_from_dict if bench else io.planner_config_from_dict
+    cfg = io.load(args.config, read) if args.config else kind()
+    flags = {"seed": "master_seed" if bench else "seed", **_FIELD_FLAGS}
+    fields = {key: getattr(args, flag) for flag, key in flags.items() if getattr(args, flag, None) is not None}
     if args.expansions is not None or args.time_budget is not None:
         fields.update(max_expansions=args.expansions, time_budget_s=args.time_budget)
-    for flag, key in _FIELD_FLAGS.items():
-        if getattr(args, flag, None) is not None:
-            fields[key] = getattr(args, flag)
-    return _build(f"{'bench' if bench else 'planner'} config", kind, **fields)
+    return _build(f"{'bench' if bench else 'planner'} config", replace, cfg, **fields)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, kind: type) -> None:
     """``--config``, ``--seed``, the budget flags and, for a ``PlannerConfig``, ``--no-push``."""
     bench = kind is BenchConfig
     p.add_argument("--config", help=f"{'benchmark' if bench else 'planner'} configuration JSON")
-    p.add_argument("--seed", type=int,
-                   help=f"{'master' if bench else 'random'} seed (overrides config and PPLAN_SEED)")
+    p.add_argument("--seed", type=int, help=f"{'master' if bench else 'random'} seed (overrides the config's)")
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--expansions", type=int, metavar="N",
                         help="deterministic search budget in tree expansions")
@@ -210,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise drift bound across the motion (m, default %(default)s)")
     p.add_argument("--depth-sigma", type=float, default=noise.depth_sigma,
                    help="noise drift bound along the motion (m, default %(default)s)")
-    p.add_argument("--step-budget", type=_at_least_1, default=DEFAULT_STEP_BUDGET,
+    p.add_argument("--step-budget", type=_count, default=DEFAULT_STEP_BUDGET,
                    help="maximum executed actions (default %(default)s)")
     p.add_argument("--frames", metavar="DIR", help="write one SVG per step into DIR")
     _add_config_flags(p, PlannerConfig)
@@ -222,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, help="scenes per object count")
     p.add_argument("--runs", type=int, help="runs per scene")
     p.add_argument("--counts", type=_comma_ints, help="comma-separated object counts, e.g. 4,6,8")
-    p.add_argument("--jobs", type=_at_least_1, default=1, help="worker processes, at most one per CPU and one per plan")
+    p.add_argument("--jobs", type=_count, default=1, help="worker processes, at most one per CPU and one per plan")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("render", help="render a scene (or a plan's steps) to SVG")

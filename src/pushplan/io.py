@@ -5,8 +5,9 @@ Typed readers take a raw value and its field name, and return the parsed
 value or raise a ``SceneFormatError`` naming the field.  Every JSON object, a
 whole document or an entry, is read by a ``_document`` reader over a table of
 each key's reader, so unknown, missing and malformed fields are reported by
-one rule under their full path.  The planner and bench config tables read
-JSON shape only; each config class checks every field's range itself.
+one rule under their full path.  A planner or bench config document reads
+as its config object: the tables read JSON shape only, and the config class
+checks every field's range itself.
 """
 
 from __future__ import annotations
@@ -156,27 +157,26 @@ _BENCH_FIELDS = {
 }
 
 
-def _config(kind: type, **fields: Any) -> dict:
-    """The fields a config document sets, read for shape only: a ``time_budget_s`` replaces the
-    default expansion budget, and ``kind`` (the config class) checks every field's rule on the result."""
+def _config(kind: type, **fields: Any) -> PlannerConfig | BenchConfig:
+    """The config (``kind``) a document sets, every field it leaves out at the class's default,
+    except that a ``time_budget_s`` replaces the default expansion budget."""
     if fields.get("time_budget_s") is not None:
         fields.setdefault("max_expansions", None)
-    kind(**fields)
-    return fields
+    return kind(**fields)
 
 
-def planner_config_kwargs(doc: Any) -> dict:
-    """``PlannerConfig`` keyword arguments; with neither budget set, the planner's 2 s default applies."""
+def planner_config_from_dict(doc: Any) -> PlannerConfig:
+    """The ``PlannerConfig`` a document sets; with neither budget set, the planner's 2 s default applies."""
     return _document("planner config", _PLANNER_FIELDS, partial(_config, PlannerConfig))(doc)
 
 
-def bench_config_kwargs(doc: Any) -> dict:
-    """``BenchConfig`` keyword arguments; the sweep keeps one budget set."""
+def bench_config_from_dict(doc: Any) -> BenchConfig:
+    """The ``BenchConfig`` a document sets, whose sweep keeps one budget; ``bench_config_to_dict`` writes it."""
     return _document("bench config", _BENCH_FIELDS, partial(_config, BenchConfig))(doc)
 
 
 def bench_config_to_dict(cfg: BenchConfig) -> dict:
-    """The bench config document of ``cfg``, which ``bench_config_kwargs`` reads back."""
+    """The bench config document of ``cfg``, which ``bench_config_from_dict`` reads back."""
     return {key: getattr(cfg, key) for key in _BENCH_FIELDS}
 
 

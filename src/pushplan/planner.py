@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .checks import INTEGER, real, require
+from .checks import COUNT, INTEGER, real, require
 # ``apply_action`` and ``action_cost`` are the validated path that ``transition``
 # and the plan's costs must agree with.  The search does not call them, but
 # they stay bound here because perfbench's tracer and its tests look them up
@@ -53,8 +53,9 @@ class PlannerConfig:
     reproducible) or a maximum number of expansions (fully deterministic
     under ``seed``).  Setting both is an error.  A broken rule raises a
     ``ValueError`` quoting its field: ``max_expansions`` an int (never a
-    bool) of at least 1, ``time_budget_s`` finite and positive (either may
-    be None), ``push_enabled`` a bool, ``seed`` an int in the float range.
+    bool) of at least 1 in the float range, ``time_budget_s`` finite and
+    positive (either may be None), ``push_enabled`` a bool, ``seed`` an int
+    in the float range.
     """
 
     time_budget_s: Optional[float] = None
@@ -67,7 +68,7 @@ class PlannerConfig:
         if seconds is not None and expansions is not None:
             raise ValueError("set either 'time_budget_s' or 'max_expansions', not both")
         if expansions is not None:
-            require(real(expansions, int) >= 1, "max_expansions", "be an integer of at least 1", expansions)
+            require(real(expansions, int) >= 1, "max_expansions", COUNT, expansions)
         elif seconds is None:
             object.__setattr__(self, "time_budget_s", DEFAULT_TIME_BUDGET_S)
         else:

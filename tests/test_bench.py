@@ -35,7 +35,7 @@ from pushplan.bench import (
     write_benchmark_outputs,
 )
 from pushplan.cli import main
-from pushplan.io import bench_config_kwargs
+from pushplan.io import bench_config_from_dict
 from pushplan.scene import Scene
 
 from conftest import ZeroRandom, make_swap_scene
@@ -92,6 +92,10 @@ class TestGenerateScene:
             generate_scene(60, 0, size_range=(0.12, 0.14))
         # sanity: the bound is the constant, not hard-coded magic
         assert math.isclose(MAX_AREA_FRACTION, 0.4)
+
+    def test_inverted_size_range_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^invalid size range \(0.07, 0.03\)$"):
+            generate_scene(4, 0, size_range=(0.07, 0.03))
 
     def test_object_wider_than_the_table_is_named(self):
         # Before any pose is drawn: the centers that keep a 0.06 m-plus
@@ -344,6 +348,10 @@ class TestRunBenchmark:
         ({"object_counts": [4, 6]}, "object_counts"),
         ({"master_seed": 10**5000}, "master_seed"),  # too long for ``repr``: the message named no field
         ({"master_seed": 2**1100}, "master_seed"),  # beyond the float range: said "must be an integer"
+        # beyond the float range: the message said "of at least 1", with no upper bound
+        ({"scenes_per_count": 10**400}, "scenes_per_count"),
+        ({"runs_per_scene": 10**400}, "runs_per_scene"),
+        ({"object_counts": (4, 10**400)}, "object_counts"),
     ])
     def test_a_field_outside_its_rule_is_rejected(self, fields, name):
         # Each built, then failed only inside ``run_benchmark`` or wrote a
@@ -354,6 +362,11 @@ class TestRunBenchmark:
             replace(SMALL, **fields)
         if name == "master_seed":
             assert "must be an integer in [-1.7976931348623157e+308, 1.7976931348623157e+308]" in str(e.value)
+        if name in ("scenes_per_count", "runs_per_scene"):
+            assert "must be an integer of at least 1, at most 1.7976931348623157e+308" in str(e.value)
+        if name == "object_counts":
+            rule = "must be a non-empty tuple of integers of at least 1, at most 1.7976931348623157e+308"
+            assert rule in str(e.value)
 
     def test_variants_and_workspace_are_not_fields(self):
         # A bench config document sets every field, so it is the whole sweep.
@@ -500,7 +513,7 @@ class TestOutputs:
         cfg = replace(SMALL, size_range=(0.05, 0.079), tolerance=0.01, **budget)
         write_benchmark_outputs(cfg, run_benchmark(cfg), tmp_path)
         doc = json.loads((tmp_path / "summary.json").read_text())
-        assert BenchConfig(**bench_config_kwargs(doc["config"])) == cfg
+        assert bench_config_from_dict(doc["config"]) == cfg
 
     def test_reductions_recompute_from_records(self):
         records = run_benchmark(SMALL)

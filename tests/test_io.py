@@ -45,14 +45,14 @@ def _load_plan(doc):
 
 
 def _load_planner_config(doc):
-    cfg = PlannerConfig(**io.planner_config_kwargs(doc))
+    cfg = io.planner_config_from_dict(doc)
     assert cfg.max_expansions is None or cfg.max_expansions >= 1
     assert cfg.time_budget_s is None or cfg.time_budget_s > 0
     assert isinstance(cfg.push_enabled, bool) and type(cfg.seed) is int
 
 
 def _load_bench_config(doc):
-    cfg = BenchConfig(**io.bench_config_kwargs(doc))
+    cfg = io.bench_config_from_dict(doc)
     assert cfg.object_counts and all(type(n) is int and n >= 1 for n in cfg.object_counts)
     assert cfg.scenes_per_count >= 1 and cfg.runs_per_scene >= 1
     assert 0 < cfg.size_range[0] <= cfg.size_range[1] and cfg.tolerance > 0
@@ -183,7 +183,7 @@ class TestConfigClasses:
         except ValueError:
             return
         doc = json.loads(json.dumps(io.bench_config_to_dict(cfg)))
-        assert BenchConfig(**io.bench_config_kwargs(doc)) == cfg
+        assert io.bench_config_from_dict(doc) == cfg
 
 
 class TestTables:
@@ -192,11 +192,14 @@ class TestTables:
         assert set(io._BENCH_FIELDS) == {f.name for f in dataclasses.fields(BenchConfig)}
 
     def test_valid_documents_keep_their_values(self):
-        kwargs = io.planner_config_kwargs(PLANNER_DOC)
-        assert PlannerConfig(**kwargs) == PlannerConfig(max_expansions=5000, seed=7)
-        assert io.planner_config_kwargs({"max_expansions": 30.0})["max_expansions"] == 30
-        cfg = BenchConfig(**io.bench_config_kwargs({"time_budget_s": 0.5}))
+        assert io.planner_config_from_dict(PLANNER_DOC) == PlannerConfig(max_expansions=5000, seed=7)
+        assert io.planner_config_from_dict({"max_expansions": 30.0}).max_expansions == 30
+        cfg = io.bench_config_from_dict({"time_budget_s": 0.5})
         assert (cfg.max_expansions, cfg.time_budget_s) == (None, 0.5)
+
+    def test_an_action_on_a_negative_object_is_rejected(self):
+        with pytest.raises(SceneFormatError, match="field 'object' must be at least 0, got -1"):
+            io.action_from_dict(dict(SWAP_PLAN_ACTION, object=-1))
 
     def test_plan_total_is_derived_from_the_costs(self):
         doc = json.loads((Path(__file__).parent / "golden" / "plan_swap.json").read_text())
@@ -325,6 +328,12 @@ CASES = [
      "argument --step-budget: must be an integer of at least 1"),
     # a seed beyond the float range is an integer: the message states the range
     ("flags", ["plan", "{scene}", "--expansions", "10", "--seed", "1" + "0" * 400], "'seed' must be an integer in"),
+    # a count flag states its upper bound, and a text over CPython's digit limit is echoed shortened
+    ("flags", ["bench", "--out", "{tmp}", "--jobs", "1" + "0" * 5000],
+     "argument --jobs: must be an integer of at least 1, at most 1.7976931348623157e+308, "
+     "got '100000000000...0000000000000'"),
+    ("flags", ["execute", "{scene}", "--expansions", "200", "--step-budget", "1" + "0" * 400],
+     "argument --step-budget: must be an integer of at least 1, at most 1.7976931348623157e+308"),
 ]
 
 
@@ -346,8 +355,7 @@ def _run(tmp_path, capsys, kind, doc) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("kind, doc, named", CASES)
-def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, monkeypatch, kind, doc, named):
-    monkeypatch.delenv("PPLAN_SEED", raising=False)
+def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, kind, doc, named):
     rc, err = _run(tmp_path, capsys, kind, doc)
     assert rc == 1, err
     assert named in err
@@ -361,10 +369,9 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, monkeypatch,
     (["bench", "--out", "{tmp}", "--runs", "0"], "bench", {"runs_per_scene": 0}),
     (["bench", "--out", "{tmp}", "--counts", "0"], "bench", {"object_counts": [0]}),
 ])
-def test_a_flag_and_the_field_it_sets_break_one_rule(tmp_path, capsys, monkeypatch, flags, kind, doc):
+def test_a_flag_and_the_field_it_sets_break_one_rule(tmp_path, capsys, flags, kind, doc):
     """The class that holds a field is its one owner: a flag that sets it and a config document
     that sets it are rejected by the same rule, in the same words."""
-    monkeypatch.delenv("PPLAN_SEED", raising=False)
     (field,) = doc
     rule = f"'{field}' must "
     errors = [_run(tmp_path, capsys, "flags", flags), _run(tmp_path, capsys, kind, doc)]

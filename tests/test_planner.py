@@ -10,6 +10,7 @@ anytime and returns the first full solution.
 import gc
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -456,12 +457,21 @@ class TestEdgeCases:
         # beyond the float range ``checks.real`` tests: the message said "must be an integer"
         ({"seed": 2**1100}, "seed"),
         ({"seed": 10**400}, "seed"),  # ``plan --seed`` 1 followed by 400 zeros
+        ({"max_expansions": 10**400}, "max_expansions"),  # the message said "of at least 1", no upper bound
+        ({"max_expansions": 2**1100}, "max_expansions"),
     ])
     def test_a_field_outside_its_rule_is_rejected(self, fields, name):
         with pytest.raises(ValueError, match=f"'{name}' must be") as e:
             PlannerConfig(**fields)
         if name == "seed":
             assert "must be an integer in [-1.7976931348623157e+308, 1.7976931348623157e+308]" in str(e.value)
+        if name == "max_expansions":
+            assert "must be an integer of at least 1, at most 1.7976931348623157e+308" in str(e.value)
+
+    def test_sampling_a_solved_scene_raises(self, swap_scene):
+        solved = replace(swap_scene, current=swap_scene.goal)
+        with pytest.raises(ValueError, match="all objects are satisfied"):
+            planner_mod.sample_unsatisfied_object(solved, random.Random(0))
 
     def test_default_budget_is_wall_clock(self):
         cfg = PlannerConfig()

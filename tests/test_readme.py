@@ -19,9 +19,7 @@ import pytest
 
 import pushplan
 from pushplan import io
-from pushplan.bench import BenchConfig
 from pushplan.cli import main
-from pushplan.planner import PlannerConfig
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text()
@@ -36,8 +34,8 @@ SPANS = [" ".join(s.split()) for s in re.findall(r"`([^`]+)`", FENCE.sub("", REA
 
 LOADERS = {
     "Scene": io.scene_from_dict,
-    "Planner config": lambda doc: PlannerConfig(**io.planner_config_kwargs(doc)),
-    "Bench config": lambda doc: BenchConfig(**io.bench_config_kwargs(doc)),
+    "Planner config": io.planner_config_from_dict,
+    "Bench config": io.bench_config_from_dict,
 }
 
 
@@ -79,7 +77,6 @@ def test_sh_line_exits_0(line, command, tmp_path, monkeypatch, capsys):
     shutil.copy(ROOT / "tests" / "fixtures" / "swap.json", tmp_path / "scene.json")
     shutil.copy(ROOT / "tests" / "golden" / "plan_swap.json", tmp_path / "plan.json")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PPLAN_SEED", raising=False)
     rc = main(argv)
     assert rc == 0, capsys.readouterr().err
 
