@@ -13,6 +13,7 @@ import errno
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import io
 from .bench import BenchConfig, BenchError, run_benchmark, write_benchmark_outputs
-from .checks import COUNT, real
+from .checks import COUNT, COUNTS, real
 from .executor import DEFAULT_STEP_BUDGET, TerminationReason, execute
 from .io import SceneFormatError
 from .metrics import set_down_pose
@@ -36,8 +37,19 @@ _FIELD_FLAGS = {"no_push": "push_enabled", "scenes": "scenes_per_count", "runs":
                 "counts": "object_counts"}
 
 
-# The argparse ``type``s no config class holds a rule for.  Each raises ``ArgumentTypeError``, so
-# ``_Parser.error`` reports ``argument --flag: must be <rule>, got <text>``.
+# The argparse ``type``s.  Each raises ``ArgumentTypeError`` with the text shortened by
+# ``reprlib.repr``, so ``_Parser.error`` reports ``argument --flag: <message>`` in a short line.
+def _number(kind: type):
+    """``kind`` (int or float) as a ``type`` for a flag whose field a config class checks: argparse's
+    ``invalid <kind> value`` message."""
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_short(text)}") from None
+    return parse
+
+
 def _count(text: str) -> int:
     """An int by ``checks.COUNT``'s rule; a text over CPython's digit limit is beyond its range too."""
     with contextlib.suppress(ValueError):
@@ -46,10 +58,17 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must {COUNT}, got {_short(text)}")
 
 
+# The text ``int`` reads: a signed run of decimal digits, single underscores between them.
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _comma_ints(text: str) -> tuple[int, ...]:
+    entries = text.split(",")
     with contextlib.suppress(ValueError):
-        return tuple(int(c) for c in text.split(","))
-    raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {_short(text)}")
+        return tuple(int(c) for c in entries)
+    # ``int`` refuses an integer text only over CPython's digit limit, far beyond ``checks.COUNTS``' range.
+    rule = COUNTS if all(_INT_TEXT.fullmatch(c) for c in entries) else "be comma-separated integers"
+    raise argparse.ArgumentTypeError(f"must {rule}, got {_short(text)}")
 
 
 def _build(what: str, kind: type, *args, **fields):
@@ -78,11 +97,11 @@ def _add_config_flags(p: argparse.ArgumentParser, kind: type) -> None:
     """``--config``, ``--seed``, the budget flags and, for a ``PlannerConfig``, ``--no-push``."""
     bench = kind is BenchConfig
     p.add_argument("--config", help=f"{'benchmark' if bench else 'planner'} configuration JSON")
-    p.add_argument("--seed", type=int, help=f"{'master' if bench else 'random'} seed (overrides the config's)")
+    p.add_argument("--seed", type=_number(int), help=f"{'master' if bench else 'random'} seed (overrides the config's)")
     budget = p.add_mutually_exclusive_group()
-    budget.add_argument("--expansions", type=int, metavar="N",
+    budget.add_argument("--expansions", type=_number(int), metavar="N",
                         help="deterministic search budget in tree expansions")
-    budget.add_argument("--time-budget", type=float, metavar="SECONDS",
+    budget.add_argument("--time-budget", type=_number(float), metavar="SECONDS",
                         help=f"wall-clock search budget (plan and execute default to {DEFAULT_TIME_BUDGET_S})")
     if not bench:
         p.add_argument("--no-push", action="store_const", const=False,
@@ -199,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the execution report here instead of stdout")
     p.add_argument("--noise", action="store_true", help="enable placement noise")
     noise = NoiseConfig()
-    p.add_argument("--lateral-sigma", type=float, default=noise.lateral_sigma,
+    p.add_argument("--lateral-sigma", type=_number(float), default=noise.lateral_sigma,
                    help="noise drift bound across the motion (m, default %(default)s)")
-    p.add_argument("--depth-sigma", type=float, default=noise.depth_sigma,
+    p.add_argument("--depth-sigma", type=_number(float), default=noise.depth_sigma,
                    help="noise drift bound along the motion (m, default %(default)s)")
     p.add_argument("--step-budget", type=_count, default=DEFAULT_STEP_BUDGET,
                    help="maximum executed actions (default %(default)s)")
@@ -212,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare planner variants over random scenes")
     p.add_argument("--out", default="bench_out", help="output directory (default bench_out)")
     _add_config_flags(p, BenchConfig)
-    p.add_argument("--scenes", type=int, help="scenes per object count")
-    p.add_argument("--runs", type=int, help="runs per scene")
+    p.add_argument("--scenes", type=_number(int), help="scenes per object count")
+    p.add_argument("--runs", type=_number(int), help="runs per scene")
     p.add_argument("--counts", type=_comma_ints, help="comma-separated object counts, e.g. 4,6,8")
     p.add_argument("--jobs", type=_count, default=1, help="worker processes, at most one per CPU and one per plan")
     p.set_defaults(func=_cmd_bench)
@@ -223,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", help="plan JSON to replay over the scene")
     p.add_argument("--frames", metavar="DIR", help="with --plan, write one SVG per step into DIR")
     p.add_argument("--out", help="write the SVG here instead of stdout")
-    p.add_argument("--scale", type=float, default=RenderStyle().scale,
+    p.add_argument("--scale", type=_number(float), default=RenderStyle().scale,
                    help="pixels per meter (default %(default)s)")
     p.add_argument("--no-goals", action="store_true", help="hide dashed goal outlines")
     p.add_argument("--title", default="", help="title text drawn above the scene")

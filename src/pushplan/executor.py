@@ -10,6 +10,11 @@ Only the first action of whatever plan is current ever gets executed.
 
 The report holds the scenes the loop worked on: step 0's ``pre_scene`` is
 the input, and each step's ``post_scene`` is the next step's ``pre_scene``.
+
+Seeds: one trial seed is drawn from the caller's rng.  Planning round ``k``
+is seeded ``derive_seed(trial_seed, "plan", k)``, and a noisy trial makes one
+simulator stream, ``random.Random(derive_seed(trial_seed, "sim"))``, that
+every ``simulate`` call of the trial draws from in turn.
 """
 
 from __future__ import annotations
@@ -119,11 +124,12 @@ def execute(
     """Run the plan-act-observe loop until done, stuck, or out of budget.
 
     ``step_budget`` caps executed actions.  ``planner_cfg.seed`` is never
-    read: each planning round's seed derives from the trial seed, which is
-    drawn from ``rng``, and the round index, so a whole trial is a
-    deterministic function of (scene, planner_cfg, noise, rng state).  A new
-    plan is made at the start and whenever the current plan's tail fails
-    ``rederive_tail`` from the observed state.
+    read: one trial seed is drawn from ``rng``; each planning round is seeded
+    from it and the round index (``"plan"``), and under noise one simulator
+    stream is seeded from it (``"sim"``) for all the trial's steps.  So a
+    whole trial is a deterministic function of (scene, planner_cfg, noise,
+    rng state).  A new plan is made at the start and whenever the current
+    plan's tail fails ``rederive_tail`` from the observed state.
 
     Every executed action was admitted by ``transition`` in the scene it is
     simulated in, so ``simulate`` accepts it; an error it raises is a fault
@@ -132,6 +138,8 @@ def execute(
     if rng is None:
         rng = random.Random(0)
     trial_seed = rng.getrandbits(63)
+    # ``simulate`` draws only under noise, so a noise-free trial seeds no simulator stream.
+    sim_rng = random.Random(derive_seed(trial_seed, "sim")) if noise.enabled else None
 
     current = scene
     steps: list[StepRecord] = []
@@ -159,8 +167,6 @@ def execute(
             pending = list(result.actions)
 
         action = pending[0]
-        # ``simulate`` draws only under noise, so a noise-free step seeds nothing.
-        sim_rng = random.Random(derive_seed(trial_seed, "sim", len(steps))) if noise.enabled else None
         nxt, events = simulate(current, action, noise, sim_rng)
         pending = pending[1:]
         steps.append(

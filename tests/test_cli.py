@@ -2,6 +2,7 @@
 byte-stable rendering.  Commands run in-process through main()."""
 
 import contextlib
+import errno
 import io
 import json
 import random
@@ -200,6 +201,16 @@ class TestDiagnostics:
         rc = main(["plan", swap_file, "--config", str(cfg)])
         assert rc == 0
         assert len(json.loads(capsys.readouterr().out)["actions"]) == 2
+
+    def test_an_os_error_without_a_path_is_not_reported_as_an_output(self, swap_file, monkeypatch):
+        # Only an unwritable output names a path; any other OSError is a fault and propagates.
+        def failing(args):
+            raise OSError(errno.EIO, "x")
+
+        monkeypatch.setattr(cli, "_cmd_plan", failing)
+        with pytest.raises(OSError) as raised:
+            main(["plan", swap_file])
+        assert raised.value.errno == errno.EIO and raised.value.filename is None
 
 
 class TestExecuteCommand:

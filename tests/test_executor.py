@@ -3,6 +3,8 @@ termination reasons, refusals propagating, and keeping the plan tail."""
 
 import random
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +28,7 @@ from pushplan import (
     validate_action,
 )
 from pushplan.executor import ACTION_OVERHEAD_S, rederive_tail
-from pushplan.io import report_to_dict
+from pushplan.io import load, report_to_dict, scene_from_dict
 from pushplan.primitives import push_on_side
 from pushplan.scene import InfeasibleActionError, blockers_of, satisfied_count
 from pushplan.bench import generate_scene
@@ -37,6 +39,7 @@ import pushplan.executor as executor_mod
 
 
 CFG = PlannerConfig(max_expansions=2000, seed=0)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _unsolved_scenes(tag, count, n_range=(3, 6)):
@@ -193,18 +196,32 @@ class TestNoisy:
 
     @pytest.mark.parametrize("noise", [NO_NOISE, NOISE])
     def test_the_simulator_is_seeded_only_under_noise(self, swap_scene, monkeypatch, noise):
-        # A noise-free ``simulate`` draws nothing, so no step derives a "sim" seed for it.
-        labels = []
+        """A noisy trial derives one "sim" seed and makes one simulator ``random.Random``, whatever its
+        step count; a noise-free ``simulate`` draws nothing, so a noise-free trial makes none.  Each
+        planning round derives its own "plan" seed, and equal rng states give equal reports."""
+        labels, made = [], []
 
         def recording(*parts):
             labels.append(parts[1])
             return derive_seed(*parts)
 
+        class CountedRandom(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
         monkeypatch.setattr(executor_mod, "derive_seed", recording)
-        report = execute(swap_scene, CFG, noise=noise, rng=random.Random(5))
-        assert report.total_actions > 0
-        assert labels.count("plan") == report.plan_rounds
-        assert labels.count("sim") == (report.total_actions if noise.enabled else 0)
+        monkeypatch.setattr(executor_mod, "random", SimpleNamespace(Random=CountedRandom))
+        cluttered = load(str(FIXTURES / "exec_cluttered.json"), scene_from_dict)
+        for scene, steps in ((swap_scene, 2), (cluttered, 8)):
+            labels.clear()
+            made.clear()
+            report = execute(scene, CFG, noise=noise, rng=random.Random(5))
+            assert report.total_actions >= steps
+            assert labels.count("plan") == report.plan_rounds
+            assert labels.count("sim") == len(made) == (1 if noise.enabled else 0)
+            again = execute(scene, CFG, noise=noise, rng=random.Random(5))
+            assert report_to_dict(again) == report_to_dict(report)
 
 
 class TestSimulatorAcceptsExecutedActions:

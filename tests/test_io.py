@@ -334,6 +334,20 @@ CASES = [
      "got '100000000000...0000000000000'"),
     ("flags", ["execute", "{scene}", "--expansions", "200", "--step-budget", "1" + "0" * 400],
      "argument --step-budget: must be an integer of at least 1, at most 1.7976931348623157e+308"),
+    # an integer ``--counts`` entry over CPython's digit limit is beyond the float range: the count rule
+    ("flags", ["bench", "--out", "{tmp}", "--counts", "4,1" + "0" * 5000],
+     "argument --counts: must be a non-empty tuple of integers of at least 1, at most 1.7976931348623157e+308, "
+     "got '4,1000000000...0000000000000'"),
+    # a number flag keeps argparse's wording, with the text echoed shortened
+    ("flags", ["plan", "{scene}", "--seed", "1" + "0" * 5000],
+     "argument --seed: invalid int value: '100000000000...0000000000000'"),
+    *[("flags", argv + [flag, "x" * 5000], f"argument {flag}: invalid {kind} value: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'")
+      for argv, flags, kind in ((["plan", "{scene}"], ("--seed", "--expansions"), "int"),
+                                (["plan", "{scene}"], ("--time-budget",), "float"),
+                                (["bench", "--out", "{tmp}"], ("--scenes", "--runs"), "int"),
+                                (["execute", "{scene}"], ("--lateral-sigma", "--depth-sigma"), "float"),
+                                (["render", "{scene}"], ("--scale",), "float"))
+      for flag in flags],
 ]
 
 
